@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import ceil, floor, gcd, isqrt
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._solve import (
     Poly,
+    Solution,
+    SolverStallError,
     integer_kernel_basis,
     solve_system,
     sqrt_fraction,
@@ -327,9 +329,7 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
 
 
 def _int_range(lo: Fraction, hi: Fraction) -> range:
-    import math
-
-    return range(math.ceil(lo), math.floor(hi) + 1)
+    return range(ceil(lo), floor(hi) + 1)
 
 
 def _minus_one_classes(
@@ -395,9 +395,7 @@ def _minus_one_classes(
         span = phi0 / (-d1)
         root_span = sqrt_fraction(span)
         if root_span is None:
-            root_span = Fraction(
-                int(float(span) ** 0.5) + 1
-            )
+            root_span = Fraction(isqrt(span.numerator // span.denominator) + 1)
         lam = m[0][1] / m[0][0]
         for t1 in _int_range(t_star[1] - root_span, t_star[1] + root_span):
             s1 = t1 - t_star[1]
@@ -1010,23 +1008,44 @@ def enumerate_types(
     ties, and both twist settings. The normal splittings of middle
     surfaces are derived from the chain, never enumerated. Survivors
     of the full filter stack are grouped into families.
+
+    Candidates that differ only in the genus and normal degree ``b`` of
+    an untwisted surface maximum share one chain prefix: the walk never
+    reads that genus, and ``b`` enters only the last equation of each
+    branch, ``e.e + b = 0``. Each prefix is walked once and every branch
+    solved once without that equation; a candidate keeps the solutions
+    whose ``e.e`` equals its ``-b``. A prefix whose reduced system has a
+    free variable or stalls the solver, and every candidate with an
+    isolated or twisted maximum, takes the concrete chain solve instead.
+    Duplicate candidates are dropped with a seen set that is cleared
+    whenever the extremes change, since duplicates share both extremes.
     """
     lo, hi = b_range
     if lo > hi:
         raise ValueError("empty range of normal degrees")
     rejected: dict[str, int] = {}
     families: dict[str, list[FixedPointData]] = {}
-    seen: set[str] = set()
+    seen: set[FixedPointData] = set()
+    seen_ends: tuple | None = None
+    prefixes: dict[tuple, dict[Fraction, list[_ChainSolution]] | None] = {}
 
     def reject(stage: str) -> None:
         rejected[stage] = rejected.get(stage, 0) + 1
 
+    def chain(data: FixedPointData) -> tuple[list[_ChainSolution], bool]:
+        return _shared_chain_solutions(data, prefixes)
+
     for candidate in _candidates(max_genus, (lo, hi)):
-        marker = candidate.dumps()
-        if marker in seen:
+        ends = tuple(
+            (c.kind, c.genus, c.b) for c in (candidate.minimum, candidate.maximum)
+        )
+        if ends != seen_ends:
+            seen.clear()
+            seen_ends = ends
+        if candidate in seen:
             continue
-        seen.add(marker)
-        filled = _derive_splittings(candidate)
+        seen.add(candidate)
+        filled = _derive_splittings(candidate, chain)
         if filled is None:
             reject("chain")
             continue
@@ -1062,19 +1081,104 @@ def enumerate_types(
     )
 
 
-def _derive_splittings(data: FixedPointData) -> FixedPointData | None:
-    """Fill in (b_plus, b_minus) of middle surfaces from the chain."""
+def _shared_chain_solutions(
+    data: FixedPointData,
+    prefixes: dict[tuple, dict[Fraction, list[_ChainSolution]] | None],
+) -> tuple[list[_ChainSolution], bool]:
+    """``_chain_solutions`` of ``data``, solving each chain prefix once.
+
+    ``prefixes`` memoizes ``_solve_prefix`` by the chain prefix: every
+    component but the maximum, and the maximum's level.
+    """
+    maximum = data.maximum
+    if maximum.is_point or data.twist:
+        return _chain_solutions(data)
+    key = (tuple(c for c in data.components if c is not maximum), maximum.level)
+    if key not in prefixes:
+        prefixes[key] = _solve_prefix(data)
+    by_square = prefixes[key]
+    if by_square is None:
+        return _chain_solutions(data)
+    return list(by_square.get(Fraction(-maximum.b), ())), False
+
+
+def _solve_prefix(
+    data: FixedPointData,
+) -> dict[Fraction, list[_ChainSolution]] | None:
+    """Chain solutions of the prefix of ``data``, grouped by ``e.e``.
+
+    The walk runs on ``data`` with its untwisted surface maximum set to
+    genus 0 and ``b = 0``, so the last equation of every branch is
+    ``e.e`` itself. Each branch is solved without it; when all those
+    solutions are bounded, the solutions of the branch for a maximum of
+    degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
+    when some reduced system has a free variable or stalls the solver,
+    and no solutions when the walk itself fails, which does not depend
+    on ``b``.
+    """
+    maximum = data.maximum
+    prefix = replace(
+        data,
+        components=tuple(
+            replace(c, genus=0, b=0) if c is maximum else c
+            for c in data.components
+        ),
+    )
+    try:
+        _structural_check(prefix)
+        start = _start_chart(prefix.minimum)
+        branches: list[_Branch] = []
+        for ordering in _middle_orderings(prefix):
+            _advance(prefix, start, ordering, [], [], branches)
+    except (InvalidDataError, NotImplementedError):
+        return {}
+    by_square: dict[Fraction, dict[tuple, _ChainSolution]] = {}
+    for branch in branches:
+        try:
+            solutions = _solve_rest(branch)
+        except SolverStallError:
+            return None
+        for sol in solutions:
+            if sol.free:
+                return None
+            values = sol.as_dict()
+            square = branch.equations[-1].substitute(values)
+            if not square.is_constant():
+                return None
+            resolved = _resolve_branch(branch, values)
+            if resolved is not None:
+                found = by_square.setdefault(square.constant_value(), {})
+                found.setdefault(resolved.key, resolved)
+    return {square: list(found.values()) for square, found in by_square.items()}
+
+
+def _solve_rest(branch: _Branch) -> list[Solution]:
+    """Solve a branch without its last equation."""
+    return solve_system(list(branch.equations[:-1]))
+
+
+def _derive_splittings(
+    data: FixedPointData,
+    chain: Callable[
+        [FixedPointData], tuple[list[_ChainSolution], bool]
+    ] = _chain_solutions,
+) -> FixedPointData | None:
+    """Fill in (b_plus, b_minus) of middle surfaces from the chain.
+
+    ``chain`` returns the chain solutions of the data and whether the
+    chain is underdetermined, as ``_chain_solutions`` does.
+    """
     targets = [
         pos
         for pos, comp in enumerate(data.components)
         if comp.is_surface and comp.index == 2
     ]
     try:
-        if not targets:
-            return data if euler_chain_check(data) else None
-        solutions, unbounded = _chain_solutions(data)
+        solutions, unbounded = chain(data)
     except (InvalidDataError, NotImplementedError):
         return None
+    if not targets:
+        return data if unbounded or solutions else None
     if unbounded or len(solutions) != 1:
         return None
     by_position = {c.position: c for c in solutions[0].crossings}

@@ -4,6 +4,8 @@ Each test prints a single PASS or FAIL line so the suite can double as
 a checklist when run under ``pytest -v``.
 """
 
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -239,6 +241,11 @@ def test_criterion_4_enumeration():
     result = enumerate_types(max_genus=3, b_range=(-6, 6))
     counts = {key: len(members) for key, members in result.families.items()}
     assert counts == {"1": 1, "2": 1, "3": 13, "4": 1, "5": 3, "6": 153}
+    assert dict(result.rejected) == {"chain": 22470, "sweep": 10, "validate": 429}
+    text = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "986ede09dbcc751e5d0745eb30e58ebd24163c3502cd7c46876e6bc012fe5aa4"
+    )
 
     for members in result.families.values():
         for data in members:

@@ -1,5 +1,7 @@
 """Wall-crossing calculus, Euler-class chains, and the bounded enumeration."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from semifree.algebra import (
     projective_plane,
     trivial_bundle,
 )
+from semifree import classifier
+from semifree._solve import SolverStallError
 from semifree.classifier import (
     BlowDownPoint,
     BlowUpPoint,
@@ -339,6 +343,55 @@ def test_enumeration_is_deterministic():
     first = enumerate_types(max_genus=0, b_range=(-1, 1))
     second = enumerate_types(max_genus=0, b_range=(-1, 1))
     assert first.to_json_dict() == second.to_json_dict()
+
+
+# sha256 of the sorted-key JSON report, recorded with the concrete chain
+# solve for every candidate.
+ENUMERATION_DIGESTS = {
+    (0, (-1, 1)): "2b49722e31c6df940181ca84094bb5f68b12e95160455fb2d598089b348c77ac",
+    (1, (-2, 2)): "507c9a0938682f2f99644e53a3cbb0c2188e742dd5ec243f51b207b1d79312da",
+    (2, (-3, 3)): "637eb6ee80128ccee48274f54817fb548b368f34e9cc775fda4ded36ee399087",
+}
+
+
+def _enumeration_digest(max_genus, b_range):
+    payload = enumerate_types(max_genus, b_range).to_json_dict()
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("bounds", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_report_digest_frozen(bounds):
+    assert _enumeration_digest(*bounds) == ENUMERATION_DIGESTS[bounds]
+
+
+def test_prefix_shared_chain_matches_concrete_chain():
+    prefixes = {}
+
+    def shared(data):
+        return classifier._shared_chain_solutions(data, prefixes)
+
+    seen = set()
+    for candidate in classifier._candidates(1, (-2, 2)):
+        if candidate in seen:
+            continue
+        seen.add(candidate)
+        concrete = classifier._derive_splittings(candidate)
+        assert classifier._derive_splittings(candidate, shared) == concrete
+    assert len(seen) == 842
+    assert any(entry for entry in prefixes.values())
+
+
+def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
+    stalled = []
+
+    def stall(branch):
+        stalled.append(branch)
+        raise SolverStallError("forced")
+
+    monkeypatch.setattr(classifier, "_solve_rest", stall)
+    assert _enumeration_digest(0, (-1, 1)) == ENUMERATION_DIGESTS[(0, (-1, 1))]
+    assert stalled
 
 
 # ---------------------------------------------------------------------------
