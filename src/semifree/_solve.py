@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction | int
@@ -196,10 +196,6 @@ def rref(
     return mat, pivots
 
 
-class InconsistentSystemError(ValueError):
-    """Raised when a linear system has no solution."""
-
-
 def solve_linear(
     rows: Sequence[tuple[Mapping[str, Fraction], Fraction]],
     variables: Sequence[str],
@@ -232,6 +228,22 @@ def solve_linear(
     return values, free
 
 
+def solve_in_span(
+    basis: Sequence[Sequence[Rational]], target: Sequence[Rational]
+) -> list[Fraction] | None:
+    """Coordinates t with sum t_i basis_i = target, or None."""
+    names = [f"t{i}" for i in range(len(basis))]
+    rows = []
+    for j in range(len(target)):
+        coeffs = {names[i]: Fraction(basis[i][j]) for i in range(len(basis))}
+        rows.append((coeffs, Fraction(target[j])))
+    solved = solve_linear(rows, names)
+    if solved is None:
+        return None
+    values, _ = solved
+    return [values[name] for name in names]
+
+
 # ---------------------------------------------------------------------------
 # polynomial systems
 
@@ -246,9 +258,6 @@ class Solution:
 
     assignment: tuple[tuple[str, Fraction], ...]
     free: frozenset[str]
-
-    def value(self, var: str) -> Fraction:
-        return dict(self.assignment)[var]
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.assignment)
@@ -326,17 +335,16 @@ def _solve_rec(
         if not lin_rows:
             break
         lin_vars = sorted(set().union(*(c.keys() for c, _ in lin_rows)))
-        solved = solve_linear(lin_rows, lin_vars)
-        if solved is None:
-            return
+        n = len(lin_vars)
         mat = [
             [coeffs.get(v, Fraction(0)) for v in lin_vars] + [rhs]
             for coeffs, rhs in lin_rows
         ]
-        red, pivots = rref(mat, col_limit=len(lin_vars))
+        red, pivots = rref(mat, col_limit=n)
+        if any(r[n] and not any(r[:n]) for r in red):
+            return
         forced: dict[str, Fraction] = {}
         exprs: dict[str, Poly] = {}
-        n = len(lin_vars)
         for ri, col in enumerate(pivots):
             others = [j for j in range(n) if j != col and red[ri][j]]
             if not others:
@@ -529,35 +537,3 @@ def integer_kernel_basis(vector: Sequence[int]) -> list[tuple[int, ...]]:
         raise ValueError("zero functional has full kernel")
     w = unimodular_clearing(vector)
     return [tuple(row) for row in w[1:]]
-
-
-def _invert_unimodular(mat: list[list[int]]) -> list[list[int]]:
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    red, pivots = rref(aug, col_limit=n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            value = red[i][n + j]
-            if value.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(value.numerator)
-        out.append(row)
-    return out
-
-
-def primitive(vector: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries."""
-    g = 0
-    for x in vector:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in vector)

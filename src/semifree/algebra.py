@@ -219,7 +219,8 @@ def integrate_component(x: EquivariantClass) -> dict[int, Fraction]:
 
     Integration over a point picks the scalar coefficients; integration
     over a surface picks the ``u`` coefficients (the area generator has
-    total integral 1).  The result maps each exponent to a rational.
+    total integral 1).  The result maps each exponent to its nonzero
+    coefficient; like ``mul_terms`` this works for any coefficient type.
     """
     out: dict[int, Fraction] = {}
     for k, (c, d) in x.terms:
@@ -333,9 +334,6 @@ class ReducedClass:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
 
 def pair(a: ReducedClass, b: ReducedClass) -> Fraction:

@@ -28,7 +28,9 @@ from ._solve import (
     Poly,
     Solution,
     SolverStallError,
+    _rational_roots,
     integer_kernel_basis,
+    solve_in_span,
     solve_system,
     sqrt_fraction,
     unimodular_clearing,
@@ -37,6 +39,7 @@ from .algebra import (
     ReducedClass,
     ReducedSpaceType,
     c1_reduced,
+    mul,
     nontrivial_bundle,
     pair,
     projective_plane,
@@ -56,6 +59,7 @@ from .localization import (
     NoSolutionError,
     abbv_integrate,
     c1_restrictions,
+    dh_path,
     unit_restrictions,
 )
 
@@ -228,24 +232,6 @@ def _pairing_functional(
     return [sum(vec[i] * gram[i][j] for i in range(n)) for j in range(n)]
 
 
-def _solve_in_span(
-    basis: Sequence[Sequence[int]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Coordinates t with sum t_i basis_i = target, or None."""
-    from ._solve import solve_linear
-
-    names = [f"t{i}" for i in range(len(basis))]
-    rows = []
-    for j in range(len(target)):
-        coeffs = {names[i]: Fraction(basis[i][j]) for i in range(len(basis))}
-        rows.append((coeffs, Fraction(target[j])))
-    solved = solve_linear(rows, names)
-    if solved is None:
-        return None
-    values, _ = solved
-    return [values[name] for name in names]
-
-
 def _affine_parts(
     vec: Sequence[Poly],
 ) -> tuple[list[Fraction], dict[str, list[Fraction]]]:
@@ -270,12 +256,12 @@ def _reexpress_poly(
     basis: Sequence[Sequence[int]], vec: Sequence[Poly]
 ) -> list[Poly] | None:
     const, per_var = _affine_parts(vec)
-    t_const = _solve_in_span(basis, const)
+    t_const = solve_in_span(basis, const)
     if t_const is None:
         return None
     out = [Poly.const(c) for c in t_const]
     for var, coords in per_var.items():
-        t_var = _solve_in_span(basis, coords)
+        t_var = solve_in_span(basis, coords)
         if t_var is None:
             return None
         for j in range(len(out)):
@@ -305,13 +291,13 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
     if euler is None:
         return None
     c1_shift = [c + Fraction(ki) for c, ki in zip(chart.c1, k_class)]
-    c1_coords = _solve_in_span(basis, c1_shift)
+    c1_coords = solve_in_span(basis, c1_shift)
     if c1_coords is None:
         return None
     fiber = None
     if chart.fiber is not None:
         if _as_fraction(_dot(chart.gram, chart.fiber, k_class)) == 0:
-            coords = _solve_in_span(basis, chart.fiber)
+            coords = solve_in_span(basis, chart.fiber)
             if coords is not None:
                 fiber = tuple(coords)
     return _Chart(
@@ -370,8 +356,6 @@ def _minus_one_classes(
         out.append(tuple(k))
 
     if len(basis) == 1:
-        from ._solve import _rational_roots
-
         roots = _rational_roots([c0 + 1, 2 * b[0], m[0][0]])
         for root in roots or []:
             if root.denominator == 1:
@@ -1059,8 +1043,6 @@ def enumerate_types(
             reject("chain_recheck")
             continue
         if all(c.is_surface for c in filled.components):
-            from .localization import dh_path
-
             if dh_path(filled, 1, []).verdict == "inconsistent":
                 reject("sweep")
                 continue
@@ -1198,8 +1180,6 @@ def _derive_splittings(
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:
-    from .algebra import mul
-
     units = unit_restrictions(data)
     c1s = c1_restrictions(data)
     c1sq = tuple(mul(a, a) for a in c1s)

@@ -80,48 +80,18 @@ class RunConfig:
 
 
 def _read_fpdata(raw: bytes) -> FixedPointData:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"input is not UTF-8: {exc}") from exc
-    return FixedPointData.loads(text)
+    return FixedPointData.loads(_decode(raw))
 
 
 def _read_polytope(raw: bytes) -> delzant.LatticePolytope:
+    return delzant.loads(_decode(raw))
+
+
+def _decode(raw: bytes) -> str:
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError("polytope payload must be an object")
-    schema = payload.get("schema", delzant.POLYTOPE_SCHEMA)
-    if schema != delzant.POLYTOPE_SCHEMA:
-        raise SchemaError(f"unsupported polytope schema {schema!r}")
-    facets = payload.get("facets")
-    if not isinstance(facets, list) or not facets:
-        raise SchemaError("facets must be a non-empty list")
-    rows = []
-    for position, entry in enumerate(facets):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"facet {position} must be an object")
-        normal = entry.get("normal")
-        if (
-            not isinstance(normal, list)
-            or len(normal) != 3
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
-        ):
-            raise SchemaError(f"facet {position} normal must be three integers")
-        try:
-            offset = parse_rational(entry.get("offset", 0))
-        except ValueError as exc:
-            raise SchemaError(f"facet {position} offset: {exc}") from exc
-        rows.append((normal, offset))
-    # Geometric failures past this point are exit-code-1 territory.
-    return delzant.build(rows)
 
 
 # ---------------------------------------------------------------------------

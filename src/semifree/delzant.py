@@ -22,8 +22,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import AffineConstraint, feasible, solve_linear
-from .fixed_points import FixedComponent, FixedPointData, point, surface
+from ._solve import AffineConstraint, feasible, rref, solve_in_span, solve_linear
+from .fixed_points import (
+    FixedComponent,
+    FixedPointData,
+    SchemaError,
+    point,
+    surface,
+)
 from .rationals import format_rational, parse_rational
 
 POLYTOPE_SCHEMA = "polytope.v1"
@@ -35,6 +41,10 @@ class PolytopeError(ValueError):
 
 class TwistUndefinedError(PolytopeError):
     """Twist comparison needs fixed spheres at both extremes."""
+
+
+class PolytopeSchemaError(PolytopeError, SchemaError):
+    """The serialized polytope does not match the polytope schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +107,7 @@ def _solve3(
             [rhs[i] if j == col else rows[i][j] for j in range(3)]
             for i in range(3)
         ]
-        a, b, c = patched
-        num = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        out.append(Fraction(num, det) if isinstance(num, int) else num / det)
+        out.append(Fraction(_det3(patched)) / det)
     return tuple(out)
 
 
@@ -187,7 +191,7 @@ def build(
         tuple(x - y for x, y in zip(v.location, vertices[0].location))
         for v in vertices[1:]
     ]
-    if _rank3(span) < 3:
+    if len(rref(span)[1]) < 3:
         raise PolytopeError("the polytope is not full-dimensional")
 
     edges = []
@@ -217,27 +221,6 @@ def build(
     if missing:
         raise PolytopeError(f"facets {sorted(missing)} carry no face")
     return LatticePolytope(tuple(cleaned), vertices, tuple(edges))
-
-
-def _rank3(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    for col in range(3):
-        pivot = next(
-            (r for r in range(rank, len(mat)) if mat[r][col]), None
-        )
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col] / lead
-                mat[r] = [
-                    x - factor * y for x, y in zip(mat[r], mat[rank])
-                ]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -568,36 +551,16 @@ def _class_coordinates(
     # Express the class of each generator in the quotient by choosing,
     # for every ray, the unique representative with zeroes in the two
     # pivot coordinates of the relation rows.
-    matrix = [
-        [row.get(name, Fraction(0)) for name in names] for row in relations
-    ]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(k):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col]), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        lead = matrix[rank][col]
-        matrix[rank] = [x / lead for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    x - factor * y
-                    for x, y in zip(matrix[r], matrix[rank])
-                ]
-        pivots.append(col)
-        rank += 1
+    matrix, pivots = rref(
+        [[row.get(name, Fraction(0)) for name in names] for row in relations]
+    )
     free = [c for c in range(k) if c not in pivots]
     out: dict[int, tuple[Fraction, ...]] = {}
     for i in range(k):
         vector = [Fraction(0)] * k
         vector[i] = Fraction(1)
         # Subtract relation combinations to zero out pivot coordinates.
-        for row, col in zip(matrix[:rank], pivots):
+        for row, col in zip(matrix, pivots):
             factor = vector[col]
             if factor:
                 vector = [x - factor * y for x, y in zip(vector, row)]
@@ -624,23 +587,10 @@ def _express(
     columns: Mapping[int, tuple[Fraction, ...]],
 ) -> dict[int, Fraction] | None:
     names = sorted(columns)
-    rows = []
-    for coordinate in range(len(target)):
-        rows.append(
-            (
-                {
-                    str(fi): columns[fi][coordinate]
-                    for fi in names
-                    if columns[fi][coordinate]
-                },
-                target[coordinate],
-            )
-        )
-    solved = solve_linear(rows, [str(fi) for fi in names])
-    if solved is None:
+    coords = solve_in_span([columns[fi] for fi in names], target)
+    if coords is None:
         return None
-    values, _free = solved
-    return {fi: values[str(fi)] for fi in names}
+    return dict(zip(names, coords))
 
 
 def detect_twist(polytope: LatticePolytope) -> bool:
@@ -815,21 +765,40 @@ def polytope_to_json_dict(polytope: LatticePolytope) -> dict:
 
 
 def polytope_from_json_dict(payload: Mapping) -> LatticePolytope:
+    """Read a ``polytope.v1`` payload and build its polytope.
+
+    Schema faults raise PolytopeSchemaError; geometric faults found by
+    ``build`` raise plain PolytopeError.
+    """
+    if not isinstance(payload, Mapping):
+        raise PolytopeSchemaError("polytope payload must be an object")
     schema = payload.get("schema", POLYTOPE_SCHEMA)
     if schema != POLYTOPE_SCHEMA:
-        raise PolytopeError(f"unsupported polytope schema {schema!r}")
+        raise PolytopeSchemaError(f"unsupported polytope schema {schema!r}")
     facets = payload.get("facets")
-    if not isinstance(facets, list):
-        raise PolytopeError("facets must be a list")
+    if not isinstance(facets, list) or not facets:
+        raise PolytopeSchemaError("facets must be a list with at least one entry")
     rows = []
-    for entry in facets:
+    for position, entry in enumerate(facets):
         if not isinstance(entry, Mapping):
-            raise PolytopeError("each facet must be an object")
+            raise PolytopeSchemaError(f"bad facet entry {position}: not an object")
+        normal = entry.get("normal")
+        if (
+            not isinstance(normal, list)
+            or len(normal) != 3
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
+        ):
+            raise PolytopeSchemaError(
+                f"bad facet entry {position}: normal must be three integers"
+            )
+        if "offset" not in entry:
+            raise PolytopeSchemaError(f"bad facet entry {position}: missing offset")
         try:
-            normal = entry["normal"]
             offset = parse_rational(entry["offset"])
-        except (KeyError, ValueError) as exc:
-            raise PolytopeError(f"bad facet entry: {exc}") from exc
+        except ValueError as exc:
+            raise PolytopeSchemaError(
+                f"bad facet entry {position}: offset: {exc}"
+            ) from exc
         rows.append((normal, offset))
     return build(rows)
 
@@ -842,7 +811,5 @@ def loads(text: str) -> LatticePolytope:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise PolytopeError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, Mapping):
-        raise PolytopeError("polytope payload must be an object")
+        raise PolytopeSchemaError(f"invalid JSON: {exc}") from exc
     return polytope_from_json_dict(payload)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .rationals import format_rational, parse_rational
 
@@ -174,28 +174,6 @@ class FixedPointData:
 
     def at_level(self, level: Fraction) -> tuple[FixedComponent, ...]:
         return tuple(c for c in self.components if c.level == level)
-
-    def reversed(self) -> "FixedPointData":
-        """The same action run backwards: indices and levels flip."""
-        flipped = []
-        for c in self.components:
-            if c.is_point:
-                flipped.append(
-                    FixedComponent(level=-c.level, index=6 - c.index, kind=POINT)
-                )
-            else:
-                flipped.append(
-                    FixedComponent(
-                        level=-c.level,
-                        index=4 - c.index,
-                        kind=SURFACE,
-                        genus=c.genus,
-                        b=c.b,
-                        b_plus=c.b_minus,
-                        b_minus=c.b_plus,
-                    )
-                )
-        return FixedPointData(tuple(flipped), twist=self.twist)
 
     # -- serialization ---------------------------------------------------------
 
@@ -545,11 +523,3 @@ def classify_type(data: FixedPointData) -> str:
     if len(mid_surfaces) == 1 and not mid_points:
         return "6b" if data.twist else "6a"
     return UNCLASSIFIED
-
-
-def iter_components_bottom_up(
-    data: FixedPointData,
-) -> Iterable[tuple[Fraction, tuple[FixedComponent, ...]]]:
-    """Yield (level, components at that level) from bottom to top."""
-    for level in data.levels():
-        yield level, data.at_level(level)

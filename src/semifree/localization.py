@@ -22,22 +22,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._solve import Poly, solve_linear, solve_system
+from ._solve import AffineConstraint, Poly, feasible, solve_linear, solve_system
 from .algebra import (
     EquivariantClass,
     ReducedClass,
     fiber_class,
     integrate_component,
     invert_euler,
+    mul_terms,
     pair,
 )
 from .fixed_points import (
     FixedComponent,
     FixedPointData,
     InvalidDataError,
+    SchemaError,
     classify_type,
 )
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 
 
 class NoSolutionError(ValueError):
@@ -170,18 +172,10 @@ class SymClass:
     def mul(self, other: "SymClass") -> "SymClass":
         if self.carrier != other.carrier:
             raise ValueError("carrier mismatch in symbolic product")
-        acc: SymTerms = {}
-        for k1, (c1, d1) in self.terms:
-            for k2, (c2, d2) in other.terms:
-                k = k1 + k2
-                c0, d0 = acc.get(k, (Poly.const(0), Poly.const(0)))
-                acc[k] = (c0 + c1 * c2, d0 + c1 * d2 + d1 * c2)
-        return SymClass.from_dict(self.carrier, acc)
+        return SymClass(self.carrier, mul_terms(self.terms, other.terms))
 
     def integrate(self) -> dict[int, Poly]:
-        if self.carrier == "point":
-            return {k: c for k, (c, _) in self.terms if not c.is_zero()}
-        return {k: d for k, (_, d) in self.terms if not d.is_zero()}
+        return integrate_component(self)
 
     def substitute(self, values: Mapping[str, Fraction]) -> EquivariantClass:
         out: dict[int, tuple[Fraction, Fraction]] = {}
@@ -302,8 +296,6 @@ class RestrictionTable:
 
     @staticmethod
     def from_json_dict(payload: Mapping) -> "RestrictionTable":
-        from .fixed_points import SchemaError
-
         if not isinstance(payload, Mapping):
             raise SchemaError("restriction table must be a JSON object")
         if payload.get("schema") != RTABLE_SCHEMA:
@@ -330,8 +322,6 @@ class RestrictionTable:
             _class_from_payload(kind, payload["c1"]["restrictions"][label])
             for label, kind in zip(labels, kinds)
         )
-        from .rationals import parse_rational
-
         decomposition = tuple(
             (name, parse_rational(value))
             for name, value in payload["c1"]["decomposition"]
@@ -362,8 +352,6 @@ def _class_payload(cls: EquivariantClass) -> list:
 
 
 def _class_from_payload(kind: str, payload: Sequence) -> EquivariantClass:
-    from .rationals import parse_rational
-
     return EquivariantClass.make(
         kind,
         {
@@ -428,13 +416,6 @@ class _SkeletonClass:
     degree: int
     home_index: int  # position into the label order
     sym: tuple[SymClass, ...]
-
-    def has_unknowns(self) -> bool:
-        return any(
-            not (c.is_constant() and d.is_constant())
-            for s in self.sym
-            for _, (c, d) in s.terms
-        )
 
 
 def _table_labels(data: FixedPointData, tag: str) -> tuple[int, ...]:
@@ -943,8 +924,6 @@ def dh_path(
 
 def _dh_feasible(space, eulers, crossings, twist: bool) -> bool:
     """Is any complete positive sweep possible for this data?"""
-    from ._solve import AffineConstraint, feasible
-
     segments = len(eulers)
     names = ["a0"] + [f"g{i}" for i in range(segments)]
     x = fiber_class(space)

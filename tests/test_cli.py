@@ -9,7 +9,13 @@ import pytest
 
 from semifree.cli import COMMANDS, RunConfig, main, run
 from semifree.classifier import family_instance
-from semifree.delzant import builtin_examples, dumps as polytope_dumps, extract_fixed_data
+from semifree.delzant import (
+    PolytopeError,
+    builtin_examples,
+    dumps as polytope_dumps,
+    extract_fixed_data,
+    loads as polytope_loads,
+)
 from semifree.fixed_points import FixedPointData, point, surface
 from semifree.localization import RestrictionTable
 
@@ -240,6 +246,31 @@ def test_polytope_extract_error_codes():
     code, out = run(RunConfig(command="polytope-extract"), CUBE_PAYLOAD)
     assert code == 1
     assert b"semi-free" in out
+
+
+CUBE_FACETS = json.loads(CUBE_PAYLOAD)["facets"]
+BAD_FIRST_FACETS = [
+    {"normal": 5, "offset": "0"},
+    {"normal": [1.7, 0, 0], "offset": "0"},
+    {"normal": [True, 0, 0], "offset": "0"},
+    {"normal": "100", "offset": "0"},
+    {"normal": [1, 0, 0]},
+]
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[bad] + CUBE_FACETS[1:] for bad in BAD_FIRST_FACETS] + [[]],
+    ids=["non-list", "float", "bool", "string", "no-offset", "no-facets"],
+)
+def test_malformed_polytope_facets_are_schema_errors(facets):
+    raw = json.dumps({"schema": "polytope.v1", "facets": facets}).encode()
+    with pytest.raises(PolytopeError):
+        polytope_loads(raw.decode())
+    for command in ("polytope-check", "polytope-extract"):
+        code, out = run(RunConfig(command=command), raw)
+        assert code == 2, (command, out)
+        assert out.startswith(b"error:")
 
 
 def test_polytope_builtin_is_always_structured():

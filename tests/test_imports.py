@@ -1,0 +1,33 @@
+"""Import hygiene: modules import at the top, except across the one cycle."""
+
+import ast
+from pathlib import Path
+
+import semifree
+
+# localization needs the chain engine of classifier, which imports
+# localization at module level; these three imports break that cycle.
+ALLOWED_LOCAL_IMPORTS = [
+    ("localization.py", "_selection_rule_values", "classifier"),
+    ("localization.py", "b_plus_minus", "classifier"),
+    ("localization.py", "dh_path", "classifier"),
+]
+
+
+def _function_local_imports() -> list[tuple[str, str, str]]:
+    found = []
+    for path in sorted(Path(semifree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    found.append((path.name, function.name, node.module or ""))
+                elif isinstance(node, ast.Import):
+                    found += [(path.name, function.name, a.name) for a in node.names]
+    return sorted(found)
+
+
+def test_only_the_cycle_imports_are_function_local():
+    assert _function_local_imports() == ALLOWED_LOCAL_IMPORTS

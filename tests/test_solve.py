@@ -1,5 +1,6 @@
 """Unit tests for the exact linear and polynomial solving helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from semifree._solve import (
     Poly,
     feasible,
     integer_kernel_basis,
+    rref,
+    solve_in_span,
     solve_linear,
     solve_system,
     sqrt_fraction,
@@ -131,3 +134,88 @@ def test_poly_arithmetic_exact():
     p = (x + Poly.const(F(1, 2))) * (x - Poly.const(F(1, 2)))
     assert p.substitute({"x": F(1, 2)}).constant_value() == 0
     assert p.substitute({"x": F(3, 2)}).constant_value() == F(2)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy (test-only dependency)
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> list[list[Fraction]]:
+    # Many zeros and a small value range make rank deficiency common.
+    return [
+        [
+            F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def _to_sympy(sympy, rows: list[list[Fraction]]):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def _from_sympy(value) -> Fraction:
+    return F(int(value.p), int(value.q))
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20021)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = _random_matrix(rng, rows, cols)
+        red, pivots = rref(mat)
+        expected, expected_pivots = _to_sympy(sympy, mat).rref()
+        assert pivots == list(expected_pivots)
+        assert red == [
+            [_from_sympy(expected[i, j]) for j in range(cols)] for i in range(rows)
+        ]
+
+
+def test_solve_linear_verdict_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20022)
+    names = ["a", "b", "c", "d"]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        mat = _random_matrix(rng, rows, cols + 1)
+        system = [
+            ({names[j]: row[j] for j in range(cols) if row[j]}, row[cols])
+            for row in mat
+        ]
+        solved = solve_linear(system, names[:cols])
+        coeffs = _to_sympy(sympy, [row[:cols] for row in mat])
+        consistent = coeffs.rank() == _to_sympy(sympy, mat).rank()
+        assert (solved is not None) == consistent
+        if solved is not None:
+            values, free = solved
+            assert len(free) == cols - coeffs.rank()
+            for coeff_map, rhs in system:
+                assert sum(c * values[v] for v, c in coeff_map.items()) == rhs
+
+
+def test_solve_in_span_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20023)
+    for _ in range(300):
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        basis = _random_matrix(rng, k, n)
+        if rng.random() < 0.5:
+            weights = [F(rng.randint(-3, 3)) for _ in range(k)]
+            target = [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(n)]
+        else:
+            target = _random_matrix(rng, 1, n)[0]
+        coords = solve_in_span(basis, target)
+        columns = _to_sympy(sympy, basis).T
+        try:
+            particular, params = columns.gauss_jordan_solve(
+                _to_sympy(sympy, [target]).T
+            )
+        except ValueError:
+            assert coords is None
+            continue
+        particular = particular.subs({p: 0 for p in params})
+        assert coords == [_from_sympy(particular[i, 0]) for i in range(k)]
