@@ -24,36 +24,47 @@ Monomial = tuple[tuple[str, int], ...]
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     acc = dict(a)
     for var, exp in b:
         acc[var] = acc.get(var, 0) + exp
     return tuple(sorted(acc.items()))
 
 
+def _scalar(value: Rational) -> Rational:
+    """An int or a Fraction as it is; any other number through ``Fraction``."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Poly:
-    """Sparse multivariate polynomial with rational coefficients."""
+    """Sparse multivariate polynomial with rational coefficients.
+
+    ``terms`` is canonical: sorted by monomial, with no zero coefficient
+    and every coefficient a ``Fraction``. Equal polynomials therefore
+    have equal ``terms``, and every operation below returns that form.
+    """
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _from_dict(d: Mapping[Monomial, Fraction]) -> Poly:
+    def from_dict(d: Mapping[Monomial, Fraction]) -> Poly:
+        """The polynomial with coefficient ``d[m]`` at each monomial ``m``."""
         return Poly(tuple(sorted((m, c) for m, c in d.items() if c)))
 
     @staticmethod
     def const(value: Rational) -> Poly:
-        v = Fraction(value)
+        v = value if isinstance(value, Fraction) else Fraction(value)
         return Poly(((((), v)),)) if v else Poly(())
 
     @staticmethod
     def var(name: str) -> Poly:
         return Poly(((((name, 1),), Fraction(1)),))
-
-    @staticmethod
-    def coerce(value: "Poly | Rational") -> Poly:
-        return value if isinstance(value, Poly) else Poly.const(value)
 
     # -- inspection --------------------------------------------------------
 
@@ -61,7 +72,9 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not m for m, _ in self.terms)
+        # The constant monomial () sorts first.
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not terms[0][0])
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -100,12 +113,56 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
+    def accumulate(
+        self,
+        acc: dict[Monomial, Fraction],
+        k: Rational,
+        other: "Poly | None" = None,
+    ) -> None:
+        """Add ``k * self`` (times ``other`` when given) into ``acc``.
+
+        ``k`` is an int or a Fraction. Summing many products into one
+        dict and calling ``from_dict`` once sorts once, not per addition.
+        """
+        if not k:
+            return
+        terms = self.terms if k == 1 else [(m, c * k) for m, c in self.terms]
+        if other is not None:
+            terms = [
+                (_mono_mul(m1, m2), c1 * c2)
+                for m1, c1 in terms
+                for m2, c2 in other.terms
+            ]
+        for m, c in terms:
+            acc[m] = acc[m] + c if m in acc else c
+
+    def _scale(self, k: Rational) -> Poly:
+        # Scaling by a non-zero rational keeps the order and the support.
+        if not k:
+            return Poly(())
+        if k == 1:
+            return self
+        return Poly(tuple((m, c * k) for m, c in self.terms))
+
+    def _add_const(self, value: Rational) -> Poly:
+        if not value:
+            return self
+        terms = self.terms
+        if terms and not terms[0][0]:
+            c = terms[0][1] + value
+            return Poly(((((), c),) + terms[1:]) if c else terms[1:])
+        return Poly(Poly.const(value).terms + terms)
+
     def __add__(self, other: "Poly | Rational") -> Poly:
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly):
+            return self._add_const(_scalar(other))
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly._from_dict(acc)
+        other.accumulate(acc, 1)
+        return Poly.from_dict(acc)
 
     __radd__ = __add__
 
@@ -113,19 +170,23 @@ class Poly:
         return Poly(tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other: "Poly | Rational") -> Poly:
-        return self + (-Poly.coerce(other))
+        if not isinstance(other, Poly):
+            return self._add_const(-_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other: "Poly | Rational") -> Poly:
-        return Poly.coerce(other) + (-self)
+        return (-self)._add_const(_scalar(other))
 
     def __mul__(self, other: "Poly | Rational") -> Poly:
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly):
+            return self._scale(_scalar(other))
+        if other.is_constant():
+            return self._scale(other.constant_value())
+        if self.is_constant():
+            return other._scale(self.constant_value())
         acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Poly._from_dict(acc)
+        self.accumulate(acc, 1, other)
+        return Poly.from_dict(acc)
 
     __rmul__ = __mul__
 
@@ -139,16 +200,32 @@ class Poly:
         return bool(self.terms)
 
     def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
-        out = Poly.const(0)
+        if not any(v in values for m, _ in self.terms for v, _ in m):
+            return self
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
-            factor = Poly.const(c)
+            kept: list[tuple[str, int]] = []
+            factor: Poly | None = None
             for var, exp in m:
-                if var in values:
-                    factor = factor * (Poly.coerce(values[var]) ** exp)
-                else:
-                    factor = factor * (Poly.var(var) ** exp)
-            out = out + factor
-        return out
+                if var not in values:
+                    kept.append((var, exp))
+                    continue
+                value = values[var]
+                if isinstance(value, Poly):
+                    if not value.is_constant():
+                        power = value**exp
+                        factor = power if factor is None else factor * power
+                        continue
+                    value = value.constant_value()
+                c = c * _scalar(value) ** exp
+            mono = tuple(kept)
+            if factor is None:
+                acc[mono] = acc[mono] + c if mono in acc else c
+                continue
+            for m2, c2 in factor.terms:
+                m2, c2 = _mono_mul(mono, m2), c * c2
+                acc[m2] = acc[m2] + c2 if m2 in acc else c2
+        return Poly.from_dict(acc)
 
     def __repr__(self) -> str:  # compact debugging form
         if not self.terms:

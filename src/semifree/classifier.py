@@ -153,16 +153,38 @@ class _Chart:
 
 
 def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
-    total: Poly | Fraction = Fraction(0)
+    """``sum a_i g_ij b_j`` over the non-zero Gram entries.
+
+    A ``Poly`` when some summed product has a ``Poly`` factor (zero
+    ``Poly`` entries of ``a`` are skipped), else a ``Fraction``.
+    """
+    scalar = Fraction(0)
+    acc: dict = {}
+    poly = False
     for i, ai in enumerate(a):
-        if isinstance(ai, Poly) and ai.is_zero():
+        a_poly = isinstance(ai, Poly)
+        if a_poly and ai.is_zero():
             continue
         row = gram[i]
         for j, bj in enumerate(b):
             g = row[j]
-            if g:
-                total = total + ai * g * bj
-    return total
+            if not g:
+                continue
+            if a_poly:
+                poly = True
+                if isinstance(bj, Poly):
+                    ai.accumulate(acc, g, bj)
+                else:
+                    ai.accumulate(acc, g * bj)
+            elif isinstance(bj, Poly):
+                poly = True
+                bj.accumulate(acc, ai * g)
+            else:
+                scalar += ai * g * bj
+    if not poly:
+        return scalar
+    acc[()] = acc.get((), 0) + scalar
+    return Poly.from_dict(acc)
 
 
 def _as_fraction(value) -> Fraction:

@@ -272,6 +272,8 @@ def _format_reduced(cls: ReducedClass) -> str:
 
 
 def _cmd_dh_check(data: FixedPointData, config: RunConfig):
+    if not validate(data).ok:
+        return _cmd_validate(data)
     path = dh_path(data, config.alpha0, list(config.gaps))
     payload = {
         "verdict": path.verdict,

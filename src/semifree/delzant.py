@@ -138,6 +138,11 @@ def _is_unbounded(normals: Sequence[tuple[int, int, int]]) -> bool:
     return False
 
 
+def _all_ints(entries: Sequence) -> bool:
+    """Whether every entry is an int; bools, floats and strings are not."""
+    return all(isinstance(c, int) and not isinstance(c, bool) for c in entries)
+
+
 def build(
     facets: Iterable[tuple[Sequence[int], Fraction | int]],
 ) -> LatticePolytope:
@@ -149,8 +154,8 @@ def build(
     """
     cleaned: list[tuple[tuple[int, int, int], Fraction]] = []
     for normal, offset in facets:
-        normal = tuple(int(c) for c in normal)
-        if len(normal) != 3 or normal == (0, 0, 0):
+        normal = tuple(normal)
+        if len(normal) != 3 or not _all_ints(normal) or normal == (0, 0, 0):
             raise PolytopeError(f"bad facet normal {normal!r}")
         if gcd(gcd(abs(normal[0]), abs(normal[1])), abs(normal[2])) != 1:
             raise PolytopeError(f"facet normal {normal} is not primitive")
@@ -786,7 +791,7 @@ def polytope_from_json_dict(payload: Mapping) -> LatticePolytope:
         if (
             not isinstance(normal, list)
             or len(normal) != 3
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
+            or not _all_ints(normal)
         ):
             raise PolytopeSchemaError(
                 f"bad facet entry {position}: normal must be three integers"

@@ -324,6 +324,26 @@ def test_dh_check_excess_gaps_exits_two():
     assert b"at most 1 gaps" in out
 
 
+def test_dh_check_validates_first():
+    # The surface extremes have different genera, which validate rejects;
+    # the sweep alone calls this data positive.
+    raw = FixedPointData(
+        components=(
+            surface(genus=0, index=0, level=0, b=-1),
+            surface(genus=0, index=2, level=1, b_plus=2, b_minus=2),
+            surface(genus=1, index=4, level=2, b=-1),
+        )
+    ).dumps().encode()
+    expected = run(RunConfig(command="validate"), raw)
+    assert expected[0] == 1
+    assert b"surface extremes must share a genus" in expected[1]
+    assert run(RunConfig(command="dh-check"), raw) == expected
+    structured = RunConfig(command="dh-check", output_format="structured")
+    code, out = run(structured, raw)
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_reports_are_deterministic(command):
     config = RunConfig(

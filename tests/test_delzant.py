@@ -89,6 +89,15 @@ def test_build_rejects_malformed_normal():
         build([((1, 0), 0)] + CUBE[1:])
 
 
+@pytest.mark.parametrize(
+    "normal", [(1.7, 0, 0), (True, 0, 0), ("1", 0, 0)], ids=["float", "bool", "string"]
+)
+def test_build_rejects_non_integer_normal_entries(normal):
+    # int() would turn each of these into the facet (1, 0, 0).
+    with pytest.raises(PolytopeError, match="bad facet normal"):
+        build([(normal, 0)] + CUBE[1:])
+
+
 def test_cube_is_smooth_but_not_semifree():
     cube = build(CUBE)
     assert delzant_check(cube).ok

@@ -219,3 +219,121 @@ def test_solve_in_span_matches_sympy():
             continue
         particular = particular.subs({p: 0 for p in params})
         assert coords == [_from_sympy(particular[i, 0]) for i in range(k)]
+
+
+_POLY_NAMES = ("x", "y", "z")
+
+
+def _random_poly(rng: random.Random) -> Poly:
+    # 1-3 variables, small rational coefficients; zero and constant
+    # polynomials come up on purpose.
+    shape = rng.random()
+    if shape < 0.1:
+        return Poly.const(0)
+    if shape < 0.2:
+        return Poly.const(F(rng.randint(-3, 3), rng.randint(1, 3)))
+    names = rng.sample(_POLY_NAMES, rng.randint(1, 3))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(sorted((v, e) for v in names if (e := rng.randint(0, 2))))
+        terms[mono] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    return Poly.from_dict(terms)
+
+
+def _random_scalar(rng: random.Random):
+    return rng.choice([0, 1, -1, 2, F(1), F(0), F(-2, 3), F(rng.randint(-4, 4), 5)])
+
+
+def _poly_to_sympy(sympy, poly: Poly):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
+            for m, c in poly.terms
+        )
+    )
+
+
+def _assert_canonical(poly: Poly) -> None:
+    monomials = [m for m, _ in poly.terms]
+    assert list(poly.terms) == sorted(poly.terms)
+    assert len(set(monomials)) == len(monomials)
+    for m, c in poly.terms:
+        assert type(c) is Fraction and c != 0
+        assert list(m) == sorted(m) and all(e > 0 for _, e in m)
+
+
+def _assert_matches(sympy, poly: Poly, expected) -> None:
+    _assert_canonical(poly)
+    assert sympy.expand(_poly_to_sympy(sympy, poly) - expected) == 0
+    assert poly == Poly.from_dict(dict(poly.terms))
+    assert hash(poly) == hash(Poly.from_dict(dict(poly.terms)))
+
+
+def test_poly_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20024)
+    for _ in range(200):
+        p, q = _random_poly(rng), _random_poly(rng)
+        k = _random_scalar(rng)
+        sp, sq = _poly_to_sympy(sympy, p), _poly_to_sympy(sympy, q)
+        sk = sympy.Rational(F(k).numerator, F(k).denominator)
+        cases = [
+            (p + q, sp + sq),
+            (p - q, sp - sq),
+            (p * q, sp * sq),
+            (-p, -sp),
+            (p + k, sp + sk),
+            (k + p, sk + sp),
+            (p - k, sp - sk),
+            (k - p, sk - sp),
+            (p * k, sp * sk),
+            (k * p, sk * sp),
+            (p * Poly.const(k), sp * sk),
+            (Poly.const(k) * p, sk * sp),
+        ]
+        cases += [(p**n, sp**n) for n in range(4)]
+        for result, expected in cases:
+            _assert_matches(sympy, result, expected)
+
+
+def test_poly_substitute_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20025)
+    for _ in range(200):
+        p = _random_poly(rng)
+        names = rng.sample(_POLY_NAMES, rng.randint(1, 3))
+        values = {}
+        for name in names:
+            # Rationals (int or Fraction) and polynomials, which may
+            # mention the variables being substituted.
+            values[name] = (
+                _random_scalar(rng) if rng.random() < 0.5 else _random_poly(rng)
+            )
+        expected = _poly_to_sympy(sympy, p).subs(
+            {
+                sympy.Symbol(name): (
+                    _poly_to_sympy(sympy, value)
+                    if isinstance(value, Poly)
+                    else sympy.Rational(F(value).numerator, F(value).denominator)
+                )
+                for name, value in values.items()
+            },
+            simultaneous=True,
+        )
+        _assert_matches(sympy, p.substitute(values), expected)
+        full = {name: F(rng.randint(-3, 3), rng.randint(1, 2)) for name in _POLY_NAMES}
+        value = p.substitute(full)
+        assert value.is_constant()
+        _assert_matches(
+            sympy,
+            value,
+            _poly_to_sympy(sympy, p).subs(
+                {
+                    sympy.Symbol(n): sympy.Rational(c.numerator, c.denominator)
+                    for n, c in full.items()
+                }
+            ),
+        )
+        assert p.substitute({"w": _random_poly(rng), "v": 3}) == p
+        assert p.substitute({}) == p
