@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._solve import (
     Poly,
@@ -1015,65 +1015,70 @@ def enumerate_types(
     surfaces are derived from the chain, never enumerated. Survivors
     of the full filter stack are grouped into families.
 
-    Candidates that differ only in the genus and normal degree ``b`` of
-    an untwisted surface maximum share one chain prefix: the walk never
-    reads that genus, and ``b`` enters only the last equation of each
-    branch, ``e.e + b = 0``. Each prefix is walked once and every branch
-    solved once without that equation; a candidate keeps the solutions
-    whose ``e.e`` equals its ``-b``. A prefix whose reduced system has a
-    free variable or stalls the solver, and every candidate with an
-    isolated or twisted maximum, takes the concrete chain solve instead.
-    Duplicate candidates are dropped with a seen set that is cleared
-    whenever the extremes change, since duplicates share both extremes.
+    The walk is shape-first. A shape is the minimum, the middles with
+    their levels, and the maximum's kind and level; ``_shapes`` yields
+    each one once. A shape with a point maximum is one candidate and
+    takes the concrete chain solve. A shape with a surface maximum
+    stands for every genus and ``b`` of that maximum: the chain walk
+    never reads the genus, and ``b`` enters only the last equation of
+    each branch, ``e.e + b = 0``. The shape is walked once and every
+    branch solved once without that equation (``_solve_prefix``), and
+    an untwisted maximum of degree ``b`` keeps the solutions whose
+    ``e.e`` equals ``-b``. A maximum that keeps none is rejected at the
+    chain stage without building its candidate. A shape whose reduced
+    system has a free variable or stalls the solver, and every twisted
+    candidate, takes the concrete chain solve instead.
     """
     lo, hi = b_range
     if lo > hi:
         raise ValueError("empty range of normal degrees")
+    if max_genus < 0:
+        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    genera = range(max_genus + 1)
+    b_values = range(lo, hi + 1)
     rejected: dict[str, int] = {}
     families: dict[str, list[FixedPointData]] = {}
-    seen: set[FixedPointData] = set()
-    seen_ends: tuple | None = None
-    prefixes: dict[tuple, dict[Fraction, list[_ChainSolution]] | None] = {}
 
     def reject(stage: str) -> None:
         rejected[stage] = rejected.get(stage, 0) + 1
 
-    def chain(data: FixedPointData) -> tuple[list[_ChainSolution], bool]:
-        return _shared_chain_solutions(data, prefixes)
-
-    for candidate in _candidates(max_genus, (lo, hi)):
-        ends = tuple(
-            (c.kind, c.genus, c.b) for c in (candidate.minimum, candidate.maximum)
-        )
-        if ends != seen_ends:
-            seen.clear()
-            seen_ends = ends
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        filled = _derive_splittings(candidate, chain)
+    def decide(
+        candidate: FixedPointData, solutions: list[_ChainSolution] | None = None
+    ) -> None:
+        filled = _derive_splittings(candidate, solutions)
         if filled is None:
             reject("chain")
-            continue
+            return
         if not validate(filled).ok:
             reject("validate")
-            continue
+            return
         if not _localization_relations_hold(filled):
             reject("localization")
-            continue
+            return
         if not euler_chain_check(filled):
             reject("chain_recheck")
-            continue
+            return
         if all(c.is_surface for c in filled.components):
             if dh_path(filled, 1, []).verdict == "inconsistent":
                 reject("sweep")
-                continue
+                return
         tag = classify_type(filled)
         if tag == "unclassified":
             reject("unclassified")
-            continue
+            return
         family = "6" if tag in ("6a", "6b") else tag
         families.setdefault(family, []).append(filled)
+
+    for shape in _shapes(genera, b_values):
+        if shape.maximum.is_point:
+            decide(shape)
+            continue
+        for genus, b, twist, solutions in _surface_maxima(shape, genera, b_values):
+            if solutions is not None and not solutions:
+                # No e.e = -b solution: rejected without building it.
+                reject("chain")
+            else:
+                decide(_with_maximum(shape, genus, b, twist), solutions)
     return EnumerationResult(
         max_genus=max_genus,
         b_range=(lo, hi),
@@ -1085,55 +1090,59 @@ def enumerate_types(
     )
 
 
-def _shared_chain_solutions(
-    data: FixedPointData,
-    prefixes: dict[tuple, dict[Fraction, list[_ChainSolution]] | None],
-) -> tuple[list[_ChainSolution], bool]:
-    """``_chain_solutions`` of ``data``, solving each chain prefix once.
+def _surface_maxima(
+    shape: FixedPointData, genera: range, b_values: range
+) -> Iterable[tuple[int, int, bool, list[_ChainSolution] | None]]:
+    """Every surface maximum of ``shape``, with the chain solutions that decide it.
 
-    ``prefixes`` memoizes ``_solve_prefix`` by the chain prefix: every
-    component but the maximum, and the maximum's level.
+    Yields ``(genus, b, twist, solutions)`` for each candidate the shape
+    stands for. ``solutions`` are the candidate's chain solutions, read
+    off the shape's one prefix solve; they are None when the candidate
+    needs the concrete chain solve.
     """
-    maximum = data.maximum
-    if maximum.is_point or data.twist:
-        return _chain_solutions(data)
-    key = (tuple(c for c in data.components if c is not maximum), maximum.level)
-    if key not in prefixes:
-        prefixes[key] = _solve_prefix(data)
-    by_square = prefixes[key]
-    if by_square is None:
-        return _chain_solutions(data)
-    return list(by_square.get(Fraction(-maximum.b), ())), False
+    by_square = _solve_prefix(shape)
+    minimum = shape.minimum
+    twistable = (
+        all(c.is_surface for c in shape.components)
+        and minimum.genus == 0
+        and minimum.b % 2 == 0
+    )
+    for genus in genera:
+        for b in b_values:
+            solutions = None if by_square is None else by_square.get(-b, [])
+            yield genus, b, False, solutions
+            if twistable and genus == 0 and b % 2 == 0:
+                yield genus, b, True, None
+
+
+def _with_maximum(
+    shape: FixedPointData, genus: int, b: int, twist: bool = False
+) -> FixedPointData:
+    """The candidate of ``shape`` whose surface maximum has this genus and ``b``."""
+    *rest, maximum = shape.components
+    top = surface(4, maximum.level, genus=genus, b=b)
+    return FixedPointData((*rest, top), twist=twist)
 
 
 def _solve_prefix(
-    data: FixedPointData,
+    shape: FixedPointData,
 ) -> dict[Fraction, list[_ChainSolution]] | None:
-    """Chain solutions of the prefix of ``data``, grouped by ``e.e``.
+    """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
-    The walk runs on ``data`` with its untwisted surface maximum set to
-    genus 0 and ``b = 0``, so the last equation of every branch is
-    ``e.e`` itself. Each branch is solved without it; when all those
-    solutions are bounded, the solutions of the branch for a maximum of
-    degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
-    when some reduced system has a free variable or stalls the solver,
-    and no solutions when the walk itself fails, which does not depend
-    on ``b``.
+    The shape's maximum has genus 0 and ``b = 0``, so the last equation
+    of every branch is ``e.e`` itself. Each branch is solved without
+    it; when all those solutions are bounded, the solutions of the
+    branch for a maximum of degree ``b`` are exactly the ones with
+    ``e.e = -b``. Returns None when some reduced system has a free
+    variable or stalls the solver, and no solutions when the walk
+    itself fails, which does not depend on ``b``.
     """
-    maximum = data.maximum
-    prefix = replace(
-        data,
-        components=tuple(
-            replace(c, genus=0, b=0) if c is maximum else c
-            for c in data.components
-        ),
-    )
     try:
-        _structural_check(prefix)
-        start = _start_chart(prefix.minimum)
+        _structural_check(shape)
+        start = _start_chart(shape.minimum)
         branches: list[_Branch] = []
-        for ordering in _middle_orderings(prefix):
-            _advance(prefix, start, ordering, [], [], branches)
+        for ordering in _middle_orderings(shape):
+            _advance(shape, start, ordering, [], [], branches)
     except (InvalidDataError, NotImplementedError):
         return {}
     by_square: dict[Fraction, dict[tuple, _ChainSolution]] = {}
@@ -1162,25 +1171,25 @@ def _solve_rest(branch: _Branch) -> list[Solution]:
 
 
 def _derive_splittings(
-    data: FixedPointData,
-    chain: Callable[
-        [FixedPointData], tuple[list[_ChainSolution], bool]
-    ] = _chain_solutions,
+    data: FixedPointData, solutions: list[_ChainSolution] | None = None
 ) -> FixedPointData | None:
     """Fill in (b_plus, b_minus) of middle surfaces from the chain.
 
-    ``chain`` returns the chain solutions of the data and whether the
-    chain is underdetermined, as ``_chain_solutions`` does.
+    ``solutions`` are the chain solutions of the data when they are
+    already known, as from a prefix solve; when None, the chain is
+    solved concretely.
     """
     targets = [
         pos
         for pos, comp in enumerate(data.components)
         if comp.is_surface and comp.index == 2
     ]
-    try:
-        solutions, unbounded = chain(data)
-    except (InvalidDataError, NotImplementedError):
-        return None
+    unbounded = False
+    if solutions is None:
+        try:
+            solutions, unbounded = _chain_solutions(data)
+        except (InvalidDataError, NotImplementedError):
+            return None
     if not targets:
         return data if unbounded or solutions else None
     if unbounded or len(solutions) != 1:
@@ -1215,104 +1224,68 @@ def _localization_relations_hold(data: FixedPointData) -> bool:
         return False
 
 
-def _candidates(
-    max_genus: int, b_range: tuple[int, int]
-) -> Iterable[FixedPointData]:
-    lo, hi = b_range
-    genera = range(max_genus + 1)
-    b_values = range(lo, hi + 1)
+def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
+    """Every candidate shape once, a surface maximum standing as genus 0, ``b = 0``.
 
-    def extremes() -> Iterable[tuple[tuple[int, int] | None, tuple[int, int] | None]]:
-        # None means an isolated extreme, (genus, b) a surface one.
-        yield None, None
-        for g in genera:
-            for b in b_values:
-                yield (g, b), None
-                yield None, (g, b)
-                for g2 in genera:
-                    for b2 in b_values:
-                        yield (g, b), (g2, b2)
-        return
-
-    for min_spec, max_spec in extremes():
-        if min_spec is None and max_spec is not None:
-            # Mirror of a surface-minimum shape; counted once there.
-            continue
-        min_is_surface = min_spec is not None
-        max_is_surface = max_spec is not None
-        b2_base = 1 if min_is_surface else 0
-        for n2 in range(0, 3):
-            for n_mid in range(0, 3):
-                b2 = b2_base + n2 + n_mid
-                if b2 > 2:
-                    continue
-                n4 = b2_base + n2 - (1 if max_is_surface else 0)
-                if n4 < 0:
-                    continue
-                for mid_genera in itertools.combinations_with_replacement(
-                    genera, n_mid
-                ):
-                    middles: list[tuple[str, int | None]] = (
-                        [("P2", None)] * n2
-                        + [("P4", None)] * n4
-                        + [("S", g1) for g1 in mid_genera]
-                    )
-                    if not middles and min_is_surface != max_is_surface:
+    Two level assignments give the same shape when they permute equal
+    middles, so duplicates share their minimum and the seen set lives
+    for one minimum.
+    """
+    minima = [point(0, 0)] + [
+        surface(0, 0, genus=g, b=b) for g in genera for b in b_values
+    ]
+    for minimum in minima:
+        seen: set[FixedPointData] = set()
+        b2_base = 1 if minimum.is_surface else 0
+        # A point minimum under a surface maximum mirrors a surface
+        # minimum under a point maximum; it is counted there.
+        for max_is_surface in (False, True) if minimum.is_surface else (False,):
+            for n2 in range(0, 3):
+                for n_mid in range(0, 3):
+                    if b2_base + n2 + n_mid > 2:
                         continue
-                    yield from _assemble(
-                        min_spec, max_spec, middles
-                    )
+                    n4 = b2_base + n2 - (1 if max_is_surface else 0)
+                    if n4 < 0:
+                        continue
+                    for mid_genera in itertools.combinations_with_replacement(
+                        genera, n_mid
+                    ):
+                        # (index, genus); a genus of None is a point.
+                        middles = (
+                            [(2, None)] * n2
+                            + [(4, None)] * n4
+                            + [(2, g1) for g1 in mid_genera]
+                        )
+                        if not middles and minimum.is_surface != max_is_surface:
+                            continue
+                        for levels in _level_assignments(len(middles)):
+                            top = max(levels, default=0) + 1
+                            shape = FixedPointData(
+                                (
+                                    minimum,
+                                    *(
+                                        point(index, level)
+                                        if g1 is None
+                                        else surface(2, level, genus=g1)
+                                        for (index, g1), level in zip(middles, levels)
+                                    ),
+                                    surface(4, top, genus=0, b=0)
+                                    if max_is_surface
+                                    else point(6, top),
+                                )
+                            )
+                            if shape not in seen:
+                                seen.add(shape)
+                                yield shape
 
 
-def _assemble(
-    min_spec: tuple[int, int] | None,
-    max_spec: tuple[int, int] | None,
-    middles: list[tuple[str, int | None]],
-) -> Iterable[FixedPointData]:
-    P = point
-    S = surface
-    count = len(middles)
-    assignments: set[tuple[int, ...]] = set()
-    for groups in range(0 if count == 0 else 1, count + 1):
-        for combo in itertools.product(range(1, groups + 1), repeat=count):
-            if set(combo) == set(range(1, groups + 1)):
-                assignments.add(combo)
-    if count == 0:
-        assignments.add(())
-    for combo in sorted(assignments):
-        top = (max(combo) if combo else 0) + 1
-        components: list[FixedComponent] = []
-        if min_spec is None:
-            components.append(P(0, 0))
-        else:
-            g, b = min_spec
-            components.append(S(0, 0, genus=g, b=b))
-        for (kind, g1), level in zip(middles, combo):
-            if kind == "P2":
-                components.append(P(2, level))
-            elif kind == "P4":
-                components.append(P(4, level))
-            else:
-                components.append(S(2, level, genus=g1 or 0))
-        if max_spec is None:
-            components.append(P(6, top))
-        else:
-            g, b = max_spec
-            components.append(S(4, top, genus=g, b=b))
-        all_surface = all(c.is_surface for c in components)
-        twists = [False]
-        if (
-            all_surface
-            and min_spec is not None
-            and max_spec is not None
-            and min_spec[0] == 0
-            and max_spec[0] == 0
-            and min_spec[1] % 2 == 0
-            and max_spec[1] % 2 == 0
-        ):
-            twists.append(True)
-        for twist in twists:
-            try:
-                yield FixedPointData(tuple(components), twist=twist)
-            except (ValueError, InvalidDataError):
-                continue
+def _level_assignments(count: int) -> tuple[tuple[int, ...], ...]:
+    """Levels 1..k for ``count`` middles that use every level: all orderings with ties."""
+    return tuple(
+        sorted(
+            combo
+            for groups in range(1 if count else 0, count + 1)
+            for combo in itertools.product(range(1, groups + 1), repeat=count)
+            if len(set(combo)) == groups
+        )
+    )

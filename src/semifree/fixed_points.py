@@ -35,6 +35,10 @@ class InvalidDataError(ValueError):
     """Raised when an operation requires data that passes validation."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FixedComponent:
     """One connected component of the fixed-point set."""
@@ -48,7 +52,13 @@ class FixedComponent:
     b_minus: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level", Fraction(self.level))
+        object.__setattr__(self, "level", parse_rational(self.level))
+        if not _is_int(self.index):
+            raise ValueError(f"index must be an integer: {self.index!r}")
+        for name in ("genus", "b", "b_plus", "b_minus"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be an integer: {value!r}")
         if self.kind == POINT:
             if self.index not in (0, 2, 4, 6):
                 raise ValueError(f"point index must be 0, 2, 4 or 6: {self.index}")
@@ -102,7 +112,7 @@ class FixedComponent:
 
 
 def point(index: int, level: Fraction | int | str) -> FixedComponent:
-    return FixedComponent(level=Fraction(parse_rational(level)), index=index, kind=POINT)
+    return FixedComponent(level=level, index=index, kind=POINT)
 
 
 def surface(
@@ -114,7 +124,7 @@ def surface(
     b_minus: int | None = None,
 ) -> FixedComponent:
     return FixedComponent(
-        level=Fraction(parse_rational(level)),
+        level=level,
         index=index,
         kind=SURFACE,
         genus=genus,
@@ -230,13 +240,13 @@ class FixedPointData:
             index = entry.get("index")
             if kind not in (POINT, SURFACE):
                 raise SchemaError(f"unknown component kind: {kind!r}")
-            if not isinstance(index, int) or isinstance(index, bool):
+            if not _is_int(index):
                 raise SchemaError("component index must be an integer")
             def _opt_int(name: str) -> int | None:
                 value = entry.get(name)
                 if value is None:
                     return None
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not _is_int(value):
                     raise SchemaError(f"{name} must be an integer")
                 return value
             try:

@@ -9,7 +9,9 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer) into an exact rational."""
     if isinstance(text, bool):
         raise ValueError("expected a rational, got a boolean")
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")

@@ -366,20 +366,46 @@ def test_enumeration_report_digest_frozen(bounds):
 
 
 def test_prefix_shared_chain_matches_concrete_chain():
-    prefixes = {}
-
-    def shared(data):
-        return classifier._shared_chain_solutions(data, prefixes)
-
+    # Every unique candidate at (1, -2..2) is built here, also those the
+    # shape path rejects without building one; the shape path's verdict
+    # must equal the concrete chain solve's on each.
+    genera, b_values = range(2), range(-2, 3)
     seen = set()
-    for candidate in classifier._candidates(1, (-2, 2)):
-        if candidate in seen:
+    verdicts = {"unbuilt": 0, "shared": 0, "concrete": 0}
+    for shape in classifier._shapes(genera, b_values):
+        if shape.maximum.is_point:
+            assert shape not in seen
+            seen.add(shape)
+            verdicts["concrete"] += 1
             continue
-        seen.add(candidate)
-        concrete = classifier._derive_splittings(candidate)
-        assert classifier._derive_splittings(candidate, shared) == concrete
+        for genus, b, twist, solutions in classifier._surface_maxima(
+            shape, genera, b_values
+        ):
+            candidate = classifier._with_maximum(shape, genus, b, twist)
+            assert candidate not in seen
+            seen.add(candidate)
+            concrete = classifier._derive_splittings(candidate)
+            if solutions is None:
+                verdicts["concrete"] += 1
+                continue
+            if not solutions:
+                verdicts["unbuilt"] += 1
+                assert concrete is None
+            else:
+                verdicts["shared"] += 1
+                assert classifier._derive_splittings(candidate, solutions) == concrete
     assert len(seen) == 842
-    assert any(entry for entry in prefixes.values())
+    assert all(verdicts.values())
+
+
+def test_enumeration_decides_each_unique_candidate_once(small_enumeration):
+    members = sum(len(m) for m in small_enumeration.families.values())
+    assert sum(small_enumeration.rejected.values()) + members == 842
+
+
+def test_enumeration_rejects_negative_genus_bound():
+    with pytest.raises(ValueError):
+        enumerate_types(max_genus=-1, b_range=(-1, 1))
 
 
 def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):

@@ -408,6 +408,13 @@ def test_main_bad_usage_exits_two(capsysbinary):
     assert main(["enumerate", "--b-range", "6..-6"]) == 2
 
 
+def test_main_negative_genus_bound_exits_two(capsysbinary):
+    assert main(["enumerate", "--max-genus", "-1"]) == 2
+    out = capsysbinary.readouterr().out
+    assert b"max_genus" in out
+    assert b"genus <= -1" not in out
+
+
 def test_main_builtin_to_stdout(capsysbinary):
     assert main(["polytope-builtin", "type3_bmin1"]) == 0
     payload = json.loads(capsysbinary.readouterr().out)

@@ -1,5 +1,6 @@
 """Tests for fixed point data construction, validation and classification."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from semifree.classifier import family_instance
 from semifree.fixed_points import (
+    FixedComponent,
     FixedPointData,
     InvalidDataError,
     SchemaError,
@@ -57,6 +59,52 @@ def test_surface_index_two_wants_split_chern_numbers():
         surface(2, 0, genus=0, b=1)
     component = surface(2, 0, genus=1, b_plus=2, b_minus=-1)
     assert (component.b_plus, component.b_minus) == (2, -1)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "surface", "index": 0, "level": 0, "genus": True, "b": 2},
+        {"kind": "surface", "index": 0, "level": 0, "genus": 0, "b": 1.5},
+        {"kind": "surface", "index": 4, "level": 1, "genus": 1.0, "b": 0},
+        {"kind": "surface", "index": 4, "level": 1, "genus": 0, "b": F(2)},
+        {"kind": "surface", "index": 2, "level": 1, "genus": 0, "b_plus": True, "b_minus": 0},
+        {"kind": "surface", "index": 2, "level": 1, "genus": 0, "b_plus": 1, "b_minus": 0.0},
+        {"kind": "point", "index": 0, "level": 0.1},
+        {"kind": "point", "index": 0, "level": True},
+        {"kind": "point", "index": False, "level": 0},
+        {"kind": "point", "index": 2.0, "level": 1},
+    ],
+)
+def test_constructors_reject_fields_that_loads_rejects(fields):
+    with pytest.raises(ValueError):
+        FixedComponent(**fields)
+    build = point if fields["kind"] == "point" else surface
+    args = {k: v for k, v in fields.items() if k not in ("kind", "index", "level")}
+    with pytest.raises(ValueError):
+        build(fields["index"], fields["level"], **args)
+    if not any(isinstance(v, F) for v in fields.values()):
+        text = json.dumps({"schema": "fpdata.v1", "components": [fields]})
+        with pytest.raises(ValueError):
+            FixedPointData.loads(text)
+
+
+def test_constructed_data_round_trips_through_json():
+    data = FixedPointData(
+        (
+            surface(0, 0, genus=1, b=-3),
+            surface(2, "1/2", genus=0, b_plus=2, b_minus=-1),
+            surface(4, F(3, 2), genus=1, b=5),
+        )
+    )
+    assert data.components[1].level == F(1, 2)
+    assert FixedPointData.loads(data.dumps()) == data
+
+
+def test_loads_messages_name_the_bad_field():
+    text = family_instance("4").dumps().replace('"genus": 0', '"genus": true', 1)
+    with pytest.raises(SchemaError, match="^genus must be an integer$"):
+        FixedPointData.loads(text)
 
 
 def test_components_are_sorted_by_level():
