@@ -41,10 +41,14 @@ SURFACE = "surface"
 _CARRIERS = (POINT, SURFACE)
 
 
+def _fraction(value: object) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)  # type: ignore[arg-type]
+
+
 def _coerce_pair(value: object) -> tuple[Fraction, Fraction]:
     if isinstance(value, tuple) and len(value) == 2:
-        return (Fraction(value[0]), Fraction(value[1]))
-    return (Fraction(value), Fraction(0))  # type: ignore[arg-type]
+        return (_fraction(value[0]), _fraction(value[1]))
+    return (_fraction(value), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +168,23 @@ def mul_terms(
     """Multiply two term lists; works for any commutative coefficient type.
 
     The ``u`` parts multiply to zero, so the product of ``(c1 + d1 u)``
-    and ``(c2 + d2 u)`` is ``c1 c2 + (c1 d2 + d1 c2) u``.
+    and ``(c2 + d2 u)`` is ``c1 c2 + (c1 d2 + d1 c2) u``. A product with
+    a zero ``u`` factor is not formed; a zero ``u`` part stays the zero
+    of its operands' type.
     """
     acc: dict[int, list] = {}
     for i, (c1, d1) in a:
         for j, (c2, d2) in b:
             k = i + j
             c = c1 * c2
-            d = c1 * d2 + d1 * c2
+            if d2:
+                d = c1 * d2 + d1 * c2 if d1 else c1 * d2
+            else:
+                d = d1 * c2 if d1 else d2
             if k in acc:
                 acc[k][0] = acc[k][0] + c
-                acc[k][1] = acc[k][1] + d
+                if d:
+                    acc[k][1] = acc[k][1] + d
             else:
                 acc[k] = [c, d]
     out = []

@@ -801,12 +801,22 @@ def _resolve_branch(
     return _ChainSolution(tuple(sorted(key)), tuple(crossings), tuple(duals))
 
 
+def _solved_chain(
+    data: FixedPointData,
+) -> tuple[list[_ChainSolution], bool] | None:
+    """``_chain_solutions``, or None when the chain walk itself fails."""
+    try:
+        return _chain_solutions(data)
+    except (InvalidDataError, NotImplementedError):
+        return None
+
+
 def euler_chain_check(data: FixedPointData) -> bool:
     """Whether a consistent Euler-class chain exists for the data."""
-    try:
-        solutions, unbounded = _chain_solutions(data)
-    except (InvalidDataError, NotImplementedError):
+    solved = _solved_chain(data)
+    if solved is None:
         return False
+    solutions, unbounded = solved
     return unbounded or bool(solutions)
 
 
@@ -817,7 +827,7 @@ def dual_class_solve(data: FixedPointData) -> dict[int, ReducedClass]:
     reduced space just below its level. Raises when the chain has no
     admissible solution or more than one.
     """
-    solution = _unique_chain_solution(data)
+    solution = _unique_solution(*_chain_solutions(data))
     out: dict[int, ReducedClass] = {}
     for position, dual in solution.duals:
         if dual is None:
@@ -828,8 +838,9 @@ def dual_class_solve(data: FixedPointData) -> dict[int, ReducedClass]:
     return out
 
 
-def _unique_chain_solution(data: FixedPointData) -> _ChainSolution:
-    solutions, unbounded = _chain_solutions(data)
+def _unique_solution(
+    solutions: list[_ChainSolution], unbounded: bool
+) -> _ChainSolution:
     if unbounded:
         raise MultipleSolutionsError(
             "the Euler chain is underdetermined for this data"
@@ -846,7 +857,11 @@ def _unique_chain_solution(data: FixedPointData) -> _ChainSolution:
 
 def euler_transport(data: FixedPointData) -> ChainResult:
     """Transport the level Euler class from the minimum to the maximum."""
-    solution = _unique_chain_solution(data)
+    return _chain_result(data, _unique_solution(*_chain_solutions(data)))
+
+
+def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult:
+    """The ``ChainResult`` of ``data`` at one of its chain solutions."""
     chart = None
     start = None
     if all(c.is_surface for c in data.components):
@@ -1028,6 +1043,11 @@ def enumerate_types(
     chain stage without building its candidate. A shape whose reduced
     system has a free variable or stalls the solver, and every twisted
     candidate, takes the concrete chain solve instead.
+
+    Either way a candidate's chain is solved once, and that one
+    solution feeds every later stage: the splittings are derived from
+    it, the recheck (``_splittings_hold``) checks the derived splittings
+    against it, and the sweep of an all-surface candidate runs on it.
     """
     lo, hi = b_range
     if lo > hi:
@@ -1045,7 +1065,14 @@ def enumerate_types(
     def decide(
         candidate: FixedPointData, solutions: list[_ChainSolution] | None = None
     ) -> None:
-        filled = _derive_splittings(candidate, solutions)
+        unbounded = False
+        if solutions is None:
+            solved = _solved_chain(candidate)
+            if solved is None:
+                reject("chain")
+                return
+            solutions, unbounded = solved
+        filled = _derive_splittings(candidate, solutions, unbounded)
         if filled is None:
             reject("chain")
             return
@@ -1055,11 +1082,12 @@ def enumerate_types(
         if not _localization_relations_hold(filled):
             reject("localization")
             return
-        if not euler_chain_check(filled):
+        if not _splittings_hold(filled, solutions):
             reject("chain_recheck")
             return
         if all(c.is_surface for c in filled.components):
-            if dh_path(filled, 1, []).verdict == "inconsistent":
+            transport = _chain_result(filled, _unique_solution(solutions, unbounded))
+            if dh_path(filled, 1, [], transport).verdict == "inconsistent":
                 reject("sweep")
                 return
         tag = classify_type(filled)
@@ -1171,25 +1199,26 @@ def _solve_rest(branch: _Branch) -> list[Solution]:
 
 
 def _derive_splittings(
-    data: FixedPointData, solutions: list[_ChainSolution] | None = None
+    data: FixedPointData,
+    solutions: list[_ChainSolution] | None = None,
+    unbounded: bool = False,
 ) -> FixedPointData | None:
     """Fill in (b_plus, b_minus) of middle surfaces from the chain.
 
-    ``solutions`` are the chain solutions of the data when they are
-    already known, as from a prefix solve; when None, the chain is
-    solved concretely.
+    ``solutions`` and ``unbounded`` are the data's chain solutions when
+    they are already known, as from a prefix solve; when ``solutions``
+    is None, the chain is solved concretely.
     """
     targets = [
         pos
         for pos, comp in enumerate(data.components)
         if comp.is_surface and comp.index == 2
     ]
-    unbounded = False
     if solutions is None:
-        try:
-            solutions, unbounded = _chain_solutions(data)
-        except (InvalidDataError, NotImplementedError):
+        solved = _solved_chain(data)
+        if solved is None:
             return None
+        solutions, unbounded = solved
     if not targets:
         return data if unbounded or solutions else None
     if unbounded or len(solutions) != 1:
@@ -1208,6 +1237,28 @@ def _derive_splittings(
             )
         new_components.append(comp)
     return FixedPointData(tuple(new_components), twist=data.twist)
+
+
+def _splittings_hold(
+    data: FixedPointData, solutions: list[_ChainSolution]
+) -> bool:
+    """Whether the declared splittings satisfy the wall equations at ``solutions``.
+
+    These are the equations the declared values add to the chain: with
+    e the Euler class below a crossing and eta its dual class,
+    ``b_minus = -e.eta`` and ``b_plus = e.eta + eta.eta``. When they
+    hold, every solution of the chain without the declared values is
+    one with them, so this checks the chain of ``data`` at a known
+    solution instead of solving it again.
+    """
+    for solution in solutions:
+        for crossing in solution.crossings:
+            comp = data.components[crossing.position]
+            if comp.b_minus != -crossing.pair_e_eta:
+                return False
+            if comp.b_plus != crossing.pair_e_eta + crossing.pair_eta_eta:
+                return False
+    return True
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:

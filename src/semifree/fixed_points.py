@@ -236,6 +236,8 @@ class FixedPointData:
                 level = parse_rational(entry["level"])
             except KeyError:
                 raise SchemaError("component missing level") from None
+            except ValueError as exc:
+                raise SchemaError(str(exc)) from None
             kind = entry.get("kind")
             index = entry.get("index")
             if kind not in (POINT, SURFACE):

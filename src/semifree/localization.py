@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._solve import AffineConstraint, Poly, feasible, solve_linear, solve_system
 from .algebra import (
@@ -40,6 +40,9 @@ from .fixed_points import (
     classify_type,
 )
 from .rationals import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .classifier import ChainResult
 
 
 class NoSolutionError(ValueError):
@@ -832,6 +835,7 @@ def dh_path(
     data: FixedPointData,
     alpha0: Fraction | int,
     gaps: Sequence[Fraction | int],
+    transport: ChainResult | None = None,
 ) -> DHPath:
     """Sweep the reduced symplectic class and check positivity.
 
@@ -843,6 +847,9 @@ def dh_path(
     maximum keeps positive size. The verdict is "positive" when this
     instance passes, "not_positive" when it fails but some choice of
     alpha0 and gaps would pass, and "inconsistent" when none would.
+
+    ``transport`` is the data's solved chain, ``euler_transport(data)``,
+    when the caller already has it; when None, the chain is solved here.
     """
     from .classifier import euler_transport
 
@@ -850,7 +857,10 @@ def dh_path(
         raise InvalidDataError("the sweep needs every fixed component a surface")
     alpha0 = Fraction(alpha0)
     gaps = [Fraction(g) for g in gaps]
-    transport = euler_transport(data)
+    if transport is None:
+        transport = euler_transport(data)
+    elif transport.data != data:
+        raise ValueError("the solved chain belongs to other data")
     crossings = transport.crossings
     segments = len(crossings) + 1
     if len(gaps) > segments:

@@ -1,5 +1,6 @@
 """Tests for the equivariant class ring and the reduced space pairings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,15 @@ from semifree.algebra import (
     integrate_component,
     invert_euler,
     mul,
+    mul_terms,
     nontrivial_bundle,
     pair,
     projective_plane,
     trivial_bundle,
     ReducedClass,
 )
+from semifree._solve import Poly
+from semifree.localization import SymClass
 
 F = Fraction
 
@@ -149,3 +153,80 @@ def test_fiber_class_squares_to_zero_on_bundles():
     for space in (trivial_bundle(0), nontrivial_bundle(3)):
         x = fiber_class(space)
         assert pair(x, x) == 0
+
+
+# ---------------------------------------------------------------------------
+# the term multiplier against its plain formula
+
+
+def _formula_mul_terms(a, b):
+    """Every product ``c1 c2 + (c1 d2 + d1 c2) u`` formed, zero or not."""
+    acc = {}
+    for i, (c1, d1) in a:
+        for j, (c2, d2) in b:
+            c, d = c1 * c2, c1 * d2 + d1 * c2
+            if i + j in acc:
+                c0, d0 = acc[i + j]
+                c, d = c0 + c, d0 + d
+            acc[i + j] = (c, d)
+    return tuple((k, (c, d)) for k, (c, d) in sorted(acc.items()) if c or d)
+
+
+def _assert_same_terms(got, expected):
+    assert got == expected
+    assert [k for k, _ in got] == sorted({k for k, _ in got})
+    for (_, (c, d)), (_, (ce, de)) in zip(got, expected):
+        assert (c or d) and type(c) is type(ce) and type(d) is type(de)
+
+
+def _random_class(rng: random.Random, carrier: str) -> EquivariantClass:
+    # Zero scalar parts, zero u parts and cancelling sums come up on purpose.
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        c = F(rng.randint(-2, 2), rng.randint(1, 2))
+        d = F(rng.randint(-2, 2), rng.randint(1, 2)) if carrier == "surface" else 0
+        terms[rng.randint(-3, 3)] = (c, d if rng.random() < 0.6 else 0)
+    return EquivariantClass.make(carrier, terms)
+
+
+def test_mul_terms_matches_the_formula_on_exact_classes():
+    rng = random.Random(20026)
+    for _ in range(400):
+        carrier = rng.choice(["point", "surface"])
+        a, b = _random_class(rng, carrier), _random_class(rng, carrier)
+        _assert_same_terms(mul_terms(a.terms, b.terms), _formula_mul_terms(a.terms, b.terms))
+        for _, (c, d) in (a * b).terms:
+            assert type(c) is Fraction and type(d) is Fraction
+
+
+def _random_sym_class(rng: random.Random) -> SymClass:
+    def entry():
+        if rng.random() < 0.4:
+            return Poly.const(0)
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            var = rng.choice([(), (("s", 1),), (("t", 1),)])
+            terms[var] = F(rng.randint(-2, 2), rng.randint(1, 2))
+        return Poly.from_dict(terms)
+
+    return SymClass.from_dict(
+        "surface", {rng.randint(-2, 2): (entry(), entry()) for _ in range(3)}
+    )
+
+
+def test_mul_terms_matches_the_formula_on_symbolic_classes():
+    rng = random.Random(20027)
+    for _ in range(300):
+        a, b = _random_sym_class(rng), _random_sym_class(rng)
+        got = mul_terms(a.terms, b.terms)
+        _assert_same_terms(got, _formula_mul_terms(a.terms, b.terms))
+        assert a.mul(b).terms == got
+
+
+def test_make_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    cls = EquivariantClass.make("surface", {0: (half, 2), 1: 3, 2: (0, half)})
+    assert cls.terms == ((0, (half, F(2))), (1, (F(3), F(0))), (2, (F(0), half)))
+    assert cls.terms[0][1][0] is half
+    for _, (c, d) in cls.terms:
+        assert type(c) is Fraction and type(d) is Fraction

@@ -39,7 +39,7 @@ from semifree.fixed_points import (
     point,
     surface,
 )
-from semifree.localization import NoSolutionError
+from semifree.localization import NoSolutionError, dh_path
 
 FAMILY_CASES = [
     ("1", {}),
@@ -418,6 +418,44 @@ def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
     monkeypatch.setattr(classifier, "_solve_rest", stall)
     assert _enumeration_digest(0, (-1, 1)) == ENUMERATION_DIGESTS[(0, (-1, 1))]
     assert stalled
+
+
+def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
+    """The recheck and sweep calls of one enumeration, with their answers."""
+    rechecked, swept = [], []
+    hold, sweep = classifier._splittings_hold, classifier.dh_path
+
+    def record_hold(data, solutions):
+        verdict = hold(data, solutions)
+        rechecked.append((data, verdict))
+        return verdict
+
+    def record_sweep(data, alpha0, gaps, transport=None):
+        path = sweep(data, alpha0, gaps, transport)
+        swept.append((data, transport, path))
+        return path
+
+    monkeypatch.setattr(classifier, "_splittings_hold", record_hold)
+    monkeypatch.setattr(classifier, "dh_path", record_sweep)
+    enumerate_types(max_genus, b_range)
+    return rechecked, swept
+
+
+@pytest.mark.parametrize("bounds", [(1, (-2, 2)), (2, (-3, 3))])
+def test_recheck_and_sweep_reuse_the_chain_solution_soundly(monkeypatch, bounds):
+    # Every candidate reaching the recheck is checked against a fresh
+    # chain solve, and every sweep on the reused solution against a
+    # sweep that solves the chain itself.
+    rechecked, swept = _recheck_and_sweep_calls(monkeypatch, *bounds)
+    assert rechecked and swept
+    for data, verdict in rechecked:
+        assert euler_chain_check(data) is True
+        assert verdict is True
+    surfaces_only = [d for d, _ in rechecked if all(c.is_surface for c in d.components)]
+    assert [data for data, _, _ in swept] == surfaces_only
+    for data, transport, path in swept:
+        assert transport == euler_transport(data)
+        assert path == dh_path(data, 1, [])
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,30 @@ def test_loads_rejects_bad_json():
         FixedPointData.loads("{not json")
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ("0.1", "expected a rational string, got 0.1"),
+        ('"x"', "malformed rational 'x'"),
+        ("null", "expected a rational string, got None"),
+        ("true", "expected a rational, got a boolean"),
+    ],
+)
+def test_loads_rejects_bad_level_as_schema_error(level, message):
+    text = json.dumps(
+        {
+            "schema": "fpdata.v1",
+            "components": [
+                {"kind": "point", "index": 0, "level": 0},
+                {"kind": "point", "index": 6, "level": 1},
+            ],
+        }
+    ).replace('"level": 1', f'"level": {level}')
+    with pytest.raises(SchemaError) as caught:
+        FixedPointData.loads(text)
+    assert str(caught.value) == message
+
+
 def test_fractional_levels_round_trip():
     data = FixedPointData(
         (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import EquivariantClass, mul
-from semifree.classifier import family_instance
+from semifree.classifier import euler_transport, family_instance
 from semifree.fixed_points import (
     FixedPointData,
     InvalidDataError,
@@ -528,6 +528,15 @@ def test_dh_path_rejects_point_components():
 def test_dh_path_rejects_excess_gaps():
     with pytest.raises(ValueError, match="gaps"):
         dh_path(family_instance("4"), Fraction(1), (Fraction(1), Fraction(1)))
+
+
+def test_dh_path_takes_the_solved_chain_of_its_data_only():
+    data = family_instance("6b", k=1, k_prime=0)
+    path = dh_path(data, Fraction(3), (Fraction(1),))
+    assert dh_path(data, Fraction(3), (Fraction(1),), euler_transport(data)) == path
+    other = euler_transport(family_instance("6b", k=2, k_prime=0))
+    with pytest.raises(ValueError, match="other data"):
+        dh_path(data, Fraction(3), (Fraction(1),), other)
 
 
 def test_dh_path_twisted_square_is_inconsistent():

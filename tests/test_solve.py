@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semifree import classifier
 from semifree._solve import (
     AffineConstraint,
     Poly,
@@ -337,3 +338,59 @@ def test_poly_substitute_matches_sympy():
         )
         assert p.substitute({"w": _random_poly(rng), "v": 3}) == p
         assert p.substitute({}) == p
+
+
+def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
+    """The distinct systems the chain solves of enumerate at (1, -2..2) pose.
+
+    That is every system the enumeration solves, plus the fresh chain
+    solve of each candidate that reaches its recheck.
+    """
+    systems: dict[tuple[Poly, ...], None] = {}
+    rechecked = []
+    solve, hold = classifier.solve_system, classifier._splittings_hold
+
+    def record_solve(equations):
+        equations = list(equations)
+        systems.setdefault(tuple(equations), None)
+        return solve(equations)
+
+    def record_hold(data, solutions):
+        rechecked.append(data)
+        return hold(data, solutions)
+
+    monkeypatch.setattr(classifier, "solve_system", record_solve)
+    monkeypatch.setattr(classifier, "_splittings_hold", record_hold)
+    classifier.enumerate_types(1, (-2, 2))
+    for data in rechecked:
+        classifier.euler_chain_check(data)
+    return list(systems)
+
+
+def test_solve_system_matches_sympy_on_enumeration_chains(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    compared = 0
+    for equations in _enumeration_chain_systems(monkeypatch):
+        ours = solve_system(list(equations))
+        if any(sol.free for sol in ours):
+            continue
+        got = {tuple(sorted(sol.assignment)) for sol in ours}
+        names = sorted(set().union(*(e.variables() for e in equations)))
+        if not names:
+            # sympy gives no solution for 0 = 0; ours is the empty assignment.
+            consistent = all(e.is_zero() for e in equations)
+            assert got == ({()} if consistent else set())
+            continue
+        symbols = [sympy.Symbol(name) for name in names]
+        expected = set()
+        for sol in sympy.solve(
+            [_poly_to_sympy(sympy, e) for e in equations], symbols, dict=True
+        ):
+            assert set(sol) == set(symbols)
+            if all(value.is_rational for value in sol.values()):
+                expected.add(
+                    tuple((name, _from_sympy(sol[s])) for name, s in zip(names, symbols))
+                )
+        assert got == expected
+        compared += 1
+    assert compared
