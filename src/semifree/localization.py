@@ -17,7 +17,6 @@ one-line normal forms appear as the solved values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -177,9 +176,6 @@ class SymClass:
             raise ValueError("carrier mismatch in symbolic product")
         return SymClass(self.carrier, mul_terms(self.terms, other.terms))
 
-    def integrate(self) -> dict[int, Poly]:
-        return integrate_component(self)
-
     def substitute(self, values: Mapping[str, Fraction]) -> EquivariantClass:
         out: dict[int, tuple[Fraction, Fraction]] = {}
         for k, (c, d) in self.terms:
@@ -303,46 +299,66 @@ class RestrictionTable:
             raise SchemaError("restriction table must be a JSON object")
         if payload.get("schema") != RTABLE_SCHEMA:
             raise SchemaError(f"unsupported schema: {payload.get('schema')!r}")
-        data = FixedPointData.from_json_dict(payload["data"])
-        labels_map = payload["labels"]
-        labels = tuple(sorted(labels_map, key=lambda s: int(s[1:])))
-        positions = tuple(int(labels_map[label]) for label in labels)
-        kinds = [data.components[p].kind for p in positions]
-        classes = []
-        for entry in payload["classes"]:
-            classes.append(
-                TableClass(
-                    name=entry["name"],
-                    degree=int(entry["degree"]),
-                    home=entry["home"],
-                    restrictions=tuple(
-                        _class_from_payload(kind, entry["restrictions"][label])
-                        for label, kind in zip(labels, kinds)
-                    ),
+        data = FixedPointData.from_json_dict(payload.get("data"))
+        labels = tuple(f"F{i + 1}" for i in range(len(data.components)))
+        try:
+            positions = tuple(payload["labels"][label] for label in labels)
+            if len(payload["labels"]) != len(labels) or sorted(
+                p if type(p) is int else -1 for p in positions
+            ) != list(range(len(labels))):
+                raise ValueError(f"labels must be F1..F{len(labels)}, each once")
+
+            def row(by_label: Mapping, degree) -> tuple[EquivariantClass, ...]:
+                # the equation set relies on each restriction lying in its degree
+                out = tuple(
+                    EquivariantClass.make(
+                        data.components[p].kind,
+                        {
+                            int(k): (parse_rational(c), parse_rational(d))
+                            for k, c, d in by_label[label]
+                        },
+                    )
+                    for label, p in zip(labels, positions)
                 )
+                if type(degree) is not int or any(
+                    r.terms and r.homogeneous_degree() != degree for r in out
+                ):
+                    raise ValueError(f"restrictions not all of degree {degree!r}")
+                return out
+
+            classes = []
+            for entry in payload["classes"]:
+                classes.append(
+                    TableClass(
+                        name=entry["name"],
+                        degree=entry["degree"],
+                        home=entry["home"],
+                        restrictions=row(entry["restrictions"], entry["degree"]),
+                    )
+                )
+            c1_values = row(payload["c1"]["restrictions"], 2)
+            decomposition = tuple(
+                (name, parse_rational(value))
+                for name, value in payload["c1"]["decomposition"]
             )
-        c1_values = tuple(
-            _class_from_payload(kind, payload["c1"]["restrictions"][label])
-            for label, kind in zip(labels, kinds)
-        )
-        decomposition = tuple(
-            (name, parse_rational(value))
-            for name, value in payload["c1"]["decomposition"]
-        )
-        flags = payload.get("flags", {})
-        return RestrictionTable(
-            data=data,
-            type_tag=payload["type"],
-            labels=labels,
-            positions=positions,
-            classes=tuple(classes),
-            c1_values=c1_values,
-            c1_decomposition=decomposition,
-            selection_rule_applied=bool(flags.get("selection_rule_applied")),
-            rule_decisive_for_odd_parity=bool(
-                flags.get("rule_decisive_for_odd_parity")
-            ),
-        )
+            flags = payload.get("flags", {})
+            return RestrictionTable(
+                data=data,
+                type_tag=payload["type"],
+                labels=labels,
+                positions=positions,
+                classes=tuple(classes),
+                c1_values=c1_values,
+                c1_decomposition=decomposition,
+                selection_rule_applied=bool(flags.get("selection_rule_applied")),
+                rule_decisive_for_odd_parity=bool(
+                    flags.get("rule_decisive_for_odd_parity")
+                ),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"restriction table lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed restriction table: {exc}") from None
 
 
 RTABLE_SCHEMA = "rtable.v1"
@@ -352,16 +368,6 @@ def _class_payload(cls: EquivariantClass) -> list:
     return [
         [k, format_rational(c), format_rational(d)] for k, (c, d) in cls.terms
     ]
-
-
-def _class_from_payload(kind: str, payload: Sequence) -> EquivariantClass:
-    return EquivariantClass.make(
-        kind,
-        {
-            int(k): (parse_rational(c), parse_rational(d))
-            for k, c, d in payload
-        },
-    )
 
 
 def _pretty_name(name: str) -> str:
@@ -520,48 +526,44 @@ def _integration_equations(
     positions: tuple[int, ...],
     factors: Sequence[_SkeletonClass],
 ) -> list[Poly]:
-    """Every integration constraint from products of total degree <= 6.
+    """The integration constraints on the basis restrictions.
 
-    Products run over the basis classes and the first Chern class
-    (sizes one to three). Below degree six the integral vanishes in
-    every Laurent degree; at degree six only the constant term may
-    survive.
+    Every restriction is homogeneous: a basis class lies in its degree,
+    the first Chern class in degree 2 and each inverse Euler class in
+    degree -(6 - dim). A product of total degree D therefore integrates
+    to the single Laurent term lambda^((D - 6) / 2). Below degree six
+    that term must vanish; at degree six it is a constant, which
+    constrains nothing. Every positive degree is at least 2, so the
+    constraints come from the classes below degree six, then from the
+    products of two degree-2 classes (c_1 included); the solver's case
+    split follows this order.
     """
     comps = data.components
     inverses = [
         SymClass.from_exact(invert_euler(equivariant_euler(comps[p])))
         for p in positions
     ]
-    c1_sym = _SkeletonClass(
-        "c_1",
-        2,
-        -1,
-        tuple(SymClass.from_exact(c1_restriction(comps[p])) for p in positions),
-    )
-    positive = [f for f in factors if f.degree > 0] + [c1_sym]
-    combos: list[tuple[_SkeletonClass, ...]] = []
+    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])) for p in positions]
+    # inverse Euler times the restrictions of each factor, per component
+    products: list[list[SymClass]] = []
+    degree_two: list[tuple[Sequence[SymClass], list[SymClass]]] = []
     for f in factors:
-        combos.append((f,))
-    for size in (2, 3):
-        combos.extend(itertools.combinations_with_replacement(positive, size))
+        if f.degree < 6:
+            products.append([inv.mul(r) for inv, r in zip(inverses, f.sym)])
+            if f.degree == 2:
+                degree_two.append((f.sym, products[-1]))
+    degree_two.append((c1_sym, [inv.mul(r) for inv, r in zip(inverses, c1_sym)]))
+    for i, (_, left) in enumerate(degree_two):
+        products += [
+            [a.mul(b) for a, b in zip(left, right)] for right, _ in degree_two[i:]
+        ]
     equations: list[Poly] = []
-    for combo in combos:
-        degree = sum(f.degree for f in combo)
-        if degree > 6:
-            continue
+    for product in products:
         total: dict[int, Poly] = {}
-        for idx in range(len(positions)):
-            product = inverses[idx]
-            for f in combo:
-                product = product.mul(f.sym[idx])
-            for k, value in product.integrate().items():
+        for term in product:
+            for k, value in integrate_component(term).items():
                 total[k] = total.get(k, Poly.const(0)) + value
-        for k, value in total.items():
-            if value.is_zero():
-                continue
-            if degree == 6 and k == 0:
-                continue
-            equations.append(value)
+        equations += [value for value in total.values() if not value.is_zero()]
     return equations
 
 
@@ -569,14 +571,13 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
     """Solve for the canonical equivariant basis restrictions.
 
     The unknown restrictions at higher components are pinned down by
-    requiring each basis class, each class times the first Chern
-    class, and each square and pairwise product to integrate to zero
-    when the total degree is below six, and to a constant (no nonzero
-    Laurent degrees) at degree six. Among the rational solutions, all
-    class coefficients must be integers; for three-surface data that
-    can still leave two branches, told apart by matching the minimum
-    u-class against the twist and the dual class of the middle
-    surface.
+    requiring each basis class below degree six, and each product of
+    two degree-2 classes or the first Chern class, to integrate to
+    zero (see ``_integration_equations``). Among the rational
+    solutions, all class coefficients must be integers; for
+    three-surface data that can still leave two branches, told apart
+    by matching the minimum u-class against the twist and the dual
+    class of the middle surface.
     """
     tag = classify_type(data)
     if tag == "unclassified":
@@ -690,13 +691,12 @@ def _selection_rule_values(
     duals = dual_class_solve(data)
     middle = next(c for c in data.middles() if c.is_surface)
     eta = duals[data.components.index(middle)]
-    labels = [f"F{i + 1}" for i in range(len(positions))]
     min_label_index = positions.index(data.components.index(data.minimum))
     mid_label_index = positions.index(data.components.index(middle))
     max_label_index = positions.index(data.components.index(data.maximum))
     name = f"alpha'_{min_label_index + 1}"
-    e_var = f"{name}|{labels[max_label_index]}.t"
-    d_var = f"{name}|{labels[mid_label_index]}.s"
+    e_var = f"{name}|F{max_label_index + 1}.t"
+    d_var = f"{name}|F{mid_label_index + 1}.s"
     return {
         e_var: Fraction(-1 if data.twist else 0),
         d_var: eta.coeffs[1],
@@ -742,14 +742,15 @@ def _c1_decomposition(
 
 
 def verify_redundant_equations(table: RestrictionTable) -> list[str]:
-    """Re-check the solved table against the full product equation set.
+    """Re-check the solved table against the product equation set.
 
-    Returns a list of violated product descriptions; empty means every
-    product of up to three basis factors (including the first Chern
-    class) of total degree up to six integrates correctly.
+    Returns the violated equations; empty means every basis class
+    below degree six, and every product of two degree-2 classes or the
+    first Chern class, integrates to zero. Products of degree six and
+    more constrain nothing, because each restriction lies in its
+    class's degree; ``solve_restriction_table`` and ``from_json_dict``
+    only make such tables.
     """
-    data = table.data
-    positions = table.positions
     solved = [
         _SkeletonClass(
             cls.name,
@@ -759,12 +760,10 @@ def verify_redundant_equations(table: RestrictionTable) -> list[str]:
         )
         for cls in table.classes
     ]
-    violations = []
-    equations = _integration_equations(data, positions, solved)
-    for eq in equations:
-        if not eq.is_zero():
-            violations.append(repr(eq))
-    return violations
+    return [
+        repr(eq)
+        for eq in _integration_equations(table.data, table.positions, solved)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,56 @@
+"""Data sets shared by the tests that compare outputs over a corpus.
+
+The family presets and the fuzz pools are the benchmark's own
+(``perfbench/workloads.py``), so a test over them covers exactly the
+data that the benchmark measures. That module needs only the standard
+library to build them.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+from semifree.classifier import family_instance
+from semifree.delzant import builtin_examples, extract_fixed_data
+from semifree.fixed_points import FixedPointData, classify_type
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@lru_cache(maxsize=None)
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def family_presets() -> list[tuple[str, FixedPointData]]:
+    """The 71 ``family_instance`` presets of the benchmark, by name."""
+    out = []
+    for tag, params in _workloads().family_grid():
+        args = ",".join(f"{k}={int(v)}" for k, v in sorted(params.items()))
+        out.append((f"{tag}({args})", family_instance(tag, **params)))
+    return out
+
+
+def builtin_data() -> list[tuple[str, FixedPointData]]:
+    """The fixed point data extracted from each builtin polytope."""
+    return [
+        (name, extract_fixed_data(polytope))
+        for name, polytope in sorted(builtin_examples().items())
+    ]
+
+
+def classified_fuzz_data(seed: int) -> list[tuple[str, FixedPointData]]:
+    """The data of fuzz pool ``seed`` that ``classify_type`` accepts."""
+    out = []
+    for position, raw in enumerate(_workloads().fuzz_pool(seed)):
+        data = FixedPointData.loads(raw.decode())
+        if classify_type(data) != "unclassified":
+            out.append((f"fuzz{seed}#{position}", data))
+    return out

@@ -1,17 +1,26 @@
 """Localization sums, solved restriction tables, and the derived checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semifree.algebra import EquivariantClass, mul
+from corpus import builtin_data, classified_fuzz_data, family_presets
+from semifree._solve import Poly
+from semifree.algebra import (
+    EquivariantClass,
+    integrate_component,
+    invert_euler,
+    mul,
+)
 from semifree.classifier import euler_transport, family_instance
 from semifree.fixed_points import (
     FixedPointData,
     InvalidDataError,
     SchemaError,
+    classify_type,
     point,
     surface,
 )
@@ -19,6 +28,10 @@ from semifree.localization import (
     MultipleSolutionsError,
     NoSolutionError,
     RestrictionTable,
+    SymClass,
+    _build_skeleton,
+    _integration_equations,
+    _SkeletonClass,
     abbv_integrate,
     b_plus_minus,
     c1_restriction,
@@ -588,6 +601,64 @@ def test_table_rejects_unknown_schema():
         RestrictionTable.from_json_dict(payload)
 
 
+def _edit(*path, value=None):
+    """Set the entry at ``path`` to ``value``, or delete it when None."""
+
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        if value is None:
+            del payload[last]
+        else:
+            payload[last] = value
+
+    return edit
+
+
+def _relabel(payload):
+    payload["labels"]["X"] = payload["labels"].pop("F1")
+
+
+MALFORMED_TABLES = {
+    "missing labels": (_edit("labels"), "lacks the key 'labels'"),
+    "missing classes": (_edit("classes"), "lacks the key 'classes'"),
+    "missing c1": (_edit("c1"), "lacks the key 'c1'"),
+    "label X": (_relabel, "lacks the key 'F1'"),
+    "position a": (_edit("labels", "F1", value="a"), "F1..F3, each once"),
+    "position 99": (_edit("labels", "F1", value=99), "F1..F3, each once"),
+    "degree x": (_edit("classes", 1, "degree", value="x"), "not all of degree 'x'"),
+    "restriction outside its degree": (
+        _edit(
+            "classes", 1, "restrictions", "F2",
+            value=[[0, "0", "2"], [1, "-1", "0"], [2, "1", "0"]],
+        ),
+        "not all of degree 2",
+    ),
+    "missing restriction": (
+        _edit("classes", 1, "restrictions", "F2"),
+        "lacks the key 'F2'",
+    ),
+    "rational x": (
+        _edit("classes", 1, "restrictions", "F2", value=[[1, "x", "0"]]),
+        "malformed rational 'x'",
+    ),
+    "one-element decomposition entry": (
+        _edit("c1", "decomposition", value=[["alpha_2"]]),
+        "not enough values",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_table_rejects_malformed_payload(case):
+    edit, message = MALFORMED_TABLES[case]
+    payload = table_for("1").to_json_dict()
+    edit(payload)
+    with pytest.raises(SchemaError, match=message):
+        RestrictionTable.from_json_dict(payload)
+
+
 def test_render_text_type_one():
     text = solve_restriction_table(family_instance("1")).render_text()
     assert "-2λ" in text
@@ -640,3 +711,119 @@ def test_solved_tables_localize_to_zero(data):
         else:
             assert set(integral) <= {0}
             assert integral[0].denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# the equation set over the benchmark corpus
+
+CORPORA = {
+    "presets": family_presets,
+    "builtins": builtin_data,
+    "fuzz1": lambda: classified_fuzz_data(1),
+    "fuzz2": lambda: classified_fuzz_data(2),
+}
+
+
+def classified(corpus):
+    """(data, tag) for each datum of the corpus that has a type."""
+    out = []
+    for _, data in CORPORA[corpus]():
+        tag = classify_type(data)
+        if tag != "unclassified":
+            out.append((data, tag))
+    return out
+
+
+def full_product_equations(data, positions, factors):
+    """Every product of one to three factors of total degree <= 6.
+
+    The enumeration that ``_integration_equations`` replaced, kept as
+    an oracle: it forms the degree-6 products too, and drops the
+    constant term that is all they integrate to.
+    """
+    comps = data.components
+    inverses = [
+        SymClass.from_exact(invert_euler(equivariant_euler(comps[p])))
+        for p in positions
+    ]
+    c1_sym = _SkeletonClass(
+        "c_1",
+        2,
+        -1,
+        tuple(SymClass.from_exact(c1_restriction(comps[p])) for p in positions),
+    )
+    positive = [f for f in factors if f.degree > 0] + [c1_sym]
+    combos = [(f,) for f in factors]
+    for size in (2, 3):
+        combos.extend(itertools.combinations_with_replacement(positive, size))
+    equations = []
+    for combo in combos:
+        degree = sum(f.degree for f in combo)
+        if degree > 6:
+            continue
+        total = {}
+        for idx in range(len(positions)):
+            product = inverses[idx]
+            for f in combo:
+                product = product.mul(f.sym[idx])
+            for k, value in integrate_component(product).items():
+                total[k] = total.get(k, Poly.const(0)) + value
+        for k, value in total.items():
+            if value.is_zero():
+                continue
+            if degree == 6 and k == 0:
+                continue
+            equations.append(value)
+    return equations
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_equations_match_the_full_product_enumeration(corpus):
+    cases = classified(corpus)
+    assert cases
+    for data, tag in cases:
+        positions, skeleton = _build_skeleton(data, tag)
+        got = _integration_equations(data, positions, skeleton)
+        want = full_product_equations(data, positions, skeleton)
+        assert [eq.terms for eq in got] == [eq.terms for eq in want]
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_solved_corpus_tables_satisfy_every_product(corpus):
+    for data, _ in classified(corpus):
+        try:
+            table = solve_restriction_table(data)
+        except NoSolutionError:
+            continue
+        assert verify_redundant_equations(table) == []
+
+
+def term_degrees(terms):
+    """Degrees of the nonzero terms: 2k for a scalar at lambda^k, and
+    2k + 2 for a u at lambda^k."""
+    degrees = set()
+    for k, (c, d) in terms:
+        if c:
+            degrees.add(2 * k)
+        if d:
+            degrees.add(2 * k + 2)
+    return degrees
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_restrictions_are_homogeneous(corpus):
+    """Each restriction lies in its class's degree, so a product of
+    total degree D integrates to the single Laurent term
+    lambda^((D - 6) / 2). A degree-6 product therefore constrains
+    nothing, which is why the equation set stops below degree 6."""
+    for data, tag in classified(corpus):
+        positions, skeleton = _build_skeleton(data, tag)
+        for cls in skeleton:
+            assert cls.degree in (0, 2, 4, 6)
+            for restriction in cls.sym:
+                assert term_degrees(restriction.terms) <= {cls.degree}
+        for component in data.components:
+            assert term_degrees(c1_restriction(component).terms) <= {2}
+            dim = 0 if component.is_point else 2
+            inverse = invert_euler(equivariant_euler(component))
+            assert inverse.homogeneous_degree() == -(6 - dim)
