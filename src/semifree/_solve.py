@@ -1,11 +1,13 @@
 """Exact small-scale solving utilities shared by the geometry modules.
 
-Everything here works over ``fractions.Fraction``: sparse multivariate
-polynomials, linear elimination, a complete solver for the tiny
-polynomial systems produced by the integration equations (linear
-closure alternating with case splits on univariate quadratics), strict
-and non-strict Fourier-Motzkin feasibility, and primitive integer
-kernel bases for lattice quotients.
+Everything here works over the rationals in the int-first form of
+``rationals``: an integral value is an ``int``, any other a ``Fraction``
+with denominator above 1, and every division goes through ``qdiv``.
+The utilities are sparse multivariate polynomials, linear elimination,
+a complete solver for the tiny polynomial systems produced by the
+integration equations (linear closure alternating with case splits on
+univariate quadratics), strict and non-strict Fourier-Motzkin
+feasibility, and primitive integer kernel bases for lattice quotients.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction | int
+from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -35,36 +37,39 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _scalar(value: Rational) -> Rational:
-    """An int or a Fraction as it is; any other number through ``Fraction``."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """``value`` in canonical form; any other number through ``Fraction``."""
+    if type(value) is int:
+        return value
+    return canon(value if isinstance(value, Fraction) else Fraction(value))
 
 
 @dataclass(frozen=True)
 class Poly:
     """Sparse multivariate polynomial with rational coefficients.
 
-    ``terms`` is canonical: sorted by monomial, with no zero coefficient
-    and every coefficient a ``Fraction``. Equal polynomials therefore
-    have equal ``terms``, and every operation below returns that form.
+    ``terms`` is canonical: sorted by monomial, with no zero coefficient,
+    and every coefficient an ``int`` when integral and a ``Fraction``
+    otherwise. Equal polynomials therefore have equal ``terms``, and
+    every operation below returns that form.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, Rational], ...]
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_dict(d: Mapping[Monomial, Fraction]) -> Poly:
+    def from_dict(d: Mapping[Monomial, Rational]) -> Poly:
         """The polynomial with coefficient ``d[m]`` at each monomial ``m``."""
-        return Poly(tuple(sorted((m, c) for m, c in d.items() if c)))
+        return Poly(tuple(sorted((m, canon(c)) for m, c in d.items() if c)))
 
     @staticmethod
     def const(value: Rational) -> Poly:
-        v = value if isinstance(value, Fraction) else Fraction(value)
+        v = _scalar(value)
         return Poly(((((), v)),)) if v else Poly(())
 
     @staticmethod
     def var(name: str) -> Poly:
-        return Poly(((((name, 1),), Fraction(1)),))
+        return Poly(((((name, 1),), 1),))
 
     # -- inspection --------------------------------------------------------
 
@@ -76,10 +81,10 @@ class Poly:
         terms = self.terms
         return not terms or (len(terms) == 1 and not terms[0][0])
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        return self.terms[0][1] if self.terms else 0
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m, _ in self.terms for v, _ in m)
@@ -87,10 +92,10 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
 
-    def as_linear(self) -> tuple[Fraction, dict[str, Fraction]] | None:
+    def as_linear(self) -> tuple[Rational, dict[str, Rational]] | None:
         """Return ``(constant, {var: coeff})`` when total degree <= 1."""
-        const = Fraction(0)
-        coeffs: dict[str, Fraction] = {}
+        const: Rational = 0
+        coeffs: dict[str, Rational] = {}
         for m, c in self.terms:
             if not m:
                 const = c
@@ -100,13 +105,13 @@ class Poly:
                 return None
         return const, coeffs
 
-    def as_univariate(self) -> tuple[str, list[Fraction]] | None:
+    def as_univariate(self) -> tuple[str, list[Rational]] | None:
         """Return ``(var, [c0, c1, ...])`` when only one variable appears."""
         names = self.variables()
         if len(names) != 1:
             return None
         (name,) = names
-        coeffs = [Fraction(0)] * (self.total_degree() + 1)
+        coeffs: list[Rational] = [0] * (self.total_degree() + 1)
         for m, c in self.terms:
             coeffs[m[0][1] if m else 0] = c
         return name, coeffs
@@ -115,7 +120,7 @@ class Poly:
 
     def accumulate(
         self,
-        acc: dict[Monomial, Fraction],
+        acc: dict[Monomial, Rational],
         k: Rational,
         other: "Poly | None" = None,
     ) -> None:
@@ -142,14 +147,14 @@ class Poly:
             return Poly(())
         if k == 1:
             return self
-        return Poly(tuple((m, c * k) for m, c in self.terms))
+        return Poly(tuple((m, canon(c * k)) for m, c in self.terms))
 
     def _add_const(self, value: Rational) -> Poly:
         if not value:
             return self
         terms = self.terms
         if terms and not terms[0][0]:
-            c = terms[0][1] + value
+            c = canon(terms[0][1] + value)
             return Poly(((((), c),) + terms[1:]) if c else terms[1:])
         return Poly(Poly.const(value).terms + terms)
 
@@ -184,13 +189,15 @@ class Poly:
             return self._scale(other.constant_value())
         if self.is_constant():
             return other._scale(self.constant_value())
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         self.accumulate(acc, 1, other)
         return Poly.from_dict(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError(f"negative exponent {n} of a polynomial")
         out = Poly.const(1)
         for _ in range(n):
             out = out * self
@@ -202,7 +209,7 @@ class Poly:
     def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
         if not any(v in values for m, _ in self.terms for v, _ in m):
             return self
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Rational] = {}
         for m, c in self.terms:
             kept: list[tuple[str, int]] = []
             factor: Poly | None = None
@@ -242,8 +249,8 @@ class Poly:
 
 
 def rref(
-    rows: list[list[Fraction]], col_limit: int | None = None
-) -> tuple[list[list[Fraction]], list[int]]:
+    rows: list[list[Rational]], col_limit: int | None = None
+) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices).
 
     ``col_limit`` restricts pivoting to the leading columns so augmented
@@ -261,11 +268,11 @@ def rref(
             continue
         mat[row], mat[sel] = mat[sel], mat[row]
         lead = mat[row][col]
-        mat[row] = [x / lead for x in mat[row]]
+        mat[row] = [qdiv(x, lead) for x in mat[row]]
         for r in range(len(mat)):
             if r != row and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+                mat[r] = [canon(x - factor * y) for x, y in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
         if row == len(mat):
@@ -274,46 +281,46 @@ def rref(
 
 
 def solve_linear(
-    rows: Sequence[tuple[Mapping[str, Fraction], Fraction]],
+    rows: Sequence[tuple[Mapping[str, Rational], Rational]],
     variables: Sequence[str],
-) -> tuple[dict[str, Fraction], list[str]] | None:
+) -> tuple[dict[str, Rational], list[str]] | None:
     """Solve ``sum coeff*v = rhs`` rows exactly.
 
     Returns ``(values, free_variables)`` where free variables are set to
     zero in ``values``, or ``None`` when the system is inconsistent.
     """
     order = list(variables)
-    mat = [
-        [Fraction(coeffs.get(v, 0)) for v in order] + [Fraction(rhs)]
-        for coeffs, rhs in rows
-    ]
+    mat = [[coeffs.get(v, 0) for v in order] + [rhs] for coeffs, rhs in rows]
     if not mat:
-        return {v: Fraction(0) for v in order}, order
+        return {v: 0 for v in order}, order
     n = len(order)
     red, pivots = rref(mat, col_limit=n)
     for r in red:
         if all(x == 0 for x in r[:n]) and r[n]:
             return None
     free = [v for i, v in enumerate(order) if i not in pivots]
-    values = {v: Fraction(0) for v in order}
+    values: dict[str, Rational] = {v: 0 for v in order}
     for ri, col in enumerate(pivots):
-        values[order[col]] = red[ri][n] - sum(
-            red[ri][j] * values[order[j]]
-            for j in range(n)
-            if j != col and red[ri][j]
+        values[order[col]] = canon(
+            red[ri][n]
+            - sum(
+                red[ri][j] * values[order[j]]
+                for j in range(n)
+                if j != col and red[ri][j]
+            )
         )
     return values, free
 
 
 def solve_in_span(
     basis: Sequence[Sequence[Rational]], target: Sequence[Rational]
-) -> list[Fraction] | None:
+) -> list[Rational] | None:
     """Coordinates t with sum t_i basis_i = target, or None."""
     names = [f"t{i}" for i in range(len(basis))]
     rows = []
     for j in range(len(target)):
-        coeffs = {names[i]: Fraction(basis[i][j]) for i in range(len(basis))}
-        rows.append((coeffs, Fraction(target[j])))
+        coeffs = {names[i]: basis[i][j] for i in range(len(basis))}
+        rows.append((coeffs, target[j]))
     solved = solve_linear(rows, names)
     if solved is None:
         return None
@@ -333,14 +340,14 @@ class SolverStallError(RuntimeError):
 class Solution:
     """One solution branch: fixed values plus still-free variables."""
 
-    assignment: tuple[tuple[str, Fraction], ...]
+    assignment: tuple[tuple[str, Rational], ...]
     free: frozenset[str]
 
-    def as_dict(self) -> dict[str, Fraction]:
+    def as_dict(self) -> dict[str, Rational]:
         return dict(self.assignment)
 
 
-def sqrt_fraction(value: Fraction) -> Fraction | None:
+def sqrt_fraction(value: Rational) -> Rational | None:
     """Exact square root of a non-negative rational, or None."""
     if value < 0:
         return None
@@ -348,10 +355,10 @@ def sqrt_fraction(value: Fraction) -> Fraction | None:
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    return Fraction(rn, rd)
+    return qdiv(rn, rd)
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
+def _rational_roots(coeffs: list[Rational]) -> list[Rational] | None:
     """Roots of a univariate polynomial of degree <= 2; None above that."""
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -362,12 +369,12 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
     if len(coeffs) == 1:
         return []
     if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
+        return [qdiv(-coeffs[0], coeffs[1])]
     c, b, a = coeffs
     root = sqrt_fraction(b * b - 4 * a * c)
     if root is None:
         return []
-    return sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
+    return sorted({qdiv(-b + root, 2 * a), qdiv(-b - root, 2 * a)})
 
 
 def solve_system(equations: Iterable[Poly]) -> list[Solution]:
@@ -390,7 +397,7 @@ def solve_system(equations: Iterable[Poly]) -> list[Solution]:
 
 def _solve_rec(
     equations: list[Poly],
-    fixed: dict[str, Fraction],
+    fixed: dict[str, Rational],
     universe: set[str],
     out: list[Solution],
 ) -> None:
@@ -414,13 +421,13 @@ def _solve_rec(
         lin_vars = sorted(set().union(*(c.keys() for c, _ in lin_rows)))
         n = len(lin_vars)
         mat = [
-            [coeffs.get(v, Fraction(0)) for v in lin_vars] + [rhs]
+            [coeffs.get(v, 0) for v in lin_vars] + [rhs]
             for coeffs, rhs in lin_rows
         ]
         red, pivots = rref(mat, col_limit=n)
         if any(r[n] and not any(r[:n]) for r in red):
             return
-        forced: dict[str, Fraction] = {}
+        forced: dict[str, Rational] = {}
         exprs: dict[str, Poly] = {}
         for ri, col in enumerate(pivots):
             others = [j for j in range(n) if j != col and red[ri][j]]
@@ -494,7 +501,7 @@ def _solve_rec(
 
 
 def _emit(
-    merged: dict[str, Fraction],
+    merged: dict[str, Rational],
     free: set[str],
     universe: set[str],
     out: list[Solution],
@@ -514,21 +521,19 @@ def _emit(
 class AffineConstraint:
     """``sum coeffs*x + const  (> | >=)  0``."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[str, Rational], ...]
+    const: Rational
     strict: bool
 
     @staticmethod
     def make(
         coeffs: Mapping[str, Rational], const: Rational, strict: bool
     ) -> "AffineConstraint":
-        cleaned = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c))
-        )
-        return AffineConstraint(cleaned, Fraction(const), strict)
+        cleaned = tuple(sorted((v, _scalar(c)) for v, c in coeffs.items() if c))
+        return AffineConstraint(cleaned, _scalar(const), strict)
 
-    def coeff(self, var: str) -> Fraction:
-        return dict(self.coeffs).get(var, Fraction(0))
+    def coeff(self, var: str) -> Rational:
+        return dict(self.coeffs).get(var, 0)
 
 
 def feasible(constraints: Sequence[AffineConstraint]) -> bool:
@@ -549,13 +554,13 @@ def feasible(constraints: Sequence[AffineConstraint]) -> bool:
         for lo in lower:
             for hi in upper:
                 a_lo, a_hi = lo.coeff(var), -hi.coeff(var)
-                coeffs: dict[str, Fraction] = {}
+                coeffs: dict[str, Rational] = {}
                 for v, c in lo.coeffs:
                     if v != var:
-                        coeffs[v] = coeffs.get(v, Fraction(0)) + c * a_hi
+                        coeffs[v] = coeffs.get(v, 0) + c * a_hi
                 for v, c in hi.coeffs:
                     if v != var:
-                        coeffs[v] = coeffs.get(v, Fraction(0)) + c * a_lo
+                        coeffs[v] = coeffs.get(v, 0) + c * a_lo
                 combined = AffineConstraint.make(
                     coeffs,
                     lo.const * a_hi + hi.const * a_lo,

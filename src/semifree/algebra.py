@@ -19,10 +19,10 @@ only operation needed is the intersection pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction | int
+from ._solve import _scalar
+from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
 # carriers
@@ -41,14 +41,10 @@ SURFACE = "surface"
 _CARRIERS = (POINT, SURFACE)
 
 
-def _fraction(value: object) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)  # type: ignore[arg-type]
-
-
-def _coerce_pair(value: object) -> tuple[Fraction, Fraction]:
+def _coerce_pair(value: object) -> tuple[Rational, Rational]:
     if isinstance(value, tuple) and len(value) == 2:
-        return (_fraction(value[0]), _fraction(value[1]))
-    return (_fraction(value), Fraction(0))
+        return (_scalar(value[0]), _scalar(value[1]))
+    return (_scalar(value), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +61,7 @@ class EquivariantClass:
     """
 
     carrier: str
-    terms: tuple[tuple[int, tuple[Fraction, Fraction]], ...]
+    terms: tuple[tuple[int, tuple[Rational, Rational]], ...]
 
     def __post_init__(self) -> None:
         if self.carrier not in _CARRIERS:
@@ -94,12 +90,12 @@ class EquivariantClass:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, k: int) -> tuple[Fraction, Fraction]:
+    def coefficient(self, k: int) -> tuple[Rational, Rational]:
         """Return ``(c_k, d_k)`` at exponent ``k`` (zeros when absent)."""
         for exp, pair in self.terms:
             if exp == k:
                 return pair
-        return (Fraction(0), Fraction(0))
+        return (0, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,9 +127,9 @@ class EquivariantClass:
 
     def __add__(self, other: EquivariantClass) -> EquivariantClass:
         self._check(other)
-        acc: dict[int, tuple[Fraction, Fraction]] = dict(self.terms)
+        acc: dict[int, tuple[Rational, Rational]] = dict(self.terms)
         for k, (c, d) in other.terms:
-            c0, d0 = acc.get(k, (Fraction(0), Fraction(0)))
+            c0, d0 = acc.get(k, (0, 0))
             acc[k] = (c0 + c, d0 + d)
         return EquivariantClass.make(self.carrier, acc)
 
@@ -146,7 +142,7 @@ class EquivariantClass:
         return self + (-other)
 
     def scaled(self, factor: Rational) -> EquivariantClass:
-        f = Fraction(factor)
+        f = _scalar(factor)
         return EquivariantClass.make(
             self.carrier, {k: (f * c, f * d) for k, (c, d) in self.terms}
         )
@@ -170,7 +166,7 @@ def mul_terms(
     The ``u`` parts multiply to zero, so the product of ``(c1 + d1 u)``
     and ``(c2 + d2 u)`` is ``c1 c2 + (c1 d2 + d1 c2) u``. A product with
     a zero ``u`` factor is not formed; a zero ``u`` part stays the zero
-    of its operands' type.
+    of its operands' type. Scalar coefficients come out canonical.
     """
     acc: dict[int, list] = {}
     for i, (c1, d1) in a:
@@ -191,7 +187,7 @@ def mul_terms(
     for k in sorted(acc):
         c, d = acc[k]
         if c or d:
-            out.append((k, (c, d)))
+            out.append((k, (canon(c), canon(d))))
     return tuple(out)
 
 
@@ -220,11 +216,11 @@ def invert_euler(e: EquivariantClass) -> EquivariantClass:
     c, _ = e.coefficient(k)
     _, d = e.coefficient(k - 1)
     return EquivariantClass.make(
-        e.carrier, {-k: (Fraction(1, 1) / c, 0), -k - 1: (0, -d / (c * c))}
+        e.carrier, {-k: (qdiv(1, c), 0), -k - 1: (0, -qdiv(d, c * c))}
     )
 
 
-def integrate_component(x: EquivariantClass) -> dict[int, Fraction]:
+def integrate_component(x: EquivariantClass) -> dict[int, Rational]:
     """Push a restricted class forward to a Laurent scalar.
 
     Integration over a point picks the scalar coefficients; integration
@@ -232,7 +228,7 @@ def integrate_component(x: EquivariantClass) -> dict[int, Fraction]:
     total integral 1).  The result maps each exponent to its nonzero
     coefficient; like ``mul_terms`` this works for any coefficient type.
     """
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for k, (c, d) in x.terms:
         value = c if x.carrier == POINT else d
         if value:
@@ -310,7 +306,7 @@ class ReducedClass:
     """
 
     space: ReducedSpaceType
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.space.rank:
@@ -320,7 +316,7 @@ class ReducedClass:
 
     @staticmethod
     def make(space: ReducedSpaceType, *coeffs: Rational) -> ReducedClass:
-        return ReducedClass(space, tuple(Fraction(c) for c in coeffs))
+        return ReducedClass(space, tuple(_scalar(c) for c in coeffs))
 
     def _check(self, other: ReducedClass) -> None:
         if self.space != other.space:
@@ -329,7 +325,8 @@ class ReducedClass:
     def __add__(self, other: ReducedClass) -> ReducedClass:
         self._check(other)
         return ReducedClass(
-            self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.space,
+            tuple(canon(a + b) for a, b in zip(self.coeffs, other.coeffs)),
         )
 
     def __neg__(self) -> ReducedClass:
@@ -339,14 +336,14 @@ class ReducedClass:
         return self + (-other)
 
     def scaled(self, factor: Rational) -> ReducedClass:
-        f = Fraction(factor)
-        return ReducedClass(self.space, tuple(f * a for a in self.coeffs))
+        f = _scalar(factor)
+        return ReducedClass(self.space, tuple(canon(f * a) for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
 
-def pair(a: ReducedClass, b: ReducedClass) -> Fraction:
+def pair(a: ReducedClass, b: ReducedClass) -> Rational:
     """Intersection pairing of two degree-2 classes on a reduced space.
 
     The Gram data is ``u*u = 1`` on the projective plane;
@@ -356,13 +353,13 @@ def pair(a: ReducedClass, b: ReducedClass) -> Fraction:
     a._check(b)
     form = a.space.form
     if form == PROJECTIVE_PLANE:
-        return a.coeffs[0] * b.coeffs[0]
+        return canon(a.coeffs[0] * b.coeffs[0])
     p1, q1 = a.coeffs
     p2, q2 = b.coeffs
     value = p1 * q2 + q1 * p2
     if form == NONTRIVIAL_BUNDLE:
         value -= q1 * q2
-    return value
+    return canon(value)
 
 
 def c1_reduced(space: ReducedSpaceType) -> ReducedClass:
@@ -386,12 +383,12 @@ def fiber_class(space: ReducedSpaceType) -> ReducedClass:
     return ReducedClass.make(space, 1, 0)
 
 
-def fiber_area(v: ReducedClass) -> Fraction:
+def fiber_area(v: ReducedClass) -> Rational:
     """Pairing against the fiber class: the symplectic area of a fiber."""
     return pair(v, fiber_class(v.space))
 
 
-def base_area(v: ReducedClass) -> Fraction:
+def base_area(v: ReducedClass) -> Rational:
     """Pairing against the section class of a bundle form."""
     if v.space.form == PROJECTIVE_PLANE:
         raise CarrierMismatchError("the projective plane has no section class")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +61,7 @@ from .localization import (
     dh_path,
     unit_restrictions,
 )
+from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
 # wall-crossing events on canonical reduced-space descriptors
@@ -123,14 +123,14 @@ def wall_cross(space: ReducedSpaceType, event: WallEvent) -> ReducedSpaceType:
     raise TypeError(f"unknown wall event {event!r}")
 
 
-def adjunction_genus(v: ReducedClass) -> Fraction:
+def adjunction_genus(v: ReducedClass) -> Rational:
     """Genus forced on an embedded surface representing a class.
 
     Computed from the self-pairing and the first Chern class; a
     negative or non-integral value certifies that no embedded sphere
     or surface realizes the class.
     """
-    return Fraction(1) + (pair(v, v) - pair(c1_reduced(v.space), v)) / 2
+    return 1 + qdiv(pair(v, v) - pair(c1_reduced(v.space), v), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,9 @@ def adjunction_genus(v: ReducedClass) -> Fraction:
 @dataclass(frozen=True)
 class _Chart:
     gram: tuple[tuple[int, ...], ...]
-    c1: tuple[Fraction, ...]
+    c1: tuple[Rational, ...]
     euler: tuple[Poly, ...]
-    fiber: tuple[Fraction, ...] | None
+    fiber: tuple[Rational, ...] | None
     base_genus: int
     pristine: ReducedSpaceType | None  # canonical space while untouched
     exceptional: tuple[int, ...]  # basis indices of open blow-ups
@@ -156,9 +156,9 @@ def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
     """``sum a_i g_ij b_j`` over the non-zero Gram entries.
 
     A ``Poly`` when some summed product has a ``Poly`` factor (zero
-    ``Poly`` entries of ``a`` are skipped), else a ``Fraction``.
+    ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
     """
-    scalar = Fraction(0)
+    scalar: Rational = 0
     acc: dict = {}
     poly = False
     for i, ai in enumerate(a):
@@ -182,22 +182,22 @@ def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
             else:
                 scalar += ai * g * bj
     if not poly:
-        return scalar
+        return canon(scalar)
     acc[()] = acc.get((), 0) + scalar
     return Poly.from_dict(acc)
 
 
-def _as_fraction(value) -> Fraction:
+def _as_fraction(value) -> Rational:
     if isinstance(value, Poly):
         return value.constant_value()
-    return Fraction(value)
+    return value
 
 
 def _start_chart(minimum: FixedComponent) -> _Chart:
     if minimum.is_point:
         return _Chart(
             gram=((1,),),
-            c1=(Fraction(3),),
+            c1=(3,),
             euler=(Poly.const(-1),),
             fiber=None,
             base_genus=0,
@@ -211,17 +211,17 @@ def _start_chart(minimum: FixedComponent) -> _Chart:
     k = b // 2
     if b % 2 == 0:
         gram = ((0, 1), (1, 0))
-        c1 = (Fraction(2 - 2 * g), Fraction(2))
+        c1 = (2 - 2 * g, 2)
         space = trivial_bundle(g)
     else:
         gram = ((0, 1), (1, -1))
-        c1 = (Fraction(3 - 2 * g), Fraction(2))
+        c1 = (3 - 2 * g, 2)
         space = nontrivial_bundle(g)
     return _Chart(
         gram=gram,
         c1=c1,
         euler=(Poly.const(k), Poly.const(-1)),
-        fiber=(Fraction(1), Fraction(0)),
+        fiber=(1, 0),
         base_genus=g,
         pristine=space,
         exceptional=(),
@@ -238,9 +238,9 @@ def _blow_up(chart: _Chart) -> _Chart:
     ) + ((tuple([0] * n + [-1])),)
     return _Chart(
         gram=gram,
-        c1=chart.c1 + (Fraction(-1),),
+        c1=chart.c1 + (-1,),
         euler=chart.euler + (Poly.const(1),),
-        fiber=None if chart.fiber is None else chart.fiber + (Fraction(0),),
+        fiber=None if chart.fiber is None else chart.fiber + (0,),
         base_genus=chart.base_genus,
         pristine=None,
         exceptional=chart.exceptional + (n,),
@@ -256,9 +256,9 @@ def _pairing_functional(
 
 def _affine_parts(
     vec: Sequence[Poly],
-) -> tuple[list[Fraction], dict[str, list[Fraction]]]:
-    const: list[Fraction] = []
-    per_var: dict[str, list[Fraction]] = {}
+) -> tuple[list[Rational], dict[str, list[Rational]]]:
+    const: list[Rational] = []
+    per_var: dict[str, list[Rational]] = {}
     n = len(vec)
     for j, entry in enumerate(vec):
         lin = entry.as_linear()
@@ -267,10 +267,10 @@ def _affine_parts(
         c, coeffs = lin
         const.append(c)
         for var, value in coeffs.items():
-            per_var.setdefault(var, [Fraction(0)] * n)[j] = value
+            per_var.setdefault(var, [0] * n)[j] = value
     for var in per_var:
         while len(per_var[var]) < n:
-            per_var[var].append(Fraction(0))
+            per_var[var].append(0)
     return const, per_var
 
 
@@ -304,7 +304,7 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
     )
     # Project, then re-express; e + K is orthogonal to K exactly when
     # pair(e, K) = 1, which the caller imposes as an equation.
-    shifted = [entry + Fraction(ki) for entry, ki in zip(chart.euler, k_class)]
+    shifted = [entry + ki for entry, ki in zip(chart.euler, k_class)]
     correction = _dot(chart.gram, shifted, k_class)
     projected = [
         entry + correction * ki for entry, ki in zip(shifted, k_class)
@@ -312,7 +312,7 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
     euler = _reexpress_poly(basis, projected)
     if euler is None:
         return None
-    c1_shift = [c + Fraction(ki) for c, ki in zip(chart.c1, k_class)]
+    c1_shift = [c + ki for c, ki in zip(chart.c1, k_class)]
     c1_coords = solve_in_span(basis, c1_shift)
     if c1_coords is None:
         return None
@@ -336,12 +336,12 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
 # -- exceptional class enumeration ------------------------------------------
 
 
-def _int_range(lo: Fraction, hi: Fraction) -> range:
+def _int_range(lo: Rational, hi: Rational) -> range:
     return range(ceil(lo), floor(hi) + 1)
 
 
 def _minus_one_classes(
-    gram: Sequence[Sequence[int]], c1: Sequence[Fraction]
+    gram: Sequence[Sequence[int]], c1: Sequence[Rational]
 ) -> list[tuple[int, ...]]:
     """Integer classes K with K.K = -1 and c1.K = 1.
 
@@ -391,21 +391,21 @@ def _minus_one_classes(
         # s' M s = -phi0 for s = t - t*, bounded because M is negative
         # definite. Sweep the outer coordinate, solve the inner exactly.
         t_star = [
-            (-b[0] * m[1][1] + b[1] * m[0][1]) / det,
-            (-b[1] * m[0][0] + b[0] * m[0][1]) / det,
+            qdiv(-b[0] * m[1][1] + b[1] * m[0][1], det),
+            qdiv(-b[1] * m[0][0] + b[0] * m[0][1], det),
         ]
         phi0 = c0 + 1 + b[0] * t_star[0] + b[1] * t_star[1]
         if phi0 < 0:
             return []
-        d1 = m[1][1] - m[0][1] ** 2 / m[0][0]
-        span = phi0 / (-d1)
+        d1 = m[1][1] - qdiv(m[0][1] ** 2, m[0][0])
+        span = qdiv(phi0, -d1)
         root_span = sqrt_fraction(span)
         if root_span is None:
-            root_span = Fraction(isqrt(span.numerator // span.denominator) + 1)
-        lam = m[0][1] / m[0][0]
+            root_span = isqrt(span.numerator // span.denominator) + 1
+        lam = qdiv(m[0][1], m[0][0])
         for t1 in _int_range(t_star[1] - root_span, t_star[1] + root_span):
             s1 = t1 - t_star[1]
-            value = (-phi0 - d1 * s1 * s1) / m[0][0]
+            value = qdiv(-phi0 - d1 * s1 * s1, m[0][0])
             if value < 0:
                 continue
             root = sqrt_fraction(value)
@@ -459,11 +459,11 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
         else:
             add(c, -2 * b)
     else:
-        disc = Fraction(b * b - a * c)
+        disc = b * b - a * c
         root = sqrt_fraction(disc)
         if root is not None:
             for sign in (1, -1):
-                ratio = (-Fraction(b) + sign * root) / a
+                ratio = qdiv(-b + sign * root, a)
                 add(ratio.numerator, ratio.denominator)
     out = []
     for s, t in rays:
@@ -518,16 +518,16 @@ def _section_for(
 
 
 def _chart_reduced_class(
-    chart: _Chart, vec: Sequence[Fraction]
+    chart: _Chart, vec: Sequence[Rational]
 ) -> ReducedClass | None:
     """Express a numeric chart vector as a canonical reduced class."""
     if chart.pristine is not None:
-        return ReducedClass(chart.pristine, tuple(Fraction(v) for v in vec))
+        return ReducedClass.make(chart.pristine, *vec)
     if chart.rank == 1:
         if abs(chart.c1[0]) != 3:
             return None
-        h = chart.c1[0] / 3
-        return ReducedClass.make(projective_plane(), Fraction(vec[0]) / h)
+        h = qdiv(chart.c1[0], 3)
+        return ReducedClass.make(projective_plane(), qdiv(vec[0], h))
     if chart.rank == 2:
         forms = _bundle_forms(chart)
         if not forms:
@@ -559,7 +559,7 @@ class _Branch:
 
 
 def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
-    groups: dict[Fraction, list[int]] = {}
+    groups: dict[Rational, list[int]] = {}
     for pos, comp in enumerate(data.components):
         if comp.is_minimum or comp.is_maximum:
             continue
@@ -666,7 +666,7 @@ def _terminal_variants(
     if maximum.is_point:
         if chart.rank != 1 or chart.gram[0][0] != 1 or abs(chart.c1[0]) != 3:
             return []
-        h = chart.c1[0] / 3
+        h = qdiv(chart.c1[0], 3)
         return [([chart.euler[0] - Poly.const(h)], chart)]
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
@@ -676,7 +676,7 @@ def _terminal_variants(
         if chart.fiber is None:
             return []
         eqs = [
-            _dot(chart.gram, e, chart.fiber) + Poly.const(Fraction(b_max, 2)),
+            _dot(chart.gram, e, chart.fiber) + Poly.const(qdiv(b_max, 2)),
             _dot(chart.gram, e, e) + Poly.const(b_max),
         ]
         if b_max == 0:
@@ -685,12 +685,12 @@ def _terminal_variants(
                 return []
             eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
         return [(eqs, chart)]
-    fibers: list[Sequence[Fraction]] = []
+    fibers: list[Sequence[Rational]] = []
     if chart.fiber is not None:
         fibers.append(chart.fiber)
     else:
         for _, fib, _section in _bundle_forms(chart):
-            fibers.append((Fraction(fib[0]), Fraction(fib[1])))
+            fibers.append(fib)
     variants = []
     for fib in fibers:
         eqs = [
@@ -709,8 +709,8 @@ class Crossing:
     """One index-2 surface crossing with its exact wall pairings."""
 
     position: int
-    pair_e_eta: Fraction
-    pair_eta_eta: Fraction
+    pair_e_eta: Rational
+    pair_eta_eta: Rational
     euler_below: ReducedClass | None
     dual: ReducedClass | None
 
@@ -771,7 +771,7 @@ def _chain_solutions(
 
 
 def _resolve_branch(
-    branch: _Branch, values: Mapping[str, Fraction]
+    branch: _Branch, values: Mapping[str, Rational]
 ) -> _ChainSolution | None:
     crossings: list[Crossing] = []
     duals: list[tuple[int, ReducedClass | None]] = []
@@ -1154,7 +1154,7 @@ def _with_maximum(
 
 def _solve_prefix(
     shape: FixedPointData,
-) -> dict[Fraction, list[_ChainSolution]] | None:
+) -> dict[Rational, list[_ChainSolution]] | None:
     """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
     The shape's maximum has genus 0 and ``b = 0``, so the last equation
@@ -1173,7 +1173,7 @@ def _solve_prefix(
             _advance(shape, start, ordering, [], [], branches)
     except (InvalidDataError, NotImplementedError):
         return {}
-    by_square: dict[Fraction, dict[tuple, _ChainSolution]] = {}
+    by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}
     for branch in branches:
         try:
             solutions = _solve_rest(branch)

@@ -30,7 +30,7 @@ from .fixed_points import (
     point,
     surface,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, qdiv
 
 POLYTOPE_SCHEMA = "polytope.v1"
 
@@ -107,7 +107,7 @@ def _solve3(
             [rhs[i] if j == col else rows[i][j] for j in range(3)]
             for i in range(3)
         ]
-        out.append(Fraction(_det3(patched)) / det)
+        out.append(qdiv(_det3(patched), det))
     return tuple(out)
 
 
@@ -643,7 +643,7 @@ def detect_twist(polytope: LatticePolytope) -> bool:
     )
     levels = sorted(critical)
     gaps = [
-        (levels[i] + levels[i + 1]) / 2 for i in range(len(levels) - 1)
+        qdiv(levels[i] + levels[i + 1], 2) for i in range(len(levels) - 1)
     ]
 
     charts = [_gap_classes(polytope, z) for z in gaps]

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
-from .rationals import format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_rational
 
 POINT = "point"
 SURFACE = "surface"
@@ -43,7 +42,7 @@ def _is_int(value) -> bool:
 class FixedComponent:
     """One connected component of the fixed-point set."""
 
-    level: Fraction
+    level: Rational
     index: int
     kind: str
     genus: int | None = None
@@ -111,13 +110,13 @@ class FixedComponent:
         )
 
 
-def point(index: int, level: Fraction | int | str) -> FixedComponent:
+def point(index: int, level: Rational | str) -> FixedComponent:
     return FixedComponent(level=level, index=index, kind=POINT)
 
 
 def surface(
     index: int,
-    level: Fraction | int | str,
+    level: Rational | str,
     genus: int = 0,
     b: int | None = None,
     b_plus: int | None = None,
@@ -179,10 +178,10 @@ class FixedPointData:
     def point_count(self, index: int) -> int:
         return sum(1 for c in self.components if c.is_point and c.index == index)
 
-    def levels(self) -> tuple[Fraction, ...]:
+    def levels(self) -> tuple[Rational, ...]:
         return tuple(sorted({c.level for c in self.components}))
 
-    def at_level(self, level: Fraction) -> tuple[FixedComponent, ...]:
+    def at_level(self, level: Rational) -> tuple[FixedComponent, ...]:
         return tuple(c for c in self.components if c.level == level)
 
     # -- serialization ---------------------------------------------------------

@@ -38,7 +38,7 @@ from .fixed_points import (
     SchemaError,
     classify_type,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import Rational, canon, format_rational, parse_rational
 
 if TYPE_CHECKING:
     from .classifier import ChainResult
@@ -119,7 +119,7 @@ def c1_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
 def abbv_integrate(
     data: FixedPointData,
     restrictions: Sequence[EquivariantClass],
-) -> dict[int, Fraction]:
+) -> dict[int, Rational]:
     """Localized integral of a class given its fixed-point restrictions.
 
     Returns the Laurent coefficients, keyed by power of lambda, of the
@@ -131,13 +131,13 @@ def abbv_integrate(
         raise ValueError(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
-    total: dict[int, Fraction] = {}
+    total: dict[int, Rational] = {}
     for component, restriction in zip(data.components, restrictions):
         euler_inverse = invert_euler(equivariant_euler(component))
         term = restriction * euler_inverse
         for k, value in integrate_component(term).items():
-            total[k] = total.get(k, Fraction(0)) + value
-    return {k: v for k, v in sorted(total.items()) if v}
+            total[k] = total.get(k, 0) + value
+    return {k: canon(v) for k, v in sorted(total.items()) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +698,7 @@ def _selection_rule_values(
     e_var = f"{name}|F{max_label_index + 1}.t"
     d_var = f"{name}|F{mid_label_index + 1}.s"
     return {
-        e_var: Fraction(-1 if data.twist else 0),
+        e_var: -1 if data.twist else 0,
         d_var: eta.coeffs[1],
     }
 

@@ -260,7 +260,7 @@ def _assert_canonical(poly: Poly) -> None:
     assert list(poly.terms) == sorted(poly.terms)
     assert len(set(monomials)) == len(monomials)
     for m, c in poly.terms:
-        assert type(c) is Fraction and c != 0
+        assert c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
         assert list(m) == sorted(m) and all(e > 0 for _, e in m)
 
 
