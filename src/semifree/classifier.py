@@ -8,7 +8,10 @@ it down, and the twisted bare join identifies fiber and section. The
 chain engine walks these events from the minimum to the maximum in an
 integer lattice chart, solving exactly for the unknown dual classes
 (adjunction plus the boundary normal forms) and branching over the
-possible exceptional classes at blow-downs.
+possible exceptional classes at blow-downs. The walk is a sequence of
+steps (``_cross``), and ``_walk`` remembers the states after each
+prefix of crossings, so the orderings of one datum, and in the
+enumeration all shapes of one minimum, walk each shared prefix once.
 
 On top of the engine sit the public operations: the dual-class solver,
 a yes/no chain-consistency check, transport of the Euler class for the
@@ -575,36 +578,21 @@ def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
     return out or [()]
 
 
-def _advance(
-    data: FixedPointData,
-    chart: _Chart,
-    ordering: Sequence[int],
-    equations: list[Poly],
-    crossings: list[_CrossingLog],
-    out: list[_Branch],
-) -> None:
-    if not ordering:
-        for extra, top in _terminal_variants(data, chart):
-            out.append(
-                _Branch(
-                    tuple(equations) + tuple(extra),
-                    tuple(crossings),
-                    top,
-                )
-            )
-        return
-    pos, rest = ordering[0], ordering[1:]
-    comp = data.components[pos]
+def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
+    """The walk states just above one crossing, in branch order.
+
+    A state is a ``_Branch`` whose ``top`` is the chart reached so far.
+    """
+    equations, crossings, chart = state.equations, state.crossings, state.top
     if comp.is_surface:
         names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
         eta = [Poly.var(name) for name in names]
-        eqs = list(equations)
         genus = comp.genus or 0
-        eqs.append(
+        eqs = [
             _dot(chart.gram, eta, eta)
             - _dot(chart.gram, [Poly.const(c) for c in chart.c1], eta)
             + Poly.const(2 - 2 * genus)
-        )
+        ]
         if comp.b_minus is not None:
             eqs.append(
                 _dot(chart.gram, chart.euler, eta) + Poly.const(comp.b_minus)
@@ -615,48 +603,73 @@ def _advance(
                 + _dot(chart.gram, eta, eta)
                 - Poly.const(comp.b_plus)
             )
-        new_chart = replace(
-            chart,
-            euler=tuple(e + v for e, v in zip(chart.euler, eta)),
-        )
-        _advance(
-            data,
-            new_chart,
-            rest,
-            eqs,
-            crossings + [_CrossingLog(pos, chart, names)],
-            out,
-        )
-        return
+        new_chart = replace(chart, euler=tuple(e + v for e, v in zip(chart.euler, eta)))
+        log = _CrossingLog(pos, chart, names)
+        return [_Branch(equations + tuple(eqs), crossings + (log,), new_chart)]
     if comp.index == 2:
-        _advance(data, _blow_up(chart), rest, equations, crossings, out)
-        return
+        return [_Branch(equations, crossings, _blow_up(chart))]
     if comp.index == 4:
+        out = []
         for k_class in _blow_down_candidates(chart):
             condition = _dot(chart.gram, chart.euler, k_class) - 1
             if isinstance(condition, Poly) and condition.is_constant():
                 if condition.constant_value():
                     continue
-                extra: list[Poly] = []
+                extra: tuple[Poly, ...] = ()
             elif isinstance(condition, Poly):
-                extra = [condition]
+                extra = (condition,)
             else:
                 if condition:
                     continue
-                extra = []
+                extra = ()
             contracted = _blow_down(chart, k_class)
-            if contracted is None:
-                continue
-            _advance(
-                data,
-                contracted,
-                rest,
-                equations + extra,
-                crossings,
-                out,
-            )
-        return
+            if contracted is not None:
+                out.append(_Branch(equations + extra, crossings, contracted))
+        return out
     raise InvalidDataError(f"cannot cross {comp.describe()}")
+
+
+def _walk(
+    data: FixedPointData, ordering: Sequence[int], walks: dict
+) -> list[_Branch]:
+    """The states of the chain walk of ``ordering`` just below the maximum.
+
+    The walk reads only the minimum and, per crossing, the step key
+    ``("P", index)`` of a point or ``("S", pos, genus, b_plus, b_minus)``
+    of a surface, whose unknowns are named after ``pos``. ``walks`` maps
+    each walked prefix of such keys to its states, or to the error its
+    last step raised, so a prefix already in it is not walked again.
+    """
+    key: tuple = (data.minimum,)
+    if key not in walks:
+        walks[key] = [_Branch((), (), _start_chart(data.minimum))]
+    states = walks[key]
+    for pos in ordering:
+        comp = data.components[pos]
+        if comp.is_surface:
+            key += (("S", pos, comp.genus, comp.b_plus, comp.b_minus),)
+        else:
+            key += (("P", comp.index),)
+        if key not in walks and not isinstance(states, Exception):
+            try:
+                walks[key] = [new for old in states for new in _cross(old, pos, comp)]
+            except (InvalidDataError, NotImplementedError) as exc:
+                walks[key] = exc
+        states = walks.get(key, states)
+    if isinstance(states, Exception):
+        raise states.with_traceback(None)
+    return states
+
+
+def _branches(
+    data: FixedPointData, ordering: Sequence[int], walks: dict
+) -> list[_Branch]:
+    """The chain branches of one ordering: each walk state under each maximum."""
+    return [
+        _Branch(state.equations + tuple(extra), state.crossings, top)
+        for state in _walk(data, ordering, walks)
+        for extra, top in _terminal_variants(data, state.top)
+    ]
 
 
 def _terminal_variants(
@@ -747,17 +760,15 @@ def _structural_check(data: FixedPointData) -> None:
 
 
 def _chain_solutions(
-    data: FixedPointData,
+    data: FixedPointData, walks: dict | None = None
 ) -> tuple[list[_ChainSolution], bool]:
+    """Solve the chain; ``walks`` shares walked prefixes (see ``_walk``)."""
     _structural_check(data)
+    walks = {} if walks is None else walks
     solutions: dict[tuple, _ChainSolution] = {}
     unbounded = False
     for ordering in _middle_orderings(data):
-        branches: list[_Branch] = []
-        _advance(
-            data, _start_chart(data.minimum), ordering, [], [], branches
-        )
-        for branch in branches:
+        for branch in _branches(data, ordering, walks):
             for sol in solve_system(list(branch.equations)):
                 if sol.free:
                     unbounded = True
@@ -802,11 +813,11 @@ def _resolve_branch(
 
 
 def _solved_chain(
-    data: FixedPointData,
+    data: FixedPointData, walks: dict | None = None
 ) -> tuple[list[_ChainSolution], bool] | None:
     """``_chain_solutions``, or None when the chain walk itself fails."""
     try:
-        return _chain_solutions(data)
+        return _chain_solutions(data, walks)
     except (InvalidDataError, NotImplementedError):
         return None
 
@@ -1032,17 +1043,21 @@ def enumerate_types(
 
     The walk is shape-first. A shape is the minimum, the middles with
     their levels, and the maximum's kind and level; ``_shapes`` yields
-    each one once. A shape with a point maximum is one candidate and
+    each one once, grouped by minimum. All chain walks of one minimum
+    share one ``walks`` dict: the walk reads neither the levels nor the
+    maximum, so a chain prefix is walked once for every ordering, shape
+    and candidate of that minimum, and the dict is dropped when the
+    minimum changes. A shape with a point maximum is one candidate and
     takes the concrete chain solve. A shape with a surface maximum
-    stands for every genus and ``b`` of that maximum: the chain walk
-    never reads the genus, and ``b`` enters only the last equation of
-    each branch, ``e.e + b = 0``. The shape is walked once and every
-    branch solved once without that equation (``_solve_prefix``), and
-    an untwisted maximum of degree ``b`` keeps the solutions whose
-    ``e.e`` equals ``-b``. A maximum that keeps none is rejected at the
-    chain stage without building its candidate. A shape whose reduced
-    system has a free variable or stalls the solver, and every twisted
-    candidate, takes the concrete chain solve instead.
+    stands for every genus and ``b`` of that maximum: the chain never
+    reads the genus, and ``b`` enters only the last equation of each
+    branch, ``e.e + b = 0``. Every branch of the shape is solved once
+    without that equation (``_solve_prefix``), and an untwisted maximum
+    of degree ``b`` keeps the solutions whose ``e.e`` equals ``-b``. A
+    maximum that keeps none is rejected at the chain stage without
+    building its candidate. A shape whose reduced system has a free
+    variable or stalls the solver, and every twisted candidate, takes
+    the concrete chain solve instead.
 
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage: the splittings are derived from
@@ -1067,7 +1082,7 @@ def enumerate_types(
     ) -> None:
         unbounded = False
         if solutions is None:
-            solved = _solved_chain(candidate)
+            solved = _solved_chain(candidate, walks)
             if solved is None:
                 reject("chain")
                 return
@@ -1097,11 +1112,16 @@ def enumerate_types(
         family = "6" if tag in ("6a", "6b") else tag
         families.setdefault(family, []).append(filled)
 
+    minimum, walks = None, {}
     for shape in _shapes(genera, b_values):
+        if shape.minimum != minimum:
+            minimum, walks = shape.minimum, {}
         if shape.maximum.is_point:
             decide(shape)
             continue
-        for genus, b, twist, solutions in _surface_maxima(shape, genera, b_values):
+        for genus, b, twist, solutions in _surface_maxima(
+            shape, genera, b_values, walks
+        ):
             if solutions is not None and not solutions:
                 # No e.e = -b solution: rejected without building it.
                 reject("chain")
@@ -1119,7 +1139,7 @@ def enumerate_types(
 
 
 def _surface_maxima(
-    shape: FixedPointData, genera: range, b_values: range
+    shape: FixedPointData, genera: range, b_values: range, walks: dict | None = None
 ) -> Iterable[tuple[int, int, bool, list[_ChainSolution] | None]]:
     """Every surface maximum of ``shape``, with the chain solutions that decide it.
 
@@ -1128,7 +1148,7 @@ def _surface_maxima(
     off the shape's one prefix solve; they are None when the candidate
     needs the concrete chain solve.
     """
-    by_square = _solve_prefix(shape)
+    by_square = _solve_prefix(shape, walks)
     minimum = shape.minimum
     twistable = (
         all(c.is_surface for c in shape.components)
@@ -1153,24 +1173,28 @@ def _with_maximum(
 
 
 def _solve_prefix(
-    shape: FixedPointData,
+    shape: FixedPointData, walks: dict | None = None
 ) -> dict[Rational, list[_ChainSolution]] | None:
     """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
     The shape's maximum has genus 0 and ``b = 0``, so the last equation
-    of every branch is ``e.e`` itself. Each branch is solved without
-    it; when all those solutions are bounded, the solutions of the
-    branch for a maximum of degree ``b`` are exactly the ones with
+    of every branch is ``e.e`` itself. The branches come from the walks
+    in ``walks``, shared with the other shapes of the same minimum (a
+    fresh dict when None); each branch is solved without that equation.
+    When all those solutions are bounded, the solutions of the branch
+    for a maximum of degree ``b`` are exactly the ones with
     ``e.e = -b``. Returns None when some reduced system has a free
     variable or stalls the solver, and no solutions when the walk
     itself fails, which does not depend on ``b``.
     """
+    walks = {} if walks is None else walks
     try:
         _structural_check(shape)
-        start = _start_chart(shape.minimum)
-        branches: list[_Branch] = []
-        for ordering in _middle_orderings(shape):
-            _advance(shape, start, ordering, [], [], branches)
+        branches = [
+            branch
+            for ordering in _middle_orderings(shape)
+            for branch in _branches(shape, ordering, walks)
+        ]
     except (InvalidDataError, NotImplementedError):
         return {}
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +33,6 @@ from .localization import (
     abbv_integrate,
     c1_restrictions,
     dh_path,
-    format_class,
     solve_restriction_table,
     unit_restrictions,
     w2_vanishes,

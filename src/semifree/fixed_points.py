@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
 from .rationals import Rational, format_rational, parse_rational
@@ -51,7 +52,9 @@ class FixedComponent:
     b_minus: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level", parse_rational(self.level))
+        level = self.level
+        if not (type(level) is int or type(level) is Fraction and level.denominator > 1):
+            object.__setattr__(self, "level", parse_rational(level))
         if not _is_int(self.index):
             raise ValueError(f"index must be an integer: {self.index!r}")
         for name in ("genus", "b", "b_plus", "b_minus"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._solve import AffineConstraint, Poly, feasible, solve_linear, solve_system
+from ._solve import AffineConstraint, Poly, _scalar, feasible, solve_linear, solve_system
 from .algebra import (
     EquivariantClass,
     ReducedClass,
@@ -854,8 +854,8 @@ def dh_path(
 
     if any(c.is_point for c in data.components):
         raise InvalidDataError("the sweep needs every fixed component a surface")
-    alpha0 = Fraction(alpha0)
-    gaps = [Fraction(g) for g in gaps]
+    alpha0 = _scalar(alpha0)
+    gaps = [_scalar(g) for g in gaps]
     if transport is None:
         transport = euler_transport(data)
     elif transport.data != data:
@@ -874,7 +874,7 @@ def dh_path(
 
     failures: list[str] = []
     omega = ReducedClass.make(space, alpha0, 0)
-    times = [Fraction(0)]
+    times: list[Rational] = [0]
     omegas = [omega]
     wall_areas: list[Fraction] = []
     if alpha0 <= 0:

@@ -42,6 +42,9 @@ def parse_rational(text: str | int | Fraction) -> Rational:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     try:
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            return int(text)
         return canon(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc

@@ -46,11 +46,18 @@ def builtin_data() -> list[tuple[str, FixedPointData]]:
     ]
 
 
+def fuzz_data(seed: int) -> list[tuple[str, FixedPointData]]:
+    """Every datum of fuzz pool ``seed``, by name."""
+    return [
+        (f"fuzz{seed}#{position}", FixedPointData.loads(raw.decode()))
+        for position, raw in enumerate(_workloads().fuzz_pool(seed))
+    ]
+
+
 def classified_fuzz_data(seed: int) -> list[tuple[str, FixedPointData]]:
     """The data of fuzz pool ``seed`` that ``classify_type`` accepts."""
-    out = []
-    for position, raw in enumerate(_workloads().fuzz_pool(seed)):
-        data = FixedPointData.loads(raw.decode())
-        if classify_type(data) != "unclassified":
-            out.append((f"fuzz{seed}#{position}", data))
-    return out
+    return [
+        (name, data)
+        for name, data in fuzz_data(seed)
+        if classify_type(data) != "unclassified"
+    ]

@@ -487,3 +487,10 @@ def test_untwisted_join_chain_always_consistent(n, g, g1):
     middle = data.components[crossing.position]
     assert crossing.pair_e_eta == -middle.b_minus
     assert crossing.pair_eta_eta == middle.b_plus + middle.b_minus
+
+
+def test_back_to_back_enumerations_report_the_same():
+    # Each enumeration walks with its own dicts, so a second run in the
+    # same process sees nothing of the first.
+    first = _enumeration_digest(1, (-2, 2))
+    assert _enumeration_digest(1, (-2, 2)) == first == ENUMERATION_DIGESTS[(1, (-2, 2))]

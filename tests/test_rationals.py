@@ -18,7 +18,8 @@ import semifree
 from semifree import classifier
 from semifree._solve import Poly, Solution
 from semifree.algebra import EquivariantClass, ReducedClass, trivial_bundle
-from semifree.localization import abbv_integrate, solve_restriction_table
+from semifree.classifier import family_instance
+from semifree.localization import abbv_integrate, dh_path, solve_restriction_table
 from semifree.rationals import canon, format_rational, parse_rational, qdiv
 
 from corpus import family_presets
@@ -252,3 +253,70 @@ def test_reduced_classes_are_canonical():
     v = ReducedClass.make(space, F(4, 2), F(1, 2)) + ReducedClass.make(space, 1, F(1, 2))
     assert v.coeffs == (3, 1) and [type(c) for c in v.coeffs] == [int, int]
     _assert_canonical(classifier.adjunction_genus(v))
+
+
+def _parse_rational_by_fraction(text):
+    """``parse_rational`` with every string through ``Fraction``."""
+    if isinstance(text, bool):
+        raise ValueError("expected a rational, got a boolean")
+    if isinstance(text, (int, Fraction)):
+        return canon(text)
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    try:
+        return canon(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}") from exc
+
+
+def _parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (value, type(value))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3", "-3", "+3", " 3 ", "6/4", "3.0", "²", "", "x", "-", "007", True, 1.5],
+)
+def test_parse_rational_integer_fast_path_agrees_with_fraction(text):
+    assert _parse_outcome(parse_rational, text) == _parse_outcome(
+        _parse_rational_by_fraction, text
+    )
+
+
+def test_dh_path_times_and_omegas_are_canonical():
+    data = family_instance("6a", n=1, g=0, g1=0)
+    for alpha0, gaps in [(1, [1]), (F(3, 2), [])]:
+        path = dh_path(data, alpha0, gaps)
+        assert path.times and path.omegas
+        for t in path.times:
+            _assert_canonical(t)
+        for omega in path.omegas:
+            for c in omega.coeffs:
+                _assert_canonical(c)
+
+
+def test_loading_parses_each_level_once(monkeypatch):
+    from semifree import fixed_points
+
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(fixed_points, "parse_rational", counting_parse)
+    text = family_instance("6a", n=1, g=0, g1=0).dumps()
+    loaded = fixed_points.FixedPointData.loads(
+        text.replace('"level": "1"', '"level": "3/2"')
+    )
+    assert calls == ["0", "3/2", "2"]
+    assert [c.level for c in loaded.components] == [0, F(3, 2), 2]
+    half = F(3, 2)
+    assert fixed_points.point(2, half).level is half
+    assert type(fixed_points.point(2, F(4, 2)).level) is int
+    with pytest.raises(ValueError):
+        fixed_points.point(2, True)

@@ -1,0 +1,145 @@
+"""The memoized chain walk against the recursive walk it replaced.
+
+``_advance`` below is the recursive walk the classifier used before the
+walk remembered its prefixes; it is kept here as the oracle. The shared
+walk must give the same branches in the same order, so the solver sees
+the same systems and the first-wins choice of a solution is unchanged.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from semifree import classifier
+from semifree._solve import Poly
+from semifree.fixed_points import FixedPointData, InvalidDataError, point
+
+from corpus import fuzz_data
+
+
+def _advance(data, chart, ordering, equations, crossings, out):
+    if not ordering:
+        for extra, top in classifier._terminal_variants(data, chart):
+            out.append(
+                classifier._Branch(
+                    tuple(equations) + tuple(extra), tuple(crossings), top
+                )
+            )
+        return
+    pos, rest = ordering[0], ordering[1:]
+    comp = data.components[pos]
+    dot = classifier._dot
+    if comp.is_surface:
+        names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
+        eta = [Poly.var(name) for name in names]
+        eqs = list(equations)
+        genus = comp.genus or 0
+        eqs.append(
+            dot(chart.gram, eta, eta)
+            - dot(chart.gram, [Poly.const(c) for c in chart.c1], eta)
+            + Poly.const(2 - 2 * genus)
+        )
+        if comp.b_minus is not None:
+            eqs.append(dot(chart.gram, chart.euler, eta) + Poly.const(comp.b_minus))
+        if comp.b_plus is not None:
+            eqs.append(
+                dot(chart.gram, chart.euler, eta)
+                + dot(chart.gram, eta, eta)
+                - Poly.const(comp.b_plus)
+            )
+        new_chart = replace(
+            chart, euler=tuple(e + v for e, v in zip(chart.euler, eta))
+        )
+        log = classifier._CrossingLog(pos, chart, names)
+        _advance(data, new_chart, rest, eqs, crossings + [log], out)
+        return
+    if comp.index == 2:
+        _advance(data, classifier._blow_up(chart), rest, equations, crossings, out)
+        return
+    if comp.index == 4:
+        for k_class in classifier._blow_down_candidates(chart):
+            condition = dot(chart.gram, chart.euler, k_class) - 1
+            if isinstance(condition, Poly) and condition.is_constant():
+                if condition.constant_value():
+                    continue
+                extra = []
+            elif isinstance(condition, Poly):
+                extra = [condition]
+            else:
+                if condition:
+                    continue
+                extra = []
+            contracted = classifier._blow_down(chart, k_class)
+            if contracted is None:
+                continue
+            _advance(data, contracted, rest, equations + extra, crossings, out)
+        return
+    raise InvalidDataError(f"cannot cross {comp.describe()}")
+
+
+def _oracle_branches(data, ordering):
+    out = []
+    _advance(data, classifier._start_chart(data.minimum), ordering, [], [], out)
+    return out
+
+
+def _view(branch):
+    """Everything of a branch that the solve and its resolution read."""
+    return (
+        [e.terms for e in branch.equations],
+        [(log.position, log.chart, log.eta_vars) for log in branch.crossings],
+        branch.top,
+    )
+
+
+def _outcome(build):
+    try:
+        return [_view(branch) for branch in build()]
+    except (InvalidDataError, NotImplementedError) as exc:
+        return (type(exc), str(exc))
+
+
+def _compare_walks(data_sets):
+    """Compare every ordering of every datum, one shared dict per minimum."""
+    walks_by_minimum: dict = {}
+    compared = 0
+    for data in data_sets:
+        walks = walks_by_minimum.setdefault(data.minimum, {})
+        for ordering in classifier._middle_orderings(data):
+            expected = _outcome(lambda: _oracle_branches(data, ordering))
+            got = _outcome(lambda: classifier._branches(data, ordering, walks))
+            assert got == expected, (data, ordering)
+            compared += 1
+    return compared
+
+
+def test_shared_walk_matches_the_recursive_walk_on_enumeration_shapes():
+    shapes = list(classifier._shapes(range(2), range(-2, 3)))
+    assert _compare_walks(shapes) > len(shapes)
+
+
+def test_shared_walk_matches_the_recursive_walk_on_the_fuzz_pool():
+    data_sets = [data for _, data in fuzz_data(1)]
+    assert _compare_walks(data_sets) > len(data_sets)
+
+
+def _c2_datum():
+    # Three blow-ups reach rank 4, where the (-1)-class search stops.
+    return FixedPointData(
+        (
+            point(0, 0),
+            *(point(2, level) for level in (1, 2, 3)),
+            *(point(4, level) for level in (4, 5, 6)),
+            point(6, 7),
+        )
+    )
+
+
+def test_a_failed_step_is_raised_again_from_the_shared_walks():
+    data = _c2_datum()
+    walks: dict = {}
+    for _ in range(2):
+        with pytest.raises(NotImplementedError, match="beyond rank 3"):
+            classifier._chain_solutions(data, walks)
+    assert any(isinstance(v, NotImplementedError) for v in walks.values())
+    assert classifier.euler_chain_check(data) is False
