@@ -141,12 +141,6 @@ class EquivariantClass:
     def __sub__(self, other: EquivariantClass) -> EquivariantClass:
         return self + (-other)
 
-    def scaled(self, factor: Rational) -> EquivariantClass:
-        f = _scalar(factor)
-        return EquivariantClass.make(
-            self.carrier, {k: (f * c, f * d) for k, (c, d) in self.terms}
-        )
-
     def __mul__(self, other: EquivariantClass) -> EquivariantClass:
         self._check(other)
         return EquivariantClass(self.carrier, mul_terms(self.terms, other.terms))
@@ -338,9 +332,6 @@ class ReducedClass:
     def scaled(self, factor: Rational) -> ReducedClass:
         f = _scalar(factor)
         return ReducedClass(self.space, tuple(canon(f * a) for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 def pair(a: ReducedClass, b: ReducedClass) -> Rational:

@@ -190,12 +190,6 @@ def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
     return Poly.from_dict(acc)
 
 
-def _as_fraction(value) -> Rational:
-    if isinstance(value, Poly):
-        return value.constant_value()
-    return value
-
-
 def _start_chart(minimum: FixedComponent) -> _Chart:
     if minimum.is_point:
         return _Chart(
@@ -302,7 +296,7 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
         return None
     basis = integer_kernel_basis(functional)
     gram = tuple(
-        tuple(_as_fraction(_dot(chart.gram, bi, bj)).numerator for bj in basis)
+        tuple(_dot(chart.gram, bi, bj).numerator for bj in basis)
         for bi in basis
     )
     # Project, then re-express; e + K is orthogonal to K exactly when
@@ -321,7 +315,7 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
         return None
     fiber = None
     if chart.fiber is not None:
-        if _as_fraction(_dot(chart.gram, chart.fiber, k_class)) == 0:
+        if _dot(chart.gram, chart.fiber, k_class) == 0:
             coords = solve_in_span(basis, chart.fiber)
             if coords is not None:
                 fiber = tuple(coords)
@@ -364,13 +358,11 @@ def _minus_one_classes(
     clearing = unimodular_clearing(functional)
     k0 = clearing[0]
     basis = clearing[1:]
-    c0 = _as_fraction(_dot(gram, k0, k0))
+    c0 = _dot(gram, k0, k0)
     if not basis:
         return [tuple(k0)] if c0 == -1 else []
-    m = [
-        [_as_fraction(_dot(gram, bi, bj)) for bj in basis] for bi in basis
-    ]
-    b = [_as_fraction(_dot(gram, bi, k0)) for bi in basis]
+    m = [[_dot(gram, bi, bj) for bj in basis] for bi in basis]
+    b = [_dot(gram, bi, k0) for bi in basis]
     out: list[tuple[int, ...]] = []
 
     def emit(t: Sequence[int]) -> None:
@@ -487,15 +479,15 @@ def _bundle_forms(
     for s, t in _isotropic_rays(chart.gram):
         for sign in (1, -1):
             fib = (sign * s, sign * t)
-            if _as_fraction(_dot(chart.gram, chart.c1, fib)) != 2:
+            if _dot(chart.gram, chart.c1, fib) != 2:
                 continue
             section = _section_for(chart.gram, fib)
             if section is None:
                 continue
-            sq = _as_fraction(_dot(chart.gram, section, section))
+            sq = _dot(chart.gram, section, section)
             space = trivial_bundle(g) if sq == 0 else nontrivial_bundle(g)
             expect = 2 - 2 * g if sq == 0 else 1 - 2 * g
-            if _as_fraction(_dot(chart.gram, chart.c1, section)) != expect:
+            if _dot(chart.gram, chart.c1, section) != expect:
                 continue
             forms.append((space, fib, section))
     return forms
@@ -511,10 +503,10 @@ def _section_for(
     clearing = unimodular_clearing(functional)
     section = list(clearing[0])
     # Normalize the self-pairing into {0, -1} by sliding along the fiber.
-    sq = _as_fraction(_dot(gram, section, section))
+    sq = _dot(gram, section, section)
     shift = -(sq.numerator // 2) if sq.numerator % 2 == 0 else -((sq.numerator + 1) // 2)
     section = [section[j] + shift * fib[j] for j in range(2)]
-    sq = _as_fraction(_dot(gram, section, section))
+    sq = _dot(gram, section, section)
     if sq not in (0, -1):
         return None
     return (section[0], section[1])
@@ -536,9 +528,9 @@ def _chart_reduced_class(
         if not forms:
             return None
         space, fib, section = forms[0]
-        q = _as_fraction(_dot(chart.gram, vec, fib))
-        sq = _as_fraction(_dot(chart.gram, section, section))
-        p = _as_fraction(_dot(chart.gram, vec, section)) - q * sq
+        q = _dot(chart.gram, vec, fib)
+        sq = _dot(chart.gram, section, section)
+        p = _dot(chart.gram, vec, section) - q * sq
         return ReducedClass.make(space, p, q)
     return None
 
@@ -724,8 +716,20 @@ class Crossing:
     position: int
     pair_e_eta: Rational
     pair_eta_eta: Rational
-    euler_below: ReducedClass | None
     dual: ReducedClass | None
+
+    @property
+    def splitting(self) -> tuple[int, int] | None:
+        """``(b_plus, b_minus) = (e.eta + eta.eta, -e.eta)``, or None unless integral.
+
+        Here e is the Euler class just below the surface and eta its
+        dual class.
+        """
+        b_plus = self.pair_e_eta + self.pair_eta_eta
+        b_minus = -self.pair_e_eta
+        if b_plus.denominator != 1 or b_minus.denominator != 1:
+            return None
+        return int(b_plus), int(b_minus)
 
 
 @dataclass(frozen=True)
@@ -742,7 +746,6 @@ class ChainResult:
 class _ChainSolution:
     key: tuple
     crossings: tuple[Crossing, ...]
-    duals: tuple[tuple[int, ReducedClass | None], ...]
 
 
 def _structural_check(data: FixedPointData) -> None:
@@ -785,7 +788,6 @@ def _resolve_branch(
     branch: _Branch, values: Mapping[str, Rational]
 ) -> _ChainSolution | None:
     crossings: list[Crossing] = []
-    duals: list[tuple[int, ReducedClass | None]] = []
     key: list[tuple] = []
     for log in branch.crossings:
         eta = [Poly.var(name).substitute(values) for name in log.eta_vars]
@@ -794,22 +796,16 @@ def _resolve_branch(
         eta_values = [p.constant_value() for p in eta]
         if any(v.denominator != 1 for v in eta_values):
             return None
-        euler_below = [
-            e.substitute(values).constant_value() for e in log.chart.euler
-        ]
-        if log.chart.rank == 1:
-            # Surfaces in the plane chart must have positive degree.
-            reduced = _chart_reduced_class(log.chart, eta_values)
-            if reduced is None or reduced.coeffs[0] < 1:
-                return None
-        pe = _as_fraction(_dot(log.chart.gram, euler_below, eta_values))
-        pee = _as_fraction(_dot(log.chart.gram, eta_values, eta_values))
         dual = _chart_reduced_class(log.chart, eta_values)
-        below = _chart_reduced_class(log.chart, euler_below)
-        crossings.append(Crossing(log.position, pe, pee, below, dual))
-        duals.append((log.position, dual))
+        if log.chart.rank == 1 and (dual is None or dual.coeffs[0] < 1):
+            # Surfaces in the plane chart must have positive degree.
+            return None
+        euler = [e.substitute(values).constant_value() for e in log.chart.euler]
+        pe = _dot(log.chart.gram, euler, eta_values)
+        pee = _dot(log.chart.gram, eta_values, eta_values)
+        crossings.append(Crossing(log.position, pe, pee, dual))
         key.append((log.position, pe, pee))
-    return _ChainSolution(tuple(sorted(key)), tuple(crossings), tuple(duals))
+    return _ChainSolution(tuple(sorted(key)), tuple(crossings))
 
 
 def _solved_chain(
@@ -840,12 +836,12 @@ def dual_class_solve(data: FixedPointData) -> dict[int, ReducedClass]:
     """
     solution = _unique_solution(*_chain_solutions(data))
     out: dict[int, ReducedClass] = {}
-    for position, dual in solution.duals:
-        if dual is None:
+    for crossing in solution.crossings:
+        if crossing.dual is None:
             raise NotImplementedError(
                 "dual class lives in a chart with no canonical form"
             )
-        out[position] = dual
+        out[crossing.position] = crossing.dual
     return out
 
 
@@ -1060,9 +1056,9 @@ def enumerate_types(
     the concrete chain solve instead.
 
     Either way a candidate's chain is solved once, and that one
-    solution feeds every later stage: the splittings are derived from
-    it, the recheck (``_splittings_hold``) checks the derived splittings
-    against it, and the sweep of an all-surface candidate runs on it.
+    solution feeds every later stage: the splittings are read off its
+    crossings, and the sweep of an all-surface candidate runs on it.
+    Nothing solves the chain again.
     """
     lo, hi = b_range
     if lo > hi:
@@ -1096,9 +1092,6 @@ def enumerate_types(
             return
         if not _localization_relations_hold(filled):
             reject("localization")
-            return
-        if not _splittings_hold(filled, solutions):
-            reject("chain_recheck")
             return
         if all(c.is_surface for c in filled.components):
             transport = _chain_result(filled, _unique_solution(solutions, unbounded))
@@ -1223,66 +1216,29 @@ def _solve_rest(branch: _Branch) -> list[Solution]:
 
 
 def _derive_splittings(
-    data: FixedPointData,
-    solutions: list[_ChainSolution] | None = None,
-    unbounded: bool = False,
+    data: FixedPointData, solutions: list[_ChainSolution], unbounded: bool
 ) -> FixedPointData | None:
-    """Fill in (b_plus, b_minus) of middle surfaces from the chain.
+    """Fill in (b_plus, b_minus) of middle surfaces from the chain solutions.
 
-    ``solutions`` and ``unbounded`` are the data's chain solutions when
-    they are already known, as from a prefix solve; when ``solutions``
-    is None, the chain is solved concretely.
+    Data without index-2 surfaces passes when its chain has a solution;
+    otherwise the splittings are read off the one bounded solution, and
+    the data is None when there is no such unique solution or some
+    splitting is not integral.
     """
-    targets = [
-        pos
-        for pos, comp in enumerate(data.components)
-        if comp.is_surface and comp.index == 2
-    ]
-    if solutions is None:
-        solved = _solved_chain(data)
-        if solved is None:
-            return None
-        solutions, unbounded = solved
-    if not targets:
+    if not any(comp.is_surface and comp.index == 2 for comp in data.components):
         return data if unbounded or solutions else None
     if unbounded or len(solutions) != 1:
         return None
-    by_position = {c.position: c for c in solutions[0].crossings}
-    new_components = []
-    for pos, comp in enumerate(data.components):
-        if pos in by_position:
-            crossing = by_position[pos]
-            b_minus = -crossing.pair_e_eta
-            b_plus = crossing.pair_eta_eta + crossing.pair_e_eta
-            if b_minus.denominator != 1 or b_plus.denominator != 1:
-                return None
-            comp = replace(
-                comp, b_plus=int(b_plus), b_minus=int(b_minus)
-            )
-        new_components.append(comp)
-    return FixedPointData(tuple(new_components), twist=data.twist)
-
-
-def _splittings_hold(
-    data: FixedPointData, solutions: list[_ChainSolution]
-) -> bool:
-    """Whether the declared splittings satisfy the wall equations at ``solutions``.
-
-    These are the equations the declared values add to the chain: with
-    e the Euler class below a crossing and eta its dual class,
-    ``b_minus = -e.eta`` and ``b_plus = e.eta + eta.eta``. When they
-    hold, every solution of the chain without the declared values is
-    one with them, so this checks the chain of ``data`` at a known
-    solution instead of solving it again.
-    """
-    for solution in solutions:
-        for crossing in solution.crossings:
-            comp = data.components[crossing.position]
-            if comp.b_minus != -crossing.pair_e_eta:
-                return False
-            if comp.b_plus != crossing.pair_e_eta + crossing.pair_eta_eta:
-                return False
-    return True
+    components = list(data.components)
+    for crossing in solutions[0].crossings:
+        splitting = crossing.splitting
+        if splitting is None:
+            return None
+        b_plus, b_minus = splitting
+        components[crossing.position] = replace(
+            components[crossing.position], b_plus=b_plus, b_minus=b_minus
+        )
+    return FixedPointData(tuple(components), twist=data.twist)
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import AffineConstraint, feasible, rref, solve_in_span, solve_linear
+from ._solve import AffineConstraint, _scalar, feasible, rref, solve_in_span, solve_linear
 from .fixed_points import (
     FixedComponent,
     FixedPointData,
@@ -30,7 +30,7 @@ from .fixed_points import (
     point,
     surface,
 )
-from .rationals import format_rational, parse_rational, qdiv
+from .rationals import canon, format_rational, parse_rational, qdiv
 
 POLYTOPE_SCHEMA = "polytope.v1"
 
@@ -159,7 +159,7 @@ def build(
             raise PolytopeError(f"bad facet normal {normal!r}")
         if gcd(gcd(abs(normal[0]), abs(normal[1])), abs(normal[2])) != 1:
             raise PolytopeError(f"facet normal {normal} is not primitive")
-        cleaned.append((normal, Fraction(offset)))
+        cleaned.append((normal, _scalar(offset)))
     if len(cleaned) < 4:
         raise PolytopeError("need at least four facets")
     if _is_unbounded([normal for normal, _ in cleaned]):
@@ -320,17 +320,7 @@ def vertex_weights(polytope: LatticePolytope, vi: int) -> tuple[int, ...]:
     )
 
 
-def _resolve_edge(
-    polytope: LatticePolytope, edge: Edge | int
-) -> Edge:
-    if isinstance(edge, Edge):
-        return edge
-    return polytope.edges[edge]
-
-
-def edge_normal_degrees(
-    polytope: LatticePolytope, edge: Edge | int
-) -> tuple[int, int]:
+def edge_normal_degrees(polytope: LatticePolytope, edge: Edge) -> tuple[int, int]:
     """Euler numbers of the two line-bundle summands normal to an edge.
 
     For a horizontal edge with facets F1, F2 and opposite facets F3,
@@ -339,7 +329,6 @@ def edge_normal_degrees(
     inside F2 and b inside F1. Returns (degree inside facets[0],
     degree inside facets[1]); their sum is the full Chern number.
     """
-    edge = _resolve_edge(polytope, edge)
     if not edge.is_horizontal:
         raise PolytopeError("normal degrees are defined for horizontal edges")
     n1 = polytope.facets[edge.facets[0]][0]
@@ -347,7 +336,7 @@ def edge_normal_degrees(
     n3 = polytope.facets[_third_facet(polytope, edge.tail, edge)][0]
     n4 = polytope.facets[_third_facet(polytope, edge.head, edge)][0]
     rows = [
-        ({"s": Fraction(n1[i]), "t": Fraction(n2[i])}, Fraction(n3[i] + n4[i]))
+        ({"s": n1[i], "t": n2[i]}, n3[i] + n4[i])
         for i in range(3)
     ]
     solved = solve_linear(rows, ["s", "t"])
@@ -475,7 +464,7 @@ def _slice_halfplanes(
         shadow = (normal[0], normal[1])
         if shadow == (0, 0):
             continue
-        rows.append((fi, shadow, offset - normal[2] * z))
+        rows.append((fi, shadow, canon(offset - normal[2] * z)))
     return rows
 
 
@@ -489,8 +478,8 @@ def _polygon_support(
         det = na[0] * nb[1] - na[1] * nb[0]
         if det == 0:
             continue
-        x = Fraction(oa * nb[1] - ob * na[1], det)
-        y = Fraction(ob * na[0] - oa * nb[0], det)
+        x = qdiv(oa * nb[1] - ob * na[1], det)
+        y = qdiv(ob * na[0] - oa * nb[0], det)
         good = True
         for _, normal, offset in halfplanes:
             if normal[0] * x + normal[1] * y < offset:
@@ -507,7 +496,7 @@ def _polygon_support(
 
 def slice_polygon(polytope: LatticePolytope, z) -> SlicePolygon:
     """The cross-section polygon at a regular height strictly inside."""
-    z = Fraction(z)
+    z = _scalar(z)
     lo, hi = polytope.level_range()
     if not lo < z < hi:
         raise PolytopeError(f"height {z} is outside the open range ({lo}, {hi})")
@@ -533,7 +522,7 @@ def _divisor_class_space(
     for coordinate in (0, 1):
         rows.append(
             {
-                f"D{i}": Fraction(ray[coordinate])
+                f"D{i}": ray[coordinate]
                 for i, ray in enumerate(rays)
                 if ray[coordinate]
             }
@@ -557,18 +546,18 @@ def _class_coordinates(
     # for every ray, the unique representative with zeroes in the two
     # pivot coordinates of the relation rows.
     matrix, pivots = rref(
-        [[row.get(name, Fraction(0)) for name in names] for row in relations]
+        [[row.get(name, 0) for name in names] for row in relations]
     )
     free = [c for c in range(k) if c not in pivots]
     out: dict[int, tuple[Fraction, ...]] = {}
     for i in range(k):
-        vector = [Fraction(0)] * k
-        vector[i] = Fraction(1)
+        vector = [0] * k
+        vector[i] = 1
         # Subtract relation combinations to zero out pivot coordinates.
         for row, col in zip(matrix, pivots):
             factor = vector[col]
             if factor:
-                vector = [x - factor * y for x, y in zip(vector, row)]
+                vector = [canon(x - factor * y) for x, y in zip(vector, row)]
         out[i] = tuple(vector[c] for c in free)
     return out
 
@@ -689,11 +678,11 @@ def _combine(
     chart: Mapping[int, tuple[Fraction, ...]],
     rank: int,
 ) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * rank
+    out = [0] * rank
     for fi, weight in weights.items():
         for i, coordinate in enumerate(chart[fi]):
             out[i] += weight * coordinate
-    return tuple(out)
+    return tuple(canon(x) for x in out)
 
 
 # ---------------------------------------------------------------------------

@@ -794,11 +794,10 @@ def b_plus_minus(
     event = next(
         ev for ev in transport.crossings if ev.position == position
     )
-    b_minus = -event.pair_e_eta
-    b_plus = event.pair_eta_eta + event.pair_e_eta
-    if b_minus.denominator != 1 or b_plus.denominator != 1:
+    splitting = event.splitting
+    if splitting is None:
         raise NoSolutionError("normal splitting is not integral")
-    return int(b_plus), int(b_minus)
+    return splitting
 
 
 def w2_vanishes(data: FixedPointData) -> bool:

@@ -21,6 +21,7 @@ from semifree._solve import SolverStallError
 from semifree.classifier import (
     BlowDownPoint,
     BlowUpPoint,
+    Crossing,
     CrossSurface,
     EnumerationResult,
     TwistIdentification,
@@ -168,6 +169,30 @@ def test_crossing_pairings_match_normal_degrees(tag, params):
         component = data.components[crossing.position]
         assert crossing.pair_e_eta == -component.b_minus
         assert crossing.pair_eta_eta == component.b_plus + component.b_minus
+
+
+@pytest.mark.parametrize(("tag", "params"), FAMILY_CASES)
+def test_crossing_splitting_matches_normal_degrees(tag, params):
+    data = family_instance(tag, **params)
+    for crossing in euler_transport(data).crossings:
+        component = data.components[crossing.position]
+        splitting = crossing.splitting
+        assert splitting == (component.b_plus, component.b_minus)
+        assert [type(b) for b in splitting] == [int, int]
+
+
+@pytest.mark.parametrize("pair_eta_eta", [0, Fraction(1, 2), Fraction(-3, 2)])
+def test_crossing_splitting_is_none_unless_integral(pair_eta_eta):
+    # With e.eta = 1/2, b_minus is never integral, even where b_plus is.
+    assert Crossing(1, Fraction(1, 2), pair_eta_eta, None).splitting is None
+
+
+def test_derive_splittings_rejects_a_non_integral_splitting():
+    data = family_instance("1")
+    assert classifier._derive_splittings(data, *classifier._solved_chain(data)) == data
+    half = Crossing(1, Fraction(1, 2), 0, None)
+    solution = classifier._ChainSolution(((1, Fraction(1, 2), 0),), (half,))
+    assert classifier._derive_splittings(data, [solution], False) is None
 
 
 def test_dual_classes_frozen():
@@ -384,7 +409,10 @@ def test_prefix_shared_chain_matches_concrete_chain():
             candidate = classifier._with_maximum(shape, genus, b, twist)
             assert candidate not in seen
             seen.add(candidate)
-            concrete = classifier._derive_splittings(candidate)
+            solved = classifier._solved_chain(candidate)
+            concrete = (
+                None if solved is None else classifier._derive_splittings(candidate, *solved)
+            )
             if solutions is None:
                 verdicts["concrete"] += 1
                 continue
@@ -393,7 +421,7 @@ def test_prefix_shared_chain_matches_concrete_chain():
                 assert concrete is None
             else:
                 verdicts["shared"] += 1
-                assert classifier._derive_splittings(candidate, solutions) == concrete
+                assert classifier._derive_splittings(candidate, solutions, False) == concrete
     assert len(seen) == 842
     assert all(verdicts.values())
 
@@ -421,13 +449,14 @@ def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
 
 
 def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
-    """The recheck and sweep calls of one enumeration, with their answers."""
+    """The data passing the localization stage, and the sweep calls, of one enumeration."""
     rechecked, swept = [], []
-    hold, sweep = classifier._splittings_hold, classifier.dh_path
+    hold, sweep = classifier._localization_relations_hold, classifier.dh_path
 
-    def record_hold(data, solutions):
-        verdict = hold(data, solutions)
-        rechecked.append((data, verdict))
+    def record_hold(data):
+        verdict = hold(data)
+        if verdict:
+            rechecked.append(data)
         return verdict
 
     def record_sweep(data, alpha0, gaps, transport=None):
@@ -435,7 +464,7 @@ def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
         swept.append((data, transport, path))
         return path
 
-    monkeypatch.setattr(classifier, "_splittings_hold", record_hold)
+    monkeypatch.setattr(classifier, "_localization_relations_hold", record_hold)
     monkeypatch.setattr(classifier, "dh_path", record_sweep)
     enumerate_types(max_genus, b_range)
     return rechecked, swept
@@ -443,15 +472,14 @@ def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
 
 @pytest.mark.parametrize("bounds", [(1, (-2, 2)), (2, (-3, 3))])
 def test_recheck_and_sweep_reuse_the_chain_solution_soundly(monkeypatch, bounds):
-    # Every candidate reaching the recheck is checked against a fresh
-    # chain solve, and every sweep on the reused solution against a
-    # sweep that solves the chain itself.
+    # Every candidate passing the localization stage is checked against
+    # a fresh chain solve, and every sweep on the reused solution
+    # against a sweep that solves the chain itself.
     rechecked, swept = _recheck_and_sweep_calls(monkeypatch, *bounds)
     assert rechecked and swept
-    for data, verdict in rechecked:
+    for data in rechecked:
         assert euler_chain_check(data) is True
-        assert verdict is True
-    surfaces_only = [d for d, _ in rechecked if all(c.is_surface for c in d.components)]
+    surfaces_only = [d for d in rechecked if all(c.is_surface for c in d.components)]
     assert [data for data, _, _ in swept] == surfaces_only
     for data, transport, path in swept:
         assert transport == euler_transport(data)

@@ -5,9 +5,15 @@ from the 6 builtin polytopes. Each digest is the sha256 over every
 datum's name, exit code and report bytes, in corpus order. The
 benchmark's correctness gate checks only the structured format; these
 pin the text format as well.
+
+The example scripts' stdout is pinned the same way: they are the only
+callers of ``b_plus_minus`` and ``slice_polygon`` outside the tests.
 """
 
 import hashlib
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +52,22 @@ def test_report_digest_frozen(corpus, command, output_format):
         h.update(f"{name}\0{code}\0{len(out)}\0".encode())
         h.update(out)
     assert h.hexdigest() == GOLDEN_DIGESTS[(command, output_format)]
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+SCRIPT_DIGESTS = {
+    ("reproduce_tables.py",):
+        "34ee1a8fa735a299c61986394247e5f178ea243e17d34e7fc002d1a70cb2f9c2",
+    ("polytope_gallery.py", "--slice", "1/2"):
+        "6c3d207a68c4af39d5dc82b820f9f59156027f059a1c09e6f5d99647b1a66a9d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SCRIPT_DIGESTS))
+def test_script_output_digest_frozen(monkeypatch, capsys, argv):
+    script = str(SCRIPTS / argv[0])
+    monkeypatch.setattr(sys, "argv", [script, *argv[1:]])
+    runpy.run_path(script, run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCRIPT_DIGESTS[argv]

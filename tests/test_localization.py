@@ -15,7 +15,8 @@ from semifree.algebra import (
     invert_euler,
     mul,
 )
-from semifree.classifier import euler_transport, family_instance
+from semifree import classifier
+from semifree.classifier import ChainResult, Crossing, euler_transport, family_instance
 from semifree.fixed_points import (
     FixedPointData,
     InvalidDataError,
@@ -488,6 +489,18 @@ def test_b_plus_minus_type_six_b(k, k_prime):
     g1 = k * k_prime
     expected = (1 - 2 * k_prime + g1, 1 - 2 * k + g1)
     assert b_plus_minus(data, middles_of(data)[0]) == expected
+
+
+def test_b_plus_minus_rejects_a_non_integral_splitting(monkeypatch):
+    data = family_instance("1")
+    half = Crossing(1, Fraction(1, 2), 0, None)
+    monkeypatch.setattr(
+        classifier,
+        "euler_transport",
+        lambda data: ChainResult(data, None, None, (half,)),
+    )
+    with pytest.raises(NoSolutionError, match="normal splitting is not integral"):
+        b_plus_minus(data, 1)
 
 
 @pytest.mark.parametrize(("tag", "params"), FAMILY_CASES)

@@ -19,6 +19,15 @@ from semifree import classifier
 from semifree._solve import Poly, Solution
 from semifree.algebra import EquivariantClass, ReducedClass, trivial_bundle
 from semifree.classifier import family_instance
+from semifree.delzant import (
+    _gap_classes,
+    _polygon_support,
+    _slice_halfplanes,
+    builtin_examples,
+    edge_normal_degrees,
+    extract_fixed_data,
+    slice_polygon,
+)
 from semifree.localization import abbv_integrate, dh_path, solve_restriction_table
 from semifree.rationals import canon, format_rational, parse_rational, qdiv
 
@@ -253,6 +262,27 @@ def test_reduced_classes_are_canonical():
     v = ReducedClass.make(space, F(4, 2), F(1, 2)) + ReducedClass.make(space, 1, F(1, 2))
     assert v.coeffs == (3, 1) and [type(c) for c in v.coeffs] == [int, int]
     _assert_canonical(classifier.adjunction_genus(v))
+
+
+def test_polytope_values_are_canonical():
+    polytopes = builtin_examples()
+    assert len(polytopes) == 6
+    for polytope in polytopes.values():
+        assert _assert_all_canonical([offset for _, offset in polytope.facets])
+        assert _assert_all_canonical([v.location for v in polytope.vertices])
+        levels = sorted({v.location[2] for v in polytope.vertices})
+        gaps = [qdiv(a + b, 2) for a, b in zip(levels, levels[1:])]
+        assert gaps
+        for z in gaps:
+            assert _assert_all_canonical(slice_polygon(polytope, z))
+            assert _assert_all_canonical(_polygon_support(_slice_halfplanes(polytope, z)))
+            assert _assert_all_canonical(_gap_classes(polytope, z))
+        horizontal = [e for e in polytope.edges if e.is_horizontal]
+        assert _assert_all_canonical(
+            [edge_normal_degrees(polytope, e) for e in horizontal]
+        )
+        data = extract_fixed_data(polytope)
+        assert _assert_all_canonical([c.level for c in data.components])
 
 
 def _parse_rational_by_fraction(text):

@@ -344,23 +344,25 @@ def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
     """The distinct systems the chain solves of enumerate at (1, -2..2) pose.
 
     That is every system the enumeration solves, plus the fresh chain
-    solve of each candidate that reaches its recheck.
+    solve of each candidate that passes its localization stage.
     """
     systems: dict[tuple[Poly, ...], None] = {}
     rechecked = []
-    solve, hold = classifier.solve_system, classifier._splittings_hold
+    solve, hold = classifier.solve_system, classifier._localization_relations_hold
 
     def record_solve(equations):
         equations = list(equations)
         systems.setdefault(tuple(equations), None)
         return solve(equations)
 
-    def record_hold(data, solutions):
-        rechecked.append(data)
-        return hold(data, solutions)
+    def record_hold(data):
+        verdict = hold(data)
+        if verdict:
+            rechecked.append(data)
+        return verdict
 
     monkeypatch.setattr(classifier, "solve_system", record_solve)
-    monkeypatch.setattr(classifier, "_splittings_hold", record_hold)
+    monkeypatch.setattr(classifier, "_localization_relations_hold", record_hold)
     classifier.enumerate_types(1, (-2, 2))
     for data in rechecked:
         classifier.euler_chain_check(data)
