@@ -284,13 +284,6 @@ def nontrivial_bundle(genus: int) -> ReducedSpaceType:
     return ReducedSpaceType(NONTRIVIAL_BUNDLE, genus)
 
 
-def bundle_over(genus: int, chern_parity: int) -> ReducedSpaceType:
-    """Bundle form selected by the parity of a vertical Chern number."""
-    if chern_parity % 2 == 0:
-        return trivial_bundle(genus)
-    return nontrivial_bundle(genus)
-
-
 @dataclass(frozen=True)
 class ReducedClass:
     """Degree-2 class on a reduced space.
@@ -372,15 +365,3 @@ def fiber_class(space: ReducedSpaceType) -> ReducedClass:
     if space.form == PROJECTIVE_PLANE:
         return ReducedClass.make(space, 1)
     return ReducedClass.make(space, 1, 0)
-
-
-def fiber_area(v: ReducedClass) -> Rational:
-    """Pairing against the fiber class: the symplectic area of a fiber."""
-    return pair(v, fiber_class(v.space))
-
-
-def base_area(v: ReducedClass) -> Rational:
-    """Pairing against the section class of a bundle form."""
-    if v.space.form == PROJECTIVE_PLANE:
-        raise CarrierMismatchError("the projective plane has no section class")
-    return pair(v, ReducedClass.make(v.space, 0, 1))

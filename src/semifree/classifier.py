@@ -43,7 +43,6 @@ from .algebra import (
     c1_reduced,
     mul,
     nontrivial_bundle,
-    pair,
     projective_plane,
     trivial_bundle,
 )
@@ -65,76 +64,6 @@ from .localization import (
     unit_restrictions,
 )
 from .rationals import Rational, canon, qdiv
-
-# ---------------------------------------------------------------------------
-# wall-crossing events on canonical reduced-space descriptors
-
-
-@dataclass(frozen=True)
-class CrossSurface:
-    """Pass a fixed surface: the space keeps its diffeomorphism type."""
-
-    genus: int = 0
-
-
-@dataclass(frozen=True)
-class BlowUpPoint:
-    """Pass an index-2 point: one-point blow-up of the reduced space."""
-
-
-@dataclass(frozen=True)
-class BlowDownPoint:
-    """Pass an index-4 point: an exceptional sphere collapses."""
-
-
-@dataclass(frozen=True)
-class TwistIdentification:
-    """Swap fiber and section of the product bundle over the sphere."""
-
-
-WallEvent = CrossSurface | BlowUpPoint | BlowDownPoint | TwistIdentification
-
-
-def wall_cross(space: ReducedSpaceType, event: WallEvent) -> ReducedSpaceType:
-    """Reduced-space type after crossing one critical level.
-
-    Only the transitions expressible between canonical descriptors are
-    supported: blowing up the projective plane gives the nontrivial
-    sphere bundle over the sphere and blowing down inverts that, while
-    the fiber-section swap needs the product bundle over the sphere.
-    """
-    if isinstance(event, CrossSurface):
-        return space
-    if isinstance(event, BlowUpPoint):
-        if space != projective_plane():
-            raise InvalidDataError(
-                "can only blow up the projective plane descriptor"
-            )
-        return nontrivial_bundle(0)
-    if isinstance(event, BlowDownPoint):
-        if space != nontrivial_bundle(0):
-            raise InvalidDataError(
-                "can only blow down the nontrivial bundle over the sphere"
-            )
-        return projective_plane()
-    if isinstance(event, TwistIdentification):
-        if space != trivial_bundle(0):
-            raise InvalidDataError(
-                "the twist identification needs the product bundle over the sphere"
-            )
-        return space
-    raise TypeError(f"unknown wall event {event!r}")
-
-
-def adjunction_genus(v: ReducedClass) -> Rational:
-    """Genus forced on an embedded surface representing a class.
-
-    Computed from the self-pairing and the first Chern class; a
-    negative or non-integral value certifies that no embedded sphere
-    or surface realizes the class.
-    """
-    return 1 + qdiv(pair(v, v) - pair(c1_reduced(v.space), v), 2)
-
 
 # ---------------------------------------------------------------------------
 # lattice chart state
@@ -192,32 +121,30 @@ def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
 
 def _start_chart(minimum: FixedComponent) -> _Chart:
     if minimum.is_point:
+        space = projective_plane()
         return _Chart(
             gram=((1,),),
-            c1=(3,),
+            c1=c1_reduced(space).coeffs,
             euler=(Poly.const(-1),),
             fiber=None,
             base_genus=0,
-            pristine=projective_plane(),
+            pristine=space,
             exceptional=(),
         )
     g = minimum.genus or 0
     b = minimum.b
     if b is None:
         raise InvalidDataError("surface minimum is missing b")
-    k = b // 2
     if b % 2 == 0:
         gram = ((0, 1), (1, 0))
-        c1 = (2 - 2 * g, 2)
         space = trivial_bundle(g)
     else:
         gram = ((0, 1), (1, -1))
-        c1 = (3 - 2 * g, 2)
         space = nontrivial_bundle(g)
     return _Chart(
         gram=gram,
-        c1=c1,
-        euler=(Poly.const(k), Poly.const(-1)),
+        c1=c1_reduced(space).coeffs,
+        euler=(Poly.const(b // 2), Poly.const(-1)),
         fiber=(1, 0),
         base_genus=g,
         pristine=space,

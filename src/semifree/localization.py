@@ -741,31 +741,6 @@ def _c1_decomposition(
     return tuple((name, values[name]) for name in names)
 
 
-def verify_redundant_equations(table: RestrictionTable) -> list[str]:
-    """Re-check the solved table against the product equation set.
-
-    Returns the violated equations; empty means every basis class
-    below degree six, and every product of two degree-2 classes or the
-    first Chern class, integrates to zero. Products of degree six and
-    more constrain nothing, because each restriction lies in its
-    class's degree; ``solve_restriction_table`` and ``from_json_dict``
-    only make such tables.
-    """
-    solved = [
-        _SkeletonClass(
-            cls.name,
-            cls.degree,
-            table.labels.index(cls.home),
-            tuple(SymClass.from_exact(r) for r in cls.restrictions),
-        )
-        for cls in table.classes
-    ]
-    return [
-        repr(eq)
-        for eq in _integration_equations(table.data, table.positions, solved)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # normal splittings of middle surfaces
 
@@ -778,15 +753,24 @@ def b_plus_minus(
     With e the Euler class of the level just below the surface and eta
     its dual class, b_minus = -pair(e, eta) and b_plus = pair(e + eta,
     eta). Declared values on the data are ignored; this recomputes.
-    The surface may be given as a component or as its position.
+    The surface may be given as a component of the data or as its
+    position, a non-bool int in ``range(len(data.components))``.
     """
     from .classifier import euler_transport
 
-    position = (
-        surface
-        if isinstance(surface, int)
-        else data.components.index(surface)
-    )
+    if isinstance(surface, FixedComponent) and surface in data.components:
+        position = data.components.index(surface)
+    elif (
+        isinstance(surface, int)
+        and not isinstance(surface, bool)
+        and 0 <= surface < len(data.components)
+    ):
+        position = surface
+    else:
+        raise InvalidDataError(
+            f"b_plus_minus needs a position in range({len(data.components)}) "
+            f"or a component of the data, got {surface!r}"
+        )
     component = data.components[position]
     if not (component.is_surface and component.index == 2):
         raise InvalidDataError("b_plus_minus needs an index-2 surface")

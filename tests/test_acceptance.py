@@ -21,12 +21,9 @@ from semifree.algebra import (
     trivial_bundle,
 )
 from semifree.classifier import (
-    BlowDownPoint,
-    BlowUpPoint,
     enumerate_types,
     euler_transport,
     family_instance,
-    wall_cross,
 )
 from semifree.delzant import (
     builtin_examples,
@@ -49,9 +46,10 @@ from semifree.localization import (
     equivariant_euler,
     solve_restriction_table,
     unit_restrictions,
-    verify_redundant_equations,
     w2_vanishes,
 )
+from test_classifier import assert_chart_round_trips
+from test_localization import verify_redundant_equations
 
 
 def reported(number, label):
@@ -370,11 +368,13 @@ def test_criterion_7_properties():
         e = euler_transport(data).start_euler
         assert pair(e, e) == -data.minimum.b
 
-    space = projective_plane()
-    for _ in range(8):
-        space = wall_cross(space, BlowUpPoint())
-        space = wall_cross(space, BlowDownPoint())
-    assert space == projective_plane()
+    minima = [point(index=0, level=0)] + [
+        surface(genus=genus, index=0, level=0, b=b)
+        for genus in range(3)
+        for b in (0, 3, -1, 4)
+    ]
+    for minimum in minima:
+        assert_chart_round_trips(minimum, 6)
 
     for data in instances[:200]:
         profile = betti_profile(data)

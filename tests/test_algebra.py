@@ -11,10 +11,7 @@ from semifree.algebra import (
     CarrierMismatchError,
     EquivariantClass,
     NotInvertibleError,
-    base_area,
-    bundle_over,
     c1_reduced,
-    fiber_area,
     fiber_class,
     integrate_component,
     invert_euler,
@@ -133,20 +130,6 @@ def test_c1_reduced_values():
     assert c1_reduced(projective_plane()).coeffs == (F(3),)
     assert c1_reduced(trivial_bundle(2)).coeffs == (F(-2), F(2))
     assert c1_reduced(nontrivial_bundle(2)).coeffs == (F(-1), F(2))
-
-
-def test_bundle_over_selects_parity():
-    assert bundle_over(1, 4) == trivial_bundle(1)
-    assert bundle_over(1, -3) == nontrivial_bundle(1)
-
-
-def test_fiber_and_base_area():
-    space = nontrivial_bundle(1)
-    v = ReducedClass.make(space, F(5), F(2))
-    assert fiber_area(v) == pair(v, fiber_class(space)) == 2
-    assert base_area(v) == 5 - 2
-    with pytest.raises(CarrierMismatchError):
-        base_area(ReducedClass.make(projective_plane(), 1))
 
 
 def test_fiber_class_squares_to_zero_on_bundles():

@@ -41,7 +41,6 @@ from semifree.localization import (
     equivariant_euler,
     solve_restriction_table,
     unit_restrictions,
-    verify_redundant_equations,
     w2_vanishes,
 )
 
@@ -59,6 +58,31 @@ FAMILY_CASES = [
     ("6b", {"k": 1, "k_prime": 0}),
     ("6b", {"k": 0, "k_prime": 2}),
 ]
+
+
+def verify_redundant_equations(table: RestrictionTable) -> list[str]:
+    """Re-check a solved table against the product equation set.
+
+    Returns the violated equations; empty means every basis class
+    below degree six, and every product of two degree-2 classes or the
+    first Chern class, integrates to zero. Products of degree six and
+    more constrain nothing, because each restriction lies in its
+    class's degree; ``solve_restriction_table`` and ``from_json_dict``
+    only make such tables.
+    """
+    solved = [
+        _SkeletonClass(
+            cls.name,
+            cls.degree,
+            table.labels.index(cls.home),
+            tuple(SymClass.from_exact(r) for r in cls.restrictions),
+        )
+        for cls in table.classes
+    ]
+    return [
+        repr(eq)
+        for eq in _integration_equations(table.data, table.positions, solved)
+    ]
 
 
 def pt(terms):
@@ -501,6 +525,16 @@ def test_b_plus_minus_rejects_a_non_integral_splitting(monkeypatch):
     )
     with pytest.raises(NoSolutionError, match="normal splitting is not integral"):
         b_plus_minus(data, 1)
+
+
+@pytest.mark.parametrize("position", [-2, True, 3])
+def test_b_plus_minus_rejects_a_bad_position(position):
+    # A negative index, a bool and an index past the end name no
+    # component, even where Python indexing would accept them.
+    data = family_instance("6a")
+    assert b_plus_minus(data, 1) == b_plus_minus(data, data.components[1])
+    with pytest.raises(InvalidDataError, match=f"got {position!r}"):
+        b_plus_minus(data, position)
 
 
 @pytest.mark.parametrize(("tag", "params"), FAMILY_CASES)
