@@ -70,6 +70,35 @@ def test_solved_dual_classes_satisfy_adjunction():
     assert checked == 10
 
 
+def _adjunction_genus(v):
+    # Genus forced on an embedded surface representing v; a negative or
+    # non-integral value certifies that no embedded surface realizes it.
+    return 1 + Fraction(pair(v, v) - pair(c1_reduced(v.space), v), 2)
+
+
+@pytest.mark.parametrize(
+    ("space", "coeffs", "genus"),
+    [
+        (projective_plane(), (1,), 0),
+        (projective_plane(), (2,), 0),
+        (projective_plane(), (3,), 1),
+        (projective_plane(), (4,), 3),
+        (trivial_bundle(0), (1, 0), 0),
+        (trivial_bundle(0), (1, 1), 0),
+        (trivial_bundle(0), (2, 3), 2),
+        (nontrivial_bundle(0), (0, 1), 0),
+    ],
+)
+def test_adjunction_genus_frozen(space, coeffs, genus):
+    v = ReducedClass(space, tuple(Fraction(c) for c in coeffs))
+    assert _adjunction_genus(v) == Fraction(genus)
+
+
+def test_adjunction_genus_flags_unrealizable_classes():
+    v = ReducedClass(trivial_bundle(0), (Fraction(2), Fraction(-1)))
+    assert _adjunction_genus(v) == Fraction(-2)
+
+
 # ---------------------------------------------------------------------------
 # Euler-class transport
 
