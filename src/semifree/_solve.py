@@ -30,6 +30,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:
+        (va, ea), (vb, eb) = a[0], b[0]
+        if va == vb:
+            return ((va, ea + eb),)
+        return a + b if va < vb else b + a
     acc = dict(a)
     for var, exp in b:
         acc[var] = acc.get(var, 0) + exp
@@ -51,6 +56,13 @@ class Poly:
     and every coefficient an ``int`` when integral and a ``Fraction``
     otherwise. Equal polynomials therefore have equal ``terms``, and
     every operation below returns that form.
+
+    The hot operations take fast paths that return that same form:
+    ``_mono_mul`` joins two single-variable monomials without a dict,
+    ``from_dict`` keeps an ``int`` coefficient without a ``canon`` call,
+    ``substitute`` multiplies an ``int`` or ``Fraction`` value in
+    directly and a ``Poly`` value out term by term, canonicalizing once
+    in its closing ``from_dict``, and ``p ** 1`` is ``p`` itself.
     """
 
     terms: tuple[tuple[Monomial, Rational], ...]
@@ -60,7 +72,15 @@ class Poly:
     @staticmethod
     def from_dict(d: Mapping[Monomial, Rational]) -> Poly:
         """The polynomial with coefficient ``d[m]`` at each monomial ``m``."""
-        return Poly(tuple(sorted((m, canon(c)) for m, c in d.items() if c)))
+        return Poly(
+            tuple(
+                sorted(
+                    (m, c if type(c) is int else canon(c))
+                    for m, c in d.items()
+                    if c
+                )
+            )
+        )
 
     @staticmethod
     def const(value: Rational) -> Poly:
@@ -198,6 +218,8 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError(f"negative exponent {n} of a polynomial")
+        if n == 1:
+            return self
         out = Poly.const(1)
         for _ in range(n):
             out = out * self
@@ -212,16 +234,29 @@ class Poly:
         acc: dict[Monomial, Rational] = {}
         for m, c in self.terms:
             kept: list[tuple[str, int]] = []
-            factor: Poly | None = None
+            # The product of the substituted non-constant factors,
+            # multiplied out term by term; ``from_dict`` sums it up once.
+            factor: Sequence[tuple[Monomial, Rational]] | None = None
             for var, exp in m:
-                if var not in values:
+                value = values.get(var)
+                if value is None:
                     kept.append((var, exp))
                     continue
-                value = values[var]
+                kind = type(value)
+                if kind is int or kind is Fraction:
+                    c = c * value if exp == 1 else c * value**exp
+                    continue
                 if isinstance(value, Poly):
                     if not value.is_constant():
-                        power = value**exp
-                        factor = power if factor is None else factor * power
+                        for _ in range(exp):
+                            if factor is None:
+                                factor = value.terms
+                                continue
+                            factor = [
+                                (_mono_mul(m1, m2), c1 * c2)
+                                for m1, c1 in factor
+                                for m2, c2 in value.terms
+                            ]
                         continue
                     value = value.constant_value()
                 c = c * _scalar(value) ** exp
@@ -229,7 +264,7 @@ class Poly:
             if factor is None:
                 acc[mono] = acc[mono] + c if mono in acc else c
                 continue
-            for m2, c2 in factor.terms:
+            for m2, c2 in factor:
                 m2, c2 = _mono_mul(mono, m2), c * c2
                 acc[m2] = acc[m2] + c2 if m2 in acc else c2
         return Poly.from_dict(acc)
@@ -316,16 +351,36 @@ def solve_in_span(
     basis: Sequence[Sequence[Rational]], target: Sequence[Rational]
 ) -> list[Rational] | None:
     """Coordinates t with sum t_i basis_i = target, or None."""
-    names = [f"t{i}" for i in range(len(basis))]
-    rows = []
-    for j in range(len(target)):
-        coeffs = {names[i]: basis[i][j] for i in range(len(basis))}
-        rows.append((coeffs, target[j]))
-    solved = solve_linear(rows, names)
-    if solved is None:
-        return None
-    values, _ = solved
-    return [values[name] for name in names]
+    return span_coordinates(basis, [target])[0]
+
+
+def span_coordinates(
+    basis: Sequence[Sequence[Rational]], targets: Sequence[Sequence[Rational]]
+) -> list[list[Rational] | None]:
+    """``solve_in_span`` of every target, from one elimination of the basis.
+
+    The targets ride along as right-hand columns of one ``rref``. As in
+    ``solve_linear``, the coordinates of a dependent basis that no pivot
+    fixes are zero.
+    """
+    m = len(basis)
+    rows = [
+        [b[j] for b in basis] + [t[j] for t in targets]
+        for j in range(len(targets[0]) if targets else 0)
+    ]
+    if not rows:
+        return [[0] * m for _ in targets]
+    red, pivots = rref(rows, col_limit=m)
+    out: list[list[Rational] | None] = []
+    for col in range(m, m + len(targets)):
+        if any(r[col] and not any(r[:m]) for r in red):
+            out.append(None)
+            continue
+        coords: list[Rational] = [0] * m
+        for ri, pivot in enumerate(pivots):
+            coords[pivot] = red[ri][col]
+        out.append(coords)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,15 @@ steps (``_cross``), and ``_walk`` remembers the states after each
 prefix of crossings, so the orderings of one datum, and in the
 enumeration all shapes of one minimum, walk each shared prefix once.
 
+Each piece of work is done once in its scope. A surface crossing forms
+e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
+its vectors in the kernel basis by one elimination. A chart computes
+its canonical bundle forms once (``_Chart.bundle_forms``). One chain
+solve walks and solves only the first of the orderings whose step keys
+repeat, since those walk to the very same branches. No cache outlives
+its chart or its call: the ``walks`` dict belongs to one chain solve,
+or in the enumeration to one minimum.
+
 On top of the engine sit the public operations: the dual-class solver,
 a yes/no chain-consistency check, transport of the Euler class for the
 wall calculus, and a bounded exhaustive enumeration of all admissible
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import ceil, floor, gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -32,8 +42,8 @@ from ._solve import (
     SolverStallError,
     _rational_roots,
     integer_kernel_basis,
-    solve_in_span,
     solve_system,
+    span_coordinates,
     sqrt_fraction,
     unimodular_clearing,
 )
@@ -82,6 +92,13 @@ class _Chart:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def bundle_forms(
+        self,
+    ) -> tuple[tuple[ReducedSpaceType, tuple[int, int], tuple[int, int]], ...]:
+        """``_bundle_forms`` of this chart, computed on first use."""
+        return tuple(_bundle_forms(self))
 
 
 def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
@@ -192,32 +209,17 @@ def _affine_parts(
         const.append(c)
         for var, value in coeffs.items():
             per_var.setdefault(var, [0] * n)[j] = value
-    for var in per_var:
-        while len(per_var[var]) < n:
-            per_var[var].append(0)
     return const, per_var
 
 
-def _reexpress_poly(
-    basis: Sequence[Sequence[int]], vec: Sequence[Poly]
-) -> list[Poly] | None:
-    const, per_var = _affine_parts(vec)
-    t_const = solve_in_span(basis, const)
-    if t_const is None:
-        return None
-    out = [Poly.const(c) for c in t_const]
-    for var, coords in per_var.items():
-        t_var = solve_in_span(basis, coords)
-        if t_var is None:
-            return None
-        for j in range(len(out)):
-            if t_var[j]:
-                out[j] = out[j] + Poly.var(var) * t_var[j]
-    return out
-
-
 def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
-    """Contract a (-1)-class; the Euler condition is handled by the caller."""
+    """Contract a (-1)-class; the Euler condition is handled by the caller.
+
+    The new chart's vectors are re-expressed in the kernel basis by one
+    elimination: the constant part and each unknown's coefficients of
+    the projected Euler vector, the shifted c1 and, when it pairs to
+    zero with the class, the fiber.
+    """
     functional = _pairing_functional(chart.gram, k_class)
     if not any(functional):
         return None
@@ -233,19 +235,27 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
     projected = [
         entry + correction * ki for entry, ki in zip(shifted, k_class)
     ]
-    euler = _reexpress_poly(basis, projected)
-    if euler is None:
+    const, per_var = _affine_parts(projected)
+    targets = [const, *per_var.values()]
+    targets.append([c + ki for c, ki in zip(chart.c1, k_class)])
+    keeps_fiber = (
+        chart.fiber is not None and _dot(chart.gram, chart.fiber, k_class) == 0
+    )
+    if keeps_fiber:
+        targets.append(chart.fiber)
+    coords = span_coordinates(basis, targets)
+    euler_coords, c1_coords = coords[: len(per_var) + 1], coords[len(per_var) + 1]
+    if c1_coords is None or any(t is None for t in euler_coords):
         return None
-    c1_shift = [c + ki for c, ki in zip(chart.c1, k_class)]
-    c1_coords = solve_in_span(basis, c1_shift)
-    if c1_coords is None:
-        return None
+    euler = []
+    for j, c in enumerate(euler_coords[0]):
+        entry = {(): c}
+        for var, t in zip(per_var, euler_coords[1:]):
+            entry[((var, 1),)] = t[j]
+        euler.append(Poly.from_dict(entry))
     fiber = None
-    if chart.fiber is not None:
-        if _dot(chart.gram, chart.fiber, k_class) == 0:
-            coords = solve_in_span(basis, chart.fiber)
-            if coords is not None:
-                fiber = tuple(coords)
+    if keeps_fiber and coords[-1] is not None:
+        fiber = tuple(coords[-1])
     return _Chart(
         gram=gram,
         c1=tuple(c1_coords),
@@ -451,7 +461,7 @@ def _chart_reduced_class(
         h = qdiv(chart.c1[0], 3)
         return ReducedClass.make(projective_plane(), qdiv(vec[0], h))
     if chart.rank == 2:
-        forms = _bundle_forms(chart)
+        forms = chart.bundle_forms
         if not forms:
             return None
         space, fib, section = forms[0]
@@ -497,6 +507,30 @@ def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
     return out or [()]
 
 
+def _step_key(pos: int, comp: FixedComponent) -> tuple:
+    """The key of one crossing in ``_walk``'s prefix keys."""
+    if comp.is_surface:
+        return ("S", pos, comp.genus, comp.b_plus, comp.b_minus)
+    return ("P", comp.index)
+
+
+def _distinct_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
+    """``_middle_orderings`` without those whose step keys repeat an earlier one.
+
+    Orderings with equal step keys, such as two index-2 points swapped
+    at one level, walk to the very same branches, so only the first of
+    them needs walking and solving.
+    """
+    seen: set[tuple] = set()
+    out = []
+    for ordering in _middle_orderings(data):
+        steps = tuple(_step_key(pos, data.components[pos]) for pos in ordering)
+        if steps not in seen:
+            seen.add(steps)
+            out.append(ordering)
+    return out
+
+
 def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
     """The walk states just above one crossing, in branch order.
 
@@ -507,22 +541,24 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
         names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
         eta = [Poly.var(name) for name in names]
         genus = comp.genus or 0
-        eqs = [
-            _dot(chart.gram, eta, eta)
-            - _dot(chart.gram, [Poly.const(c) for c in chart.c1], eta)
-            + Poly.const(2 - 2 * genus)
-        ]
-        if comp.b_minus is not None:
-            eqs.append(
-                _dot(chart.gram, chart.euler, eta) + Poly.const(comp.b_minus)
-            )
-        if comp.b_plus is not None:
-            eqs.append(
-                _dot(chart.gram, chart.euler, eta)
-                + _dot(chart.gram, eta, eta)
-                - Poly.const(comp.b_plus)
-            )
-        new_chart = replace(chart, euler=tuple(e + v for e, v in zip(chart.euler, eta)))
+        # Each pairing is formed once: eta.eta, c1.eta and e.eta.
+        eta_eta = _dot(chart.gram, eta, eta)
+        eqs = [eta_eta - _dot(chart.gram, chart.c1, eta) + (2 - 2 * genus)]
+        if comp.b_minus is not None or comp.b_plus is not None:
+            e_eta = _dot(chart.gram, chart.euler, eta)
+            if comp.b_minus is not None:
+                eqs.append(e_eta + Poly.const(comp.b_minus))
+            if comp.b_plus is not None:
+                eqs.append(e_eta + eta_eta - comp.b_plus)
+        new_chart = _Chart(
+            gram=chart.gram,
+            c1=chart.c1,
+            euler=tuple(e + v for e, v in zip(chart.euler, eta)),
+            fiber=chart.fiber,
+            base_genus=chart.base_genus,
+            pristine=chart.pristine,
+            exceptional=chart.exceptional,
+        )
         log = _CrossingLog(pos, chart, names)
         return [_Branch(equations + tuple(eqs), crossings + (log,), new_chart)]
     if comp.index == 2:
@@ -565,10 +601,7 @@ def _walk(
     states = walks[key]
     for pos in ordering:
         comp = data.components[pos]
-        if comp.is_surface:
-            key += (("S", pos, comp.genus, comp.b_plus, comp.b_minus),)
-        else:
-            key += (("P", comp.index),)
+        key += (_step_key(pos, comp),)
         if key not in walks and not isinstance(states, Exception):
             try:
                 walks[key] = [new for old in states for new in _cross(old, pos, comp)]
@@ -617,20 +650,16 @@ def _terminal_variants(
                 return []
             eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
         return [(eqs, chart)]
-    fibers: list[Sequence[Rational]] = []
     if chart.fiber is not None:
-        fibers.append(chart.fiber)
+        fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
-        for _, fib, _section in _bundle_forms(chart):
-            fibers.append(fib)
-    variants = []
-    for fib in fibers:
-        eqs = [
-            _dot(chart.gram, e, fib) - Poly.const(1),
-            _dot(chart.gram, e, e) + Poly.const(b_max),
-        ]
-        variants.append((eqs, chart))
-    return variants
+        fibers = [fib for _, fib, _section in chart.bundle_forms]
+    if not fibers:
+        return []
+    square = _dot(chart.gram, e, e) + Poly.const(b_max)
+    return [
+        ([_dot(chart.gram, e, fib) - Poly.const(1), square], chart) for fib in fibers
+    ]
 
 
 # -- solving -----------------------------------------------------------------
@@ -697,7 +726,7 @@ def _chain_solutions(
     walks = {} if walks is None else walks
     solutions: dict[tuple, _ChainSolution] = {}
     unbounded = False
-    for ordering in _middle_orderings(data):
+    for ordering in _distinct_orderings(data):
         for branch in _branches(data, ordering, walks):
             for sol in solve_system(list(branch.equations)):
                 if sol.free:
@@ -717,10 +746,9 @@ def _resolve_branch(
     crossings: list[Crossing] = []
     key: list[tuple] = []
     for log in branch.crossings:
-        eta = [Poly.var(name).substitute(values) for name in log.eta_vars]
-        if not all(p.is_constant() for p in eta):
+        if not all(name in values for name in log.eta_vars):
             return None
-        eta_values = [p.constant_value() for p in eta]
+        eta_values = [values[name] for name in log.eta_vars]
         if any(v.denominator != 1 for v in eta_values):
             return None
         dual = _chart_reduced_class(log.chart, eta_values)
@@ -1112,7 +1140,7 @@ def _solve_prefix(
         _structural_check(shape)
         branches = [
             branch
-            for ordering in _middle_orderings(shape)
+            for ordering in _distinct_orderings(shape)
             for branch in _branches(shape, ordering, walks)
         ]
     except (InvalidDataError, NotImplementedError):

@@ -804,6 +804,7 @@ def dumps(polytope: LatticePolytope) -> str:
 def loads(text: str) -> LatticePolytope:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
         raise PolytopeSchemaError(f"invalid JSON: {exc}") from exc
     return polytope_from_json_dict(payload)

@@ -276,7 +276,8 @@ class FixedPointData:
     def loads(text: str) -> "FixedPointData":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack.
             raise SchemaError(f"invalid JSON: {exc}") from None
         return FixedPointData.from_json_dict(payload)
 
@@ -410,7 +411,11 @@ def validate(data: FixedPointData) -> ValidationReport:
     rank = 1 if lo.is_point else 2
     legal = True
     for level in data.levels():
-        events = [c for c in data.at_level(level) if c in data.middles()]
+        events = [
+            c
+            for c in data.at_level(level)
+            if not (c.is_minimum or c.is_maximum)
+        ]
         deltas = [
             1 if (c.is_point and c.index == 2) else -1
             for c in events

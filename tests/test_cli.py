@@ -101,6 +101,23 @@ def test_validate_malformed_input_exits_two():
     assert code == 2
 
 
+# Nesting deeper than the JSON parser's recursion limit.
+DEEP_JSON = b"[" * 100000
+
+
+@pytest.mark.parametrize("command", ["classify", "polytope-check"])
+def test_deeply_nested_json_is_a_schema_error(command):
+    code, out = run(RunConfig(command=command), DEEP_JSON)
+    assert code == 2
+    assert out.startswith(b"error: invalid JSON:")
+    code, out = run(RunConfig(command=command, output_format="structured"), DEEP_JSON)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["command"] == command
+    assert payload["exit_code"] == 2
+    assert payload["error"].startswith("invalid JSON:")
+
+
 def test_localize_text():
     code, out = run(RunConfig(command="localize"), TYPE1)
     assert code == 0

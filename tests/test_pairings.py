@@ -1,0 +1,219 @@
+"""The chain engine's pairings and the ``Poly`` kernel against plain references.
+
+``tests/test_walk.py``'s oracle pairs with ``classifier._dot`` itself, so
+a fault in a pairing helper would sit on both sides of it. Here the
+pairings that ``_cross`` and ``_blow_down`` use, ``_dot`` and
+``_pairing_functional``, are checked against the sum over i, j of
+a_i g_ij b_j written out term by term in ``Poly`` arithmetic, on the
+Gram matrices the walk reaches. ``Poly.substitute``
+and ``_mono_mul`` are checked against references on plain dicts that
+share no code with ``Poly``.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+
+from semifree import classifier
+from semifree._solve import Poly, SolverStallError, _mono_mul
+from semifree.fixed_points import InvalidDataError
+
+from corpus import fuzz_data
+
+NAMES = ("a", "b", "x", "y")
+
+
+@lru_cache(maxsize=None)
+def _reached_grams() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The distinct Gram matrices of rank 1-3 that the chain walk reaches."""
+    data_sets = list(classifier._shapes(range(2), range(-2, 3)))
+    data_sets += [data for _, data in fuzz_data(1)]
+    grams = set()
+    for data in data_sets:
+        walks: dict = {}
+        try:
+            classifier._chain_solutions(data, walks)
+        except (InvalidDataError, NotImplementedError, SolverStallError):
+            pass
+        for states in walks.values():
+            if isinstance(states, Exception):
+                continue
+            for state in states:
+                charts = [state.top] + [log.chart for log in state.crossings]
+                grams.update(chart.gram for chart in charts)
+    return tuple(sorted(g for g in grams if 1 <= len(g) <= 3))
+
+
+def test_the_walk_reaches_grams_of_every_rank():
+    assert {len(g) for g in _reached_grams()} == {1, 2, 3}
+
+
+def _scalar(rng: random.Random):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-6, 6), rng.randint(2, 4))
+
+
+def _affine(rng: random.Random, names=NAMES) -> Poly:
+    acc = {(): _scalar(rng)}
+    for name in rng.sample(names, rng.randint(0, 3)):
+        acc[((name, 1),)] = _scalar(rng)
+    return Poly.from_dict(acc)
+
+
+def _vector(rng: random.Random, n: int) -> list:
+    """Ints, Fractions, affine ``Poly``s, or a mix of them (zeros included)."""
+    kind = rng.choice(("int", "fraction", "poly", "mixed"))
+    out = []
+    for _ in range(n):
+        pick = kind if kind != "mixed" else rng.choice(("int", "fraction", "poly"))
+        if pick == "int":
+            out.append(rng.randint(-3, 3))
+        elif pick == "fraction":
+            out.append(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        else:
+            out.append(_affine(rng) if rng.random() < 0.85 else Poly(()))
+    return out
+
+
+def _as_poly(value) -> Poly:
+    return value if isinstance(value, Poly) else Poly.const(value)
+
+
+def _written_out(gram, a, b) -> Poly:
+    """The sum over i, j of a_i g_ij b_j, one ``Poly`` product per term."""
+    total = Poly(())
+    for i in range(len(gram)):
+        for j in range(len(gram)):
+            total = total + _as_poly(a[i]) * Poly.const(gram[i][j]) * _as_poly(b[j])
+    return total
+
+
+def _assert_canonical_scalar(value) -> None:
+    assert type(value) is (int if value.denominator == 1 else Fraction)
+
+
+def test_dot_matches_the_written_out_sum():
+    rng = random.Random(12001)
+    for gram in _reached_grams():
+        n = len(gram)
+        for _ in range(40):
+            a, b = _vector(rng, n), _vector(rng, n)
+            if rng.random() < 0.3:
+                # A vector of unknowns, as ``_cross`` pairs with; its
+                # names may be shared with the other vector's variables.
+                names = rng.sample(("eta7_0", "eta7_1", "eta7_2", "x", "y"), n)
+                b = [Poly.var(name) for name in names]
+                if rng.random() < 0.3:
+                    a = b
+            got = classifier._dot(gram, a, b)
+            if not isinstance(got, Poly):
+                _assert_canonical_scalar(got)
+            assert _as_poly(got) == _written_out(gram, a, b), (gram, a, b)
+
+
+def test_pairing_functional_matches_the_written_out_sum():
+    rng = random.Random(12003)
+    for gram in _reached_grams():
+        n = len(gram)
+        for _ in range(25):
+            vec = [rng.randint(-3, 3) for _ in range(n)]
+            functional = classifier._pairing_functional(gram, vec)
+            for j in range(n):
+                unit = [1 if k == j else 0 for k in range(n)]
+                assert Poly.const(functional[j]) == _written_out(gram, vec, unit)
+
+
+# ---------------------------------------------------------------------------
+# references on plain dicts: {sorted monomial tuple: Fraction}
+
+
+def _ref_mono_mul(a, b):
+    exponents = Counter()
+    for var, exp in list(a) + list(b):
+        exponents[var] += exp
+    return tuple(sorted(exponents.items()))
+
+
+def _ref(value) -> dict:
+    if isinstance(value, Poly):
+        return {m: Fraction(c) for m, c in value.terms}
+    return {(): Fraction(value)}
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = _ref_mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _ref_substitute(poly: Poly, values) -> dict:
+    out: dict = {}
+    for m, c in poly.terms:
+        term = {(): Fraction(c)}
+        for var, exp in m:
+            factor = _ref(values[var]) if var in values else {((var, 1),): Fraction(1)}
+            for _ in range(exp):
+                term = _ref_mul(term, factor)
+        for mono, coeff in term.items():
+            out[mono] = out.get(mono, 0) + coeff
+    return out
+
+
+def _assert_equals_ref(poly: Poly, ref: dict) -> None:
+    expected = sorted((m, c) for m, c in ref.items() if c)
+    assert [(m, Fraction(c)) for m, c in poly.terms] == expected
+    for m, c in poly.terms:
+        _assert_canonical_scalar(c)
+        assert list(m) == sorted(m) and len({v for v, _ in m}) == len(m)
+
+
+def _random_mono(rng: random.Random):
+    names = rng.sample(NAMES, rng.randint(0, 3))
+    return tuple(sorted((name, rng.randint(1, 3)) for name in names))
+
+
+def _random_poly(rng: random.Random) -> Poly:
+    return Poly.from_dict({_random_mono(rng): _scalar(rng) for _ in range(rng.randint(0, 5))})
+
+
+def test_mono_mul_matches_the_reference():
+    rng = random.Random(12004)
+    for _ in range(2000):
+        a, b = _random_mono(rng), _random_mono(rng)
+        if rng.random() < 0.3:
+            b = a  # equal variable names on both sides
+        assert _mono_mul(a, b) == _ref_mono_mul(a, b), (a, b)
+
+
+def test_substitute_matches_the_reference():
+    rng = random.Random(12005)
+    for _ in range(1500):
+        poly = _random_poly(rng)
+        values = {}
+        for name in rng.sample(NAMES, rng.randint(1, 3)):
+            pick = rng.random()
+            if pick < 0.3:
+                values[name] = rng.randint(-3, 3)
+            elif pick < 0.5:
+                values[name] = Fraction(rng.randint(-5, 5), rng.randint(2, 3))
+            elif pick < 0.6:
+                values[name] = Poly.const(_scalar(rng))
+            else:
+                # May mention the substituted names: the substitution
+                # is simultaneous, as in the solver's back-substitution.
+                values[name] = _random_poly(rng)
+        _assert_equals_ref(poly.substitute(values), _ref_substitute(poly, values))
+
+
+def test_pow_one_and_substitute_without_hits_return_the_same_poly():
+    poly = Poly.from_dict({(("x", 2),): 3, (): Fraction(1, 2)})
+    assert poly**1 is poly
+    assert poly.substitute({"z": 5}) is poly
+    assert poly**0 == Poly.const(1)
