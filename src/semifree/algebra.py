@@ -81,10 +81,6 @@ class EquivariantClass:
         return EquivariantClass(carrier, tuple(sorted(cleaned.items())))
 
     @staticmethod
-    def zero(carrier: str) -> EquivariantClass:
-        return EquivariantClass.make(carrier, {})
-
-    @staticmethod
     def unit(carrier: str) -> EquivariantClass:
         return EquivariantClass.make(carrier, {0: (1, 0)})
 
@@ -100,49 +96,13 @@ class EquivariantClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self) -> int | None:
-        """Cohomological degree if homogeneous, else ``None``.
-
-        A scalar at exponent ``k`` sits in degree ``2k``; a ``u`` term at
-        exponent ``k`` sits in degree ``2k + 2``.  The zero class reports
-        ``None`` as well (it fits any degree).
-        """
-        degrees = set()
-        for k, (c, d) in self.terms:
-            if c:
-                degrees.add(2 * k)
-            if d:
-                degrees.add(2 * k + 2)
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     # -- ring structure ----------------------------------------------------
 
-    def _check(self, other: EquivariantClass) -> None:
+    def __mul__(self, other: EquivariantClass) -> EquivariantClass:
         if self.carrier != other.carrier:
             raise CarrierMismatchError(
                 f"cannot combine {self.carrier} class with {other.carrier} class"
             )
-
-    def __add__(self, other: EquivariantClass) -> EquivariantClass:
-        self._check(other)
-        acc: dict[int, tuple[Rational, Rational]] = dict(self.terms)
-        for k, (c, d) in other.terms:
-            c0, d0 = acc.get(k, (0, 0))
-            acc[k] = (c0 + c, d0 + d)
-        return EquivariantClass.make(self.carrier, acc)
-
-    def __neg__(self) -> EquivariantClass:
-        return EquivariantClass.make(
-            self.carrier, {k: (-c, -d) for k, (c, d) in self.terms}
-        )
-
-    def __sub__(self, other: EquivariantClass) -> EquivariantClass:
-        return self + (-other)
-
-    def __mul__(self, other: EquivariantClass) -> EquivariantClass:
-        self._check(other)
         return EquivariantClass(self.carrier, mul_terms(self.terms, other.terms))
 
     def shifted(self, k: int) -> EquivariantClass:

@@ -22,10 +22,11 @@ repeat, since those walk to the very same branches. No cache outlives
 its chart or its call: the ``walks`` dict belongs to one chain solve,
 or in the enumeration to one minimum.
 
-On top of the engine sit the public operations: the dual-class solver,
-a yes/no chain-consistency check, transport of the Euler class for the
-wall calculus, and a bounded exhaustive enumeration of all admissible
-data shapes with small second Betti number, grouped into families.
+On top of the engine sit the public operations: a yes/no
+chain-consistency check, transport of the Euler class for the wall
+calculus, the normal splittings of middle surfaces read off the solved
+chain, and a bounded exhaustive enumeration of all admissible data
+shapes with small second Betti number, grouped into families.
 """
 
 from __future__ import annotations
@@ -782,24 +783,6 @@ def euler_chain_check(data: FixedPointData) -> bool:
     return unbounded or bool(solutions)
 
 
-def dual_class_solve(data: FixedPointData) -> dict[int, ReducedClass]:
-    """Solve for the dual classes of the index-2 fixed surfaces.
-
-    Returns a map from component position to the surface class in the
-    reduced space just below its level. Raises when the chain has no
-    admissible solution or more than one.
-    """
-    solution = _unique_solution(*_chain_solutions(data))
-    out: dict[int, ReducedClass] = {}
-    for crossing in solution.crossings:
-        if crossing.dual is None:
-            raise NotImplementedError(
-                "dual class lives in a chart with no canonical form"
-            )
-        out[crossing.position] = crossing.dual
-    return out
-
-
 def _unique_solution(
     solutions: list[_ChainSolution], unbounded: bool
 ) -> _ChainSolution:
@@ -1194,6 +1177,40 @@ def _derive_splittings(
             components[crossing.position], b_plus=b_plus, b_minus=b_minus
         )
     return FixedPointData(tuple(components), twist=data.twist)
+
+
+def b_plus_minus(
+    data: FixedPointData, surface: FixedComponent | int
+) -> tuple[int, int]:
+    """(b_plus, b_minus) of an index-2 surface from the wall calculus.
+
+    With e the Euler class of the level just below the surface and eta
+    its dual class, b_minus = -pair(e, eta) and b_plus = pair(e + eta,
+    eta). Declared values on the data are ignored; this recomputes.
+    The surface may be given as a component of the data or as its
+    position, a non-bool int in ``range(len(data.components))``.
+    """
+    if isinstance(surface, FixedComponent) and surface in data.components:
+        position = data.components.index(surface)
+    elif (
+        isinstance(surface, int)
+        and not isinstance(surface, bool)
+        and 0 <= surface < len(data.components)
+    ):
+        position = surface
+    else:
+        raise InvalidDataError(
+            f"b_plus_minus needs a position in range({len(data.components)}) "
+            f"or a component of the data, got {surface!r}"
+        )
+    component = data.components[position]
+    if not (component.is_surface and component.index == 2):
+        raise InvalidDataError("b_plus_minus needs an index-2 surface")
+    crossing = next(c for c in euler_transport(data).crossings if c.position == position)
+    splitting = crossing.splitting
+    if splitting is None:
+        raise NoSolutionError("normal splitting is not integral")
+    return splitting
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:

@@ -514,22 +514,6 @@ def slice_polygon(polytope: LatticePolytope, z) -> SlicePolygon:
 # twist detection by transporting the fiber divisor class
 
 
-def _divisor_class_space(
-    rays: Sequence[tuple[int, int]],
-) -> list[dict[str, Fraction]]:
-    """Relation rows of the divisor class group over the ray variables."""
-    rows = []
-    for coordinate in (0, 1):
-        rows.append(
-            {
-                f"D{i}": ray[coordinate]
-                for i, ray in enumerate(rays)
-                if ray[coordinate]
-            }
-        )
-    return rows
-
-
 def _class_coordinates(
     rays: Sequence[tuple[int, int]],
 ) -> dict[int, tuple[Fraction, ...]]:
@@ -540,14 +524,11 @@ def _class_coordinates(
     the remaining free coordinates.
     """
     k = len(rays)
-    relations = _divisor_class_space(rays)
-    names = [f"D{i}" for i in range(k)]
-    # Express the class of each generator in the quotient by choosing,
-    # for every ray, the unique representative with zeroes in the two
-    # pivot coordinates of the relation rows.
-    matrix, pivots = rref(
-        [[row.get(name, 0) for name in names] for row in relations]
-    )
+    # The relation rows of the divisor class group are the two
+    # coordinates of the rays. Express the class of each generator in
+    # the quotient by choosing, for every ray, the unique representative
+    # with zeroes in the two pivot coordinates of the relation rows.
+    matrix, pivots = rref([[ray[0] for ray in rays], [ray[1] for ray in rays]])
     free = [c for c in range(k) if c not in pivots]
     out: dict[int, tuple[Fraction, ...]] = {}
     for i in range(k):
@@ -565,15 +546,9 @@ def _class_coordinates(
 def _gap_classes(
     polytope: LatticePolytope, z: Fraction
 ) -> dict[int, tuple[Fraction, ...]]:
-    halfplanes = _slice_halfplanes(polytope, z)
-    support = _polygon_support(halfplanes)
-    active = [
-        (fi, normal)
-        for fi, normal, _ in halfplanes
-        if len(set(support.get(fi, ()))) >= 2
-    ]
-    coords = _class_coordinates([normal for _, normal in active])
-    return {fi: coords[i] for i, (fi, _) in enumerate(active)}
+    edges = slice_polygon(polytope, z).edges
+    coords = _class_coordinates([edge.normal for edge in edges])
+    return {edge.source_facet: coords[i] for i, edge in enumerate(edges)}
 
 
 def _express(
@@ -795,10 +770,6 @@ def polytope_from_json_dict(payload: Mapping) -> LatticePolytope:
             ) from exc
         rows.append((normal, offset))
     return build(rows)
-
-
-def dumps(polytope: LatticePolytope) -> str:
-    return json.dumps(polytope_to_json_dict(polytope), indent=2, sort_keys=True) + "\n"
 
 
 def loads(text: str) -> LatticePolytope:

@@ -445,22 +445,10 @@ def _rank_walk_possible(start: int, deltas: list[int]) -> bool:
     """Can the +1/-1 events be ordered so the rank never drops below 1?
 
     A -1 step is a blow-down and needs rank >= 2 before it happens.
+    Doing every blow-up first is always the best order, so the events
+    can be ordered exactly when the rank after all of them is at least 1.
     """
-    if not deltas:
-        return True
-    ups = deltas.count(1)
-    downs = deltas.count(-1)
-
-    def walk(rank: int, ups: int, downs: int) -> bool:
-        if ups == 0 and downs == 0:
-            return True
-        if ups and walk(rank + 1, ups - 1, downs):
-            return True
-        if downs and rank >= 2 and walk(rank - 1, ups, downs - 1):
-            return True
-        return False
-
-    return walk(start, ups, downs)
+    return start + sum(deltas) >= 1
 
 
 # ---------------------------------------------------------------------------

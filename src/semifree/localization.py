@@ -35,10 +35,9 @@ from .fixed_points import (
     FixedComponent,
     FixedPointData,
     InvalidDataError,
-    SchemaError,
     classify_type,
 )
-from .rationals import Rational, canon, format_rational, parse_rational
+from .rationals import Rational, canon, format_rational
 
 if TYPE_CHECKING:
     from .classifier import ChainResult
@@ -292,73 +291,6 @@ class RestrictionTable:
                 "rule_decisive_for_odd_parity": self.rule_decisive_for_odd_parity,
             },
         }
-
-    @staticmethod
-    def from_json_dict(payload: Mapping) -> "RestrictionTable":
-        if not isinstance(payload, Mapping):
-            raise SchemaError("restriction table must be a JSON object")
-        if payload.get("schema") != RTABLE_SCHEMA:
-            raise SchemaError(f"unsupported schema: {payload.get('schema')!r}")
-        data = FixedPointData.from_json_dict(payload.get("data"))
-        labels = tuple(f"F{i + 1}" for i in range(len(data.components)))
-        try:
-            positions = tuple(payload["labels"][label] for label in labels)
-            if len(payload["labels"]) != len(labels) or sorted(
-                p if type(p) is int else -1 for p in positions
-            ) != list(range(len(labels))):
-                raise ValueError(f"labels must be F1..F{len(labels)}, each once")
-
-            def row(by_label: Mapping, degree) -> tuple[EquivariantClass, ...]:
-                # the equation set relies on each restriction lying in its degree
-                out = tuple(
-                    EquivariantClass.make(
-                        data.components[p].kind,
-                        {
-                            int(k): (parse_rational(c), parse_rational(d))
-                            for k, c, d in by_label[label]
-                        },
-                    )
-                    for label, p in zip(labels, positions)
-                )
-                if type(degree) is not int or any(
-                    r.terms and r.homogeneous_degree() != degree for r in out
-                ):
-                    raise ValueError(f"restrictions not all of degree {degree!r}")
-                return out
-
-            classes = []
-            for entry in payload["classes"]:
-                classes.append(
-                    TableClass(
-                        name=entry["name"],
-                        degree=entry["degree"],
-                        home=entry["home"],
-                        restrictions=row(entry["restrictions"], entry["degree"]),
-                    )
-                )
-            c1_values = row(payload["c1"]["restrictions"], 2)
-            decomposition = tuple(
-                (name, parse_rational(value))
-                for name, value in payload["c1"]["decomposition"]
-            )
-            flags = payload.get("flags", {})
-            return RestrictionTable(
-                data=data,
-                type_tag=payload["type"],
-                labels=labels,
-                positions=positions,
-                classes=tuple(classes),
-                c1_values=c1_values,
-                c1_decomposition=decomposition,
-                selection_rule_applied=bool(flags.get("selection_rule_applied")),
-                rule_decisive_for_odd_parity=bool(
-                    flags.get("rule_decisive_for_odd_parity")
-                ),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"restriction table lacks the key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed restriction table: {exc}") from None
 
 
 RTABLE_SCHEMA = "rtable.v1"
@@ -686,13 +618,13 @@ def _selection_rule_values(
     the middle surface's dual class, and its lambda-part at the top is
     0 without a twist and -1 with one.
     """
-    from .classifier import dual_class_solve
+    from .classifier import euler_transport
 
-    duals = dual_class_solve(data)
     middle = next(c for c in data.middles() if c.is_surface)
-    eta = duals[data.components.index(middle)]
+    position = data.components.index(middle)
+    eta = next(c.dual for c in euler_transport(data).crossings if c.position == position)
     min_label_index = positions.index(data.components.index(data.minimum))
-    mid_label_index = positions.index(data.components.index(middle))
+    mid_label_index = positions.index(position)
     max_label_index = positions.index(data.components.index(data.maximum))
     name = f"alpha'_{min_label_index + 1}"
     e_var = f"{name}|F{max_label_index + 1}.t"
@@ -739,49 +671,6 @@ def _c1_decomposition(
             "c_1 decomposition is not unique over this basis"
         )
     return tuple((name, values[name]) for name in names)
-
-
-# ---------------------------------------------------------------------------
-# normal splittings of middle surfaces
-
-
-def b_plus_minus(
-    data: FixedPointData, surface: FixedComponent | int
-) -> tuple[int, int]:
-    """(b_plus, b_minus) of an index-2 surface from the wall calculus.
-
-    With e the Euler class of the level just below the surface and eta
-    its dual class, b_minus = -pair(e, eta) and b_plus = pair(e + eta,
-    eta). Declared values on the data are ignored; this recomputes.
-    The surface may be given as a component of the data or as its
-    position, a non-bool int in ``range(len(data.components))``.
-    """
-    from .classifier import euler_transport
-
-    if isinstance(surface, FixedComponent) and surface in data.components:
-        position = data.components.index(surface)
-    elif (
-        isinstance(surface, int)
-        and not isinstance(surface, bool)
-        and 0 <= surface < len(data.components)
-    ):
-        position = surface
-    else:
-        raise InvalidDataError(
-            f"b_plus_minus needs a position in range({len(data.components)}) "
-            f"or a component of the data, got {surface!r}"
-        )
-    component = data.components[position]
-    if not (component.is_surface and component.index == 2):
-        raise InvalidDataError("b_plus_minus needs an index-2 surface")
-    transport = euler_transport(data)
-    event = next(
-        ev for ev in transport.crossings if ev.position == position
-    )
-    splitting = event.splitting
-    if splitting is None:
-        raise NoSolutionError("normal splitting is not integral")
-    return splitting
 
 
 def w2_vanishes(data: FixedPointData) -> bool:

@@ -21,6 +21,7 @@ from semifree.algebra import (
     trivial_bundle,
 )
 from semifree.classifier import (
+    b_plus_minus,
     enumerate_types,
     euler_transport,
     family_instance,
@@ -41,7 +42,6 @@ from semifree.fixed_points import (
 )
 from semifree.localization import (
     abbv_integrate,
-    b_plus_minus,
     c1_restrictions,
     equivariant_euler,
     solve_restriction_table,

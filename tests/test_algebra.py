@@ -61,13 +61,6 @@ def test_carrier_mismatch_rejected():
         mul(surf({0: (1, 0)}), pt({0: (1, 0)}))
 
 
-def test_homogeneous_degree():
-    assert surf({1: (1, 0)}).homogeneous_degree() == 2
-    assert surf({0: (0, 1)}).homogeneous_degree() == 2
-    assert surf({1: (1, 1)}).homogeneous_degree() is None
-    assert surf({1: (2, 0), 0: (0, 5)}).homogeneous_degree() == 2
-
-
 @given(nonzero_rationals, rationals, st.integers(-3, 3))
 def test_invert_euler_left_and_right_inverse(c, d, k):
     e = surf({k: (c, 0), k - 1: (0, d)})
@@ -87,7 +80,7 @@ def test_invert_euler_rejects_wide_classes():
     with pytest.raises(NotInvertibleError):
         invert_euler(surf({0: (1, 0), 2: (1, 0)}))
     with pytest.raises(NotInvertibleError):
-        invert_euler(EquivariantClass.zero("surface"))
+        invert_euler(EquivariantClass.make("surface", {}))
     with pytest.raises(NotInvertibleError):
         # The u part must sit exactly one exponent below the scalar.
         invert_euler(surf({2: (1, 0), 0: (0, 1)}))

@@ -21,7 +21,6 @@ from semifree import classifier
 from semifree._solve import SolverStallError
 from semifree.classifier import (
     Crossing,
-    dual_class_solve,
     enumerate_types,
     euler_chain_check,
     euler_transport,
@@ -162,6 +161,11 @@ def test_derive_splittings_rejects_a_non_integral_splitting():
     half = Crossing(1, Fraction(1, 2), 0, None)
     solution = classifier._ChainSolution(((1, Fraction(1, 2), 0),), (half,))
     assert classifier._derive_splittings(data, [solution], False) is None
+
+
+def dual_class_solve(data):
+    """The dual class of each index-2 surface, keyed by its position."""
+    return {crossing.position: crossing.dual for crossing in euler_transport(data).crossings}
 
 
 def test_dual_classes_frozen():

@@ -12,12 +12,12 @@ from semifree.classifier import family_instance
 from semifree.delzant import (
     PolytopeError,
     builtin_examples,
-    dumps as polytope_dumps,
     extract_fixed_data,
     loads as polytope_loads,
+    polytope_to_json_dict,
 )
 from semifree.fixed_points import FixedPointData, point, surface
-from semifree.localization import RestrictionTable
+from semifree.localization import solve_restriction_table
 
 TYPE1 = family_instance("1").dumps().encode()
 TYPE3 = family_instance("3", n=1).dumps().encode()
@@ -34,6 +34,10 @@ CUBE_PAYLOAD = json.dumps(
         ],
     }
 ).encode()
+
+
+def polytope_dumps(polytope) -> str:
+    return json.dumps(polytope_to_json_dict(polytope), indent=2, sort_keys=True) + "\n"
 
 
 def invalid_data() -> bytes:
@@ -163,8 +167,8 @@ def test_restrict_table_structured_reparses():
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == "rtable.v1"
-    table = RestrictionTable.from_json_dict(payload)
-    assert table.type_tag == "3"
+    table = solve_restriction_table(family_instance("3", n=1))
+    assert payload == json.loads(json.dumps(table.to_json_dict()))
 
 
 def test_restrict_table_inconsistent_data_exits_one():

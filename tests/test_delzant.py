@@ -1,5 +1,6 @@
 """Moment polytopes: smoothness checks, fixed-point extraction, twist detection."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from semifree.delzant import (
     builtin_examples,
     delzant_check,
     detect_twist,
-    dumps,
     edge_normal_degrees,
     extract_fixed_data,
     loads,
@@ -329,6 +329,10 @@ def test_twist_needs_extreme_spheres(gallery):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def dumps(polytope) -> str:
+    return json.dumps(polytope_to_json_dict(polytope), indent=2, sort_keys=True) + "\n"
 
 
 def test_round_trip_every_builtin(gallery):

@@ -1,6 +1,8 @@
 """Tests for fixed point data construction, validation and classification."""
 
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from semifree.fixed_points import (
     FixedPointData,
     InvalidDataError,
     SchemaError,
+    _rank_walk_possible,
     betti_profile,
     classify_type,
     point,
@@ -253,6 +256,44 @@ def test_validate_rejects_blow_down_before_any_blow_up():
     )
     report = validate(data)
     assert not report.ok
+
+
+def rank_walk_by_search(start: int, deltas: list[int]) -> bool:
+    """Try every order of the +1/-1 events, as ``validate`` once did."""
+    if not deltas:
+        return True
+
+    def walk(rank: int, ups: int, downs: int) -> bool:
+        if ups == 0 and downs == 0:
+            return True
+        if ups and walk(rank + 1, ups - 1, downs):
+            return True
+        if downs and rank >= 2 and walk(rank - 1, ups, downs - 1):
+            return True
+        return False
+
+    return walk(start, deltas.count(1), deltas.count(-1))
+
+
+@pytest.mark.parametrize("start", [1, 2, 3, 4])
+def test_rank_walk_matches_the_search_over_orderings(start):
+    for ups, downs in itertools.product(range(9), repeat=2):
+        deltas = [-1] * downs + [1] * ups
+        assert _rank_walk_possible(start, deltas) == rank_walk_by_search(start, deltas)
+
+
+def test_validate_is_fast_with_many_events_at_one_level():
+    # No order of 16 blow-ups and 18 blow-downs at one level keeps the
+    # rank legal; a search over the orderings takes tens of seconds here.
+    data = FixedPointData(
+        (point(0, 0), *[point(2, 1)] * 16, *[point(4, 1)] * 18, point(6, 2))
+    )
+    started = time.perf_counter()
+    report = validate(data)
+    assert time.perf_counter() - started < 1
+    assert report.violations[-1] == (
+        "no ordering of the level 1 events keeps the reduced space rank legal"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ from pathlib import Path
 import semifree
 
 # localization needs the chain engine of classifier, which imports
-# localization at module level; these three imports break that cycle.
+# localization at module level; these two imports break that cycle.
 ALLOWED_LOCAL_IMPORTS = [
     ("localization.py", "_selection_rule_values", "classifier"),
-    ("localization.py", "b_plus_minus", "classifier"),
     ("localization.py", "dh_path", "classifier"),
 ]
 
@@ -64,8 +63,8 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-def _reads(node: ast.AST, local: frozenset = frozenset()) -> set[str]:
-    """Names read under ``node``: global loads, attribute reads and imports.
+def _global_loads(node: ast.AST, local: frozenset = frozenset()) -> set[str]:
+    """Names loaded under ``node`` that are not local variables.
 
     A load of a name bound inside the enclosing function (a parameter or
     an assignment) is a local variable and does not count.
@@ -79,41 +78,59 @@ def _reads(node: ast.AST, local: frozenset = frozenset()) -> set[str]:
     found = set()
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
         found.add(node.id)
-    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        found.add(node.attr)
-    elif isinstance(node, ast.ImportFrom):
-        found |= {a.name for a in node.names}
     for child in ast.iter_child_nodes(node):
-        found |= _reads(child, local)
+        found |= _global_loads(child, local)
     return found
 
 
-def _exported_names_without_a_user() -> list[str]:
-    """Names of ``__all__`` read nowhere in src, scripts or perfbench.
+def _definitions_without_a_user() -> list[str]:
+    """``module.name`` of each public module-level function or class of
+    the package that nothing in src, scripts or perfbench reads.
 
-    ``__init__.py`` only re-exports, and a definition reading its own
-    name (a recursive call) is no user of it.
+    A definition is read where it is imported from its module, directly
+    or through the package; where it is read as an attribute of its
+    module; or where its own module loads it outside its own definition
+    (a recursive call is no user). ``__init__.py`` only re-exports.
     """
     package = Path(semifree.__file__).parent
     root = package.parent.parent
-    reads: list[tuple[str | None, set[str]]] = []  # (top-level definition, names it reads)
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    origin = {  # package-level name -> module it is re-exported from
+        alias.name: node.module
+        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defined: list[tuple[str, str]] = []
+    users: set[tuple[str, str]] = set()
     for directory in (package, root / "scripts", root / "perfbench"):
         for path in sorted(directory.glob("*.py")):
             if path == package / "__init__.py":
                 continue
             for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-                definition = isinstance(
-                    statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-                reads.append((statement.name if definition else None, _reads(statement)))
-    return [
-        name
-        for name in semifree.__all__
-        if not any(name in names for owner, names in reads if owner != name)
-    ]
+                name = getattr(statement, "name", None)  # set on def and class
+                if directory == package:
+                    if name and not name.startswith("_"):
+                        defined.append((path.stem, name))
+                    users |= {(path.stem, n) for n in _global_loads(statement) if n != name}
+                for node in ast.walk(statement):
+                    # node.module is None only in a relative "from . import"
+                    if isinstance(node, ast.ImportFrom) and (
+                        node.level or node.module.startswith("semifree")
+                    ):
+                        module = (node.module or "").removeprefix("semifree").lstrip(".")
+                        users |= {(module or origin.get(a.name), a.name) for a in node.names}
+                    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                        owner = node.value.id
+                        if owner in modules:
+                            users.add((owner, node.attr))
+                        elif owner == "semifree":
+                            users.add((origin.get(node.attr), node.attr))
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in users]
 
 
 def test_every_export_has_a_caller_outside_the_tests():
     # The public API is what src, scripts and perfbench use; a helper
-    # only the tests call belongs in the tests.
-    assert _exported_names_without_a_user() == []
+    # only the tests call belongs in the tests. This holds for every
+    # public function and class, exported from the package or not.
+    assert _definitions_without_a_user() == []

@@ -16,11 +16,16 @@ from semifree.algebra import (
     mul,
 )
 from semifree import classifier
-from semifree.classifier import ChainResult, Crossing, euler_transport, family_instance
+from semifree.classifier import (
+    ChainResult,
+    Crossing,
+    b_plus_minus,
+    euler_transport,
+    family_instance,
+)
 from semifree.fixed_points import (
     FixedPointData,
     InvalidDataError,
-    SchemaError,
     classify_type,
     point,
     surface,
@@ -34,7 +39,6 @@ from semifree.localization import (
     _integration_equations,
     _SkeletonClass,
     abbv_integrate,
-    b_plus_minus,
     c1_restriction,
     c1_restrictions,
     dh_path,
@@ -67,8 +71,7 @@ def verify_redundant_equations(table: RestrictionTable) -> list[str]:
     below degree six, and every product of two degree-2 classes or the
     first Chern class, integrates to zero. Products of degree six and
     more constrain nothing, because each restriction lies in its
-    class's degree; ``solve_restriction_table`` and ``from_json_dict``
-    only make such tables.
+    class's degree; ``solve_restriction_table`` only makes such tables.
     """
     solved = [
         _SkeletonClass(
@@ -631,79 +634,7 @@ def test_dh_path_full_sweep_two_surface_join():
 
 
 # ---------------------------------------------------------------------------
-# serialization and rendering
-
-
-def test_table_round_trip():
-    table = table_for("3", n=3)
-    payload = table.to_json_dict()
-    assert payload["schema"] == "rtable.v1"
-    assert RestrictionTable.from_json_dict(payload) == table
-
-
-def test_table_rejects_unknown_schema():
-    payload = table_for("1").to_json_dict()
-    payload["schema"] = "rtable.v999"
-    with pytest.raises(SchemaError):
-        RestrictionTable.from_json_dict(payload)
-
-
-def _edit(*path, value=None):
-    """Set the entry at ``path`` to ``value``, or delete it when None."""
-
-    def edit(payload):
-        *parents, last = path
-        for key in parents:
-            payload = payload[key]
-        if value is None:
-            del payload[last]
-        else:
-            payload[last] = value
-
-    return edit
-
-
-def _relabel(payload):
-    payload["labels"]["X"] = payload["labels"].pop("F1")
-
-
-MALFORMED_TABLES = {
-    "missing labels": (_edit("labels"), "lacks the key 'labels'"),
-    "missing classes": (_edit("classes"), "lacks the key 'classes'"),
-    "missing c1": (_edit("c1"), "lacks the key 'c1'"),
-    "label X": (_relabel, "lacks the key 'F1'"),
-    "position a": (_edit("labels", "F1", value="a"), "F1..F3, each once"),
-    "position 99": (_edit("labels", "F1", value=99), "F1..F3, each once"),
-    "degree x": (_edit("classes", 1, "degree", value="x"), "not all of degree 'x'"),
-    "restriction outside its degree": (
-        _edit(
-            "classes", 1, "restrictions", "F2",
-            value=[[0, "0", "2"], [1, "-1", "0"], [2, "1", "0"]],
-        ),
-        "not all of degree 2",
-    ),
-    "missing restriction": (
-        _edit("classes", 1, "restrictions", "F2"),
-        "lacks the key 'F2'",
-    ),
-    "rational x": (
-        _edit("classes", 1, "restrictions", "F2", value=[[1, "x", "0"]]),
-        "malformed rational 'x'",
-    ),
-    "one-element decomposition entry": (
-        _edit("c1", "decomposition", value=[["alpha_2"]]),
-        "not enough values",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
-def test_table_rejects_malformed_payload(case):
-    edit, message = MALFORMED_TABLES[case]
-    payload = table_for("1").to_json_dict()
-    edit(payload)
-    with pytest.raises(SchemaError, match=message):
-        RestrictionTable.from_json_dict(payload)
+# rendering
 
 
 def test_render_text_type_one():
@@ -873,4 +804,4 @@ def test_restrictions_are_homogeneous(corpus):
             assert term_degrees(c1_restriction(component).terms) <= {2}
             dim = 0 if component.is_point else 2
             inverse = invert_euler(equivariant_euler(component))
-            assert inverse.homogeneous_degree() == -(6 - dim)
+            assert term_degrees(inverse.terms) == {-(6 - dim)}
