@@ -145,6 +145,36 @@ def mul_terms(
     return tuple(out)
 
 
+def integrate_product(
+    carrier: str, a: Iterable[tuple[int, tuple]], b: Iterable[tuple[int, tuple]]
+) -> dict:
+    """Integrate the product of two term lists over one fixed component.
+
+    Integration over a point picks the scalar coefficients, and over a
+    surface the ``u`` coefficients (the area generator has total
+    integral 1). The product itself is not formed: a point sums only
+    ``c1 c2`` over the pairs of terms, a surface only ``c1 d2 + d1 c2``.
+    The result maps each exponent, in increasing order, to its nonzero
+    coefficient; like ``mul_terms`` this works for any commutative
+    coefficient type, and scalar coefficients come out canonical.
+    """
+    acc: dict = {}
+    on_point = carrier == POINT
+    for i, (c1, d1) in a:
+        for j, (c2, d2) in b:
+            if on_point:
+                value = c1 * c2
+            elif d2:
+                value = c1 * d2 + d1 * c2 if d1 else c1 * d2
+            elif d1:
+                value = d1 * c2
+            else:
+                continue
+            k = i + j
+            acc[k] = acc[k] + value if k in acc else value
+    return {k: canon(acc[k]) for k in sorted(acc) if acc[k]}
+
+
 def mul(a: EquivariantClass, b: EquivariantClass) -> EquivariantClass:
     """Product of two classes on the same carrier (``u * u = 0``)."""
     return a * b
@@ -172,22 +202,6 @@ def invert_euler(e: EquivariantClass) -> EquivariantClass:
     return EquivariantClass.make(
         e.carrier, {-k: (qdiv(1, c), 0), -k - 1: (0, -qdiv(d, c * c))}
     )
-
-
-def integrate_component(x: EquivariantClass) -> dict[int, Rational]:
-    """Push a restricted class forward to a Laurent scalar.
-
-    Integration over a point picks the scalar coefficients; integration
-    over a surface picks the ``u`` coefficients (the area generator has
-    total integral 1).  The result maps each exponent to its nonzero
-    coefficient; like ``mul_terms`` this works for any coefficient type.
-    """
-    out: dict[int, Rational] = {}
-    for k, (c, d) in x.terms:
-        value = c if x.carrier == POINT else d
-        if value:
-            out[k] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
 its vectors in the kernel basis by one elimination. A chart computes
 its canonical bundle forms once (``_Chart.bundle_forms``). One chain
 solve walks and solves only the first of the orderings whose step keys
-repeat, since those walk to the very same branches. No cache outlives
+repeat, since those walk to the very same branches; the others are
+never generated (``_distinct_orderings``). No cache outlives
 its chart or its call: the ``walks`` dict belongs to one chain solve,
 or in the enumeration to one minimum.
 
@@ -491,21 +492,20 @@ class _Branch:
     top: _Chart
 
 
-def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
+def _level_groups(data: FixedPointData) -> list[list[int]]:
+    """The positions of the middle components, grouped by level from the bottom."""
     groups: dict[Rational, list[int]] = {}
     for pos, comp in enumerate(data.components):
         if comp.is_minimum or comp.is_maximum:
             continue
         groups.setdefault(comp.level, []).append(pos)
-    ordered_levels = sorted(groups)
-    pools = [list(itertools.permutations(groups[lv])) for lv in ordered_levels]
-    out: list[tuple[int, ...]] = []
-    for combo in itertools.product(*pools):
-        flat: list[int] = []
-        for part in combo:
-            flat.extend(part)
-        out.append(tuple(flat))
-    return out or [()]
+    return [groups[lv] for lv in sorted(groups)]
+
+
+def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
+    """Every crossing order: each level's middles in every order, levels upward."""
+    pools = [list(itertools.permutations(group)) for group in _level_groups(data)]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
 
 
 def _step_key(pos: int, comp: FixedComponent) -> tuple:
@@ -520,16 +520,38 @@ def _distinct_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
 
     Orderings with equal step keys, such as two index-2 points swapped
     at one level, walk to the very same branches, so only the first of
-    them needs walking and solving.
+    them needs walking and solving. They are generated directly, level
+    by level (``_distinct_arrangements``), never by filtering every
+    permutation: n equal points at one level have n! orderings and one
+    sequence of step keys.
     """
-    seen: set[tuple] = set()
-    out = []
-    for ordering in _middle_orderings(data):
-        steps = tuple(_step_key(pos, data.components[pos]) for pos in ordering)
-        if steps not in seen:
-            seen.add(steps)
-            out.append(ordering)
-    return out
+    comps = data.components
+    pools = [
+        list(_distinct_arrangements([(pos, _step_key(pos, comps[pos])) for pos in group]))
+        for group in _level_groups(data)
+    ]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
+
+
+def _distinct_arrangements(keyed: list[tuple[int, tuple]]) -> Iterable[tuple[int, ...]]:
+    """The first arrangement, in ``itertools.permutations`` order, of each key sequence.
+
+    ``keyed`` holds ``(position, step key)`` pairs in increasing
+    position. A depth-first search takes the pairs in that order at each
+    depth and skips a pair whose key was already tried at the same
+    depth, so each key sequence is reached once, by its first
+    permutation.
+    """
+    if not keyed:
+        yield ()
+        return
+    tried: set[tuple] = set()
+    for i, (pos, key) in enumerate(keyed):
+        if key in tried:
+            continue
+        tried.add(key)
+        for rest in _distinct_arrangements(keyed[:i] + keyed[i + 1 :]):
+            yield (pos, *rest)
 
 
 def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:

@@ -8,14 +8,19 @@ structural rules that any such action must satisfy, ``betti_profile``
 computes the Morse-theoretic Betti numbers, and ``classify_type``
 pattern-matches the data against the known shapes with small second
 Betti number.
+
+Every command starts here, so each per-datum cost is paid once. The
+parser reads each entry in one pass, ``validate`` groups the
+components in one pass, and a datum keeps its ``validate`` report and
+its type tag once computed (``_memo``).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 from .rationals import Rational, format_rational, parse_rational
 
@@ -25,6 +30,11 @@ SURFACE = "surface"
 FPDATA_SCHEMA = "fpdata.v1"
 
 UNCLASSIFIED = "unclassified"
+
+# The fields a serialized datum and each of its components may carry.
+_TOP_FIELDS = frozenset({"schema", "twist", "components"})
+_OPTIONAL_FIELDS = ("genus", "b", "b_plus", "b_minus")
+_COMPONENT_FIELDS = frozenset({"kind", "index", "level", *_OPTIONAL_FIELDS})
 
 
 class SchemaError(ValueError):
@@ -52,34 +62,34 @@ class FixedComponent:
     b_minus: int | None = None
 
     def __post_init__(self) -> None:
-        level = self.level
+        level, index, kind = self.level, self.index, self.kind
+        genus, b, b_plus, b_minus = self.genus, self.b, self.b_plus, self.b_minus
+        optional = (("genus", genus), ("b", b), ("b_plus", b_plus), ("b_minus", b_minus))
         if not (type(level) is int or type(level) is Fraction and level.denominator > 1):
             object.__setattr__(self, "level", parse_rational(level))
-        if not _is_int(self.index):
-            raise ValueError(f"index must be an integer: {self.index!r}")
-        for name in ("genus", "b", "b_plus", "b_minus"):
-            value = getattr(self, name)
+        if not _is_int(index):
+            raise ValueError(f"index must be an integer: {index!r}")
+        for name, value in optional:
             if value is not None and not _is_int(value):
                 raise ValueError(f"{name} must be an integer: {value!r}")
-        if self.kind == POINT:
-            if self.index not in (0, 2, 4, 6):
-                raise ValueError(f"point index must be 0, 2, 4 or 6: {self.index}")
-            for name in ("genus", "b", "b_plus", "b_minus"):
-                if getattr(self, name) is not None:
+        if kind == POINT:
+            if index not in (0, 2, 4, 6):
+                raise ValueError(f"point index must be 0, 2, 4 or 6: {index}")
+            for name, value in optional:
+                if value is not None:
                     raise ValueError(f"isolated point carries no {name}")
-        elif self.kind == SURFACE:
-            if self.index not in (0, 2, 4):
-                raise ValueError(f"surface index must be 0, 2 or 4: {self.index}")
-            if not isinstance(self.genus, int) or self.genus < 0:
-                raise ValueError(f"surface needs a genus >= 0: {self.genus}")
-            if self.index == 2:
-                if self.b is not None:
+        elif kind == SURFACE:
+            if index not in (0, 2, 4):
+                raise ValueError(f"surface index must be 0, 2 or 4: {index}")
+            if not isinstance(genus, int) or genus < 0:
+                raise ValueError(f"surface needs a genus >= 0: {genus}")
+            if index == 2:
+                if b is not None:
                     raise ValueError("index-2 surface carries (b_plus, b_minus), not b")
-            else:
-                if self.b_plus is not None or self.b_minus is not None:
-                    raise ValueError("extremal surface carries a single b")
+            elif b_plus is not None or b_minus is not None:
+                raise ValueError("extremal surface carries a single b")
         else:
-            raise ValueError(f"unknown component kind: {self.kind}")
+            raise ValueError(f"unknown component kind: {kind}")
 
     @property
     def is_point(self) -> bool:
@@ -136,26 +146,33 @@ def surface(
     )
 
 
+def _sort_key(c: FixedComponent) -> tuple:
+    return (
+        c.level,
+        c.index,
+        c.kind,
+        -1 if c.genus is None else c.genus,
+        (c.b is None, c.b or 0),
+        (c.b_plus is None, c.b_plus or 0),
+        (c.b_minus is None, c.b_minus or 0),
+    )
+
+
 @dataclass(frozen=True)
 class FixedPointData:
-    """All fixed components of one action, ordered by level."""
+    """All fixed components of one action, ordered by level.
+
+    The data are immutable, so a costly fact derived from them alone is
+    computed once per datum (``_memo``): the ``validate`` report, the
+    ``classify_type`` tag and the inverse Euler classes of the
+    localization sum.
+    """
 
     components: tuple[FixedComponent, ...]
     twist: bool = False
 
     def __post_init__(self) -> None:
-        def key(c: FixedComponent):
-            return (
-                c.level,
-                c.index,
-                c.kind,
-                -1 if c.genus is None else c.genus,
-                (c.b is None, c.b or 0),
-                (c.b_plus is None, c.b_plus or 0),
-                (c.b_minus is None, c.b_minus or 0),
-            )
-
-        object.__setattr__(self, "components", tuple(sorted(self.components, key=key)))
+        object.__setattr__(self, "components", tuple(sorted(self.components, key=_sort_key)))
 
     # -- access helpers ------------------------------------------------------
 
@@ -177,15 +194,6 @@ class FixedPointData:
         return tuple(
             c for c in self.components if not (c.is_minimum or c.is_maximum)
         )
-
-    def point_count(self, index: int) -> int:
-        return sum(1 for c in self.components if c.is_point and c.index == index)
-
-    def levels(self) -> tuple[Rational, ...]:
-        return tuple(sorted({c.level for c in self.components}))
-
-    def at_level(self, level: Rational) -> tuple[FixedComponent, ...]:
-        return tuple(c for c in self.components if c.level == level)
 
     # -- serialization ---------------------------------------------------------
 
@@ -216,10 +224,8 @@ class FixedPointData:
         schema = payload.get("schema")
         if schema != FPDATA_SCHEMA:
             raise SchemaError(f"unsupported schema: {schema!r}")
-        allowed_top = {"schema", "twist", "components"}
-        extra = set(payload) - allowed_top
-        if extra:
-            raise SchemaError(f"unknown fields: {sorted(extra)}")
+        if not _TOP_FIELDS.issuperset(payload):
+            raise SchemaError(f"unknown fields: {sorted(set(payload) - _TOP_FIELDS)}")
         twist = payload.get("twist", False)
         if not isinstance(twist, bool):
             raise SchemaError("twist must be a boolean")
@@ -227,13 +233,12 @@ class FixedPointData:
         if not isinstance(raw, list) or not raw:
             raise SchemaError("components must be a non-empty list")
         comps = []
-        allowed = {"kind", "index", "level", "genus", "b", "b_plus", "b_minus"}
         for entry in raw:
             if not isinstance(entry, Mapping):
                 raise SchemaError("component entries must be objects")
-            extra = set(entry) - allowed
-            if extra:
-                raise SchemaError(f"unknown component fields: {sorted(extra)}")
+            if not _COMPONENT_FIELDS.issuperset(entry):
+                extra = sorted(set(entry) - _COMPONENT_FIELDS)
+                raise SchemaError(f"unknown component fields: {extra}")
             try:
                 level = parse_rational(entry["level"])
             except KeyError:
@@ -246,25 +251,14 @@ class FixedPointData:
                 raise SchemaError(f"unknown component kind: {kind!r}")
             if not _is_int(index):
                 raise SchemaError("component index must be an integer")
-            def _opt_int(name: str) -> int | None:
+            optional = []
+            for name in _OPTIONAL_FIELDS:
                 value = entry.get(name)
-                if value is None:
-                    return None
-                if not _is_int(value):
+                if value is not None and not _is_int(value):
                     raise SchemaError(f"{name} must be an integer")
-                return value
+                optional.append(value)
             try:
-                comps.append(
-                    FixedComponent(
-                        level=level,
-                        index=index,
-                        kind=kind,
-                        genus=_opt_int("genus"),
-                        b=_opt_int("b"),
-                        b_plus=_opt_int("b_plus"),
-                        b_minus=_opt_int("b_minus"),
-                    )
-                )
+                comps.append(FixedComponent(level, index, kind, *optional))
             except ValueError as exc:
                 raise SchemaError(str(exc)) from None
         return FixedPointData(tuple(comps), twist=twist)
@@ -286,6 +280,19 @@ class FixedPointData:
 # validation
 
 
+def _memo(data: FixedPointData, name: str, compute):
+    """``compute(data)``, kept on the datum after its first success.
+
+    The value sits in the instance ``__dict__`` beside the fields, which
+    equality and hashing do not read. A computation that raises keeps
+    nothing, so it raises again on the next call.
+    """
+    value = data.__dict__.get(name)
+    if value is None:
+        value = data.__dict__[name] = compute(data)
+    return value
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -299,22 +306,48 @@ def validate(data: FixedPointData) -> ValidationReport:
     extremes, the pairing rules between isolated points and extremal
     surfaces, level sharing restrictions, twist prerequisites, parity
     of extremal Chern numbers, and the rank bookkeeping of the reduced
-    spaces as the level sweeps from bottom to top.
+    spaces as the level sweeps from bottom to top. The report is
+    computed once per datum.
     """
-    problems: list[str] = []
-    comps = data.components
+    return _memo(data, "_report", _check_rules)
 
-    # Field completeness.
-    for c in comps:
-        if c.is_surface:
-            if c.index in (0, 4) and c.b is None:
+
+def _check_rules(data: FixedPointData) -> ValidationReport:
+    """``validate``'s report, from one grouping pass over the components."""
+    problems: list[str] = []
+    mins: list[FixedComponent] = []
+    maxes: list[FixedComponent] = []
+    middles: list[FixedComponent] = []
+    n2 = n4 = 0
+    surface_levels: list[Rational] = []  # of the middle surfaces
+    steps: dict[Rational, list[int]] = {}  # +1 / -1 per middle point, by level
+    for c in data.components:
+        index = c.index
+        if c.kind == SURFACE:
+            # Field completeness.
+            if index == 2:
+                if c.b_plus is None or c.b_minus is None:
+                    problems.append(f"missing (b_plus, b_minus) on {c.describe()}")
+                middles.append(c)
+                surface_levels.append(c.level)
+                continue
+            if c.b is None:
                 problems.append(f"missing normal Chern number b on {c.describe()}")
-            if c.index == 2 and (c.b_plus is None or c.b_minus is None):
-                problems.append(f"missing (b_plus, b_minus) on {c.describe()}")
+            (mins if index == 0 else maxes).append(c)
+        elif index == 0:
+            mins.append(c)
+        elif index == 6:
+            maxes.append(c)
+        else:
+            middles.append(c)
+            if index == 2:
+                n2 += 1
+                steps.setdefault(c.level, []).append(1)
+            else:
+                n4 += 1
+                steps.setdefault(c.level, []).append(-1)
 
     # Unique extremes at extreme levels.
-    mins = [c for c in comps if c.is_minimum]
-    maxes = [c for c in comps if c.is_maximum]
     if len(mins) != 1:
         problems.append(f"need exactly one minimum, found {len(mins)}")
     if len(maxes) != 1:
@@ -323,9 +356,7 @@ def validate(data: FixedPointData) -> ValidationReport:
         lo, hi = mins[0], maxes[0]
         if lo.level >= hi.level:
             problems.append("minimum level must lie strictly below maximum level")
-        for c in comps:
-            if c is lo or c is hi:
-                continue
+        for c in middles:
             if not (lo.level < c.level < hi.level):
                 problems.append(
                     f"{c.describe()} must lie strictly between the extremes"
@@ -335,8 +366,6 @@ def validate(data: FixedPointData) -> ValidationReport:
         return ValidationReport(False, tuple(problems))
 
     lo, hi = mins[0], maxes[0]
-    n2 = data.point_count(2)
-    n4 = data.point_count(4)
 
     # Pairing rules between isolated points and extremal surfaces.
     if lo.is_point and hi.is_point:
@@ -370,17 +399,15 @@ def validate(data: FixedPointData) -> ValidationReport:
 
     # Two middle spheres over point extremes never share a level.
     if lo.is_point and hi.is_point:
-        middle_surface_levels = [
-            c.level for c in data.middles() if c.is_surface
-        ]
-        if len(middle_surface_levels) != len(set(middle_surface_levels)):
+        if len(surface_levels) != len(set(surface_levels)):
             problems.append(
                 "two middle surfaces over point extremes cannot share a level"
             )
 
     # Twist prerequisites.
+    has_blow_points = bool(n2 or n4)
     if data.twist:
-        if any(c.is_point for c in comps):
+        if lo.is_point or hi.is_point or has_blow_points:
             problems.append("a twist requires every fixed component to be a surface")
         else:
             if lo.genus != 0 or hi.genus != 0:
@@ -391,13 +418,12 @@ def validate(data: FixedPointData) -> ValidationReport:
                 problems.append("a twist requires an even b at the maximum")
 
     # Parity coherence when no blow-up or blow-down can occur.
-    has_blow_points = any(c.is_point and c.index in (2, 4) for c in comps)
     if lo.is_surface and hi.is_surface and not has_blow_points:
         if lo.b is not None and hi.b is not None and (lo.b - hi.b) % 2 != 0:
             problems.append(
                 f"surface extremes need matching parity of b, got {lo.b} and {hi.b}"
             )
-        if not data.middles():
+        if not middles:
             if not data.twist:
                 problems.append(
                     "two bare surface extremes cannot be joined without a twist"
@@ -410,19 +436,8 @@ def validate(data: FixedPointData) -> ValidationReport:
     # Rank bookkeeping of the reduced space from bottom to top.
     rank = 1 if lo.is_point else 2
     legal = True
-    for level in data.levels():
-        events = [
-            c
-            for c in data.at_level(level)
-            if not (c.is_minimum or c.is_maximum)
-        ]
-        deltas = [
-            1 if (c.is_point and c.index == 2) else -1
-            for c in events
-            if c.is_point
-        ]
-        if not deltas:
-            continue
+    for level in sorted(steps):
+        deltas = steps[level]
         if not _rank_walk_possible(rank, deltas):
             legal = False
             problems.append(
@@ -478,8 +493,14 @@ def classify_type(data: FixedPointData) -> str:
     Returns one of "1", "2", "3", "4", "5", "6a", "6b" or
     "unclassified". Classification checks the component kinds, indices,
     genus and parity constraints only; deeper consistency is the
-    business of the wall-crossing checks.
+    business of the wall-crossing checks. The tag is computed once per
+    datum; data that fail ``validate`` raise ``InvalidDataError`` on
+    every call.
     """
+    return _memo(data, "_type", _match_type)
+
+
+def _match_type(data: FixedPointData) -> str:
     report = validate(data)
     if not report.ok:
         raise InvalidDataError("; ".join(report.violations))

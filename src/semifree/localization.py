@@ -5,7 +5,10 @@ components, of the restriction divided by the equivariant Euler class
 of the normal bundle. For semi-free actions on six-manifolds every
 normal weight is +-1, so the Euler classes take a small set of shapes
 and everything can be computed exactly in Laurent series in the
-equivariant parameter.
+equivariant parameter. Each restriction times its inverse Euler class
+is integrated in one step (``integrate_product``), without forming the
+product, and each datum inverts its Euler classes once, however many
+integrals are taken over it.
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -23,10 +26,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._solve import AffineConstraint, Poly, _scalar, feasible, solve_linear, solve_system
 from .algebra import (
+    CarrierMismatchError,
     EquivariantClass,
     ReducedClass,
     fiber_class,
-    integrate_component,
+    integrate_product,
     invert_euler,
     mul_terms,
     pair,
@@ -35,6 +39,7 @@ from .fixed_points import (
     FixedComponent,
     FixedPointData,
     InvalidDataError,
+    _memo,
     classify_type,
 )
 from .rationals import Rational, canon, format_rational
@@ -115,6 +120,11 @@ def c1_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
 # the localization sum
 
 
+def _euler_inverses(data: FixedPointData) -> tuple[EquivariantClass, ...]:
+    """The inverse equivariant Euler class of each component, in order."""
+    return tuple(invert_euler(equivariant_euler(c)) for c in data.components)
+
+
 def abbv_integrate(
     data: FixedPointData,
     restrictions: Sequence[EquivariantClass],
@@ -124,17 +134,24 @@ def abbv_integrate(
     Returns the Laurent coefficients, keyed by power of lambda, of the
     sum of restriction / Euler over all fixed components. The sequence
     must align with ``data.components``. A genuine equivariant class of
-    degree below six integrates to zero in every Laurent degree.
+    degree below six integrates to zero in every Laurent degree. The
+    inverse Euler classes are formed once per datum and kept on it.
     """
     if len(restrictions) != len(data.components):
         raise ValueError(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
     total: dict[int, Rational] = {}
-    for component, restriction in zip(data.components, restrictions):
-        euler_inverse = invert_euler(equivariant_euler(component))
-        term = restriction * euler_inverse
-        for k, value in integrate_component(term).items():
+    for restriction, inverse in zip(
+        restrictions, _memo(data, "_euler_inverses", _euler_inverses)
+    ):
+        if restriction.carrier != inverse.carrier:
+            raise CarrierMismatchError(
+                f"cannot combine {restriction.carrier} class with {inverse.carrier} class"
+            )
+        for k, value in integrate_product(
+            inverse.carrier, restriction.terms, inverse.terms
+        ).items():
             total[k] = total.get(k, 0) + value
     return {k: canon(v) for k, v in sorted(total.items()) if v}
 
@@ -169,11 +186,6 @@ class SymClass:
             )
         )
         return SymClass(carrier, cleaned)
-
-    def mul(self, other: "SymClass") -> "SymClass":
-        if self.carrier != other.carrier:
-            raise ValueError("carrier mismatch in symbolic product")
-        return SymClass(self.carrier, mul_terms(self.terms, other.terms))
 
     def substitute(self, values: Mapping[str, Fraction]) -> EquivariantClass:
         out: dict[int, tuple[Fraction, Fraction]] = {}
@@ -471,29 +483,32 @@ def _integration_equations(
     split follows this order.
     """
     comps = data.components
+    carriers = [comps[p].kind for p in positions]
     inverses = [
-        SymClass.from_exact(invert_euler(equivariant_euler(comps[p])))
+        SymClass.from_exact(invert_euler(equivariant_euler(comps[p]))).terms
         for p in positions
     ]
-    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])) for p in positions]
-    # inverse Euler times the restrictions of each factor, per component
-    products: list[list[SymClass]] = []
-    degree_two: list[tuple[Sequence[SymClass], list[SymClass]]] = []
+    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])).terms for p in positions]
+    # Each integrand holds, per component, two term lists whose product
+    # is integrated (``integrate_product``) without being formed. Only
+    # inverse Euler times a degree-2 class is formed, as the left factor
+    # of the pair products.
+    integrands: list[list[tuple]] = []
+    degree_two: list[tuple[list, list]] = []
     for f in factors:
         if f.degree < 6:
-            products.append([inv.mul(r) for inv, r in zip(inverses, f.sym)])
+            sym = [r.terms for r in f.sym]
+            integrands.append(list(zip(inverses, sym)))
             if f.degree == 2:
-                degree_two.append((f.sym, products[-1]))
-    degree_two.append((c1_sym, [inv.mul(r) for inv, r in zip(inverses, c1_sym)]))
+                degree_two.append((sym, [mul_terms(a, b) for a, b in integrands[-1]]))
+    degree_two.append((c1_sym, [mul_terms(a, b) for a, b in zip(inverses, c1_sym)]))
     for i, (_, left) in enumerate(degree_two):
-        products += [
-            [a.mul(b) for a, b in zip(left, right)] for right, _ in degree_two[i:]
-        ]
+        integrands += [list(zip(left, right)) for right, _ in degree_two[i:]]
     equations: list[Poly] = []
-    for product in products:
+    for integrand in integrands:
         total: dict[int, Poly] = {}
-        for term in product:
-            for k, value in integrate_component(term).items():
+        for carrier, (a, b) in zip(carriers, integrand):
+            for k, value in integrate_product(carrier, a, b).items():
                 total[k] = total.get(k, Poly.const(0)) + value
         equations += [value for value in total.values() if not value.is_zero()]
     return equations

@@ -13,7 +13,7 @@ from semifree.algebra import (
     NotInvertibleError,
     c1_reduced,
     fiber_class,
-    integrate_component,
+    integrate_product,
     invert_euler,
     mul,
     mul_terms,
@@ -87,10 +87,12 @@ def test_invert_euler_rejects_wide_classes():
 
 
 def test_integrate_component_picks_the_right_part():
-    assert integrate_component(pt({-3: (F(1, 2), 0)})) == {-3: F(1, 2)}
-    assert integrate_component(surf({-3: (F(7), 0), -2: (0, F(5))})) == {
-        -2: F(5)
-    }
+    # Times the unit class, the product is the class itself.
+    one = ((0, (1, 0)),)
+    assert integrate_product("point", pt({-3: (F(1, 2), 0)}).terms, one) == {-3: F(1, 2)}
+    assert integrate_product(
+        "surface", surf({-3: (F(7), 0), -2: (0, F(5))}).terms, one
+    ) == {-2: F(5)}
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,61 @@ def test_mul_terms_matches_the_formula_on_symbolic_classes():
         a, b = _random_sym_class(rng), _random_sym_class(rng)
         got = mul_terms(a.terms, b.terms)
         _assert_same_terms(got, _formula_mul_terms(a.terms, b.terms))
-        assert a.mul(b).terms == got
+
+
+def integrate_component(x):
+    """Integrate a formed class: scalar parts on a point, ``u`` parts on a surface."""
+    out = {}
+    for k, (c, d) in x.terms:
+        value = c if x.carrier == "point" else d
+        if value:
+            out[k] = value
+    return out
+
+
+def _random_terms(rng: random.Random, carrier: str, kind: str) -> tuple:
+    """A term list with int, Fraction or affine Poly coefficients.
+
+    Zero parts and terms that cancel in a product come up on purpose.
+    """
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.3:
+            value = 0
+        elif kind == "int":
+            value = rng.randint(-3, 3)
+        else:
+            value = F(rng.randint(-3, 3), rng.randint(1, 3))
+        if kind != "poly":
+            return value
+        terms = {(): value}
+        for var in ("s", "t"):
+            if rng.random() < 0.4:
+                terms[((var, 1),)] = rng.randint(-2, 2)
+        return Poly.from_dict(terms)
+
+    zero = Poly.const(0) if kind == "poly" else 0
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        terms[rng.randint(-3, 3)] = (entry(), entry() if carrier == "surface" else zero)
+    return tuple(sorted(terms.items()))
+
+
+def test_integrate_product_matches_the_formed_product():
+    rng = random.Random(14)
+    nonzero = 0
+    for _ in range(3000):
+        carrier = rng.choice(["point", "surface"])
+        kind = rng.choice(["int", "fraction", "poly"])
+        a = _random_terms(rng, carrier, kind)
+        b = _random_terms(rng, carrier, kind)
+        got = integrate_product(carrier, a, b)
+        expected = integrate_component(EquivariantClass(carrier, mul_terms(a, b)))
+        assert list(got.items()) == list(expected.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+        nonzero += bool(got)
+    assert nonzero > 1000
 
 
 def test_make_keeps_fractions_and_converts_the_rest():

@@ -1,7 +1,10 @@
 """Chart wall crossing, Euler-class chains, and the bounded enumeration."""
 
 import hashlib
+import itertools
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from semifree.algebra import (
     projective_plane,
     trivial_bundle,
 )
-from semifree import classifier
+from semifree import classifier, cli
 from semifree._solve import SolverStallError
 from semifree.classifier import (
     Crossing,
@@ -33,6 +36,8 @@ from semifree.fixed_points import (
     surface,
 )
 from semifree.localization import NoSolutionError, dh_path
+
+from corpus import fuzz_data
 
 FAMILY_CASES = [
     ("1", {}),
@@ -532,3 +537,71 @@ def test_back_to_back_enumerations_report_the_same():
     # same process sees nothing of the first.
     first = _enumeration_digest(1, (-2, 2))
     assert _enumeration_digest(1, (-2, 2)) == first == ENUMERATION_DIGESTS[(1, (-2, 2))]
+
+
+# ---------------------------------------------------------------------------
+# distinct orderings, generated without the factorial
+
+
+def filtered_orderings(data):
+    """Every permutation of each level, keeping the first of each step-key
+    sequence: how ``_distinct_orderings`` once filtered them."""
+    groups = {}
+    for pos, comp in enumerate(data.components):
+        if not (comp.is_minimum or comp.is_maximum):
+            groups.setdefault(comp.level, []).append(pos)
+    pools = [list(itertools.permutations(groups[lv])) for lv in sorted(groups)]
+    seen, out = set(), []
+    for combo in itertools.product(*pools):
+        ordering = tuple(pos for part in combo for pos in part)
+        steps = tuple(classifier._step_key(pos, data.components[pos]) for pos in ordering)
+        if steps not in seen:
+            seen.add(steps)
+            out.append(ordering)
+    return out
+
+
+def _mixed_levels(rng):
+    """Middles at up to three levels mixing points and surfaces, equal
+    surfaces included; up to six middles at one level."""
+    comps = [point(0, 0) if rng.random() < 0.5 else surface(0, 0, genus=0, b=1)]
+    for _ in range(rng.randint(0, 7)):
+        level = rng.randint(1, 3)
+        roll = rng.random()
+        if roll < 0.3:
+            comps.append(point(2, level))
+        elif roll < 0.6:
+            comps.append(point(4, level))
+        else:
+            comps.append(surface(2, level, genus=rng.randint(0, 1), b_plus=1, b_minus=rng.randint(0, 1)))
+    comps.append(point(6, 4))
+    return FixedPointData(tuple(comps))
+
+
+def test_distinct_orderings_match_the_filtered_permutations():
+    rng = random.Random(14)
+    data_sets = (
+        [data for seed in (1, 2) for _, data in fuzz_data(seed)]
+        + list(classifier._shapes(range(2), range(-2, 3)))
+        + [_mixed_levels(rng) for _ in range(300)]
+    )
+    repeated = 0
+    for data in data_sets:
+        want = filtered_orderings(data)
+        assert classifier._distinct_orderings(data) == want
+        repeated += len(want) < len(classifier._middle_orderings(data))
+    assert repeated > 200
+
+
+def test_chain_solve_is_fast_with_many_points_at_one_level():
+    # 12! orderings of these middles share C(12, 6) = 924 step-key sequences.
+    data = FixedPointData(
+        (point(0, 0), *[point(2, 1)] * 6, *[point(4, 1)] * 6, point(6, 2))
+    )
+    raw = data.dumps().encode()
+    for command in ("classify", "dh-check"):
+        started = time.perf_counter()
+        code, _ = cli.run(cli.RunConfig(command=command), raw)
+        assert time.perf_counter() - started < 2
+        assert code == 1
+    assert len(classifier._distinct_orderings(data)) == 924

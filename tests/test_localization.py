@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import builtin_data, classified_fuzz_data, family_presets
+from corpus import builtin_data, classified_fuzz_data, family_presets, fuzz_data
 from semifree._solve import Poly
 from semifree.algebra import (
+    CarrierMismatchError,
     EquivariantClass,
-    integrate_component,
     invert_euler,
     mul,
+    mul_terms,
 )
 from semifree import classifier
 from semifree.classifier import (
@@ -47,6 +48,7 @@ from semifree.localization import (
     unit_restrictions,
     w2_vanishes,
 )
+from semifree.rationals import canon
 
 FAMILY_CASES = [
     ("1", {}),
@@ -741,11 +743,13 @@ def full_product_equations(data, positions, factors):
             continue
         total = {}
         for idx in range(len(positions)):
-            product = inverses[idx]
+            product = inverses[idx].terms
             for f in combo:
-                product = product.mul(f.sym[idx])
-            for k, value in integrate_component(product).items():
-                total[k] = total.get(k, Poly.const(0)) + value
+                product = mul_terms(product, f.sym[idx].terms)
+            part = 0 if inverses[idx].carrier == "point" else 1
+            for k, pair in product:
+                if pair[part]:
+                    total[k] = total.get(k, Poly.const(0)) + pair[part]
         for k, value in total.items():
             if value.is_zero():
                 continue
@@ -764,6 +768,98 @@ def test_equations_match_the_full_product_enumeration(corpus):
         got = _integration_equations(data, positions, skeleton)
         want = full_product_equations(data, positions, skeleton)
         assert [eq.terms for eq in got] == [eq.terms for eq in want]
+
+
+def formed_product_equations(data, positions, factors):
+    """``_integration_equations`` as it was: every product formed, then integrated."""
+    comps = data.components
+    inverses = [
+        SymClass.from_exact(invert_euler(equivariant_euler(comps[p]))) for p in positions
+    ]
+    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])) for p in positions]
+
+    def times(a, b):
+        assert a.carrier == b.carrier
+        return SymClass(a.carrier, mul_terms(a.terms, b.terms))
+
+    products = []
+    degree_two = []
+    for f in factors:
+        if f.degree < 6:
+            products.append([times(inv, r) for inv, r in zip(inverses, f.sym)])
+            if f.degree == 2:
+                degree_two.append((f.sym, products[-1]))
+    degree_two.append((c1_sym, [times(inv, r) for inv, r in zip(inverses, c1_sym)]))
+    for i, (_, left) in enumerate(degree_two):
+        products += [[times(a, b) for a, b in zip(left, right)] for right, _ in degree_two[i:]]
+    equations = []
+    for product in products:
+        total = {}
+        for term in product:
+            part = 0 if term.carrier == "point" else 1
+            for k, pair in term.terms:
+                if pair[part]:
+                    total[k] = total.get(k, Poly.const(0)) + pair[part]
+        equations += [value for value in total.values() if not value.is_zero()]
+    return equations
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_equations_match_the_formed_products(corpus):
+    cases = classified(corpus)
+    assert cases
+    for data, tag in cases:
+        positions, skeleton = _build_skeleton(data, tag)
+        got = _integration_equations(data, positions, skeleton)
+        want = formed_product_equations(data, positions, skeleton)
+        assert [eq.terms for eq in got] == [eq.terms for eq in want]
+
+
+def _integrands(data):
+    c1 = c1_restrictions(data)
+    squares = tuple(mul(r, r) for r in c1)
+    cubes = tuple(mul(a, b) for a, b in zip(squares, c1))
+    return unit_restrictions(data), c1, squares, cubes
+
+
+def reference_abbv_integrate(data, restrictions):
+    """``abbv_integrate`` as it was: each Euler class inverted and each product formed."""
+    total = {}
+    for comp, restriction in zip(data.components, restrictions):
+        term = restriction * invert_euler(equivariant_euler(comp))
+        part = 0 if term.carrier == "point" else 1
+        for k, pair in term.terms:
+            if pair[part]:
+                total[k] = total.get(k, 0) + pair[part]
+    return {k: canon(v) for k, v in sorted(total.items()) if v}
+
+
+@pytest.mark.parametrize("corpus", ["presets", "builtins", "fuzz1", "fuzz2"])
+def test_abbv_integrate_matches_the_formed_products(corpus):
+    loaders = {**CORPORA, "fuzz1": lambda: fuzz_data(1), "fuzz2": lambda: fuzz_data(2)}
+    for _, shared in loaders[corpus]():
+        data = FixedPointData(shared.components, twist=shared.twist)
+        # the first integral keeps the inverses on ``data``; the others read them back
+        for restrictions in _integrands(data):
+            got = abbv_integrate(data, restrictions)
+            want = reference_abbv_integrate(data, restrictions)
+            assert list(got.items()) == list(want.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+            assert "_euler_inverses" in vars(data)
+
+
+def test_abbv_integrate_errors_on_every_call():
+    data = family_instance("4")
+    swapped = tuple(EquivariantClass.unit("point") for _ in data.components)
+    missing_b = FixedPointData((surface(0, 0), surface(4, 1, b=2)))
+    for _ in range(2):
+        with pytest.raises(CarrierMismatchError, match="^cannot combine point class with surface class$"):
+            abbv_integrate(data, swapped)
+        with pytest.raises(ValueError, match="^need 2 restrictions, got 1$"):
+            abbv_integrate(data, swapped[:1])
+        with pytest.raises(InvalidDataError, match="is missing b$"):
+            abbv_integrate(missing_b, unit_restrictions(missing_b))
+    assert "_euler_inverses" not in vars(missing_b)
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
