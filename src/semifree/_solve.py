@@ -335,29 +335,18 @@ def solve_linear(
             return None
     free = [v for i, v in enumerate(order) if i not in pivots]
     values: dict[str, Rational] = {v: 0 for v in order}
+    # Every non-pivot column of the RREF is a free variable, set to zero,
+    # so each pivot variable is its row's right-hand side.
     for ri, col in enumerate(pivots):
-        values[order[col]] = canon(
-            red[ri][n]
-            - sum(
-                red[ri][j] * values[order[j]]
-                for j in range(n)
-                if j != col and red[ri][j]
-            )
-        )
+        values[order[col]] = red[ri][n]
     return values, free
-
-
-def solve_in_span(
-    basis: Sequence[Sequence[Rational]], target: Sequence[Rational]
-) -> list[Rational] | None:
-    """Coordinates t with sum t_i basis_i = target, or None."""
-    return span_coordinates(basis, [target])[0]
 
 
 def span_coordinates(
     basis: Sequence[Sequence[Rational]], targets: Sequence[Sequence[Rational]]
 ) -> list[list[Rational] | None]:
-    """``solve_in_span`` of every target, from one elimination of the basis.
+    """For each target, coordinates t with sum t_i basis_i = target, or
+    None outside the span, all from one elimination of the basis.
 
     The targets ride along as right-hand columns of one ``rref``. As in
     ``solve_linear``, the coordinates of a dependent basis that no pivot

@@ -99,6 +99,7 @@ class EquivariantClass:
     # -- ring structure ----------------------------------------------------
 
     def __mul__(self, other: EquivariantClass) -> EquivariantClass:
+        """Product of two classes on the same carrier (``u * u = 0``)."""
         if self.carrier != other.carrier:
             raise CarrierMismatchError(
                 f"cannot combine {self.carrier} class with {other.carrier} class"
@@ -173,11 +174,6 @@ def integrate_product(
             k = i + j
             acc[k] = acc[k] + value if k in acc else value
     return {k: canon(acc[k]) for k in sorted(acc) if acc[k]}
-
-
-def mul(a: EquivariantClass, b: EquivariantClass) -> EquivariantClass:
-    """Product of two classes on the same carrier (``u * u = 0``)."""
-    return a * b
 
 
 def invert_euler(e: EquivariantClass) -> EquivariantClass:

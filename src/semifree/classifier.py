@@ -20,8 +20,11 @@ its canonical bundle forms once (``_Chart.bundle_forms``). One chain
 solve walks and solves only the first of the orderings whose step keys
 repeat, since those walk to the very same branches; the others are
 never generated (``_distinct_orderings``). No cache outlives
-its chart or its call: the ``walks`` dict belongs to one chain solve,
-or in the enumeration to one minimum.
+its chart, its call or its datum: the ``walks`` dict belongs to one
+chain solve, or in the enumeration to one minimum, and a datum keeps
+its solved chain (``_memo``), so the chain check, the Euler transport
+and their readers (the w2 selection rule, ``b_plus_minus`` and the
+sweep) share one solve.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
@@ -53,7 +56,6 @@ from .algebra import (
     ReducedClass,
     ReducedSpaceType,
     c1_reduced,
-    mul,
     nontrivial_bundle,
     projective_plane,
     trivial_bundle,
@@ -62,6 +64,7 @@ from .fixed_points import (
     FixedComponent,
     FixedPointData,
     InvalidDataError,
+    _memo,
     classify_type,
     point,
     surface,
@@ -70,10 +73,8 @@ from .fixed_points import (
 from .localization import (
     MultipleSolutionsError,
     NoSolutionError,
-    abbv_integrate,
-    c1_restrictions,
+    _relation_integrals,
     dh_path,
-    unit_restrictions,
 )
 from .rationals import Rational, canon, qdiv
 
@@ -502,12 +503,6 @@ def _level_groups(data: FixedPointData) -> list[list[int]]:
     return [groups[lv] for lv in sorted(groups)]
 
 
-def _middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
-    """Every crossing order: each level's middles in every order, levels upward."""
-    pools = [list(itertools.permutations(group)) for group in _level_groups(data)]
-    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
-
-
 def _step_key(pos: int, comp: FixedComponent) -> tuple:
     """The key of one crossing in ``_walk``'s prefix keys."""
     if comp.is_surface:
@@ -516,7 +511,8 @@ def _step_key(pos: int, comp: FixedComponent) -> tuple:
 
 
 def _distinct_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
-    """``_middle_orderings`` without those whose step keys repeat an earlier one.
+    """Each level's middles in every order, levels upward, without the
+    orderings whose step keys repeat an earlier one's.
 
     Orderings with equal step keys, such as two index-2 points swapped
     at one level, walk to the very same branches, so only the first of
@@ -786,22 +782,15 @@ def _resolve_branch(
     return _ChainSolution(tuple(sorted(key)), tuple(crossings))
 
 
-def _solved_chain(
-    data: FixedPointData, walks: dict | None = None
-) -> tuple[list[_ChainSolution], bool] | None:
-    """``_chain_solutions``, or None when the chain walk itself fails."""
-    try:
-        return _chain_solutions(data, walks)
-    except (InvalidDataError, NotImplementedError):
-        return None
-
-
 def euler_chain_check(data: FixedPointData) -> bool:
-    """Whether a consistent Euler-class chain exists for the data."""
-    solved = _solved_chain(data)
-    if solved is None:
+    """Whether a consistent Euler-class chain exists for the data.
+
+    The chain is solved once per datum and kept on it (``_memo``).
+    """
+    try:
+        solutions, unbounded = _memo(data, "_chain", _chain_solutions)
+    except (InvalidDataError, NotImplementedError):
         return False
-    solutions, unbounded = solved
     return unbounded or bool(solutions)
 
 
@@ -823,8 +812,11 @@ def _unique_solution(
 
 
 def euler_transport(data: FixedPointData) -> ChainResult:
-    """Transport the level Euler class from the minimum to the maximum."""
-    return _chain_result(data, _unique_solution(*_chain_solutions(data)))
+    """Transport the level Euler class from the minimum to the maximum.
+
+    Reads the one chain solve of the datum that ``euler_chain_check`` reads.
+    """
+    return _chain_result(data, _unique_solution(*_memo(data, "_chain", _chain_solutions)))
 
 
 def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult:
@@ -1038,11 +1030,11 @@ def enumerate_types(
     ) -> None:
         unbounded = False
         if solutions is None:
-            solved = _solved_chain(candidate, walks)
-            if solved is None:
+            try:
+                solutions, unbounded = _chain_solutions(candidate, walks)
+            except (InvalidDataError, NotImplementedError):
                 reject("chain")
                 return
-            solutions, unbounded = solved
         filled = _derive_splittings(candidate, solutions, unbounded)
         if filled is None:
             reject("chain")
@@ -1236,15 +1228,9 @@ def b_plus_minus(
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:
-    units = unit_restrictions(data)
-    c1s = c1_restrictions(data)
-    c1sq = tuple(mul(a, a) for a in c1s)
+    integrals = _relation_integrals(data)
     try:
-        return (
-            abbv_integrate(data, units) == {}
-            and abbv_integrate(data, c1s) == {}
-            and abbv_integrate(data, c1sq) == {}
-        )
+        return all(values == {} for _, values in integrals)
     except (ValueError, ZeroDivisionError):
         return False
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import delzant
-from .algebra import ReducedClass, mul
+from .algebra import ReducedClass
 from .classifier import enumerate_types, euler_chain_check
 from .fixed_points import (
     FixedPointData,
@@ -30,11 +30,11 @@ from .fixed_points import (
 from .localization import (
     MultipleSolutionsError,
     NoSolutionError,
+    _relation_integrals,
     abbv_integrate,
     c1_restrictions,
     dh_path,
     solve_restriction_table,
-    unit_restrictions,
     w2_vanishes,
 )
 from .rationals import format_rational, parse_rational
@@ -129,16 +129,9 @@ def _cmd_localize(data: FixedPointData):
     report = validate(data)
     if not report.ok:
         return _cmd_validate(data)
-    units = unit_restrictions(data)
-    c1s = c1_restrictions(data)
-    c1sq = tuple(mul(a, a) for a in c1s)
-    c1cu = tuple(mul(a, b) for a, b in zip(c1sq, c1s))
-    integrals = {
-        "1": abbv_integrate(data, units),
-        "c_1": abbv_integrate(data, c1s),
-        "c_1^2": abbv_integrate(data, c1sq),
-        "c_1^3": abbv_integrate(data, c1cu),
-    }
+    integrals = dict(_relation_integrals(data))
+    c1cu = tuple(a * a * a for a in c1_restrictions(data))
+    integrals["c_1^3"] = abbv_integrate(data, c1cu)
     ok = all(integrals[name] == {} for name in ("1", "c_1", "c_1^2"))
     payload = {
         "relations_hold": ok,

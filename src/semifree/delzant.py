@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import AffineConstraint, _scalar, feasible, rref, solve_in_span, solve_linear
+from ._solve import AffineConstraint, _scalar, feasible, rref, solve_linear, span_coordinates
 from .fixed_points import (
     FixedComponent,
     FixedPointData,
@@ -556,7 +556,7 @@ def _express(
     columns: Mapping[int, tuple[Fraction, ...]],
 ) -> dict[int, Fraction] | None:
     names = sorted(columns)
-    coords = solve_in_span([columns[fi] for fi in names], target)
+    coords = span_coordinates([columns[fi] for fi in names], [target])[0]
     if coords is None:
         return None
     return dict(zip(names, coords))

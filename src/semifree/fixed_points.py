@@ -164,8 +164,8 @@ class FixedPointData:
 
     The data are immutable, so a costly fact derived from them alone is
     computed once per datum (``_memo``): the ``validate`` report, the
-    ``classify_type`` tag and the inverse Euler classes of the
-    localization sum.
+    ``classify_type`` tag, the inverse Euler classes of the
+    localization sum and the solved wall-crossing chain.
     """
 
     components: tuple[FixedComponent, ...]

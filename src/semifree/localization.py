@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ._solve import AffineConstraint, Poly, _scalar, feasible, solve_linear, solve_system
 from .algebra import (
@@ -154,6 +154,21 @@ def abbv_integrate(
         ).items():
             total[k] = total.get(k, 0) + value
     return {k: canon(v) for k, v in sorted(total.items()) if v}
+
+
+def _relation_integrals(
+    data: FixedPointData,
+) -> Iterator[tuple[str, dict[int, Rational]]]:
+    """The integrals of 1, c_1 and c_1^2, named as in the ``localize`` report.
+
+    All three vanish on the data of an action: these are the
+    localization relations. The restrictions are formed at once, and
+    each integral is taken only when the iterator reaches it.
+    """
+    units = unit_restrictions(data)
+    c1s = c1_restrictions(data)
+    named = (("1", units), ("c_1", c1s), ("c_1^2", tuple(a * a for a in c1s)))
+    return ((name, abbv_integrate(data, values)) for name, values in named)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 The family presets and the fuzz pools are the benchmark's own
 (``perfbench/workloads.py``), so a test over them covers exactly the
 data that the benchmark measures. That module needs only the standard
-library to build them.
+library to build them. ``middle_orderings`` is the reference set of
+crossing orders that the chain engine's orderings are checked against.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
 from functools import lru_cache
 from pathlib import Path
 
+from semifree import classifier
 from semifree.classifier import family_instance
 from semifree.delzant import builtin_examples, extract_fixed_data
 from semifree.fixed_points import FixedPointData, classify_type
@@ -61,3 +64,9 @@ def classified_fuzz_data(seed: int) -> list[tuple[str, FixedPointData]]:
         for name, data in fuzz_data(seed)
         if classify_type(data) != "unclassified"
     ]
+
+
+def middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
+    """Every crossing order: each level's middles in every order, levels upward."""
+    pools = [list(itertools.permutations(group)) for group in classifier._level_groups(data)]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]

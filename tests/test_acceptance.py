@@ -14,7 +14,6 @@ from semifree.algebra import (
     EquivariantClass,
     ReducedClass,
     invert_euler,
-    mul,
     nontrivial_bundle,
     pair,
     projective_plane,
@@ -73,7 +72,7 @@ def reported(number, label):
 def relations_hold(data):
     ones = unit_restrictions(data)
     c1 = c1_restrictions(data)
-    squares = tuple(mul(r, r) for r in c1)
+    squares = tuple(r * r for r in c1)
     return (
         abbv_integrate(data, ones) == {}
         and abbv_integrate(data, c1) == {}
@@ -341,8 +340,8 @@ def test_criterion_7_properties():
             )
         euler = equivariant_euler(component)
         unit = EquivariantClass.unit(component.kind)
-        assert mul(invert_euler(euler), euler) == unit
-        assert mul(euler, invert_euler(euler)) == unit
+        assert invert_euler(euler) * euler == unit
+        assert euler * invert_euler(euler) == unit
 
     def gram(space, rank):
         basis = [

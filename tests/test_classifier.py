@@ -24,6 +24,7 @@ from semifree import classifier, cli
 from semifree._solve import SolverStallError
 from semifree.classifier import (
     Crossing,
+    b_plus_minus,
     enumerate_types,
     euler_chain_check,
     euler_transport,
@@ -31,13 +32,14 @@ from semifree.classifier import (
 )
 from semifree.fixed_points import (
     FixedPointData,
+    InvalidDataError,
     classify_type,
     point,
     surface,
 )
-from semifree.localization import NoSolutionError, dh_path
+from semifree.localization import NoSolutionError, dh_path, solve_restriction_table
 
-from corpus import fuzz_data
+from corpus import fuzz_data, middle_orderings
 
 FAMILY_CASES = [
     ("1", {}),
@@ -162,7 +164,7 @@ def test_crossing_splitting_is_none_unless_integral(pair_eta_eta):
 
 def test_derive_splittings_rejects_a_non_integral_splitting():
     data = family_instance("1")
-    assert classifier._derive_splittings(data, *classifier._solved_chain(data)) == data
+    assert classifier._derive_splittings(data, *classifier._chain_solutions(data)) == data
     half = Crossing(1, Fraction(1, 2), 0, None)
     solution = classifier._ChainSolution(((1, Fraction(1, 2), 0),), (half,))
     assert classifier._derive_splittings(data, [solution], False) is None
@@ -387,10 +389,12 @@ def test_prefix_shared_chain_matches_concrete_chain():
             candidate = classifier._with_maximum(shape, genus, b, twist)
             assert candidate not in seen
             seen.add(candidate)
-            solved = classifier._solved_chain(candidate)
-            concrete = (
-                None if solved is None else classifier._derive_splittings(candidate, *solved)
-            )
+            try:
+                solved = classifier._chain_solutions(candidate)
+            except (InvalidDataError, NotImplementedError):
+                concrete = None
+            else:
+                concrete = classifier._derive_splittings(candidate, *solved)
             if solutions is None:
                 verdicts["concrete"] += 1
                 continue
@@ -462,6 +466,37 @@ def test_recheck_and_sweep_reuse_the_chain_solution_soundly(monkeypatch, bounds)
     for data, transport, path in swept:
         assert transport == euler_transport(data)
         assert path == dh_path(data, 1, [])
+
+
+def _chain_solves(monkeypatch) -> list:
+    """The data of each ``_chain_solutions`` call made from now on."""
+    solved, solve = [], classifier._chain_solutions
+
+    def record(data, walks=None):
+        solved.append(data)
+        return solve(data, walks)
+
+    monkeypatch.setattr(classifier, "_chain_solutions", record)
+    return solved
+
+
+def test_classify_solves_the_chain_once(monkeypatch):
+    # The chain check and the w2 selection rule read one solve.
+    solved = _chain_solves(monkeypatch)
+    raw = family_instance("6a", n=1, g=0, g1=1).dumps().encode()
+    code, _ = cli.run(cli.RunConfig(command="classify"), raw)
+    assert code == 0
+    assert len(solved) == 1
+
+
+def test_table_and_splitting_share_one_chain_solve(monkeypatch):
+    solved = _chain_solves(monkeypatch)
+    data = family_instance("6b", k=1, k_prime=0)
+    # A 6b table reads the chain for its selection rule.
+    assert solve_restriction_table(data).type_tag == "6b"
+    middle = data.components[1]
+    assert b_plus_minus(data, middle) == (middle.b_plus, middle.b_minus)
+    assert solved == [data]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +624,7 @@ def test_distinct_orderings_match_the_filtered_permutations():
     for data in data_sets:
         want = filtered_orderings(data)
         assert classifier._distinct_orderings(data) == want
-        repeated += len(want) < len(classifier._middle_orderings(data))
+        repeated += len(want) < len(middle_orderings(data))
     assert repeated > 200
 
 

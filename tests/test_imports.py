@@ -1,7 +1,7 @@
 """Import hygiene and the public surface.
 
 Modules import at the top, except across the one cycle, and every
-exported name has a caller outside the tests.
+function and class of the package has a caller outside the tests.
 """
 
 import ast
@@ -84,8 +84,9 @@ def _global_loads(node: ast.AST, local: frozenset = frozenset()) -> set[str]:
 
 
 def _definitions_without_a_user() -> list[str]:
-    """``module.name`` of each public module-level function or class of
-    the package that nothing in src, scripts or perfbench reads.
+    """``module.name`` of each module-level function or class of the
+    package, public or private, that nothing in src, scripts or
+    perfbench reads.
 
     A definition is read where it is imported from its module, directly
     or through the package; where it is read as an attribute of its
@@ -110,7 +111,7 @@ def _definitions_without_a_user() -> list[str]:
             for statement in ast.parse(path.read_text(encoding="utf-8")).body:
                 name = getattr(statement, "name", None)  # set on def and class
                 if directory == package:
-                    if name and not name.startswith("_"):
+                    if name:
                         defined.append((path.stem, name))
                     users |= {(path.stem, n) for n in _global_loads(statement) if n != name}
                 for node in ast.walk(statement):
@@ -132,5 +133,6 @@ def _definitions_without_a_user() -> list[str]:
 def test_every_export_has_a_caller_outside_the_tests():
     # The public API is what src, scripts and perfbench use; a helper
     # only the tests call belongs in the tests. This holds for every
-    # public function and class, exported from the package or not.
+    # function and class, public or private, exported from the package
+    # or not.
     assert _definitions_without_a_user() == []

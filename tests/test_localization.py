@@ -13,7 +13,6 @@ from semifree.algebra import (
     CarrierMismatchError,
     EquivariantClass,
     invert_euler,
-    mul,
     mul_terms,
 )
 from semifree import classifier
@@ -166,7 +165,7 @@ def test_low_degree_integrals_vanish(tag, params):
     data = family_instance(tag, **params)
     ones = unit_restrictions(data)
     c1 = c1_restrictions(data)
-    squares = tuple(mul(r, r) for r in c1)
+    squares = tuple(r * r for r in c1)
     assert abbv_integrate(data, ones) == {}
     assert abbv_integrate(data, c1) == {}
     assert abbv_integrate(data, squares) == {}
@@ -175,7 +174,7 @@ def test_low_degree_integrals_vanish(tag, params):
 def test_top_chern_integral_type_one():
     data = family_instance("1")
     c1 = c1_restrictions(data)
-    cubes = tuple(mul(mul(r, r), r) for r in c1)
+    cubes = tuple(r * r * r for r in c1)
     assert abbv_integrate(data, cubes) == {0: Fraction(54)}
 
 
@@ -190,7 +189,7 @@ def sphere_min_isolated_shape(n2, n4, b):
 def relations_hold(data):
     ones = unit_restrictions(data)
     c1 = c1_restrictions(data)
-    squares = tuple(mul(r, r) for r in c1)
+    squares = tuple(r * r for r in c1)
     return (
         abbv_integrate(data, ones) == {}
         and abbv_integrate(data, c1) == {}
@@ -817,8 +816,8 @@ def test_equations_match_the_formed_products(corpus):
 
 def _integrands(data):
     c1 = c1_restrictions(data)
-    squares = tuple(mul(r, r) for r in c1)
-    cubes = tuple(mul(a, b) for a, b in zip(squares, c1))
+    squares = tuple(r * r for r in c1)
+    cubes = tuple(a * b for a, b in zip(squares, c1))
     return unit_restrictions(data), c1, squares, cubes
 
 

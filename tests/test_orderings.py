@@ -21,7 +21,7 @@ from semifree import classifier
 from semifree._solve import SolverStallError, solve_system
 from semifree.fixed_points import FixedPointData, InvalidDataError, point, surface
 
-from corpus import fuzz_data
+from corpus import fuzz_data, middle_orderings
 
 ERRORS = (InvalidDataError, NotImplementedError, SolverStallError)
 
@@ -38,12 +38,12 @@ def _step_keys(data, ordering) -> tuple:
 
 
 def _repeats_step_keys(data) -> bool:
-    keys = [_step_keys(data, o) for o in classifier._middle_orderings(data)]
+    keys = [_step_keys(data, o) for o in middle_orderings(data)]
     return len(set(keys)) < len(keys)
 
 
 def _reordered(data_sets) -> tuple:
-    return tuple(d for d in data_sets if len(classifier._middle_orderings(d)) > 1)
+    return tuple(d for d in data_sets if len(middle_orderings(d)) > 1)
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +60,7 @@ def _every_branch(data):
     """The branches of every ordering, each ordering walked afresh."""
     return [
         branch
-        for ordering in classifier._middle_orderings(data)
+        for ordering in middle_orderings(data)
         for branch in classifier._branches(data, ordering, {})
     ]
 

@@ -14,9 +14,9 @@ from semifree._solve import (
     feasible,
     integer_kernel_basis,
     rref,
-    solve_in_span,
     solve_linear,
     solve_system,
+    span_coordinates,
     sqrt_fraction,
     unimodular_clearing,
 )
@@ -198,7 +198,7 @@ def test_solve_linear_verdict_matches_sympy():
                 assert sum(c * values[v] for v, c in coeff_map.items()) == rhs
 
 
-def test_solve_in_span_matches_sympy():
+def test_span_coordinates_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20023)
     for _ in range(300):
@@ -209,7 +209,7 @@ def test_solve_in_span_matches_sympy():
             target = [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(n)]
         else:
             target = _random_matrix(rng, 1, n)[0]
-        coords = solve_in_span(basis, target)
+        coords = span_coordinates(basis, [target])[0]
         columns = _to_sympy(sympy, basis).T
         try:
             particular, params = columns.gauss_jordan_solve(

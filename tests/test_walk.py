@@ -14,7 +14,7 @@ from semifree import classifier
 from semifree._solve import Poly
 from semifree.fixed_points import FixedPointData, InvalidDataError, point
 
-from corpus import fuzz_data
+from corpus import fuzz_data, middle_orderings
 
 
 def _advance(data, chart, ordering, equations, crossings, out):
@@ -105,7 +105,7 @@ def _compare_walks(data_sets):
     compared = 0
     for data in data_sets:
         walks = walks_by_minimum.setdefault(data.minimum, {})
-        for ordering in classifier._middle_orderings(data):
+        for ordering in middle_orderings(data):
             expected = _outcome(lambda: _oracle_branches(data, ordering))
             got = _outcome(lambda: classifier._branches(data, ordering, walks))
             assert got == expected, (data, ordering)
