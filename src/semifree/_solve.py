@@ -42,10 +42,15 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _scalar(value: Rational) -> Rational:
-    """``value`` in canonical form; any other number through ``Fraction``."""
+    """``value`` in canonical form; a ``TypeError`` for any other type.
+
+    A float or a bool is no exact rational, so neither is taken as one.
+    """
     if type(value) is int:
         return value
-    return canon(value if isinstance(value, Fraction) else Fraction(value))
+    if isinstance(value, Fraction):
+        return canon(value)
+    raise TypeError(f"expected an exact rational, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,12 @@ class (and surfaces a second, u-extended class), their unknown
 restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
 one-line normal forms appear as the solved values.
+
+Last, it sweeps the reduced symplectic class of all-surface data
+(Duistermaat-Heckman): the conditions on a positive sweep are listed
+once, as linear forms in the start size and the gaps
+(``_sweep_conditions``); ``dh_path`` evaluates them at the given
+values and decides by exact elimination whether any values meet them.
 """
 
 from __future__ import annotations
@@ -535,11 +541,12 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
     The unknown restrictions at higher components are pinned down by
     requiring each basis class below degree six, and each product of
     two degree-2 classes or the first Chern class, to integrate to
-    zero (see ``_integration_equations``). Among the rational
-    solutions, all class coefficients must be integers; for
-    three-surface data that can still leave two branches, told apart
-    by matching the minimum u-class against the twist and the dual
-    class of the middle surface.
+    zero (see ``_integration_equations``). Those equations must leave
+    no variable free. Among the rational solutions, all class
+    coefficients must be integers; for three-surface data that can
+    still leave two branches, told apart by matching the minimum
+    u-class against the twist and the dual class of the middle surface
+    (the selection rule).
     """
     tag = classify_type(data)
     if tag == "unclassified":
@@ -547,28 +554,11 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
     positions, skeleton = _build_skeleton(data, tag)
     equations = _integration_equations(data, positions, skeleton)
     candidates = solve_system(equations)
-
-    three_surface = tag in ("6a", "6b")
     rule_values: dict[str, Fraction] | None = None
-    if three_surface:
+    if tag in ("6a", "6b"):
         rule_values = _selection_rule_values(data, positions, skeleton)
-
-    selection_applied = False
     if any(sol.free for sol in candidates):
-        if rule_values is None:
-            raise MultipleSolutionsError(
-                "restriction equations are underdetermined"
-            )
-        pinned = [
-            Poly.var(name) - Poly.const(value)
-            for name, value in rule_values.items()
-        ]
-        candidates = solve_system(equations + pinned)
-        selection_applied = True
-        if any(sol.free for sol in candidates):
-            raise MultipleSolutionsError(
-                "restriction equations are underdetermined"
-            )
+        raise MultipleSolutionsError("restriction equations are underdetermined")
 
     integral = [
         sol
@@ -579,7 +569,8 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
         raise NoSolutionError(
             "no integral solution: the fixed point data is inconsistent"
         )
-    if len(integral) > 1:
+    selection_applied = len(integral) > 1
+    if selection_applied:
         if rule_values is None:
             raise MultipleSolutionsError(
                 f"{len(integral)} integral solutions survive"
@@ -592,7 +583,6 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
                 for name, value in rule_values.items()
             )
         ]
-        selection_applied = True
         if not filtered:
             raise NoSolutionError(
                 "selection rule rejected every integral solution"
@@ -642,7 +632,7 @@ def _selection_rule_values(
     positions: tuple[int, ...],
     skeleton: Sequence[_SkeletonClass],
 ) -> dict[str, Fraction]:
-    """Pin the minimum u-class for three-surface data.
+    """The selection rule's values of the minimum u-class, for three-surface data.
 
     Its u-part at the middle surface equals the section coefficient of
     the middle surface's dual class, and its lambda-part at the top is
@@ -767,57 +757,34 @@ def dh_path(
     if len(gaps) > segments:
         raise ValueError(f"at most {segments} gaps, got {len(gaps)}")
     space = transport.chart
-    x = fiber_class(space)
-    y = ReducedClass.make(space, 0, 1)
     eulers = [transport.start_euler]
     for ev in crossings:
         eulers.append(eulers[-1] + ev.dual)
-    collapse, keep = (y, x) if data.twist else (x, y)
-
-    failures: list[str] = []
     omega = ReducedClass.make(space, alpha0, 0)
     times: list[Rational] = [0]
     omegas = [omega]
-    wall_areas: list[Fraction] = []
-    if alpha0 <= 0:
-        failures.append("starting size alpha0 must be positive")
     for i, gap in enumerate(gaps):
-        if gap <= 0:
-            failures.append(f"gap {i + 1} must be positive")
         omega = omega - eulers[i].scaled(gap)
         times.append(times[-1] + gap)
         omegas.append(omega)
-        terminal = i == segments - 1
-        if i < len(crossings):
-            area = pair(omega, crossings[i].dual)
-            wall_areas.append(area)
-            if area <= 0:
-                failures.append(
-                    f"wall {i + 1} area {format_rational(area)} not positive"
-                )
-        fiber_area = pair(omega, x)
-        base_area = pair(omega, y)
-        if terminal:
-            if pair(omega, collapse) != 0:
-                failures.append(
-                    "collapsing class keeps nonzero size at the top"
-                )
-            if pair(omega, keep) <= 0:
-                failures.append("maximum does not keep positive size")
-        else:
-            if fiber_area <= 0:
-                failures.append(
-                    f"fiber size {format_rational(fiber_area)} not positive "
-                    f"at time {format_rational(times[-1])}"
-                )
-            if base_area <= 0:
-                failures.append(
-                    f"base size {format_rational(base_area)} not positive "
-                    f"at time {format_rational(times[-1])}"
-                )
-
-    feasible_system = _dh_feasible(space, eulers, crossings, data.twist)
-    if not feasible_system:
+    point = {"a0": alpha0, **{f"g{i}": gap for i, gap in enumerate(gaps)}}
+    failures: list[str] = []
+    wall_areas: list[Fraction] = []
+    constraints: list[AffineConstraint] = []  # every condition, "=" as two ">=" rows
+    conditions = _sweep_conditions(space, eulers, crossings, data.twist)
+    for step, label, kind, form in conditions:
+        constraints.append(AffineConstraint.make(form, 0, kind == ">"))
+        if kind == "=":
+            constraints.append(AffineConstraint.make({v: -c for v, c in form.items()}, 0, False))
+        if step > len(gaps):  # beyond this partial sweep
+            continue
+        value = canon(sum(c * point[v] for v, c in form.items()))
+        if label.startswith("wall"):
+            wall_areas.append(value)
+        if value <= 0 if kind == ">" else value != 0:
+            time = format_rational(times[step])
+            failures.append(label.format(value=format_rational(value), time=time))
+    if not feasible(constraints):
         verdict = "inconsistent"
     elif not failures:
         verdict = "positive"
@@ -833,46 +800,43 @@ def dh_path(
     )
 
 
-def _dh_feasible(space, eulers, crossings, twist: bool) -> bool:
-    """Is any complete positive sweep possible for this data?"""
-    segments = len(eulers)
-    names = ["a0"] + [f"g{i}" for i in range(segments)]
+def _sweep_conditions(
+    space, eulers, crossings, twist: bool
+) -> list[tuple[int, str, str, dict[str, Rational]]]:
+    """Every condition on a complete positive sweep, once, in report order.
+
+    Each is ``(step, label, kind, form)``. ``form`` is the pairing of
+    omega(t_step) with a class, written as a linear form in the start
+    size ``a0`` and the gaps ``g0, g1, ...``; ``kind`` says whether it
+    must be positive (">") or vanish ("="). A condition belongs to step
+    ``step``, the number of gaps swept before it is read. ``label`` is
+    the failure message, with ``{value}`` the form's value and
+    ``{time}`` the time t_step.
+    """
     x = fiber_class(space)
     y = ReducedClass.make(space, 0, 1)
     collapse, keep = (y, x) if twist else (x, y)
-
-    # Affine coefficients of pair(omega(t_i), target) in the variables.
-    def pairing_coeffs(step: int, target) -> dict[str, Fraction]:
-        coeffs = {"a0": pair(ReducedClass.make(space, 1, 0), target)}
-        for i in range(step):
-            coeffs[f"g{i}"] = -pair(eulers[i], target)
-        return coeffs
-
-    constraints = [AffineConstraint.make({"a0": 1}, 0, True)]
-    for i in range(segments):
-        constraints.append(AffineConstraint.make({f"g{i}": 1}, 0, True))
-    for step in range(1, segments + 1):
-        terminal = step == segments
+    omega = [("a0", x)]  # omega(t_step) = a0 x - sum over i < step of g_i e_i
+    conditions = [(0, "starting size alpha0 must be positive", ">", {"a0": 1})]
+    for step, euler in enumerate(eulers, 1):
+        omega.append((f"g{step - 1}", -euler))
+        conditions.append((step, f"gap {step} must be positive", ">", {f"g{step - 1}": 1}))
+        checks = []
         if step <= len(crossings):
-            constraints.append(
-                AffineConstraint.make(
-                    pairing_coeffs(step, crossings[step - 1].dual), 0, True
-                )
-            )
-        if terminal:
-            c = pairing_coeffs(step, collapse)
-            constraints.append(AffineConstraint.make(c, 0, False))
-            constraints.append(
-                AffineConstraint.make({k: -v for k, v in c.items()}, 0, False)
-            )
-            constraints.append(
-                AffineConstraint.make(pairing_coeffs(step, keep), 0, True)
-            )
+            wall = crossings[step - 1].dual
+            checks.append((f"wall {step} area {{value}} not positive", ">", wall))
+        if step == len(eulers):
+            checks += [
+                ("collapsing class keeps nonzero size at the top", "=", collapse),
+                ("maximum does not keep positive size", ">", keep),
+            ]
         else:
-            constraints.append(
-                AffineConstraint.make(pairing_coeffs(step, x), 0, True)
-            )
-            constraints.append(
-                AffineConstraint.make(pairing_coeffs(step, y), 0, True)
-            )
-    return feasible(constraints)
+            checks += [
+                ("fiber size {value} not positive at time {time}", ">", x),
+                ("base size {value} not positive at time {time}", ">", y),
+            ]
+        conditions += [
+            (step, label, kind, {v: pair(c, target) for v, c in omega})
+            for label, kind, target in checks
+        ]
+    return conditions

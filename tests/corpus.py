@@ -3,8 +3,10 @@
 The family presets and the fuzz pools are the benchmark's own
 (``perfbench/workloads.py``), so a test over them covers exactly the
 data that the benchmark measures. That module needs only the standard
-library to build them. ``middle_orderings`` is the reference set of
-crossing orders that the chain engine's orderings are checked against.
+library to build them. ``enumerated_members`` are the data that
+``enumerate`` admits at genus <= 1, b in -2..2. ``middle_orderings`` is
+the reference set of crossing orders that the chain engine's orderings
+are checked against.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def classified_fuzz_data(seed: int) -> list[tuple[str, FixedPointData]]:
         for name, data in fuzz_data(seed)
         if classify_type(data) != "unclassified"
     ]
+
+
+@lru_cache(maxsize=None)
+def enumerated_members() -> tuple[tuple[str, FixedPointData], ...]:
+    """The members that ``enumerate_types(1, (-2, 2))`` admits, by family."""
+    families = classifier.enumerate_types(max_genus=1, b_range=(-2, 2)).families
+    return tuple(
+        (f"member{family}#{position}", data)
+        for family, members in sorted(families.items())
+        for position, data in enumerate(members)
+    )
 
 
 def middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:

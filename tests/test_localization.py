@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import builtin_data, classified_fuzz_data, family_presets, fuzz_data
-from semifree._solve import Poly
+from semifree._solve import Poly, Solution, solve_system
 from semifree.algebra import (
     CarrierMismatchError,
     EquivariantClass,
     invert_euler,
     mul_terms,
 )
-from semifree import classifier
+from semifree import classifier, localization
 from semifree.classifier import (
     ChainResult,
     Crossing,
@@ -29,6 +29,7 @@ from semifree.fixed_points import (
     classify_type,
     point,
     surface,
+    validate,
 )
 from semifree.localization import (
     MultipleSolutionsError,
@@ -469,6 +470,55 @@ def test_inconsistent_normal_data_has_no_solution(components):
     data = FixedPointData(components=components)
     with pytest.raises(NoSolutionError, match="no integral solution"):
         solve_restriction_table(data)
+
+
+def _three_surface_grid():
+    """6a with genus <= 1, 6b, middle genus <= 2, every b, b+ and b- in -2..2."""
+    values = range(-2, 3)
+    shapes = [(False, g, g1) for g in (0, 1) for g1 in (0, 1, 2)]
+    shapes += [(True, 0, g1) for g1 in (0, 1, 2)]
+    for (twist, g, g1), b, b_top, b_plus, b_minus in itertools.product(
+        shapes, values, values, values, values
+    ):
+        yield FixedPointData(
+            (
+                surface(0, 0, genus=g, b=b),
+                surface(2, 1, genus=g1, b_plus=b_plus, b_minus=b_minus),
+                surface(4, 2, genus=g, b=b_top),
+            ),
+            twist=twist,
+        )
+
+
+def test_first_table_solve_leaves_no_variable_free():
+    # Why a free solution may raise at once: the integration equations
+    # alone determine every three-surface table on this grid, so the
+    # selection rule only ever chooses among integral solutions.
+    tried = 0
+    for data in _three_surface_grid():
+        if not validate(data).ok or classify_type(data) not in ("6a", "6b"):
+            continue
+        positions, skeleton = _build_skeleton(data, classify_type(data))
+        solutions = solve_system(_integration_equations(data, positions, skeleton))
+        assert not any(sol.free for sol in solutions), data
+        tried += 1
+    assert tried == 2625
+
+
+def test_selection_rule_chooses_between_two_integral_solutions():
+    data = family_instance("6a", n=0, g=0, g1=0)
+    positions, skeleton = _build_skeleton(data, "6a")
+    solutions = solve_system(_integration_equations(data, positions, skeleton))
+    assert sum(all(v.denominator == 1 for _, v in s.assignment) for s in solutions) == 2
+    assert solve_restriction_table(data).selection_rule_applied
+
+
+@pytest.mark.parametrize("tag, params", [("4", {}), ("6a", {}), ("6b", {"k_prime": 0})])
+def test_a_free_table_solution_is_underdetermined(monkeypatch, tag, params):
+    free = Solution((("x", 0),), frozenset({"y"}))
+    monkeypatch.setattr(localization, "solve_system", lambda equations: [free])
+    with pytest.raises(MultipleSolutionsError, match="underdetermined"):
+        solve_restriction_table(family_instance(tag, **params))
 
 
 def test_solver_error_types_are_value_errors():

@@ -23,6 +23,7 @@ from semifree.delzant import (
     _gap_classes,
     _polygon_support,
     _slice_halfplanes,
+    build,
     builtin_examples,
     edge_normal_degrees,
     extract_fixed_data,
@@ -154,6 +155,26 @@ def test_parse_rational_is_canonical():
 def test_format_rational_rejects_floats_and_bools(value):
     with pytest.raises(TypeError):
         format_rational(value)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+def test_scalar_inputs_reject_floats_and_bools(value):
+    # A float is no exact rational and a bool is no number: each entry
+    # point refuses them rather than rounding a float or reading 0 or 1.
+    polytope = builtin_examples()["type4"]
+    facets = [(n, value if i == 0 else c) for i, (n, c) in enumerate(polytope.facets)]
+    entries = [
+        lambda: Poly.const(value),
+        lambda: Poly.var("x") + value,
+        lambda: ReducedClass.make(trivial_bundle(0), value, 0),
+        lambda: dh_path(family_instance("4"), value, []),
+        lambda: dh_path(family_instance("4"), 1, [value]),
+        lambda: build(facets),
+        lambda: slice_polygon(polytope, value),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry()
 
 
 def test_format_rational_renders_int_and_fraction_alike():
