@@ -8,20 +8,29 @@ isolated fixed point the coefficients are rationals; for a fixed
 surface they live in the two-step ring spanned by 1 and the area
 generator ``u`` (with ``u * u = 0``).
 
+The term-list operations (``mul_terms``, ``integrate_product``) take
+any commutative coefficients, so the same code multiplies and
+integrates exact classes and the restriction-table skeleton, whose
+unknown entries are ``Poly``.
+
 A second, much smaller algebra lives on the reduced spaces of the
 action: the projective plane, or a sphere bundle (trivial or
 nontrivial) over a surface.  Degree-2 classes there are integer or
 rational combinations of the fiber class ``x`` and the section class
 ``y`` (a single multiple of ``u`` on the projective plane), and the
-only operation needed is the intersection pairing.
+only operation needed is the intersection pairing. Each space states
+its intersection form once, as the Gram matrix
+``ReducedSpaceType.gram``; ``_dot`` evaluates a Gram form on scalar or
+``Poly`` vectors, for ``pair`` here and for the lattice charts of the
+chain engine, which start from the same matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from ._solve import _scalar
+from ._solve import Poly, _scalar
 from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
@@ -233,7 +242,21 @@ class ReducedSpaceType:
 
     @property
     def rank(self) -> int:
-        return 1 if self.form == PROJECTIVE_PLANE else 2
+        return len(self.gram)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The intersection form on the basis ``(u,)`` or ``(x, y)``.
+
+        ``u*u = 1`` on the projective plane; ``x*x = 0`` and ``x*y = 1``
+        on either bundle, with ``y*y = 0`` on the trivial form and
+        ``y*y = -1`` on the nontrivial one.
+        """
+        if self.form == PROJECTIVE_PLANE:
+            return ((1,),)
+        if self.form == TRIVIAL_BUNDLE:
+            return ((0, 1), (1, 0))
+        return ((0, 1), (1, -1))
 
     def describe(self) -> str:
         if self.form == PROJECTIVE_PLANE:
@@ -297,23 +320,46 @@ class ReducedClass:
         return ReducedClass(self.space, tuple(canon(f * a) for a in self.coeffs))
 
 
-def pair(a: ReducedClass, b: ReducedClass) -> Rational:
-    """Intersection pairing of two degree-2 classes on a reduced space.
+def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
+    """``sum a_i g_ij b_j`` over the non-zero Gram entries.
 
-    The Gram data is ``u*u = 1`` on the projective plane;
-    ``x*x = 0, x*y = 1, y*y = 0`` on the trivial bundle; and
-    ``x*x = 0, x*y = 1, y*y = -1`` on the nontrivial bundle.
+    A ``Poly`` when some summed product has a ``Poly`` factor (zero
+    ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
     """
+    scalar: Rational = 0
+    acc: dict = {}
+    poly = False
+    for i, ai in enumerate(a):
+        a_poly = isinstance(ai, Poly)
+        if a_poly and ai.is_zero():
+            continue
+        row = gram[i]
+        for j, bj in enumerate(b):
+            g = row[j]
+            if not g:
+                continue
+            if a_poly:
+                poly = True
+                if isinstance(bj, Poly):
+                    ai.accumulate(acc, g, bj)
+                else:
+                    ai.accumulate(acc, g * bj)
+            elif isinstance(bj, Poly):
+                poly = True
+                bj.accumulate(acc, ai * g)
+            else:
+                scalar += ai * g * bj
+    if not poly:
+        return canon(scalar)
+    acc[()] = acc.get((), 0) + scalar
+    return Poly.from_dict(acc)
+
+
+def pair(a: ReducedClass, b: ReducedClass) -> Rational:
+    """Intersection pairing of two degree-2 classes on a reduced space,
+    the space's Gram form (``ReducedSpaceType.gram``) evaluated by ``_dot``."""
     a._check(b)
-    form = a.space.form
-    if form == PROJECTIVE_PLANE:
-        return canon(a.coeffs[0] * b.coeffs[0])
-    p1, q1 = a.coeffs
-    p2, q2 = b.coeffs
-    value = p1 * q2 + q1 * p2
-    if form == NONTRIVIAL_BUNDLE:
-        value -= q1 * q2
-    return canon(value)
+    return _dot(a.space.gram, a.coeffs, b.coeffs)
 
 
 def c1_reduced(space: ReducedSpaceType) -> ReducedClass:

@@ -55,6 +55,7 @@ from ._solve import (
 from .algebra import (
     ReducedClass,
     ReducedSpaceType,
+    _dot,
     c1_reduced,
     nontrivial_bundle,
     projective_plane,
@@ -76,7 +77,7 @@ from .localization import (
     _relation_integrals,
     dh_path,
 )
-from .rationals import Rational, canon, qdiv
+from .rationals import Rational, qdiv
 
 # ---------------------------------------------------------------------------
 # lattice chart state
@@ -104,46 +105,11 @@ class _Chart:
         return tuple(_bundle_forms(self))
 
 
-def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
-    """``sum a_i g_ij b_j`` over the non-zero Gram entries.
-
-    A ``Poly`` when some summed product has a ``Poly`` factor (zero
-    ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
-    """
-    scalar: Rational = 0
-    acc: dict = {}
-    poly = False
-    for i, ai in enumerate(a):
-        a_poly = isinstance(ai, Poly)
-        if a_poly and ai.is_zero():
-            continue
-        row = gram[i]
-        for j, bj in enumerate(b):
-            g = row[j]
-            if not g:
-                continue
-            if a_poly:
-                poly = True
-                if isinstance(bj, Poly):
-                    ai.accumulate(acc, g, bj)
-                else:
-                    ai.accumulate(acc, g * bj)
-            elif isinstance(bj, Poly):
-                poly = True
-                bj.accumulate(acc, ai * g)
-            else:
-                scalar += ai * g * bj
-    if not poly:
-        return canon(scalar)
-    acc[()] = acc.get((), 0) + scalar
-    return Poly.from_dict(acc)
-
-
 def _start_chart(minimum: FixedComponent) -> _Chart:
     if minimum.is_point:
         space = projective_plane()
         return _Chart(
-            gram=((1,),),
+            gram=space.gram,
             c1=c1_reduced(space).coeffs,
             euler=(Poly.const(-1),),
             fiber=None,
@@ -155,14 +121,9 @@ def _start_chart(minimum: FixedComponent) -> _Chart:
     b = minimum.b
     if b is None:
         raise InvalidDataError("surface minimum is missing b")
-    if b % 2 == 0:
-        gram = ((0, 1), (1, 0))
-        space = trivial_bundle(g)
-    else:
-        gram = ((0, 1), (1, -1))
-        space = nontrivial_bundle(g)
+    space = trivial_bundle(g) if b % 2 == 0 else nontrivial_bundle(g)
     return _Chart(
-        gram=gram,
+        gram=space.gram,
         c1=c1_reduced(space).coeffs,
         euler=(Poly.const(b // 2), Poly.const(-1)),
         fiber=(1, 0),
@@ -977,9 +938,7 @@ class EnumerationResult:
         }
 
 
-def enumerate_types(
-    max_genus: int = 1, b_range: tuple[int, int] = (-4, 4)
-) -> EnumerationResult:
+def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResult:
     """Exhaust all admissible data with second Betti number below three.
 
     Candidates run over both extremal kinds, genera up to ``max_genus``,

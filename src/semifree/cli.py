@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--format",
             dest="output_format",
             choices=("text", "structured"),
-            default="text",
-            help="report style (default: text)",
+            default=RunConfig.output_format,
+            help="report style (default: %(default)s)",
         )
         if needs_input:
             p.add_argument(
@@ -428,11 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("restrict-table", True, "solve the full restriction table")
     add("classify", True, "name the family and run the wall-crossing chain")
     p = add("enumerate", False, "enumerate all families within bounds")
-    p.add_argument("--max-genus", type=int, default=3, help="largest genus tried")
+    p.add_argument(
+        "--max-genus", type=int, default=RunConfig.max_genus, help="largest genus tried"
+    )
     p.add_argument(
         "--b-range",
         type=_parse_b_range,
-        default=(-6, 6),
+        default=RunConfig.b_range,
         metavar="LO..HI",
         help="range of normal Euler numbers tried",
     )
@@ -444,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha0",
         type=_parse_alpha0,
-        default=Fraction(1),
-        help="initial fiber area (rational, default 1)",
+        default=RunConfig.alpha0,
+        help="initial fiber area (rational, default %(default)s)",
     )
     p.add_argument(
         "--gaps",
@@ -457,16 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        max_genus=getattr(args, "max_genus", 3),
-        b_range=getattr(args, "b_range", (-6, 6)),
-        output_format=args.output_format,
-        builtin_name=getattr(args, "name", None),
-        alpha0=getattr(args, "alpha0", Fraction(1)),
-        gaps=tuple(getattr(args, "gaps", ())),
-    )
+    """The run described by ``args``; a field its command has no
+    argument for keeps its ``RunConfig`` default."""
+    renamed = {"input": "input_path", "name": "builtin_name"}
+    return RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

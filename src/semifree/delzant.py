@@ -10,13 +10,14 @@ and carries the six example polytopes used to realize specific fixed
 point data.
 
 Facet inequalities are ``<normal, v> >= offset`` with inward primitive
-integer normals.
+integer normals. A vertex is where three facets with independent
+normals (a nonzero ``_det3``) meet, found by the shared exact solver
+``span_coordinates``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,6 +28,8 @@ from .fixed_points import (
     FixedComponent,
     FixedPointData,
     SchemaError,
+    _is_int,
+    _load_json,
     point,
     surface,
 )
@@ -95,22 +98,6 @@ def _det3(rows: Sequence[Sequence[int]]) -> int:
     )
 
 
-def _solve3(
-    rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    det = _det3(rows)
-    if det == 0:
-        return None
-    out = []
-    for col in range(3):
-        patched = [
-            [rhs[i] if j == col else rows[i][j] for j in range(3)]
-            for i in range(3)
-        ]
-        out.append(qdiv(_det3(patched), det))
-    return tuple(out)
-
-
 def _primitive_direction(
     delta: Sequence[Fraction],
 ) -> tuple[int, int, int]:
@@ -138,11 +125,6 @@ def _is_unbounded(normals: Sequence[tuple[int, int, int]]) -> bool:
     return False
 
 
-def _all_ints(entries: Sequence) -> bool:
-    """Whether every entry is an int; bools, floats and strings are not."""
-    return all(isinstance(c, int) and not isinstance(c, bool) for c in entries)
-
-
 def build(
     facets: Iterable[tuple[Sequence[int], Fraction | int]],
 ) -> LatticePolytope:
@@ -155,7 +137,7 @@ def build(
     cleaned: list[tuple[tuple[int, int, int], Fraction]] = []
     for normal, offset in facets:
         normal = tuple(normal)
-        if len(normal) != 3 or not _all_ints(normal) or normal == (0, 0, 0):
+        if len(normal) != 3 or not all(map(_is_int, normal)) or normal == (0, 0, 0):
             raise PolytopeError(f"bad facet normal {normal!r}")
         if gcd(gcd(abs(normal[0]), abs(normal[1])), abs(normal[2])) != 1:
             raise PolytopeError(f"facet normal {normal} is not primitive")
@@ -167,12 +149,12 @@ def build(
 
     points: dict[tuple[Fraction, Fraction, Fraction], set[int]] = {}
     for triple in itertools.combinations(range(len(cleaned)), 3):
-        location = _solve3(
-            [cleaned[i][0] for i in triple],
-            [cleaned[i][1] for i in triple],
-        )
-        if location is None:
+        normals = [cleaned[i][0] for i in triple]
+        if _det3(normals) == 0:
             continue
+        location = tuple(
+            span_coordinates(list(zip(*normals)), [[cleaned[i][1] for i in triple]])[0]
+        )
         values = [
             sum(n * x for n, x in zip(normal, location)) - offset
             for normal, offset in cleaned
@@ -755,7 +737,7 @@ def polytope_from_json_dict(payload: Mapping) -> LatticePolytope:
         if (
             not isinstance(normal, list)
             or len(normal) != 3
-            or not _all_ints(normal)
+            or not all(map(_is_int, normal))
         ):
             raise PolytopeSchemaError(
                 f"bad facet entry {position}: normal must be three integers"
@@ -773,9 +755,4 @@ def polytope_from_json_dict(payload: Mapping) -> LatticePolytope:
 
 
 def loads(text: str) -> LatticePolytope:
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the parser's stack.
-        raise PolytopeSchemaError(f"invalid JSON: {exc}") from exc
-    return polytope_from_json_dict(payload)
+    return polytope_from_json_dict(_load_json(text, PolytopeSchemaError))

@@ -268,12 +268,18 @@ class FixedPointData:
 
     @staticmethod
     def loads(text: str) -> "FixedPointData":
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the parser's stack.
-            raise SchemaError(f"invalid JSON: {exc}") from None
-        return FixedPointData.from_json_dict(payload)
+        return FixedPointData.from_json_dict(_load_json(text, SchemaError))
+
+
+def _load_json(text: str, error: type[SchemaError]):
+    """The JSON value of ``text``; unparsable text raises ``error``.
+
+    A ``RecursionError`` is nesting deeper than the parser's stack.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ small-Betti-number shapes: each fixed component contributes one Thom
 class (and surfaces a second, u-extended class), their unknown
 restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
-one-line normal forms appear as the solved values.
+one-line normal forms appear as the solved values. The table's rows
+are plain term tuples like ``EquivariantClass.terms``, a known entry a
+scalar and an unknown one a ``Poly``, and its equations and
+``abbv_integrate`` take one localization sum (``_localized_sum``) over
+the datum's own inverse Euler classes.
 
 Last, it sweeps the reduced symplectic class of all-surface data
 (Duistermaat-Heckman): the conditions on a positive sweep are listed
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._solve import AffineConstraint, Poly, _scalar, feasible, solve_linear, solve_system
 from .algebra import (
@@ -147,18 +151,31 @@ def abbv_integrate(
         raise ValueError(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
-    total: dict[int, Rational] = {}
-    for restriction, inverse in zip(
-        restrictions, _memo(data, "_euler_inverses", _euler_inverses)
-    ):
+    inverses = _memo(data, "_euler_inverses", _euler_inverses)
+    for restriction, inverse in zip(restrictions, inverses):
         if restriction.carrier != inverse.carrier:
             raise CarrierMismatchError(
                 f"cannot combine {restriction.carrier} class with {inverse.carrier} class"
             )
-        for k, value in integrate_product(
-            inverse.carrier, restriction.terms, inverse.terms
-        ).items():
-            total[k] = total.get(k, 0) + value
+    return _localized_sum(
+        (inverse.carrier, restriction.terms, inverse.terms)
+        for restriction, inverse in zip(restrictions, inverses)
+    )
+
+
+def _localized_sum(integrand: Iterable[tuple[str, tuple, tuple]], zero=0) -> dict:
+    """The localization sum of one integrand, zero terms dropped.
+
+    ``integrand`` gives, per component, its carrier and two term lists
+    whose product is integrated there (``integrate_product``); the sum
+    over the components maps each power of lambda, in increasing order,
+    to its coefficient. The coefficients may be scalars or ``Poly``;
+    ``zero`` is the zero each sum starts from.
+    """
+    total: dict = {}
+    for carrier, a, b in integrand:
+        for k, value in integrate_product(carrier, a, b).items():
+            total[k] = total.get(k, zero) + value
     return {k: canon(v) for k, v in sorted(total.items()) if v}
 
 
@@ -175,48 +192,6 @@ def _relation_integrals(
     c1s = c1_restrictions(data)
     named = (("1", units), ("c_1", c1s), ("c_1^2", tuple(a * a for a in c1s)))
     return ((name, abbv_integrate(data, values)) for name, values in named)
-
-
-# ---------------------------------------------------------------------------
-# symbolic equivariant classes (Poly coefficients)
-
-SymTerms = dict[int, tuple[Poly, Poly]]
-
-
-@dataclass(frozen=True)
-class SymClass:
-    carrier: str
-    terms: tuple[tuple[int, tuple[Poly, Poly]], ...]
-
-    @staticmethod
-    def from_exact(cls: EquivariantClass) -> "SymClass":
-        return SymClass(
-            cls.carrier,
-            tuple(
-                (k, (Poly.const(c), Poly.const(d))) for k, (c, d) in cls.terms
-            ),
-        )
-
-    @staticmethod
-    def from_dict(carrier: str, terms: SymTerms) -> "SymClass":
-        cleaned = tuple(
-            sorted(
-                (k, (c, d))
-                for k, (c, d) in terms.items()
-                if not (c.is_zero() and d.is_zero())
-            )
-        )
-        return SymClass(carrier, cleaned)
-
-    def substitute(self, values: Mapping[str, Fraction]) -> EquivariantClass:
-        out: dict[int, tuple[Fraction, Fraction]] = {}
-        for k, (c, d) in self.terms:
-            cv = c.substitute(values)
-            dv = d.substitute(values)
-            if not (cv.is_constant() and dv.is_constant()):
-                raise ValueError("unresolved variables in symbolic class")
-            out[k] = (cv.constant_value(), dv.constant_value())
-        return EquivariantClass.make(self.carrier, out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +359,21 @@ def _format_monomial(coeff: Fraction, k: int, with_u: bool) -> str:
 # building and solving the skeleton
 
 
+_Terms = tuple[tuple[int, tuple], ...]
+
+
 @dataclass(frozen=True)
 class _SkeletonClass:
+    """A basis class with its restriction at each label, as term tuples.
+
+    A known entry is a scalar; an unknown one is a ``Poly`` in the
+    table's variables.
+    """
+
     name: str
     degree: int
     home_index: int  # position into the label order
-    sym: tuple[SymClass, ...]
+    restrictions: tuple[_Terms, ...]
 
 
 def _table_labels(data: FixedPointData, tag: str) -> tuple[int, ...]:
@@ -424,24 +408,24 @@ def _u_extension(component: FixedComponent) -> EquivariantClass:
     return EquivariantClass.make("surface", {2: (0, 1)})
 
 
+def _unknown_name(class_name: str, label: str, part: str) -> str:
+    """The variable of a restriction's lambda ("t") or u ("s") part."""
+    return f"{class_name}|{label}.{part}"
+
+
 def _unknown_restriction(
     class_name: str, label: str, degree: int, component: FixedComponent
-) -> SymClass:
+) -> _Terms:
     half = degree // 2
-    t = Poly.var(f"{class_name}|{label}.t")
-    s = Poly.var(f"{class_name}|{label}.s")
-    zero = Poly.const(0)
+    t = Poly.var(_unknown_name(class_name, label, "t"))
+    s = Poly.var(_unknown_name(class_name, label, "s"))
     if component.is_point:
-        if degree >= component.index:
-            return SymClass.from_dict("point", {})
-        return SymClass.from_dict("point", {half: (t, zero)})
+        return () if degree >= component.index else ((half, (t, 0)),)
     if degree >= component.index + 2:
-        return SymClass.from_dict("surface", {})
+        return ()
     if degree == component.index:
-        return SymClass.from_dict("surface", {half - 1: (zero, s)})
-    return SymClass.from_dict(
-        "surface", {half: (t, zero), half - 1: (zero, s)}
-    )
+        return ((half - 1, (0, s)),)
+    return ((half - 1, (0, s)), (half, (t, 0)))
 
 
 def _build_skeleton(
@@ -466,17 +450,15 @@ def _build_skeleton(
                     (f"alpha'_{li + 1}", comp.index + 2, _u_extension(comp))
                 )
         for name, degree, own in specs:
-            row: list[SymClass] = []
+            row: list[_Terms] = []
             for lj, pos_j in enumerate(positions):
                 comp_j = comps[pos_j]
                 if degree == 0:
-                    row.append(
-                        SymClass.from_exact(EquivariantClass.unit(comp_j.kind))
-                    )
+                    row.append(EquivariantClass.unit(comp_j.kind).terms)
                 elif pos_j == pos:
-                    row.append(SymClass.from_exact(own))
+                    row.append(own.terms)
                 elif pos_j < pos:
-                    row.append(SymClass.from_dict(comp_j.kind, {}))
+                    row.append(())
                 else:
                     row.append(
                         _unknown_restriction(name, labels[lj], degree, comp_j)
@@ -484,6 +466,22 @@ def _build_skeleton(
             classes.append(_SkeletonClass(name, degree, li, tuple(row)))
     classes.sort(key=lambda c: (c.degree, c.home_index, c.name))
     return positions, classes
+
+
+def _solved_restriction(
+    carrier: str, terms: _Terms, values: Mapping[str, Rational]
+) -> EquivariantClass:
+    """A skeleton entry with the solved values put in for its unknowns."""
+    return EquivariantClass.make(
+        carrier,
+        {
+            k: tuple(
+                p.substitute(values).constant_value() if isinstance(p, Poly) else p
+                for p in pair
+            )
+            for k, pair in terms
+        },
+    )
 
 
 def _integration_equations(
@@ -501,37 +499,32 @@ def _integration_equations(
     constrains nothing. Every positive degree is at least 2, so the
     constraints come from the classes below degree six, then from the
     products of two degree-2 classes (c_1 included); the solver's case
-    split follows this order.
+    split follows this order. The inverse Euler classes and the c_1
+    restrictions are the datum's own, formed once.
     """
-    comps = data.components
-    carriers = [comps[p].kind for p in positions]
-    inverses = [
-        SymClass.from_exact(invert_euler(equivariant_euler(comps[p]))).terms
-        for p in positions
-    ]
-    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])).terms for p in positions]
-    # Each integrand holds, per component, two term lists whose product
-    # is integrated (``integrate_product``) without being formed. Only
-    # inverse Euler times a degree-2 class is formed, as the left factor
-    # of the pair products.
+    carriers = [data.components[p].kind for p in positions]
+    euler_inverses = _memo(data, "_euler_inverses", _euler_inverses)
+    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    inverses = [euler_inverses[p].terms for p in positions]
+    c1_row = [c1s[p].terms for p in positions]
+    # Each integrand holds, per component, its carrier and two term
+    # lists whose product is integrated (``integrate_product``) without
+    # being formed. Only inverse Euler times a degree-2 class is formed,
+    # as the left factor of the pair products.
     integrands: list[list[tuple]] = []
     degree_two: list[tuple[list, list]] = []
     for f in factors:
         if f.degree < 6:
-            sym = [r.terms for r in f.sym]
-            integrands.append(list(zip(inverses, sym)))
+            integrands.append(list(zip(carriers, inverses, f.restrictions)))
             if f.degree == 2:
-                degree_two.append((sym, [mul_terms(a, b) for a, b in integrands[-1]]))
-    degree_two.append((c1_sym, [mul_terms(a, b) for a, b in zip(inverses, c1_sym)]))
+                left = [mul_terms(a, b) for _, a, b in integrands[-1]]
+                degree_two.append((f.restrictions, left))
+    degree_two.append((c1_row, [mul_terms(a, b) for a, b in zip(inverses, c1_row)]))
     for i, (_, left) in enumerate(degree_two):
-        integrands += [list(zip(left, right)) for right, _ in degree_two[i:]]
+        integrands += [list(zip(carriers, left, right)) for right, _ in degree_two[i:]]
     equations: list[Poly] = []
     for integrand in integrands:
-        total: dict[int, Poly] = {}
-        for carrier, (a, b) in zip(carriers, integrand):
-            for k, value in integrate_product(carrier, a, b).items():
-                total[k] = total.get(k, Poly.const(0)) + value
-        equations += [value for value in total.values() if not value.is_zero()]
+        equations += _localized_sum(integrand, Poly.const(0)).values()
     return equations
 
 
@@ -596,18 +589,21 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
     values = solution.as_dict()
 
     labels = tuple(f"F{i + 1}" for i in range(len(positions)))
+    carriers = [data.components[p].kind for p in positions]
     table_classes = tuple(
         TableClass(
             name=cls.name,
             degree=cls.degree,
             home=labels[cls.home_index],
-            restrictions=tuple(s.substitute(values) for s in cls.sym),
+            restrictions=tuple(
+                _solved_restriction(carrier, terms, values)
+                for carrier, terms in zip(carriers, cls.restrictions)
+            ),
         )
         for cls in skeleton
     )
-    c1_values = tuple(
-        c1_restriction(data.components[p]) for p in positions
-    )
+    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    c1_values = tuple(c1s[p] for p in positions)
     decomposition = _c1_decomposition(table_classes, c1_values)
     odd_decisive = (
         selection_applied
@@ -647,11 +643,9 @@ def _selection_rule_values(
     mid_label_index = positions.index(position)
     max_label_index = positions.index(data.components.index(data.maximum))
     name = f"alpha'_{min_label_index + 1}"
-    e_var = f"{name}|F{max_label_index + 1}.t"
-    d_var = f"{name}|F{mid_label_index + 1}.s"
     return {
-        e_var: -1 if data.twist else 0,
-        d_var: eta.coeffs[1],
+        _unknown_name(name, f"F{max_label_index + 1}", "t"): -1 if data.twist else 0,
+        _unknown_name(name, f"F{mid_label_index + 1}", "s"): eta.coeffs[1],
     }
 
 
@@ -765,7 +759,7 @@ def dh_path(
     omegas = [omega]
     for i, gap in enumerate(gaps):
         omega = omega - eulers[i].scaled(gap)
-        times.append(times[-1] + gap)
+        times.append(canon(times[-1] + gap))
         omegas.append(omega)
     point = {"a0": alpha0, **{f"g{i}": gap for i, gap in enumerate(gaps)}}
     failures: list[str] = []

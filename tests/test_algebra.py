@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semifree import classifier
 from semifree.algebra import (
     CarrierMismatchError,
+    _dot,
     EquivariantClass,
     NotInvertibleError,
     c1_reduced,
@@ -23,7 +25,7 @@ from semifree.algebra import (
     ReducedClass,
 )
 from semifree._solve import Poly
-from semifree.localization import SymClass
+from semifree.fixed_points import point, surface
 
 F = Fraction
 
@@ -132,6 +134,28 @@ def test_fiber_class_squares_to_zero_on_bundles():
         assert pair(x, x) == 0
 
 
+@pytest.mark.parametrize("genus", range(4))
+def test_the_one_gram_source_meets_independent_invariants(genus):
+    # c1^2 is 9 on the projective plane and 8(1 - g) on a sphere bundle
+    # over a genus-g surface (Noether), and the fiber x of a bundle has
+    # x.x = 0 and c1.x = 2. Checked through ``pair`` and through the
+    # start charts of the chain engine, which read the same Gram data.
+    plane = projective_plane()
+    assert pair(c1_reduced(plane), c1_reduced(plane)) == 9
+    chart = classifier._start_chart(point(0, 0))
+    assert _dot(chart.gram, chart.c1, chart.c1) == 9
+    for space in (trivial_bundle(genus), nontrivial_bundle(genus)):
+        c1, x = c1_reduced(space), fiber_class(space)
+        assert pair(c1, c1) == 8 * (1 - genus)
+        assert (pair(x, x), pair(c1, x)) == (0, 2)
+    for b in (-2, -1, 0, 1, 2, 3):
+        chart = classifier._start_chart(surface(0, 0, genus=genus, b=b))
+        assert chart.pristine.form == ("trivial_bundle" if b % 2 == 0 else "nontrivial_bundle")
+        assert _dot(chart.gram, chart.c1, chart.c1) == 8 * (1 - genus)
+        x = chart.fiber
+        assert (_dot(chart.gram, x, x), _dot(chart.gram, chart.c1, x)) == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # the term multiplier against its plain formula
 
@@ -187,7 +211,7 @@ def test_mul_terms_matches_the_formula_on_exact_classes():
             _assert_canonical_scalar(d)
 
 
-def _random_sym_class(rng: random.Random) -> SymClass:
+def _random_symbolic_terms(rng: random.Random) -> tuple:
     def entry():
         if rng.random() < 0.4:
             return Poly.const(0)
@@ -197,17 +221,16 @@ def _random_sym_class(rng: random.Random) -> SymClass:
             terms[var] = F(rng.randint(-2, 2), rng.randint(1, 2))
         return Poly.from_dict(terms)
 
-    return SymClass.from_dict(
-        "surface", {rng.randint(-2, 2): (entry(), entry()) for _ in range(3)}
-    )
+    terms = {rng.randint(-2, 2): (entry(), entry()) for _ in range(3)}
+    return tuple(sorted((k, (c, d)) for k, (c, d) in terms.items() if c or d))
 
 
 def test_mul_terms_matches_the_formula_on_symbolic_classes():
     rng = random.Random(20027)
     for _ in range(300):
-        a, b = _random_sym_class(rng), _random_sym_class(rng)
-        got = mul_terms(a.terms, b.terms)
-        _assert_same_terms(got, _formula_mul_terms(a.terms, b.terms))
+        a, b = _random_symbolic_terms(rng), _random_symbolic_terms(rng)
+        got = mul_terms(a, b)
+        _assert_same_terms(got, _formula_mul_terms(a, b))
 
 
 def integrate_component(x):

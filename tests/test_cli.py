@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.cli import COMMANDS, RunConfig, main, run
+from semifree.cli import COMMANDS, RunConfig, build_parser, config_from_args, main, run
 from semifree.classifier import family_instance
 from semifree.delzant import (
     PolytopeError,
@@ -381,6 +381,15 @@ def test_reports_are_deterministic(command):
     second = run(config, raw)
     assert first == second
     assert first[1].decode("utf-8")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_defaults_are_the_run_config_defaults(command):
+    # Only the required positionals are given, so every other field must
+    # come out as RunConfig's own default.
+    extra = ["type4"] if command == "polytope-builtin" else []
+    expected = RunConfig(command=command, builtin_name="type4" if extra else None)
+    assert config_from_args(build_parser().parse_args([command, *extra])) == expected
 
 
 def test_structured_reports_carry_one_schema():

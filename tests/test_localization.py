@@ -35,7 +35,6 @@ from semifree.localization import (
     MultipleSolutionsError,
     NoSolutionError,
     RestrictionTable,
-    SymClass,
     _build_skeleton,
     _integration_equations,
     _SkeletonClass,
@@ -80,7 +79,7 @@ def verify_redundant_equations(table: RestrictionTable) -> list[str]:
             cls.name,
             cls.degree,
             table.labels.index(cls.home),
-            tuple(SymClass.from_exact(r) for r in cls.restrictions),
+            tuple(r.terms for r in cls.restrictions),
         )
         for cls in table.classes
     ]
@@ -771,15 +770,12 @@ def full_product_equations(data, positions, factors):
     constant term that is all they integrate to.
     """
     comps = data.components
-    inverses = [
-        SymClass.from_exact(invert_euler(equivariant_euler(comps[p])))
-        for p in positions
-    ]
+    inverses = [invert_euler(equivariant_euler(comps[p])) for p in positions]
     c1_sym = _SkeletonClass(
         "c_1",
         2,
         -1,
-        tuple(SymClass.from_exact(c1_restriction(comps[p])) for p in positions),
+        tuple(c1_restriction(comps[p]).terms for p in positions),
     )
     positive = [f for f in factors if f.degree > 0] + [c1_sym]
     combos = [(f,) for f in factors]
@@ -794,7 +790,7 @@ def full_product_equations(data, positions, factors):
         for idx in range(len(positions)):
             product = inverses[idx].terms
             for f in combo:
-                product = mul_terms(product, f.sym[idx].terms)
+                product = mul_terms(product, f.restrictions[idx])
             part = 0 if inverses[idx].carrier == "point" else 1
             for k, pair in product:
                 if pair[part]:
@@ -822,31 +818,26 @@ def test_equations_match_the_full_product_enumeration(corpus):
 def formed_product_equations(data, positions, factors):
     """``_integration_equations`` as it was: every product formed, then integrated."""
     comps = data.components
-    inverses = [
-        SymClass.from_exact(invert_euler(equivariant_euler(comps[p]))) for p in positions
-    ]
-    c1_sym = [SymClass.from_exact(c1_restriction(comps[p])) for p in positions]
-
-    def times(a, b):
-        assert a.carrier == b.carrier
-        return SymClass(a.carrier, mul_terms(a.terms, b.terms))
+    carriers = [comps[p].kind for p in positions]
+    inverses = [invert_euler(equivariant_euler(comps[p])).terms for p in positions]
+    c1_sym = [c1_restriction(comps[p]).terms for p in positions]
 
     products = []
     degree_two = []
     for f in factors:
         if f.degree < 6:
-            products.append([times(inv, r) for inv, r in zip(inverses, f.sym)])
+            products.append([mul_terms(inv, r) for inv, r in zip(inverses, f.restrictions)])
             if f.degree == 2:
-                degree_two.append((f.sym, products[-1]))
-    degree_two.append((c1_sym, [times(inv, r) for inv, r in zip(inverses, c1_sym)]))
+                degree_two.append((f.restrictions, products[-1]))
+    degree_two.append((c1_sym, [mul_terms(inv, r) for inv, r in zip(inverses, c1_sym)]))
     for i, (_, left) in enumerate(degree_two):
-        products += [[times(a, b) for a, b in zip(left, right)] for right, _ in degree_two[i:]]
+        products += [[mul_terms(a, b) for a, b in zip(left, right)] for right, _ in degree_two[i:]]
     equations = []
     for product in products:
         total = {}
-        for term in product:
-            part = 0 if term.carrier == "point" else 1
-            for k, pair in term.terms:
+        for carrier, term in zip(carriers, product):
+            part = 0 if carrier == "point" else 1
+            for k, pair in term:
                 if pair[part]:
                     total[k] = total.get(k, Poly.const(0)) + pair[part]
         equations += [value for value in total.values() if not value.is_zero()]
@@ -943,8 +934,8 @@ def test_restrictions_are_homogeneous(corpus):
         positions, skeleton = _build_skeleton(data, tag)
         for cls in skeleton:
             assert cls.degree in (0, 2, 4, 6)
-            for restriction in cls.sym:
-                assert term_degrees(restriction.terms) <= {cls.degree}
+            for restriction in cls.restrictions:
+                assert term_degrees(restriction) <= {cls.degree}
         for component in data.components:
             assert term_degrees(c1_restriction(component).terms) <= {2}
             dim = 0 if component.is_point else 2

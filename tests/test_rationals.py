@@ -340,7 +340,7 @@ def test_parse_rational_integer_fast_path_agrees_with_fraction(text):
 
 def test_dh_path_times_and_omegas_are_canonical():
     data = family_instance("6a", n=1, g=0, g1=0)
-    for alpha0, gaps in [(1, [1]), (F(3, 2), [])]:
+    for alpha0, gaps in [(1, [1]), (F(3, 2), []), (1, [F(1, 2), F(1, 2)])]:
         path = dh_path(data, alpha0, gaps)
         assert path.times and path.omegas
         for t in path.times:

@@ -25,7 +25,7 @@ from semifree.localization import (
     NoSolutionError,
     dh_path,
 )
-from semifree.rationals import format_rational
+from semifree.rationals import canon, format_rational
 
 
 def _oracle_dh_path(data, alpha0, gaps, transport):
@@ -50,7 +50,7 @@ def _oracle_dh_path(data, alpha0, gaps, transport):
         if gap <= 0:
             failures.append(f"gap {i + 1} must be positive")
         omega = omega - eulers[i].scaled(gap)
-        times.append(times[-1] + gap)
+        times.append(canon(times[-1] + gap))
         omegas.append(omega)
         terminal = i == segments - 1
         if i < len(crossings):
