@@ -19,7 +19,8 @@ its vectors in the kernel basis by one elimination. A chart computes
 its canonical bundle forms once (``_Chart.bundle_forms``). One chain
 solve walks and solves only the first of the orderings whose step keys
 repeat, since those walk to the very same branches; the others are
-never generated (``_distinct_orderings``). No cache outlives
+never generated (``_distinct_orderings``); so is a repeated walk state,
+and each chart's (-1)-classes are searched once (``_walk``). No cache outlives
 its chart, its call or its datum: the ``walks`` dict belongs to one
 chain solve, or in the enumeration to one minimum, and a datum keeps
 its solved chain (``_memo``), so the chain check, the Euler transport
@@ -38,14 +39,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from ._solve import (
     Poly,
     Solution,
     SolverStallError,
-    _rational_roots,
     integer_kernel_basis,
     solve_system,
     span_coordinates,
@@ -188,9 +188,9 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
     if not any(functional):
         return None
     basis = integer_kernel_basis(functional)
+    rows = [_pairing_functional(chart.gram, bi) for bi in basis]
     gram = tuple(
-        tuple(_dot(chart.gram, bi, bj).numerator for bj in basis)
-        for bi in basis
+        tuple(sum(r * x for r, x in zip(row, bj)) for bj in basis) for row in rows
     )
     # Project, then re-express; e + K is orthogonal to K exactly when
     # pair(e, K) = 1, which the caller imposes as an equation.
@@ -234,88 +234,79 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
 # -- exceptional class enumeration ------------------------------------------
 
 
-def _int_range(lo: Rational, hi: Rational) -> range:
-    return range(ceil(lo), floor(hi) + 1)
-
-
 def _minus_one_classes(
     gram: Sequence[Sequence[int]], c1: Sequence[Rational]
 ) -> list[tuple[int, ...]]:
-    """Integer classes K with K.K = -1 and c1.K = 1.
+    """Integer classes K with K.K = -1 and c1.K = 1, by one exact search.
 
-    Finite whenever c1 has positive square (the orthogonal complement
-    is then negative definite); otherwise returns nothing and the
-    caller falls back to the vertical candidates.
+    Over the unimodular clearing of c1, K = k0 + sum t_i b_i and K.K + 1
+    is a quadratic q(t). Completing the square in t_0, t_1, ... (an exact
+    LDL^T) gives q = r + sum_i a_i (t_i + l_i)^2, l_i affine in the t_j
+    past i. A chart has signature (1, rank - 1), so every a_i < 0 exactly
+    when c1.c1 > 0; otherwise this raises NotImplementedError, as the
+    classes need not be finitely many. Each outer t_i runs over an
+    ``isqrt`` bound (Fincke and Pohst 1985); the innermost is solved exactly.
     """
     if any(c.denominator != 1 for c in c1):
         return []
     c1_int = [c.numerator for c in c1]
     functional = _pairing_functional(gram, c1_int)
-    g = 0
-    for value in functional:
-        g = gcd(g, value)
-    if g != 1:
+    if gcd(*functional) != 1:
         return []
+    if sum(c * f for c, f in zip(c1_int, functional)) <= 0:
+        raise NotImplementedError("exceptional search needs c1.c1 > 0")
     clearing = unimodular_clearing(functional)
-    k0 = clearing[0]
-    basis = clearing[1:]
-    c0 = _dot(gram, k0, k0)
-    if not basis:
-        return [tuple(k0)] if c0 == -1 else []
+    k0, basis = clearing[0], clearing[1:]
+    n = len(basis)
     m = [[_dot(gram, bi, bj) for bj in basis] for bi in basis]
-    b = [_dot(gram, bi, k0) for bi in basis]
+    lin = [_dot(gram, bi, k0) for bi in basis]
+    rest = _dot(gram, k0, k0) + 1
+    # squares[i]: a_i, then the coefficients of l_i in the t_j for j > i and its constant.
+    squares = []
+    for i in range(n):
+        a = m[i][i]
+        row = [qdiv(m[i][j], a) for j in range(n)] + [qdiv(lin[i], a)]
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                m[j][k] -= m[i][j] * row[k]
+            lin[j] -= m[i][j] * row[n]
+        rest -= lin[i] * row[n]
+        squares.append((a, row))
     out: list[tuple[int, ...]] = []
+    t = [0] * n
 
-    def emit(t: Sequence[int]) -> None:
-        k = [
-            k0[j] + sum(t[i] * basis[i][j] for i in range(len(basis)))
-            for j in range(len(k0))
-        ]
-        out.append(tuple(k))
+    def search(i: int, rest: Rational) -> None:
+        # t[i + 1:] is fixed and rest is what is left of q for t[: i + 1].
+        if rest < 0:
+            return
+        if i < 0:
+            if rest == 0:
+                out.append(tuple(
+                    k0[j] + sum(t[r] * basis[r][j] for r in range(n))
+                    for j in range(len(k0))
+                ))
+            return
+        a, row = squares[i]
+        center = -row[n] - sum(row[j] * t[j] for j in range(i + 1, n))
+        span = qdiv(rest, -a)  # the most (t_i - center)^2 may be
+        if i == 0:
+            root = sqrt_fraction(span)
+            values = [] if root is None else sorted({center - root, center + root})
+        else:
+            h = isqrt(span.numerator // span.denominator) + 1
+            base = center.numerator // center.denominator
+            values = range(base - h, base + h + 2)
+        for value in values:
+            if value.denominator == 1:
+                t[i] = value.numerator
+                search(i - 1, rest + a * (value - center) ** 2)
 
-    if len(basis) == 1:
-        roots = _rational_roots([c0 + 1, 2 * b[0], m[0][0]])
-        for root in roots or []:
-            if root.denominator == 1:
-                emit([root.numerator])
-        return out
-    if len(basis) == 2:
-        det = m[0][0] * m[1][1] - m[0][1] ** 2
-        if m[0][0] >= 0 or det <= 0:
-            return []
-        # Center the quadric at t* with M t* = -b; then the equation is
-        # s' M s = -phi0 for s = t - t*, bounded because M is negative
-        # definite. Sweep the outer coordinate, solve the inner exactly.
-        t_star = [
-            qdiv(-b[0] * m[1][1] + b[1] * m[0][1], det),
-            qdiv(-b[1] * m[0][0] + b[0] * m[0][1], det),
-        ]
-        phi0 = c0 + 1 + b[0] * t_star[0] + b[1] * t_star[1]
-        if phi0 < 0:
-            return []
-        d1 = m[1][1] - qdiv(m[0][1] ** 2, m[0][0])
-        span = qdiv(phi0, -d1)
-        root_span = sqrt_fraction(span)
-        if root_span is None:
-            root_span = isqrt(span.numerator // span.denominator) + 1
-        lam = qdiv(m[0][1], m[0][0])
-        for t1 in _int_range(t_star[1] - root_span, t_star[1] + root_span):
-            s1 = t1 - t_star[1]
-            value = qdiv(-phi0 - d1 * s1 * s1, m[0][0])
-            if value < 0:
-                continue
-            root = sqrt_fraction(value)
-            if root is None:
-                continue
-            center0 = t_star[0] - lam * s1
-            for t0 in {center0 + root, center0 - root}:
-                if t0.denominator == 1:
-                    emit([t0.numerator, t1])
-        return out
-    raise NotImplementedError("exceptional search beyond rank 3")
+    search(n - 1, rest)
+    return out
 
 
-def _blow_down_candidates(chart: _Chart) -> list[tuple[int, ...]]:
+def _blow_down_candidates(chart: _Chart, searches: dict) -> list[tuple[int, ...]]:
+    """The classes a blow-down may contract; ``searches`` keeps each search."""
     if chart.base_genus > 0:
         candidates: list[tuple[int, ...]] = []
         for idx in chart.exceptional:
@@ -328,7 +319,10 @@ def _blow_down_candidates(chart: _Chart) -> list[tuple[int, ...]]:
                     tuple(f.numerator - wi for f, wi in zip(chart.fiber, w))
                 )
         return candidates
-    return _minus_one_classes(chart.gram, chart.c1)
+    key = (chart.gram, chart.c1)
+    if key not in searches:
+        searches[key] = _minus_one_classes(*key)
+    return searches[key]
 
 
 # -- canonical forms of small charts -----------------------------------------
@@ -511,10 +505,11 @@ def _distinct_arrangements(keyed: list[tuple[int, tuple]]) -> Iterable[tuple[int
             yield (pos, *rest)
 
 
-def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
+def _cross(state: _Branch, pos: int, comp: FixedComponent, walks: dict) -> list[_Branch]:
     """The walk states just above one crossing, in branch order.
 
-    A state is a ``_Branch`` whose ``top`` is the chart reached so far.
+    A state is a ``_Branch`` whose ``top`` is the chart reached so far;
+    ``walks`` keeps the blow-down searches (see ``_walk``).
     """
     equations, crossings, chart = state.equations, state.crossings, state.top
     if comp.is_surface:
@@ -545,7 +540,7 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
         return [_Branch(equations, crossings, _blow_up(chart))]
     if comp.index == 4:
         out = []
-        for k_class in _blow_down_candidates(chart):
+        for k_class in _blow_down_candidates(chart, walks):
             condition = _dot(chart.gram, chart.euler, k_class) - 1
             if isinstance(condition, Poly) and condition.is_constant():
                 if condition.constant_value():
@@ -574,6 +569,8 @@ def _walk(
     of a surface, whose unknowns are named after ``pos``. ``walks`` maps
     each walked prefix of such keys to its states, or to the error its
     last step raised, so a prefix already in it is not walked again.
+    A prefix keeps each distinct state once, and ``walks`` also maps each
+    searched chart's ``(gram, c1)`` to its (-1)-classes.
     """
     key: tuple = (data.minimum,)
     if key not in walks:
@@ -584,7 +581,9 @@ def _walk(
         key += (_step_key(pos, comp),)
         if key not in walks and not isinstance(states, Exception):
             try:
-                walks[key] = [new for old in states for new in _cross(old, pos, comp)]
+                crossed = [new for old in states for new in _cross(old, pos, comp, walks)]
+                # Only a blow-down can take two states to one.
+                walks[key] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
             except (InvalidDataError, NotImplementedError) as exc:
                 walks[key] = exc
         states = walks.get(key, states)
@@ -946,7 +945,9 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     compatible with the Betti bound, all level orderings including
     ties, and both twist settings. The normal splittings of middle
     surfaces are derived from the chain, never enumerated. Survivors
-    of the full filter stack are grouped into families.
+    of the full filter stack are grouped into families. Failing the
+    localization relations or coming out unclassified after validate
+    has never happened, so either raises RuntimeError as a fault.
 
     The walk is shape-first. A shape is the minimum, the middles with
     their levels, and the maximum's kind and level; ``_shapes`` yields
@@ -1002,8 +1003,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
             reject("validate")
             return
         if not _localization_relations_hold(filled):
-            reject("localization")
-            return
+            raise RuntimeError(f"invariant broken at the localization stage: {filled!r}")
         if all(c.is_surface for c in filled.components):
             transport = _chain_result(filled, _unique_solution(solutions, unbounded))
             if dh_path(filled, 1, [], transport).verdict == "inconsistent":
@@ -1011,8 +1011,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
                 return
         tag = classify_type(filled)
         if tag == "unclassified":
-            reject("unclassified")
-            return
+            raise RuntimeError(f"invariant broken at the unclassified stage: {filled!r}")
         family = "6" if tag in ("6a", "6b") else tag
         families.setdefault(family, []).append(filled)
 

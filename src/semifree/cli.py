@@ -37,7 +37,7 @@ from .localization import (
     solve_restriction_table,
     w2_vanishes,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_rational
 
 REPORT_SCHEMA = "report.v1"
 
@@ -64,8 +64,8 @@ class RunConfig:
     b_range: tuple[int, int] = (-6, 6)
     output_format: str = "text"
     builtin_name: str | None = None
-    alpha0: Fraction = Fraction(1)
-    gaps: tuple[Fraction, ...] = ()
+    alpha0: Rational = 1
+    gaps: tuple[Rational, ...] = ()
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
@@ -381,7 +381,7 @@ def _parse_b_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_gaps(text: str) -> tuple[Fraction, ...]:
+def _parse_gaps(text: str) -> tuple[Rational, ...]:
     if not text.strip():
         return ()
     try:
@@ -390,7 +390,7 @@ def _parse_gaps(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_alpha0(text: str) -> Fraction:
+def _parse_alpha0(text: str) -> Rational:
     try:
         return parse_rational(text)
     except ValueError as exc:

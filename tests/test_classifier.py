@@ -76,6 +76,39 @@ def test_solved_dual_classes_satisfy_adjunction():
     assert checked == 10
 
 
+def _after_surgery(b_min, genus, b_plus, b_minus, b_max):
+    # An index-2 and an index-4 point below the surface, so the surface
+    # crosses a rank-2 chart reached by a blow-up and a blow-down.
+    return FixedPointData(
+        (
+            surface(0, 0, genus=0, b=b_min),
+            point(2, 1),
+            point(4, 2),
+            surface(2, 3, genus=genus, b_plus=b_plus, b_minus=b_minus),
+            surface(4, 4, genus=0, b=b_max),
+        )
+    )
+
+
+# Every datum of this shape, with genus <= 1 and each degree in -2..2,
+# whose chain has exactly one solution.
+AFTER_SURGERY = [(0, 0, 1, 0, -1), (0, 0, -1, 0, 1), (1, 0, 1, -1, -1), (1, 1, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("params", AFTER_SURGERY)
+def test_dual_class_on_a_rank_two_chart_after_surgery(params):
+    data = _after_surgery(*params)
+    (crossing,) = euler_transport(data).crossings
+    eta = crossing.dual
+    assert eta is not None and eta.space.form == "nontrivial_bundle"
+    genus, b_plus, b_minus = params[1:4]
+    assert pair(eta, eta) == crossing.pair_eta_eta
+    assert pair(c1_reduced(eta.space), eta) == crossing.pair_eta_eta + 2 - 2 * genus
+    assert b_plus_minus(data, crossing.position) == (b_plus, b_minus)
+    if params == (0, 0, 1, 0, -1):
+        assert eta.coeffs == (1, 1)
+
+
 def _adjunction_genus(v):
     # Genus forced on an embedded surface representing v; a negative or
     # non-integral value certifies that no embedded surface realizes it.
@@ -418,6 +451,21 @@ def test_enumeration_rejects_negative_genus_bound():
         enumerate_types(max_genus=-1, b_range=(-1, 1))
 
 
+@pytest.mark.parametrize(
+    ("target", "fault", "stage"),
+    [
+        ("_localization_relations_hold", False, "localization"),
+        ("classify_type", "unclassified", "unclassified"),
+    ],
+)
+def test_enumeration_stages_that_never_reject_are_invariants(
+    monkeypatch, target, fault, stage
+):
+    monkeypatch.setattr(classifier, target, lambda data: fault)
+    with pytest.raises(RuntimeError, match=f"invariant broken at the {stage} stage"):
+        enumerate_types(1, (-2, 2))
+
+
 def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
     stalled = []
 
@@ -521,7 +569,7 @@ def assert_chart_round_trips(minimum, times):
     for _ in range(times):
         up = classifier._blow_up(chart)
         e_n = tuple(int(j == up.rank - 1) for j in range(up.rank))
-        assert e_n in classifier._blow_down_candidates(up)
+        assert e_n in classifier._blow_down_candidates(up, {})
         chart = classifier._blow_down(up, e_n)
         assert chart is not None and chart.rank == start.rank
         assert _gram_det(chart.gram) == _gram_det(start.gram)

@@ -392,6 +392,13 @@ def test_parser_defaults_are_the_run_config_defaults(command):
     assert config_from_args(build_parser().parse_args([command, *extra])) == expected
 
 
+@pytest.mark.parametrize("flags", [[], ["--alpha0", "1"]])
+def test_dh_check_alpha0_is_an_int_with_or_without_the_flag(flags):
+    # Int-first: the default and a parsed "1" carry the same type.
+    config = config_from_args(build_parser().parse_args(["dh-check", *flags]))
+    assert type(config.alpha0) is int and config.alpha0 == 1
+
+
 def test_structured_reports_carry_one_schema():
     for command, raw in [
         ("validate", TYPE1),

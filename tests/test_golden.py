@@ -1,10 +1,12 @@
-"""Golden digests of the ``restrict-table`` and ``classify`` reports.
+"""Golden digests of the ``restrict-table``, ``classify``, ``localize``
+and ``dh-check`` reports.
 
 The corpus is the 71 benchmark family presets plus the data extracted
 from the 6 builtin polytopes. Each digest is the sha256 over every
 datum's name, exit code and report bytes, in corpus order. The
-benchmark's correctness gate checks only the structured format; these
-pin the text format as well.
+benchmark's correctness gate checks only the structured format, and
+only on the presets; these pin the text format and the builtin data as
+well.
 
 The example scripts' stdout is pinned the same way: they are the only
 callers of ``b_plus_minus`` and ``slice_polygon`` outside the tests.
@@ -29,6 +31,14 @@ GOLDEN_DIGESTS = {
         "123d580ca6f0bbe38ae9ebb7eb7d25ecf587b9fbd315476a8b88b109da37497e",
     ("classify", "structured"):
         "094215b55c0d23d80041de438fbbf26940e115adde9fe456caa70d08f662887b",
+    ("localize", "text"):
+        "795bfceb4b72fc1be20548c0e7c478655fdbc4d06e64dbc1b6102415852359d5",
+    ("localize", "structured"):
+        "8bc4047b2f8aba5aa76d72f1135617cae6111fd8412b014a63bfaadd5f01aef1",
+    ("dh-check", "text"):
+        "708f58340cc4b9193696c20125435c441ee31dbce6a42008bafb1129c3f1c381",
+    ("dh-check", "structured"):
+        "7eba8542f99c47ea53c005294c62c892fa42366ba78c6ab8e0caa18b914167d2",
 }
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from semifree import classifier
 from semifree._solve import SolverStallError, solve_system
-from semifree.fixed_points import FixedPointData, InvalidDataError, point, surface
+from semifree.fixed_points import FixedComponent, FixedPointData, InvalidDataError, point, surface
 
 from corpus import fuzz_data, middle_orderings
 
@@ -158,8 +158,9 @@ def _reached_charts(data) -> list:
     walks: dict = {}
     _outcome(lambda: classifier._chain_solutions(data, walks))
     charts = []
-    for states in walks.values():
-        if isinstance(states, Exception):
+    for key, states in walks.items():
+        # Skip the errors and the (-1)-class searches the walks keep.
+        if isinstance(states, Exception) or not isinstance(key[0], FixedComponent):
             continue
         for state in states:
             charts.append(state.top)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from semifree import classifier
 from semifree._solve import Poly, SolverStallError, _mono_mul
-from semifree.fixed_points import InvalidDataError
+from semifree.fixed_points import FixedComponent, InvalidDataError
 
 from corpus import fuzz_data
 
@@ -38,8 +38,9 @@ def _reached_grams() -> tuple[tuple[tuple[int, ...], ...], ...]:
             classifier._chain_solutions(data, walks)
         except (InvalidDataError, NotImplementedError, SolverStallError):
             pass
-        for states in walks.values():
-            if isinstance(states, Exception):
+        for key, states in walks.items():
+            # Skip the errors and the (-1)-class searches the walks keep.
+            if isinstance(states, Exception) or not isinstance(key[0], FixedComponent):
                 continue
             for state in states:
                 charts = [state.top] + [log.chart for log in state.crossings]
