@@ -5,13 +5,14 @@ runs the requested validation, solver or enumeration, and writes a
 deterministic UTF-8 report. Exit code 0 means success, 1 means the
 input is well-formed but mathematically invalid (validation failure,
 no solution, failed check), 2 means the input or command line is
-malformed.
+malformed. A structured report is the text of
+``json.dumps(payload, indent=2, sort_keys=True)``, written by the
+package's one JSON writer, ``fixed_points._dump_json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +25,14 @@ from .fixed_points import (
     FixedPointData,
     InvalidDataError,
     SchemaError,
+    _dump_json,
     classify_type,
     validate,
 )
 from .localization import (
     MultipleSolutionsError,
     NoSolutionError,
-    _relation_integrals,
-    abbv_integrate,
-    c1_restrictions,
+    _c1_power_integrals,
     dh_path,
     solve_restriction_table,
     w2_vanishes,
@@ -129,9 +129,7 @@ def _cmd_localize(data: FixedPointData):
     report = validate(data)
     if not report.ok:
         return _cmd_validate(data)
-    integrals = dict(_relation_integrals(data))
-    c1cu = tuple(a * a * a for a in c1_restrictions(data))
-    integrals["c_1^3"] = abbv_integrate(data, c1cu)
+    integrals = dict(_c1_power_integrals(data))
     ok = all(integrals[name] == {} for name in ("1", "c_1", "c_1^2"))
     payload = {
         "relations_hold": ok,
@@ -346,7 +344,7 @@ def run(config: RunConfig, raw: bytes) -> tuple[int, bytes]:
 
 
 def _encode_json(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (_dump_json(payload) + "\n").encode("utf-8")
 
 
 def _render_error(

@@ -13,6 +13,10 @@ Every command starts here, so each per-datum cost is paid once. The
 parser reads each entry in one pass, ``validate`` groups the
 components in one pass, and a datum keeps its ``validate`` report and
 its type tag once computed (``_memo``).
+
+JSON is read by ``_load_json`` and written by ``_dump_json`` alone,
+which gives the text of ``json.dumps(value, indent=2, sort_keys=True)``
+without the standard library's slow pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .rationals import Rational, format_rational, parse_rational
 
@@ -165,7 +170,8 @@ class FixedPointData:
     The data are immutable, so a costly fact derived from them alone is
     computed once per datum (``_memo``): the ``validate`` report, the
     ``classify_type`` tag, the inverse Euler classes of the
-    localization sum and the solved wall-crossing chain.
+    localization sum, the c_1 restrictions (read by ``localize`` and
+    the restriction tables) and the solved wall-crossing chain.
     """
 
     components: tuple[FixedComponent, ...]
@@ -264,7 +270,7 @@ class FixedPointData:
         return FixedPointData(tuple(comps), twist=twist)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _dump_json(self.to_json_dict()) + "\n"
 
     @staticmethod
     def loads(text: str) -> "FixedPointData":
@@ -274,12 +280,49 @@ class FixedPointData:
 def _load_json(text: str, error: type[SchemaError]):
     """The JSON value of ``text``; unparsable text raises ``error``.
 
-    A ``RecursionError`` is nesting deeper than the parser's stack.
+    A ``RecursionError`` is nesting deeper than the parser's stack, a
+    plain ``ValueError`` an integer literal longer than the
+    interpreter's int-string limit.
     """
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"invalid JSON: {exc}") from None
+
+
+def _dump_json(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Only what reports hold is written: str-keyed dicts, lists, tuples,
+    str, int, bool and None, strings and keys by the standard library's
+    C quoting. Anything else (a float, a non-str key) raises
+    ``TypeError``. ``newline`` starts each inner line of the value.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_dump_json(value[key], inner)}"
+            for key in sorted(value)
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_dump_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 # ---------------------------------------------------------------------------

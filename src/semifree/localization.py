@@ -7,8 +7,8 @@ normal weight is +-1, so the Euler classes take a small set of shapes
 and everything can be computed exactly in Laurent series in the
 equivariant parameter. Each restriction times its inverse Euler class
 is integrated in one step (``integrate_product``), without forming the
-product, and each datum inverts its Euler classes once, however many
-integrals are taken over it.
+product, and each datum inverts its Euler classes and forms its c_1
+restrictions once, however many integrals are taken over it.
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -30,6 +30,7 @@ values and decides by exact elimination whether any values meet them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -179,19 +180,32 @@ def _localized_sum(integrand: Iterable[tuple[str, tuple, tuple]], zero=0) -> dic
     return {k: canon(v) for k, v in sorted(total.items()) if v}
 
 
+def _c1_power_integrals(
+    data: FixedPointData,
+) -> Iterator[tuple[str, dict[int, Rational]]]:
+    """The integrals of 1, c_1, c_1^2 and c_1^3, named as in the ``localize`` report.
+
+    Each power of the datum's own c_1 restrictions is the one below it
+    times c_1, formed and integrated only when the iterator reaches it.
+    """
+    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    yield "1", abbv_integrate(data, unit_restrictions(data))
+    yield "c_1", abbv_integrate(data, c1s)
+    power = c1s
+    for name in ("c_1^2", "c_1^3"):
+        power = tuple(p * a for p, a in zip(power, c1s))
+        yield name, abbv_integrate(data, power)
+
+
 def _relation_integrals(
     data: FixedPointData,
 ) -> Iterator[tuple[str, dict[int, Rational]]]:
-    """The integrals of 1, c_1 and c_1^2, named as in the ``localize`` report.
+    """The integrals of 1, c_1 and c_1^2, the first three of ``_c1_power_integrals``.
 
     All three vanish on the data of an action: these are the
-    localization relations. The restrictions are formed at once, and
-    each integral is taken only when the iterator reaches it.
+    localization relations.
     """
-    units = unit_restrictions(data)
-    c1s = c1_restrictions(data)
-    named = (("1", units), ("c_1", c1s), ("c_1^2", tuple(a * a for a in c1s)))
-    return ((name, abbv_integrate(data, values)) for name, values in named)
+    return itertools.islice(_c1_power_integrals(data), 3)
 
 
 # ---------------------------------------------------------------------------
