@@ -8,10 +8,10 @@ isolated fixed point the coefficients are rationals; for a fixed
 surface they live in the two-step ring spanned by 1 and the area
 generator ``u`` (with ``u * u = 0``).
 
-The term-list operations (``mul_terms``, ``integrate_product``) take
-any commutative coefficients, so the same code multiplies and
-integrates exact classes and the restriction-table skeleton, whose
-unknown entries are ``Poly``.
+A term list's coefficients may be scalars or ``Poly``. To integrate,
+a term list becomes atoms (``_atoms``), one per monomial of each part,
+so one sum (``integrate_product``) serves exact classes and the
+restriction-table skeleton, whose unknown entries are ``Poly``.
 
 A second, much smaller algebra lives on the reduced spaces of the
 action: the projective plane, or a sphere bundle (trivial or
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import Poly, _scalar
+from ._solve import Poly, _mono_mul, _scalar
 from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
@@ -155,34 +155,54 @@ def mul_terms(
     return tuple(out)
 
 
-def integrate_product(
-    carrier: str, a: Iterable[tuple[int, tuple]], b: Iterable[tuple[int, tuple]]
-) -> dict:
-    """Integrate the product of two term lists over one fixed component.
+def _atoms(terms: Iterable[tuple[int, tuple]]) -> list[tuple]:
+    """A term list as atoms ``(k, j, m, c)``, each ``c m lam^k u^j``.
 
-    Integration over a point picks the scalar coefficients, and over a
-    surface the ``u`` coefficients (the area generator has total
-    integral 1). The product itself is not formed: a point sums only
-    ``c1 c2`` over the pairs of terms, a surface only ``c1 d2 + d1 c2``.
-    The result maps each exponent, in increasing order, to its nonzero
-    coefficient; like ``mul_terms`` this works for any commutative
-    coefficient type, and scalar coefficients come out canonical.
+    Each nonzero part of a term, scalar (``j = 0``) or ``u`` (``j = 1``),
+    gives one atom per monomial ``m`` of its coefficient: a scalar is
+    the coefficient of the empty monomial, and a ``Poly`` gives one
+    atom per term. Like terms are not collected.
     """
-    acc: dict = {}
-    on_point = carrier == POINT
-    for i, (c1, d1) in a:
-        for j, (c2, d2) in b:
-            if on_point:
-                value = c1 * c2
-            elif d2:
-                value = c1 * d2 + d1 * c2 if d1 else c1 * d2
-            elif d1:
-                value = d1 * c2
-            else:
-                continue
-            k = i + j
-            acc[k] = acc[k] + value if k in acc else value
-    return {k: canon(acc[k]) for k in sorted(acc) if acc[k]}
+    out = []
+    for k, (c, d) in terms:
+        for j, part in ((0, c), (1, d)):
+            if isinstance(part, Poly):
+                out += [(k, j, m, v) for m, v in part.terms]
+            elif part:
+                out.append((k, j, (), part))
+    return out
+
+
+def _atom_product(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
+    """The product of two atom lists (``u * u = 0``), like terms not collected."""
+    return [
+        (k1 + k2, j1 + j2, _mono_mul(m1, m2), c1 * c2)
+        for k1, j1, m1, c1 in a
+        for k2, j2, m2, c2 in b
+        if j1 + j2 < 2
+    ]
+
+
+def integrate_product(
+    carrier: str, a: Sequence[tuple], b: Sequence[tuple], total: dict[int, dict]
+) -> None:
+    """Add the integral over one fixed component of the product of two
+    atom lists (``_atoms``) into ``total``, a monomial dict per power k.
+
+    A point picks the scalar part and a surface the ``u`` part (the area
+    generator has total integral 1). The product is not formed: each
+    pair of atoms with that ``u`` power adds its coefficient into
+    ``total[k]`` at its monomial, so the caller builds each sum once.
+    """
+    part = 0 if carrier == POINT else 1
+    for k1, j1, m1, c1 in a:
+        for k2, j2, m2, c2 in b:
+            if j1 + j2 == part:
+                acc = total.get(k1 + k2)
+                if acc is None:
+                    acc = total[k1 + k2] = {}
+                m = _mono_mul(m1, m2)
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
 
 
 def invert_euler(e: EquivariantClass) -> EquivariantClass:

@@ -17,9 +17,13 @@ restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
 one-line normal forms appear as the solved values. The table's rows
 are plain term tuples like ``EquivariantClass.terms``, a known entry a
-scalar and an unknown one a ``Poly``, and its equations and
+scalar and an unknown one a ``Poly`` variable. Its equations and
 ``abbv_integrate`` take one localization sum (``_localized_sum``) over
-the datum's own inverse Euler classes.
+the datum's own inverse Euler classes: each entry becomes atoms
+(``_atoms``) once, and each equation adds its atom products into one
+monomial dict per power of lambda and builds its ``Poly`` once. The
+solved table is read straight from the solution's values, and c_1 is
+decomposed over the basis from its nonzero rows only.
 
 Last, it sweeps the reduced symplectic class of all-surface data
 (Duistermaat-Heckman): the conditions on a positive sweep are listed
@@ -40,10 +44,11 @@ from .algebra import (
     CarrierMismatchError,
     EquivariantClass,
     ReducedClass,
+    _atom_product,
+    _atoms,
     fiber_class,
     integrate_product,
     invert_euler,
-    mul_terms,
     pair,
 )
 from .fixed_points import (
@@ -131,9 +136,13 @@ def c1_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
 # the localization sum
 
 
-def _euler_inverses(data: FixedPointData) -> tuple[EquivariantClass, ...]:
-    """The inverse equivariant Euler class of each component, in order."""
-    return tuple(invert_euler(equivariant_euler(c)) for c in data.components)
+def _euler_inverses(data: FixedPointData) -> tuple[tuple[str, list[tuple]], ...]:
+    """The carrier and the inverse equivariant Euler class, as atoms
+    (``_atoms``), of each component, in order."""
+    return tuple(
+        (c.kind, _atoms(invert_euler(equivariant_euler(c)).terms))
+        for c in data.components
+    )
 
 
 def abbv_integrate(
@@ -153,31 +162,39 @@ def abbv_integrate(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
     inverses = _memo(data, "_euler_inverses", _euler_inverses)
-    for restriction, inverse in zip(restrictions, inverses):
-        if restriction.carrier != inverse.carrier:
+    for restriction, (carrier, _) in zip(restrictions, inverses):
+        if restriction.carrier != carrier:
             raise CarrierMismatchError(
-                f"cannot combine {restriction.carrier} class with {inverse.carrier} class"
+                f"cannot combine {restriction.carrier} class with {carrier} class"
             )
     return _localized_sum(
-        (inverse.carrier, restriction.terms, inverse.terms)
-        for restriction, inverse in zip(restrictions, inverses)
+        ((carrier, _atoms(restriction.terms), inverse)
+         for restriction, (carrier, inverse) in zip(restrictions, inverses)),
+        lambda acc: canon(acc.get((), 0)),
     )
 
 
-def _localized_sum(integrand: Iterable[tuple[str, tuple, tuple]], zero=0) -> dict:
+def _localized_sum(
+    integrand: Iterable[tuple[str, list, list]], read=Poly.from_dict
+) -> dict:
     """The localization sum of one integrand, zero terms dropped.
 
-    ``integrand`` gives, per component, its carrier and two term lists
-    whose product is integrated there (``integrate_product``); the sum
-    over the components maps each power of lambda, in increasing order,
-    to its coefficient. The coefficients may be scalars or ``Poly``;
-    ``zero`` is the zero each sum starts from.
+    ``integrand`` gives, per component, its carrier and two atom lists
+    (``_atoms``) whose product is integrated there (``integrate_product``).
+    Every product is added into one monomial dict per power of lambda,
+    and ``read`` turns each dict into its sum once, a ``Poly`` by
+    default; the result maps each power of lambda, in increasing order,
+    to its nonzero sum.
     """
-    total: dict = {}
+    total: dict[int, dict] = {}
     for carrier, a, b in integrand:
-        for k, value in integrate_product(carrier, a, b).items():
-            total[k] = total.get(k, zero) + value
-    return {k: canon(v) for k, v in sorted(total.items()) if v}
+        integrate_product(carrier, a, b, total)
+    sums = {}
+    for k in sorted(total):
+        value = read(total[k])
+        if value:
+            sums[k] = value
+    return sums
 
 
 def _c1_power_integrals(
@@ -431,15 +448,13 @@ def _unknown_restriction(
     class_name: str, label: str, degree: int, component: FixedComponent
 ) -> _Terms:
     half = degree // 2
-    t = Poly.var(_unknown_name(class_name, label, "t"))
-    s = Poly.var(_unknown_name(class_name, label, "s"))
-    if component.is_point:
-        return () if degree >= component.index else ((half, (t, 0)),)
-    if degree >= component.index + 2:
+    if degree >= component.index + (0 if component.is_point else 2):
         return ()
-    if degree == component.index:
-        return ((half - 1, (0, s)),)
-    return ((half - 1, (0, s)), (half, (t, 0)))
+    t = ((half, (Poly.var(_unknown_name(class_name, label, "t")), 0)),)
+    if component.is_point:
+        return t
+    s = ((half - 1, (0, Poly.var(_unknown_name(class_name, label, "s")))),)
+    return s if degree == component.index else s + t
 
 
 def _build_skeleton(
@@ -449,6 +464,7 @@ def _build_skeleton(
     labels = [f"F{i + 1}" for i in range(len(positions))]
     comps = data.components
     min_pos = comps.index(data.minimum)
+    unit = ((0, (1, 0)),)  # EquivariantClass.unit(carrier).terms on either carrier
     classes: list[_SkeletonClass] = []
     for li, pos in enumerate(positions):
         comp = comps[pos]
@@ -468,7 +484,7 @@ def _build_skeleton(
             for lj, pos_j in enumerate(positions):
                 comp_j = comps[pos_j]
                 if degree == 0:
-                    row.append(EquivariantClass.unit(comp_j.kind).terms)
+                    row.append(unit)
                 elif pos_j == pos:
                     row.append(own.terms)
                 elif pos_j < pos:
@@ -485,17 +501,18 @@ def _build_skeleton(
 def _solved_restriction(
     carrier: str, terms: _Terms, values: Mapping[str, Rational]
 ) -> EquivariantClass:
-    """A skeleton entry with the solved values put in for its unknowns."""
-    return EquivariantClass.make(
-        carrier,
-        {
-            k: tuple(
-                p.substitute(values).constant_value() if isinstance(p, Poly) else p
-                for p in pair
-            )
-            for k, pair in terms
-        },
-    )
+    """A skeleton entry with its unknowns, each one ``Poly.var(name)``,
+    read from the solution: every unknown occurs in the equations (in
+    its class's own integral, or as ``s t`` in its square)."""
+    solved = []
+    for k, (c, d) in terms:
+        if isinstance(c, Poly):
+            c = values[c.terms[0][0][0][0]]
+        if isinstance(d, Poly):
+            d = values[d.terms[0][0][0][0]]
+        if c or d:
+            solved.append((k, (c, d)))
+    return EquivariantClass(carrier, tuple(solved))
 
 
 def _integration_equations(
@@ -516,29 +533,28 @@ def _integration_equations(
     split follows this order. The inverse Euler classes and the c_1
     restrictions are the datum's own, formed once.
     """
-    carriers = [data.components[p].kind for p in positions]
     euler_inverses = _memo(data, "_euler_inverses", _euler_inverses)
     c1s = _memo(data, "_c1_restrictions", c1_restrictions)
-    inverses = [euler_inverses[p].terms for p in positions]
-    c1_row = [c1s[p].terms for p in positions]
-    # Each integrand holds, per component, its carrier and two term
-    # lists whose product is integrated (``integrate_product``) without
-    # being formed. Only inverse Euler times a degree-2 class is formed,
-    # as the left factor of the pair products.
+    carriers = [euler_inverses[p][0] for p in positions]
+    inverses = [euler_inverses[p][1] for p in positions]
+    # Per component, an integrand holds its carrier and two atom lists,
+    # whose product is integrated unformed; only inverse Euler times a
+    # degree-2 class is formed, as the left factor of a pair product.
     integrands: list[list[tuple]] = []
-    degree_two: list[tuple[list, list]] = []
+    degree_two: list[list[list[tuple]]] = []
     for f in factors:
         if f.degree < 6:
-            integrands.append(list(zip(carriers, inverses, f.restrictions)))
+            row = [_atoms(r) for r in f.restrictions]
+            integrands.append(list(zip(carriers, inverses, row)))
             if f.degree == 2:
-                left = [mul_terms(a, b) for _, a, b in integrands[-1]]
-                degree_two.append((f.restrictions, left))
-    degree_two.append((c1_row, [mul_terms(a, b) for a, b in zip(inverses, c1_row)]))
-    for i, (_, left) in enumerate(degree_two):
-        integrands += [list(zip(carriers, left, right)) for right, _ in degree_two[i:]]
+                degree_two.append(row)
+    degree_two.append([_atoms(c1s[p].terms) for p in positions])
+    for i, row in enumerate(degree_two):
+        left = [_atom_product(a, b) for a, b in zip(inverses, row)]
+        integrands += [list(zip(carriers, left, right)) for right in degree_two[i:]]
     equations: list[Poly] = []
     for integrand in integrands:
-        equations += _localized_sum(integrand, Poly.const(0)).values()
+        equations += _localized_sum(integrand).values()
     return equations
 
 
@@ -668,27 +684,21 @@ def _c1_decomposition(
     c1_values: Sequence[EquivariantClass],
 ) -> tuple[tuple[str, Fraction], ...]:
     unit = next(cls for cls in classes if cls.degree == 0)
-    degree_two = [cls for cls in classes if cls.degree == 2]
-    lambda_name = f"lambda*{unit.name}"
-    columns: list[tuple[str, list[EquivariantClass]]] = [
-        (lambda_name, [r.shifted(1) for r in unit.restrictions])
-    ]
-    for cls in degree_two:
-        columns.append((cls.name, list(cls.restrictions)))
-    rows: list[tuple[dict[str, Fraction], Fraction]] = []
-    exponents = {k for r in c1_values for k, _ in r.terms}
-    for col_name, col in columns:
-        for r in col:
-            exponents |= {k for k, _ in r.terms}
-    for ci, target in enumerate(c1_values):
-        for k in sorted(exponents):
-            for part in (0, 1):
-                coeffs = {
-                    name: col[ci].coefficient(k)[part]
-                    for name, col in columns
-                }
-                rhs = target.coefficient(k)[part]
-                rows.append((coeffs, rhs))
+    columns = [(f"lambda*{unit.name}", [r.shifted(1) for r in unit.restrictions])]
+    columns += [(cls.name, cls.restrictions) for cls in classes if cls.degree == 2]
+    # One row per (component, power of lambda, part) at which a column
+    # or c_1 (keyed "") has a nonzero coefficient: no all-zero rows.
+    rows: list[tuple[dict[str, Rational], Rational]] = []
+    for ci in range(len(c1_values)):
+        entries: dict[tuple[int, int], dict[str, Rational]] = {}
+        for name, col in columns + [("", c1_values)]:
+            for k, pair in col[ci].terms:
+                for part in (0, 1):
+                    if pair[part]:
+                        entries.setdefault((k, part), {})[name] = pair[part]
+        for _, coeffs in sorted(entries.items()):
+            rhs = coeffs.pop("", 0)
+            rows.append((coeffs, rhs))
     names = [name for name, _ in columns]
     solved = solve_linear(rows, names)
     if solved is None:

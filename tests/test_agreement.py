@@ -8,6 +8,9 @@ with what is known about the datum:
 - a member that ``enumerate`` admits passes every data command, its
   localization relations vanish, and the chain derives the normal
   splittings it declares;
+- each of the 71 family presets of the benchmark passes every data
+  command but ``dh-check``, and ``classify``'s w2 verdict is the parity
+  of ``restrict-table``'s c_1 decomposition;
 - the data extracted from a toric builtin, realizable by construction,
   pass every data command, except that ``restrict-table`` has no basis
   for the two ``remark0_*`` data (b_2 = 3) and says so;
@@ -15,9 +18,12 @@ with what is known about the datum:
   never in a traceback.
 """
 
+import json
+from fractions import Fraction
+
 import pytest
 
-from corpus import builtin_data, enumerated_members, fuzz_data
+from corpus import builtin_data, enumerated_members, family_presets, fuzz_data
 from semifree.classifier import b_plus_minus
 from semifree.cli import RunConfig, run
 from semifree.localization import _relation_integrals
@@ -58,6 +64,23 @@ def test_enumerated_members_satisfy_the_relations_and_their_splittings():
                 assert b_plus_minus(data, position) == declared, (name, position)
                 surfaces += 1
     assert surfaces == 25
+
+
+def test_family_presets_pass_every_command_and_agree_on_w2():
+    presets = family_presets()
+    assert len(presets) == 71
+    vanishing = 0
+    for name, data in presets:
+        reports = {}
+        for command in DATA_COMMANDS:
+            code, report = run(RunConfig(command=command, output_format="structured"), data.dumps().encode())
+            assert code == 0, (name, command)
+            reports[command] = json.loads(report)
+        decomposition = reports["restrict-table"]["c1"]["decomposition"]
+        even = all(Fraction(coeff).denominator == 1 and Fraction(coeff).numerator % 2 == 0 for _, coeff in decomposition)
+        assert reports["classify"]["w2_vanishes"] is even, name
+        vanishing += even
+    assert vanishing == 37
 
 
 def test_builtin_data_pass_every_command():
