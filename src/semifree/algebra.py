@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ._solve import Poly, _mono_mul, _scalar
+from .fixed_points import POINT, SURFACE
 from .rationals import Rational, canon, qdiv
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,6 @@ class NotInvertibleError(ValueError):
     """Raised when a class does not have the shape of an Euler class."""
 
 
-POINT = "point"
-SURFACE = "surface"
 _CARRIERS = (POINT, SURFACE)
 
 

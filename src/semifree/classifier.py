@@ -329,6 +329,11 @@ def _blow_down_candidates(chart: _Chart, searches: dict) -> list[tuple[int, ...]
 
 
 def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The primitive rays (s, t), up to sign, with a s^2 + 2b st + c t^2 = 0.
+
+    Each ray is a root of the form by construction: (1, 0), and (0, 1)
+    or (c, -2b), when a = 0; an exact root of the discriminant otherwise.
+    """
     a, b, c = gram[0][0], gram[0][1], gram[1][1]
     rays: list[tuple[int, int]] = []
 
@@ -355,12 +360,7 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
             for sign in (1, -1):
                 ratio = qdiv(-b + sign * root, a)
                 add(ratio.numerator, ratio.denominator)
-    out = []
-    for s, t in rays:
-        value = a * s * s + 2 * b * s * t + c * t * t
-        if value == 0:
-            out.append((s, t))
-    return out
+    return rays
 
 
 def _bundle_forms(

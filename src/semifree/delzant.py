@@ -13,6 +13,14 @@ Facet inequalities are ``<normal, v> >= offset`` with inward primitive
 integer normals. A vertex is where three facets with independent
 normals (a nonzero ``_det3``) meet, found by the shared exact solver
 ``span_coordinates``.
+
+Slices and the twist are read off the faces ``build`` found. A facet is
+an edge of the slice at height z exactly when the plane cuts it in a
+segment, and the edge's normal is the facet's shadow, the (x, y) part
+of its normal. Only data whose fixed components are all spheres carry a
+twist: every regular slice of such a polytope has the same fan, so the
+two extreme fiber classes are compared in the divisor class group of
+one slice's toric surface by one ``span_coordinates`` call.
 """
 
 from __future__ import annotations
@@ -349,13 +357,21 @@ def _edge_weight_in_facet(
     return weights.pop()
 
 
+def _sphere_vertices(polytope: LatticePolytope) -> set[int]:
+    return {
+        vi for e in polytope.edges if e.is_horizontal for vi in (e.tail, e.head)
+    }
+
+
 def extract_fixed_data(polytope: LatticePolytope) -> FixedPointData:
     """Fixed point data of the height circle.
 
     Horizontal edges become fixed spheres (with Chern numbers from the
     adjacent facets, split by weight sign for index-2 spheres) and the
     remaining vertices become isolated fixed points; levels are the
-    heights.
+    heights. The twist is read by ``detect_twist`` when every fixed
+    component is a sphere and is false otherwise, since ``validate``
+    rejects a twist beside an isolated fixed point.
     """
     if not delzant_check(polytope):
         raise PolytopeError("the polytope is not smooth")
@@ -365,10 +381,9 @@ def extract_fixed_data(polytope: LatticePolytope) -> FixedPointData:
             "the height circle is not semi-free: " + "; ".join(report.violations)
         )
     components: list[FixedComponent] = []
-    covered: set[int] = set()
-    horizontal = [e for e in polytope.edges if e.is_horizontal]
-    for edge in horizontal:
-        covered.update((edge.tail, edge.head))
+    for edge in polytope.edges:
+        if not edge.is_horizontal:
+            continue
         level = polytope.vertices[edge.tail].location[2]
         degrees = edge_normal_degrees(polytope, edge)
         weights = [
@@ -386,35 +401,17 @@ def extract_fixed_data(polytope: LatticePolytope) -> FixedPointData:
             components.append(
                 surface(index, level, genus=0, b=degrees[0] + degrees[1])
             )
+    covered = _sphere_vertices(polytope)
     for vi in range(len(polytope.vertices)):
         if vi in covered:
             continue
         weights = vertex_weights(polytope, vi)
         index = 2 * sum(1 for w in weights if w < 0)
         components.append(point(index, polytope.vertices[vi].location[2]))
-
-    twist = False
-    extremes_are_edges = (
-        _extreme_edge(polytope, minimum=True) is not None
-        and _extreme_edge(polytope, minimum=False) is not None
+    all_spheres = len(covered) == len(polytope.vertices)
+    return FixedPointData(
+        tuple(components), twist=all_spheres and detect_twist(polytope)
     )
-    if extremes_are_edges:
-        twist = detect_twist(polytope)
-    return FixedPointData(tuple(components), twist=twist)
-
-
-def _extreme_edge(
-    polytope: LatticePolytope, minimum: bool
-) -> Edge | None:
-    lo, hi = polytope.level_range()
-    target = lo if minimum else hi
-    for edge in polytope.edges:
-        if (
-            edge.is_horizontal
-            and polytope.vertices[edge.tail].location[2] == target
-        ):
-            return edge
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -432,214 +429,100 @@ class SliceEdge:
 
 @dataclass(frozen=True)
 class SlicePolygon:
-    """A horizontal cross-section polygon at a regular height."""
+    """A horizontal cross-section polygon strictly inside the height range."""
 
     level: Fraction
     edges: tuple[SliceEdge, ...]
 
 
-def _slice_halfplanes(
-    polytope: LatticePolytope, z: Fraction
-) -> list[tuple[int, tuple[int, int], Fraction]]:
-    rows = []
-    for fi, (normal, offset) in enumerate(polytope.facets):
-        shadow = (normal[0], normal[1])
-        if shadow == (0, 0):
-            continue
-        rows.append((fi, shadow, canon(offset - normal[2] * z)))
-    return rows
-
-
-def _polygon_support(
-    halfplanes: Sequence[tuple[int, tuple[int, int], Fraction]],
-) -> dict[int, list[tuple[Fraction, Fraction]]]:
-    corners: dict[tuple[Fraction, Fraction], set[int]] = {}
-    for (ia, (na, oa)), (ib, (nb, ob)) in itertools.combinations(
-        [(fi, (normal, offset)) for fi, normal, offset in halfplanes], 2
-    ):
-        det = na[0] * nb[1] - na[1] * nb[0]
-        if det == 0:
-            continue
-        x = qdiv(oa * nb[1] - ob * na[1], det)
-        y = qdiv(ob * na[0] - oa * nb[0], det)
-        good = True
-        for _, normal, offset in halfplanes:
-            if normal[0] * x + normal[1] * y < offset:
-                good = False
-                break
-        if good:
-            corners.setdefault((x, y), set()).update((ia, ib))
-    support: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for location, incident in corners.items():
-        for fi in incident:
-            support.setdefault(fi, []).append(location)
-    return support
-
-
 def slice_polygon(polytope: LatticePolytope, z) -> SlicePolygon:
-    """The cross-section polygon at a regular height strictly inside."""
+    """The cross-section polygon at a height strictly inside the range.
+
+    A facet gives an edge of the slice exactly when the plane at height
+    z cuts it in a segment: it has vertices strictly on both sides, or
+    it holds a horizontal edge at that height. Edges come in facet
+    order; an edge's normal is its facet's shadow, the (x, y) part of
+    the facet normal.
+    """
     z = _scalar(z)
     lo, hi = polytope.level_range()
     if not lo < z < hi:
         raise PolytopeError(f"height {z} is outside the open range ({lo}, {hi})")
-    halfplanes = _slice_halfplanes(polytope, z)
-    support = _polygon_support(halfplanes)
-    edges = tuple(
-        SliceEdge(normal, offset, fi)
-        for fi, normal, offset in halfplanes
-        if len(set(support.get(fi, ()))) >= 2
+    below = {fi for v in polytope.vertices if v.location[2] < z for fi in v.facets}
+    above = {fi for v in polytope.vertices if v.location[2] > z for fi in v.facets}
+    flat = {
+        fi
+        for e in polytope.edges
+        if e.is_horizontal and polytope.vertices[e.tail].location[2] == z
+        for fi in e.facets
+    }
+    cut = (below & above) | flat
+    return SlicePolygon(
+        z,
+        tuple(
+            SliceEdge((normal[0], normal[1]), canon(offset - normal[2] * z), fi)
+            for fi, (normal, offset) in enumerate(polytope.facets)
+            if fi in cut
+        ),
     )
-    return SlicePolygon(z, edges)
 
 
 # ---------------------------------------------------------------------------
-# twist detection by transporting the fiber divisor class
-
-
-def _class_coordinates(
-    rays: Sequence[tuple[int, int]],
-) -> dict[int, tuple[Fraction, ...]]:
-    """Coordinates of each ray divisor in a basis of the class group.
-
-    Picks the last two rays as a basis of the relations' complement by
-    reducing the relation rows; every divisor class is expressed over
-    the remaining free coordinates.
-    """
-    k = len(rays)
-    # The relation rows of the divisor class group are the two
-    # coordinates of the rays. Express the class of each generator in
-    # the quotient by choosing, for every ray, the unique representative
-    # with zeroes in the two pivot coordinates of the relation rows.
-    matrix, pivots = rref([[ray[0] for ray in rays], [ray[1] for ray in rays]])
-    free = [c for c in range(k) if c not in pivots]
-    out: dict[int, tuple[Fraction, ...]] = {}
-    for i in range(k):
-        vector = [0] * k
-        vector[i] = 1
-        # Subtract relation combinations to zero out pivot coordinates.
-        for row, col in zip(matrix, pivots):
-            factor = vector[col]
-            if factor:
-                vector = [canon(x - factor * y) for x, y in zip(vector, row)]
-        out[i] = tuple(vector[c] for c in free)
-    return out
-
-
-def _gap_classes(
-    polytope: LatticePolytope, z: Fraction
-) -> dict[int, tuple[Fraction, ...]]:
-    edges = slice_polygon(polytope, z).edges
-    coords = _class_coordinates([edge.normal for edge in edges])
-    return {edge.source_facet: coords[i] for i, edge in enumerate(edges)}
-
-
-def _express(
-    target: tuple[Fraction, ...],
-    columns: Mapping[int, tuple[Fraction, ...]],
-) -> dict[int, Fraction] | None:
-    names = sorted(columns)
-    coords = span_coordinates([columns[fi] for fi in names], [target])[0]
-    if coords is None:
-        return None
-    return dict(zip(names, coords))
+# twist detection in the fan of one slice
 
 
 def detect_twist(polytope: LatticePolytope) -> bool:
-    """Whether the bottom fiber class fails to reach the top fiber.
+    """Whether the bottom fiber class differs from the top fiber class.
 
-    The fiber divisors near an extreme edge come from the two facets
-    touching that edge only at its endpoints. Their class is carried
-    across every regular gap by facet identity; at each critical level
-    the persisting facets must transport classes consistently. Returns
-    True when the transported bottom fiber differs from the top fiber.
+    The fiber divisors of an extreme sphere come from the two facets
+    touching its edge only at its endpoints. A middle fixed sphere swaps
+    one facet for another with the same shadow, so every regular slice
+    of a polytope whose fixed components are all spheres has the same
+    fan. The slice at the first gap above the minimum therefore holds
+    both fibers, each facet as the ray equal to its shadow. Two ray
+    divisors share a class exactly when their difference is the divisor
+    of a character m, whose ray coordinates are the pairings <m, u>
+    (Fulton 1993, ch. 3).
+
+    Raises TwistUndefinedError when a vertex lies on no horizontal edge.
     """
     report = semifree_check(polytope)
     if not report:
         raise PolytopeError(
             "the height circle is not semi-free: " + "; ".join(report.violations)
         )
-    bottom = _extreme_edge(polytope, minimum=True)
-    top = _extreme_edge(polytope, minimum=False)
-    if bottom is None or top is None:
+    if len(_sphere_vertices(polytope)) != len(polytope.vertices):
         raise TwistUndefinedError(
-            "twist needs fixed spheres at both extremes"
+            "twist needs fixed spheres at both extremes and no isolated fixed point"
         )
+    levels = sorted({v.location[2] for v in polytope.vertices})
+    gap = qdiv(levels[0] + levels[1], 2)
+    rays = [edge.normal for edge in slice_polygon(polytope, gap).edges]
 
-    def fiber_pair(edge: Edge) -> tuple[int, int]:
-        return (
-            _third_facet(polytope, edge.tail, edge),
-            _third_facet(polytope, edge.head, edge),
+    def fibers(level: Fraction) -> list[list[int]]:
+        # Each fiber divisor as a vector over the rays.
+        edge = next(
+            e
+            for e in polytope.edges
+            if e.is_horizontal and polytope.vertices[e.tail].location[2] == level
         )
+        shadows = [
+            polytope.facets[_third_facet(polytope, vi, edge)][0][:2]
+            for vi in (edge.tail, edge.head)
+        ]
+        return [[int(ray == shadow) for ray in rays] for shadow in shadows]
 
-    covered = {
-        v
-        for e in polytope.edges
-        if e.is_horizontal
-        for v in (e.tail, e.head)
-    }
-    critical = {
-        polytope.vertices[e.tail].location[2]
-        for e in polytope.edges
-        if e.is_horizontal
-    }
-    critical.update(
-        polytope.vertices[vi].location[2]
-        for vi in range(len(polytope.vertices))
-        if vi not in covered
+    (b0, b1), (t0, t1) = fibers(levels[0]), fibers(levels[-1])
+    characters = [[ray[0] for ray in rays], [ray[1] for ray in rays]]
+    bottom, top, across = span_coordinates(
+        characters,
+        [[x - y for x, y in zip(u, v)] for u, v in ((b0, b1), (t0, t1), (b0, t0))],
     )
-    levels = sorted(critical)
-    gaps = [
-        qdiv(levels[i] + levels[i + 1], 2) for i in range(len(levels) - 1)
-    ]
-
-    charts = [_gap_classes(polytope, z) for z in gaps]
-    lo_pair = fiber_pair(bottom)
-    hi_pair = fiber_pair(top)
-    first = charts[0]
-    if first[lo_pair[0]] != first[lo_pair[1]]:
+    if bottom is None:
         raise PolytopeError("the bottom fiber divisors disagree in class")
-    last = charts[-1]
-    if last[hi_pair[0]] != last[hi_pair[1]]:
+    if top is None:
         raise PolytopeError("the top fiber divisors disagree in class")
-
-    fiber = first[lo_pair[0]]
-    for below, above in zip(charts, charts[1:]):
-        persisting = sorted(set(below) & set(above))
-        rank_below = len(next(iter(below.values())))
-        rank_above = len(next(iter(above.values())))
-        if rank_below != rank_above:
-            raise NotImplementedError(
-                "fiber transport across isolated fixed points"
-            )
-        columns_below = {fi: below[fi] for fi in persisting}
-        weights = _express(fiber, columns_below)
-        if weights is None:
-            raise PolytopeError(
-                "the fiber class escapes the persisting facets"
-            )
-        # Consistency: every persisting class must map the same way no
-        # matter how it is expressed below.
-        for fi in persisting:
-            expansion = _express(below[fi], columns_below)
-            if expansion is None:
-                raise PolytopeError("divisor transport is inconsistent")
-            image = _combine(expansion, above, rank_above)
-            if image != above[fi]:
-                raise PolytopeError("divisor transport is inconsistent")
-        fiber = _combine(weights, above, rank_above)
-    return fiber != last[hi_pair[0]]
-
-
-def _combine(
-    weights: Mapping[int, Fraction],
-    chart: Mapping[int, tuple[Fraction, ...]],
-    rank: int,
-) -> tuple[Fraction, ...]:
-    out = [0] * rank
-    for fi, weight in weights.items():
-        for i, coordinate in enumerate(chart[fi]):
-            out[i] += weight * coordinate
-    return tuple(canon(x) for x in out)
+    return across is None
 
 
 # ---------------------------------------------------------------------------

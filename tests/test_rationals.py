@@ -20,9 +20,6 @@ from semifree._solve import Poly, Solution
 from semifree.algebra import EquivariantClass, ReducedClass, pair, trivial_bundle
 from semifree.classifier import family_instance
 from semifree.delzant import (
-    _gap_classes,
-    _polygon_support,
-    _slice_halfplanes,
     build,
     builtin_examples,
     edge_normal_degrees,
@@ -296,8 +293,6 @@ def test_polytope_values_are_canonical():
         assert gaps
         for z in gaps:
             assert _assert_all_canonical(slice_polygon(polytope, z))
-            assert _assert_all_canonical(_polygon_support(_slice_halfplanes(polytope, z)))
-            assert _assert_all_canonical(_gap_classes(polytope, z))
         horizontal = [e for e in polytope.edges if e.is_horizontal]
         assert _assert_all_canonical(
             [edge_normal_degrees(polytope, e) for e in horizontal]
