@@ -10,8 +10,8 @@ generator ``u`` (with ``u * u = 0``).
 
 A term list's coefficients may be scalars or ``Poly``. To integrate,
 a term list becomes atoms (``_atoms``), one per monomial of each part,
-so one sum (``integrate_product``) serves exact classes and the
-restriction-table skeleton, whose unknown entries are ``Poly``.
+so one sum (``integrate_product``) serves the restriction-table
+skeleton, whose known entries are scalars and unknown ones ``Poly``.
 
 A second, much smaller algebra lives on the reduced spaces of the
 action: the projective plane, or a sphere bundle (trivial or

@@ -1186,11 +1186,7 @@ def b_plus_minus(
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:
-    integrals = _relation_integrals(data)
-    try:
-        return all(values == {} for _, values in integrals)
-    except (ValueError, ZeroDivisionError):
-        return False
+    return all(values == {} for _, values in _relation_integrals(data))
 
 
 def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:

@@ -169,9 +169,9 @@ class FixedPointData:
 
     The data are immutable, so a costly fact derived from them alone is
     computed once per datum (``_memo``): the ``validate`` report, the
-    ``classify_type`` tag, the inverse Euler classes of the
-    localization sum, the c_1 restrictions (read by ``localize`` and
-    the restriction tables) and the solved wall-crossing chain.
+    ``classify_type`` tag, the Euler shapes of the localization sum,
+    the inverse Euler classes and c_1 restrictions of the restriction
+    tables, and the solved wall-crossing chain.
     """
 
     components: tuple[FixedComponent, ...]

@@ -2,13 +2,15 @@
 
 The integral of an equivariant class is the sum, over fixed
 components, of the restriction divided by the equivariant Euler class
-of the normal bundle. For semi-free actions on six-manifolds every
-normal weight is +-1, so the Euler classes take a small set of shapes
-and everything can be computed exactly in Laurent series in the
-equivariant parameter. Each restriction times its inverse Euler class
-is integrated in one step (``integrate_product``), without forming the
-product, and each datum inverts its Euler classes and forms its c_1
-restrictions once, however many integrals are taken over it.
+of the normal bundle (Atiyah-Bott, Berline-Vergne). For semi-free
+actions on six-manifolds every normal weight is +-1, so each Euler
+class has the shape ``sigma lambda^m + beta lambda^(m-1) u`` with
+sigma = +-1 (``_euler_shape``), and each c_1 restriction the shape
+``a lambda + gamma u`` (``_c1_shape``). Each summand therefore has a
+closed form: ``abbv_integrate`` integrates every term of an exact
+restriction against the component's Euler shape, kept on the datum,
+without forming an inverse Euler class, and ``localize`` builds each
+power of c_1 straight from its shape.
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -17,13 +19,13 @@ restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
 one-line normal forms appear as the solved values. The table's rows
 are plain term tuples like ``EquivariantClass.terms``, a known entry a
-scalar and an unknown one a ``Poly`` variable. Its equations and
-``abbv_integrate`` take one localization sum (``_localized_sum``) over
-the datum's own inverse Euler classes: each entry becomes atoms
-(``_atoms``) once, and each equation adds its atom products into one
-monomial dict per power of lambda and builds its ``Poly`` once. The
-solved table is read straight from the solution's values, and c_1 is
-decomposed over the basis from its nonzero rows only.
+scalar and an unknown one a ``Poly`` variable. Its equations take one
+localization sum (``_localized_sum``) over the datum's own inverse
+Euler classes: each entry becomes atoms (``_atoms``) once, and each
+equation adds its atom products into one monomial dict per power of
+lambda and builds its ``Poly`` once. The solved table is read straight
+from the solution's values, and c_1 is decomposed over the basis from
+its nonzero rows only.
 
 Last, it sweeps the reduced symplectic class of all-surface data
 (Duistermaat-Heckman): the conditions on a positive sweep are listed
@@ -52,6 +54,7 @@ from .algebra import (
     pair,
 )
 from .fixed_points import (
+    POINT,
     FixedComponent,
     FixedPointData,
     InvalidDataError,
@@ -76,46 +79,63 @@ class MultipleSolutionsError(ValueError):
 # Euler classes and first Chern class restrictions
 
 
-def equivariant_euler(component: FixedComponent) -> EquivariantClass:
-    """Equivariant Euler class of the normal bundle of a fixed component.
+def _euler_shape(component: FixedComponent) -> tuple[int, int, int]:
+    """``(m, sigma, beta)`` of the equivariant Euler class
+    ``sigma lambda^m + beta lambda^(m-1) u`` of the normal bundle of a
+    fixed component.
 
-    Points: (-1)^(index/2) lambda^3.  Surfaces: the two normal line
-    bundles carry weights +-1 according to the index, twisted by their
-    Chern numbers.
+    Points: m = 3, beta = 0 and sigma = (-1)^(index/2). Surfaces: m = 2;
+    the two normal line bundles carry weights +-1 according to the
+    index, twisted by their Chern numbers, so (sigma, beta) is (1, b),
+    (1, -b) or (-1, b_minus - b_plus) at index 0, 4 or 2.
     """
     if component.is_point:
-        sign = -1 if component.index in (2, 6) else 1
-        return EquivariantClass.make("point", {3: sign})
-    if component.index == 0:
+        return 3, -1 if component.index in (2, 6) else 1, 0
+    if component.index in (0, 4):
         b = _require(component.b, component, "b")
-        return EquivariantClass.make("surface", {2: 1, 1: (0, b)})
-    if component.index == 4:
-        b = _require(component.b, component, "b")
-        return EquivariantClass.make("surface", {2: 1, 1: (0, -b)})
+        return 2, 1, b if component.index == 0 else -b
     b_plus = _require(component.b_plus, component, "b_plus")
     b_minus = _require(component.b_minus, component, "b_minus")
-    return EquivariantClass.make(
-        "surface", {2: -1, 1: (0, b_minus - b_plus)}
-    )
+    return 2, -1, b_minus - b_plus
+
+
+def _c1_shape(component: FixedComponent) -> tuple[int, int]:
+    """``(a, gamma)`` of the restriction ``a lambda + gamma u`` of the
+    equivariant first Chern class to a fixed component (gamma = 0 at a
+    point, a = 0 on an index-2 surface)."""
+    if component.is_point:
+        return {0: 3, 2: 1, 4: -1, 6: -3}[component.index], 0
+    g = component.genus or 0
+    if component.index in (0, 4):
+        b = _require(component.b, component, "b")
+        return 2 if component.index == 0 else -2, 2 - 2 * g + b
+    b_plus = _require(component.b_plus, component, "b_plus")
+    b_minus = _require(component.b_minus, component, "b_minus")
+    return 0, 2 - 2 * g + b_plus + b_minus
+
+
+def equivariant_euler(component: FixedComponent) -> EquivariantClass:
+    """Equivariant Euler class of the normal bundle of a fixed component."""
+    m, sigma, beta = _euler_shape(component)
+    return EquivariantClass.make(component.kind, {m: sigma, m - 1: (0, beta)})
 
 
 def c1_restriction(component: FixedComponent) -> EquivariantClass:
     """Restriction of the equivariant first Chern class of the manifold."""
-    if component.is_point:
-        coeff = {0: 3, 2: 1, 4: -1, 6: -3}[component.index]
-        return EquivariantClass.make("point", {1: coeff})
-    g = component.genus or 0
-    if component.index == 0:
-        b = _require(component.b, component, "b")
-        return EquivariantClass.make("surface", {1: 2, 0: (0, 2 - 2 * g + b)})
-    if component.index == 4:
-        b = _require(component.b, component, "b")
-        return EquivariantClass.make("surface", {1: -2, 0: (0, 2 - 2 * g + b)})
-    b_plus = _require(component.b_plus, component, "b_plus")
-    b_minus = _require(component.b_minus, component, "b_minus")
-    return EquivariantClass.make(
-        "surface", {0: (0, 2 - 2 * g + b_plus + b_minus)}
-    )
+    a, gamma = _c1_shape(component)
+    return EquivariantClass.make(component.kind, {1: a, 0: (0, gamma)})
+
+
+def _c1_power(carrier: str, a: int, gamma: int, k: int) -> EquivariantClass:
+    """``(a lambda + gamma u)^k`` for k >= 1, which is
+    ``a^k lambda^k + k a^(k-1) gamma lambda^(k-1) u`` since u^2 = 0."""
+    terms = []
+    u_part = k * a ** (k - 1) * gamma
+    if u_part:
+        terms.append((k - 1, (0, u_part)))
+    if a:
+        terms.append((k, (a**k, 0)))
+    return EquivariantClass(carrier, tuple(terms))
 
 
 def _require(value: int | None, component: FixedComponent, name: str) -> int:
@@ -136,6 +156,11 @@ def c1_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
 # the localization sum
 
 
+def _euler_shapes(data: FixedPointData) -> tuple[tuple[str, int, int, int], ...]:
+    """The carrier and the Euler shape (``_euler_shape``) of each component, in order."""
+    return tuple((c.kind, *_euler_shape(c)) for c in data.components)
+
+
 def _euler_inverses(data: FixedPointData) -> tuple[tuple[str, list[tuple]], ...]:
     """The carrier and the inverse equivariant Euler class, as atoms
     (``_atoms``), of each component, in order."""
@@ -154,44 +179,47 @@ def abbv_integrate(
     Returns the Laurent coefficients, keyed by power of lambda, of the
     sum of restriction / Euler over all fixed components. The sequence
     must align with ``data.components``. A genuine equivariant class of
-    degree below six integrates to zero in every Laurent degree. The
-    inverse Euler classes are formed once per datum and kept on it.
+    degree below six integrates to zero in every Laurent degree. Against
+    the Euler shapes (``_euler_shape``), kept on the datum, a term
+    ``(c + d u) lambda^k`` integrates to ``sigma c lambda^(k-3)`` at a
+    point and to ``sigma d lambda^(k-2) - beta c lambda^(k-3)`` on a surface.
     """
     if len(restrictions) != len(data.components):
         raise ValueError(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
-    inverses = _memo(data, "_euler_inverses", _euler_inverses)
-    for restriction, (carrier, _) in zip(restrictions, inverses):
+    shapes = _memo(data, "_euler_shapes", _euler_shapes)
+    total: dict[int, Rational] = {}
+    for restriction, (carrier, m, sigma, beta) in zip(restrictions, shapes):
         if restriction.carrier != carrier:
             raise CarrierMismatchError(
                 f"cannot combine {restriction.carrier} class with {carrier} class"
             )
-    return _localized_sum(
-        ((carrier, _atoms(restriction.terms), inverse)
-         for restriction, (carrier, inverse) in zip(restrictions, inverses)),
-        lambda acc: canon(acc.get((), 0)),
-    )
+        point = carrier == POINT
+        for k, (c, d) in restriction.terms:
+            lead = c if point else d
+            if lead:
+                total[k - m] = total.get(k - m, 0) + sigma * lead
+            if beta and c:  # never at a point, whose beta is 0
+                total[k - m - 1] = total.get(k - m - 1, 0) - beta * c
+    return {k: canon(total[k]) for k in sorted(total) if total[k]}
 
 
-def _localized_sum(
-    integrand: Iterable[tuple[str, list, list]], read=Poly.from_dict
-) -> dict:
+def _localized_sum(integrand: Iterable[tuple[str, list, list]]) -> dict[int, Poly]:
     """The localization sum of one integrand, zero terms dropped.
 
     ``integrand`` gives, per component, its carrier and two atom lists
     (``_atoms``) whose product is integrated there (``integrate_product``).
     Every product is added into one monomial dict per power of lambda,
-    and ``read`` turns each dict into its sum once, a ``Poly`` by
-    default; the result maps each power of lambda, in increasing order,
-    to its nonzero sum.
+    which becomes its ``Poly`` once; the result maps each power of
+    lambda, in increasing order, to its nonzero sum.
     """
     total: dict[int, dict] = {}
     for carrier, a, b in integrand:
         integrate_product(carrier, a, b, total)
     sums = {}
     for k in sorted(total):
-        value = read(total[k])
+        value = Poly.from_dict(total[k])
         if value:
             sums[k] = value
     return sums
@@ -202,16 +230,14 @@ def _c1_power_integrals(
 ) -> Iterator[tuple[str, dict[int, Rational]]]:
     """The integrals of 1, c_1, c_1^2 and c_1^3, named as in the ``localize`` report.
 
-    Each power of the datum's own c_1 restrictions is the one below it
-    times c_1, formed and integrated only when the iterator reaches it.
+    Each power of c_1 is built from the shape of its restrictions
+    (``_c1_power``) and integrated only when the iterator reaches it.
     """
-    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    shapes = [(c.kind, *_c1_shape(c)) for c in data.components]
     yield "1", abbv_integrate(data, unit_restrictions(data))
-    yield "c_1", abbv_integrate(data, c1s)
-    power = c1s
-    for name in ("c_1^2", "c_1^3"):
-        power = tuple(p * a for p, a in zip(power, c1s))
-        yield name, abbv_integrate(data, power)
+    for k, name in enumerate(("c_1", "c_1^2", "c_1^3"), 1):
+        powers = tuple(_c1_power(carrier, a, gamma, k) for carrier, a, gamma in shapes)
+        yield name, abbv_integrate(data, powers)
 
 
 def _relation_integrals(

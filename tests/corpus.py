@@ -22,16 +22,21 @@ from semifree.classifier import family_instance
 from semifree.delzant import builtin_examples, extract_fixed_data
 from semifree.fixed_points import FixedPointData, classify_type
 
-_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @lru_cache(maxsize=None)
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+def perfbench_module(stem: str):
+    """``perfbench/<stem>.py``, loaded from its file as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", _PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads():
+    return perfbench_module("workloads")
 
 
 def family_presets() -> list[tuple[str, FixedPointData]]:

@@ -1,11 +1,16 @@
 """Import hygiene and the public surface.
 
-Modules import at the top, except across the one cycle, and every
-function and class of the package has a caller outside the tests.
+Modules import at the top, except across the one cycle, every
+function and class of the package has a caller outside the tests, and
+every function that the benchmark's tracer wraps by name is where it
+looks.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from corpus import perfbench_module
 
 import semifree
 
@@ -136,3 +141,23 @@ def test_every_export_has_a_caller_outside_the_tests():
     # function and class, public or private, exported from the package
     # or not.
     assert _definitions_without_a_user() == []
+
+
+def test_every_traced_function_resolves():
+    # ``perfbench/tracing.py`` finds each traced function by module and
+    # name, so a refactor that moves one fails here, and not only in a
+    # traced benchmark run.
+    tracing = perfbench_module("tracing")
+    for owner, attr, _span in tracing.TARGETS:
+        module = importlib.import_module(f"semifree.{owner}")
+        holder, _, name = attr.rpartition(".")
+        if holder:
+            assert name in vars(getattr(module, holder)), (owner, attr)
+        else:
+            assert callable(getattr(module, name, None)), (owner, attr)
+    for attr, callers in tracing.CALLER_NAMED.items():
+        owner = next(owner for owner, name, _span in tracing.TARGETS if name == attr)
+        function = getattr(importlib.import_module(f"semifree.{owner}"), attr)
+        for caller in callers:
+            bound = vars(importlib.import_module(f"semifree.{caller}")).values()
+            assert any(value is function for value in bound), (caller, attr)

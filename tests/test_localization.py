@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import builtin_data, classified_fuzz_data, family_presets, fuzz_data
+from corpus import (
+    builtin_data,
+    classified_fuzz_data,
+    enumerated_members,
+    family_presets,
+    fuzz_data,
+)
 from semifree._solve import Poly, Solution, solve_system
 from semifree.algebra import (
     CarrierMismatchError,
@@ -36,6 +42,7 @@ from semifree.localization import (
     NoSolutionError,
     RestrictionTable,
     _build_skeleton,
+    _c1_power_integrals,
     _integration_equations,
     _SkeletonClass,
     abbv_integrate,
@@ -862,6 +869,15 @@ def _integrands(data):
     return unit_restrictions(data), c1, squares, cubes
 
 
+# every datum of each corpus, classified or not
+EVERY_DATUM = {
+    **CORPORA,
+    "fuzz1": lambda: fuzz_data(1),
+    "fuzz2": lambda: fuzz_data(2),
+    "enumerated": enumerated_members,
+}
+
+
 def reference_abbv_integrate(data, restrictions):
     """``abbv_integrate`` as it was: each Euler class inverted and each product formed."""
     total = {}
@@ -876,22 +892,84 @@ def reference_abbv_integrate(data, restrictions):
 
 @pytest.mark.parametrize("corpus", ["presets", "builtins", "fuzz1", "fuzz2"])
 def test_abbv_integrate_matches_the_formed_products(corpus):
-    loaders = {**CORPORA, "fuzz1": lambda: fuzz_data(1), "fuzz2": lambda: fuzz_data(2)}
-    for _, shared in loaders[corpus]():
+    for _, shared in EVERY_DATUM[corpus]():
         data = FixedPointData(shared.components, twist=shared.twist)
-        # the first integral keeps the inverses on ``data``; the others read them back
+        # the first integral keeps the Euler shapes on ``data``; the others read them back
         for restrictions in _integrands(data):
             got = abbv_integrate(data, restrictions)
             want = reference_abbv_integrate(data, restrictions)
             assert list(got.items()) == list(want.items())
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
-            assert "_euler_inverses" in vars(data)
+            assert "_euler_shapes" in vars(data)
+            # only the restriction tables invert Euler classes
+            assert "_euler_inverses" not in vars(data)
+
+
+@st.composite
+def normal_data_component(draw, level):
+    """Any kind and index of fixed component, with its normal data."""
+    kind = draw(st.sampled_from(["point", "surface"]))
+    if kind == "point":
+        return point(index=draw(st.sampled_from([0, 2, 4, 6])), level=level)
+    genus = draw(st.integers(min_value=0, max_value=3))
+    index = draw(st.sampled_from([0, 2, 4]))
+    bs = st.integers(min_value=-6, max_value=6)
+    if index == 2:
+        return surface(genus=genus, index=2, level=level, b_plus=draw(bs), b_minus=draw(bs))
+    return surface(genus=genus, index=index, level=level, b=draw(bs))
+
+
+@st.composite
+def exact_restrictions(draw):
+    """A datum of one to four components and an exact class at each one."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    data = FixedPointData(tuple(draw(normal_data_component(level)) for level in range(size)))
+    coefficients = st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    )
+    restrictions = []
+    for component in data.components:
+        exponents = draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=4, unique=True))
+        terms = {}
+        for k in exponents:
+            u_part = draw(coefficients) if component.is_surface else 0
+            terms[k] = (draw(coefficients), u_part)
+        restrictions.append(EquivariantClass.make(component.kind, terms))
+    return data, tuple(restrictions)
+
+
+@given(exact_restrictions())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_abbv_integrate_matches_the_formed_products(case):
+    data, restrictions = case
+    got = abbv_integrate(data, restrictions)
+    want = reference_abbv_integrate(data, restrictions)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("corpus", ["presets", "builtins", "fuzz1", "fuzz2", "enumerated"])
+def test_c1_power_integrals_match_the_formed_products(corpus):
+    cases = EVERY_DATUM[corpus]()
+    assert cases
+    for _, data in cases:
+        got = dict(_c1_power_integrals(data))
+        want = {
+            name: reference_abbv_integrate(data, restrictions)
+            for name, restrictions in zip(("1", "c_1", "c_1^2", "c_1^3"), _integrands(data))
+        }
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert list(got[name].items()) == list(values.items())
+            assert [type(v) for v in got[name].values()] == [type(v) for v in values.values()]
 
 
 def test_abbv_integrate_errors_on_every_call():
     data = family_instance("4")
     swapped = tuple(EquivariantClass.unit("point") for _ in data.components)
     missing_b = FixedPointData((surface(0, 0), surface(4, 1, b=2)))
+    fields = dict(vars(missing_b))
     for _ in range(2):
         with pytest.raises(CarrierMismatchError, match="^cannot combine point class with surface class$"):
             abbv_integrate(data, swapped)
@@ -899,7 +977,13 @@ def test_abbv_integrate_errors_on_every_call():
             abbv_integrate(data, swapped[:1])
         with pytest.raises(InvalidDataError, match="is missing b$"):
             abbv_integrate(missing_b, unit_restrictions(missing_b))
-    assert "_euler_inverses" not in vars(missing_b)
+        # the length is checked first, then the normal data, then the carriers
+        with pytest.raises(ValueError, match="^need 2 restrictions, got 1$") as length:
+            abbv_integrate(missing_b, swapped[:1])
+        assert type(length.value) is ValueError
+        with pytest.raises(InvalidDataError, match="is missing b$"):
+            abbv_integrate(missing_b, swapped)
+        assert vars(missing_b) == fields  # nothing memoized
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
