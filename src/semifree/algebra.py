@@ -8,10 +8,10 @@ isolated fixed point the coefficients are rationals; for a fixed
 surface they live in the two-step ring spanned by 1 and the area
 generator ``u`` (with ``u * u = 0``).
 
-A term list's coefficients may be scalars or ``Poly``. To integrate,
-a term list becomes atoms (``_atoms``), one per monomial of each part,
-so one sum (``integrate_product``) serves the restriction-table
-skeleton, whose known entries are scalars and unknown ones ``Poly``.
+A term list's coefficients may be scalars or ``Poly``: the
+restriction-table skeleton's known entries are scalars and its unknown
+ones ``Poly``. Integrating a class, by localization against the Euler
+shapes of the fixed components, lives in ``localization``.
 
 A second, much smaller algebra lives on the reduced spaces of the
 action: the projective plane, or a sphere bundle (trivial or
@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import Poly, _mono_mul, _scalar
+from ._solve import Poly, _scalar
 from .fixed_points import POINT, SURFACE
-from .rationals import Rational, canon, qdiv
+from .rationals import Rational, canon
 
 # ---------------------------------------------------------------------------
 # carriers
@@ -40,10 +40,6 @@ from .rationals import Rational, canon, qdiv
 
 class CarrierMismatchError(ValueError):
     """Raised when combining classes living on different carriers."""
-
-
-class NotInvertibleError(ValueError):
-    """Raised when a class does not have the shape of an Euler class."""
 
 
 _CARRIERS = (POINT, SURFACE)
@@ -152,80 +148,6 @@ def mul_terms(
         if c or d:
             out.append((k, (canon(c), canon(d))))
     return tuple(out)
-
-
-def _atoms(terms: Iterable[tuple[int, tuple]]) -> list[tuple]:
-    """A term list as atoms ``(k, j, m, c)``, each ``c m lam^k u^j``.
-
-    Each nonzero part of a term, scalar (``j = 0``) or ``u`` (``j = 1``),
-    gives one atom per monomial ``m`` of its coefficient: a scalar is
-    the coefficient of the empty monomial, and a ``Poly`` gives one
-    atom per term. Like terms are not collected.
-    """
-    out = []
-    for k, (c, d) in terms:
-        for j, part in ((0, c), (1, d)):
-            if isinstance(part, Poly):
-                out += [(k, j, m, v) for m, v in part.terms]
-            elif part:
-                out.append((k, j, (), part))
-    return out
-
-
-def _atom_product(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
-    """The product of two atom lists (``u * u = 0``), like terms not collected."""
-    return [
-        (k1 + k2, j1 + j2, _mono_mul(m1, m2), c1 * c2)
-        for k1, j1, m1, c1 in a
-        for k2, j2, m2, c2 in b
-        if j1 + j2 < 2
-    ]
-
-
-def integrate_product(
-    carrier: str, a: Sequence[tuple], b: Sequence[tuple], total: dict[int, dict]
-) -> None:
-    """Add the integral over one fixed component of the product of two
-    atom lists (``_atoms``) into ``total``, a monomial dict per power k.
-
-    A point picks the scalar part and a surface the ``u`` part (the area
-    generator has total integral 1). The product is not formed: each
-    pair of atoms with that ``u`` power adds its coefficient into
-    ``total[k]`` at its monomial, so the caller builds each sum once.
-    """
-    part = 0 if carrier == POINT else 1
-    for k1, j1, m1, c1 in a:
-        for k2, j2, m2, c2 in b:
-            if j1 + j2 == part:
-                acc = total.get(k1 + k2)
-                if acc is None:
-                    acc = total[k1 + k2] = {}
-                m = _mono_mul(m1, m2)
-                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-
-
-def invert_euler(e: EquivariantClass) -> EquivariantClass:
-    """Invert an equivariant Euler class.
-
-    The admissible shape is ``c lam^k + d lam^(k-1) u`` with ``c != 0``
-    (points have ``d = 0``).  The inverse is
-    ``(1/c) lam^-k - (d/c^2) lam^-k-1 u``, which is exact because the
-    ``u`` part is nilpotent.
-    """
-    if not e.terms:
-        raise NotInvertibleError("zero class has no inverse")
-    scalar_exps = [k for k, (c, _) in e.terms if c]
-    u_exps = [k for k, (_, d) in e.terms if d]
-    if len(scalar_exps) != 1:
-        raise NotInvertibleError(f"not an Euler class shape: {e.terms!r}")
-    k = scalar_exps[0]
-    if any(j != k - 1 for j in u_exps):
-        raise NotInvertibleError(f"not an Euler class shape: {e.terms!r}")
-    c, _ = e.coefficient(k)
-    _, d = e.coefficient(k - 1)
-    return EquivariantClass.make(
-        e.carrier, {-k: (qdiv(1, c), 0), -k - 1: (0, -qdiv(d, c * c))}
-    )
 
 
 # ---------------------------------------------------------------------------

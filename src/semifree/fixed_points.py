@@ -169,8 +169,8 @@ class FixedPointData:
 
     The data are immutable, so a costly fact derived from them alone is
     computed once per datum (``_memo``): the ``validate`` report, the
-    ``classify_type`` tag, the Euler shapes of the localization sum,
-    the inverse Euler classes and c_1 restrictions of the restriction
+    ``classify_type`` tag, the Euler shapes that every localization
+    sum integrates against, the c_1 restrictions of the restriction
     tables, and the solved wall-crossing chain.
     """
 

@@ -19,13 +19,14 @@ restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
 one-line normal forms appear as the solved values. The table's rows
 are plain term tuples like ``EquivariantClass.terms``, a known entry a
-scalar and an unknown one a ``Poly`` variable. Its equations take one
-localization sum (``_localized_sum``) over the datum's own inverse
-Euler classes: each entry becomes atoms (``_atoms``) once, and each
-equation adds its atom products into one monomial dict per power of
-lambda and builds its ``Poly`` once. The solved table is read straight
-from the solution's values, and c_1 is decomposed over the basis from
-its nonzero rows only.
+scalar and an unknown one a ``Poly`` variable. Its equations take the
+same closed form against the same Euler shapes (``_integrate_pair``):
+each entry becomes atoms (``_atoms``) once, and each equation adds the
+integrals of its atom pairs into one monomial dict per power of lambda
+and builds its ``Poly`` once. No inverse Euler class is formed on
+either path. The solved table is read straight from the solution's
+values, and c_1 is decomposed over the basis from its nonzero rows
+only.
 
 Last, it sweeps the reduced symplectic class of all-surface data
 (Duistermaat-Heckman): the conditions on a positive sweep are listed
@@ -39,20 +40,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from ._solve import AffineConstraint, Poly, _scalar, feasible, solve_linear, solve_system
-from .algebra import (
-    CarrierMismatchError,
-    EquivariantClass,
-    ReducedClass,
-    _atom_product,
-    _atoms,
-    fiber_class,
-    integrate_product,
-    invert_euler,
-    pair,
+from ._solve import (
+    AffineConstraint,
+    Poly,
+    _mono_mul,
+    _scalar,
+    feasible,
+    solve_linear,
+    solve_system,
 )
+from .algebra import CarrierMismatchError, EquivariantClass, ReducedClass, fiber_class, pair
 from .fixed_points import (
     POINT,
     FixedComponent,
@@ -114,12 +113,6 @@ def _c1_shape(component: FixedComponent) -> tuple[int, int]:
     return 0, 2 - 2 * g + b_plus + b_minus
 
 
-def equivariant_euler(component: FixedComponent) -> EquivariantClass:
-    """Equivariant Euler class of the normal bundle of a fixed component."""
-    m, sigma, beta = _euler_shape(component)
-    return EquivariantClass.make(component.kind, {m: sigma, m - 1: (0, beta)})
-
-
 def c1_restriction(component: FixedComponent) -> EquivariantClass:
     """Restriction of the equivariant first Chern class of the manifold."""
     a, gamma = _c1_shape(component)
@@ -161,15 +154,6 @@ def _euler_shapes(data: FixedPointData) -> tuple[tuple[str, int, int, int], ...]
     return tuple((c.kind, *_euler_shape(c)) for c in data.components)
 
 
-def _euler_inverses(data: FixedPointData) -> tuple[tuple[str, list[tuple]], ...]:
-    """The carrier and the inverse equivariant Euler class, as atoms
-    (``_atoms``), of each component, in order."""
-    return tuple(
-        (c.kind, _atoms(invert_euler(equivariant_euler(c)).terms))
-        for c in data.components
-    )
-
-
 def abbv_integrate(
     data: FixedPointData,
     restrictions: Sequence[EquivariantClass],
@@ -203,26 +187,6 @@ def abbv_integrate(
             if beta and c:  # never at a point, whose beta is 0
                 total[k - m - 1] = total.get(k - m - 1, 0) - beta * c
     return {k: canon(total[k]) for k in sorted(total) if total[k]}
-
-
-def _localized_sum(integrand: Iterable[tuple[str, list, list]]) -> dict[int, Poly]:
-    """The localization sum of one integrand, zero terms dropped.
-
-    ``integrand`` gives, per component, its carrier and two atom lists
-    (``_atoms``) whose product is integrated there (``integrate_product``).
-    Every product is added into one monomial dict per power of lambda,
-    which becomes its ``Poly`` once; the result maps each power of
-    lambda, in increasing order, to its nonzero sum.
-    """
-    total: dict[int, dict] = {}
-    for carrier, a, b in integrand:
-        integrate_product(carrier, a, b, total)
-    sums = {}
-    for k in sorted(total):
-        value = Poly.from_dict(total[k])
-        if value:
-            sums[k] = value
-    return sums
 
 
 def _c1_power_integrals(
@@ -541,6 +505,58 @@ def _solved_restriction(
     return EquivariantClass(carrier, tuple(solved))
 
 
+def _atoms(terms: _Terms) -> list[tuple]:
+    """A term list as atoms ``(k, j, m, c)``, each ``c m lambda^k u^j``.
+
+    Each nonzero part of a term, scalar (``j = 0``) or ``u`` (``j = 1``),
+    gives one atom per monomial ``m`` of its coefficient: a scalar is
+    the coefficient of the empty monomial, and a ``Poly`` gives one
+    atom per term. Like terms are not collected.
+    """
+    out = []
+    for k, (c, d) in terms:
+        for j, part in ((0, c), (1, d)):
+            if isinstance(part, Poly):
+                out += [(k, j, m, v) for m, v in part.terms]
+            elif part:
+                out.append((k, j, (), part))
+    return out
+
+
+def _integrate_pair(
+    shape: tuple[str, int, int, int],
+    a: Sequence[tuple],
+    b: Sequence[tuple],
+    total: dict[int, dict],
+) -> None:
+    """Add the integral over one fixed component of the product of two
+    atom lists (``_atoms``) into ``total``, a monomial dict per power of lambda.
+
+    ``shape`` is the component's entry of ``_euler_shapes``, so this is
+    ``abbv_integrate``'s closed form: a product atom ``c lambda^k u^j``
+    adds ``sigma c`` at lambda^(k - m) when ``u^j`` is the part the
+    carrier integrates (j = 0 at a point, 1 on a surface), and
+    ``-beta c`` at lambda^(k - m - 1) when j = 0 on a surface. The
+    product is not formed, so the caller builds each sum once.
+    """
+    carrier, m, sigma, beta = shape
+    part = 0 if carrier == POINT else 1
+    for k1, j1, m1, c1 in a:
+        for k2, j2, m2, c2 in b:
+            j = j1 + j2
+            if j == part:
+                k, c = k1 + k2 - m, sigma * c1 * c2
+            elif j == 0 and beta:  # a surface's scalar part
+                k, c = k1 + k2 - m - 1, -beta * c1 * c2
+            else:
+                continue
+            acc = total.get(k)
+            if acc is None:
+                acc = total[k] = {}
+            mono = _mono_mul(m1, m2)
+            acc[mono] = acc[mono] + c if mono in acc else c
+
+
 def _integration_equations(
     data: FixedPointData,
     positions: tuple[int, ...],
@@ -549,38 +565,43 @@ def _integration_equations(
     """The integration constraints on the basis restrictions.
 
     Every restriction is homogeneous: a basis class lies in its degree,
-    the first Chern class in degree 2 and each inverse Euler class in
-    degree -(6 - dim). A product of total degree D therefore integrates
-    to the single Laurent term lambda^((D - 6) / 2). Below degree six
-    that term must vanish; at degree six it is a constant, which
-    constrains nothing. Every positive degree is at least 2, so the
-    constraints come from the classes below degree six, then from the
-    products of two degree-2 classes (c_1 included); the solver's case
-    split follows this order. The inverse Euler classes and the c_1
-    restrictions are the datum's own, formed once.
+    the first Chern class in degree 2, and dividing by a component's
+    Euler class lowers the degree by 6 - dim. A product of total degree
+    D therefore integrates to the single Laurent term lambda^((D - 6) / 2).
+    Below degree six that term must vanish; at degree six it is a
+    constant, which constrains nothing. Every positive degree is at
+    least 2, so the constraints come from the classes below degree six,
+    then from the products of two degree-2 classes (c_1 included); the
+    solver's case split follows this order. Each integrand pairs two
+    atom lists per component (``_integrate_pair``): a single class
+    pairs with the unit, and a product's two factors pair directly.
+    The Euler shapes and the c_1 restrictions are the datum's own,
+    formed once.
     """
-    euler_inverses = _memo(data, "_euler_inverses", _euler_inverses)
+    shapes = _memo(data, "_euler_shapes", _euler_shapes)
     c1s = _memo(data, "_c1_restrictions", c1_restrictions)
-    carriers = [euler_inverses[p][0] for p in positions]
-    inverses = [euler_inverses[p][1] for p in positions]
-    # Per component, an integrand holds its carrier and two atom lists,
-    # whose product is integrated unformed; only inverse Euler times a
-    # degree-2 class is formed, as the left factor of a pair product.
-    integrands: list[list[tuple]] = []
+    ordered = [shapes[p] for p in positions]
+    unit = [(0, 0, (), 1)]  # the atom of the unit class, on either carrier
+    integrands: list[list[tuple[list, list]]] = []
     degree_two: list[list[list[tuple]]] = []
     for f in factors:
         if f.degree < 6:
             row = [_atoms(r) for r in f.restrictions]
-            integrands.append(list(zip(carriers, inverses, row)))
+            integrands.append([(a, unit) for a in row])
             if f.degree == 2:
                 degree_two.append(row)
     degree_two.append([_atoms(c1s[p].terms) for p in positions])
-    for i, row in enumerate(degree_two):
-        left = [_atom_product(a, b) for a, b in zip(inverses, row)]
-        integrands += [list(zip(carriers, left, right)) for right in degree_two[i:]]
+    for i, left in enumerate(degree_two):
+        integrands += [list(zip(left, right)) for right in degree_two[i:]]
     equations: list[Poly] = []
     for integrand in integrands:
-        equations += _localized_sum(integrand).values()
+        total: dict[int, dict] = {}
+        for shape, (a, b) in zip(ordered, integrand):
+            _integrate_pair(shape, a, b, total)
+        for k in sorted(total):
+            value = Poly.from_dict(total[k])
+            if value:
+                equations.append(value)
     return equations
 
 

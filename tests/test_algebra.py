@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import NotInvertibleError, equivariant_euler, invert_euler
 from semifree import classifier
 from semifree.algebra import (
     CarrierMismatchError,
     _dot,
     EquivariantClass,
-    NotInvertibleError,
     c1_reduced,
     fiber_class,
-    _atoms,
-    integrate_product,
-    invert_euler,
     mul_terms,
     nontrivial_bundle,
     pair,
@@ -26,7 +23,8 @@ from semifree.algebra import (
     ReducedClass,
 )
 from semifree._solve import Poly
-from semifree.fixed_points import point, surface
+from semifree.fixed_points import FixedPointData, point, surface
+from semifree.localization import _atoms, _euler_shape, _integrate_pair, abbv_integrate
 
 F = Fraction
 
@@ -88,21 +86,43 @@ def test_invert_euler_rejects_wide_classes():
         invert_euler(surf({2: (1, 0), 0: (0, 1)}))
 
 
-def _integrated(carrier, a, b):
-    """``integrate_product`` of two term lists into a fresh total, each
-    power's sum built as its ``Poly``."""
+def _integrated(shape, a, b):
+    """``_integrate_pair`` of two term lists over one component of Euler
+    shape ``shape`` into a fresh total, each power's sum built as its ``Poly``."""
     total = {}
-    integrate_product(carrier, _atoms(a), _atoms(b), total)
+    _integrate_pair(shape, _atoms(a), _atoms(b), total)
     return {k: p for k, acc in sorted(total.items()) if (p := Poly.from_dict(acc))}
 
 
+def _shape(component):
+    return (component.kind, *_euler_shape(component))
+
+
 def test_integrate_component_picks_the_right_part():
-    # Times the unit class, the product is the class itself.
     one = ((0, (1, 0)),)
-    assert _integrated("point", pt({-3: (F(1, 2), 0)}).terms, one) == {-3: Poly.const(F(1, 2))}
+    # Over the trivial shape (e = 1), times the unit class, the
+    # integral is the class's own part: scalar on a point, u on a surface.
+    assert _integrated(("point", 0, 1, 0), pt({-3: (F(1, 2), 0)}).terms, one) == {-3: Poly.const(F(1, 2))}
     assert _integrated(
-        "surface", surf({-3: (F(7), 0), -2: (0, F(5))}).terms, one
+        ("surface", 0, 1, 0), surf({-3: (F(7), 0), -2: (0, F(5))}).terms, one
     ) == {-2: Poly.const(5)}
+    # At an index-2 point e = -lam^3, so 1/e = -lam^-3.
+    assert _integrated(_shape(point(2, 0)), pt({-3: (F(1, 2), 0)}).terms, one) == {
+        -6: Poly.const(F(-1, 2))
+    }
+    # On an index-2 surface with b_plus = 5, b_minus = -1, e = -lam^2 - 6 lam u,
+    # so 1/e = -lam^-2 + 6 lam^-3 u: the u part gives -5 lam^-2 and the
+    # scalar parts 6 * 7 lam^-6 and 6 * 2 lam^-3.
+    index2 = surface(2, 0, genus=2, b_plus=5, b_minus=-1)
+    assert _shape(index2) == ("surface", 2, -1, -6)
+    assert _integrated(
+        _shape(index2), surf({-3: (F(7), 0), 0: (2, F(5))}).terms, one
+    ) == {-6: Poly.const(42), -3: Poly.const(12), -2: Poly.const(-5)}
+    # A product pairs both factors: u * lam^2 over an index-0 sphere with
+    # b = 3 (e = lam^2 + 3 lam u) integrates to 1, and lam * lam to -3 lam^-1.
+    sphere = _shape(surface(0, 0, b=3))
+    assert _integrated(sphere, surf({0: (0, 1)}).terms, surf({2: 1}).terms) == {0: Poly.const(1)}
+    assert _integrated(sphere, surf({1: 1}).terms, surf({1: 1}).terms) == {-1: Poly.const(-3)}
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +301,16 @@ def _random_terms(rng: random.Random, carrier: str, kind: str) -> tuple:
     return tuple(sorted(terms.items()))
 
 
+def _random_component(rng: random.Random, carrier: str):
+    """A fixed component on ``carrier`` of any index, with its normal data."""
+    if carrier == "point":
+        return point(rng.choice([0, 2, 4, 6]), 0)
+    index, genus = rng.choice([0, 2, 4]), rng.randint(0, 3)
+    if index == 2:
+        return surface(2, 0, genus=genus, b_plus=rng.randint(-6, 6), b_minus=rng.randint(-6, 6))
+    return surface(index, 0, genus=genus, b=rng.randint(-6, 6))
+
+
 def test_integrate_product_matches_the_formed_product():
     rng = random.Random(14)
     nonzero = 0
@@ -289,10 +319,16 @@ def test_integrate_product_matches_the_formed_product():
         kind = rng.choice(["int", "fraction", "poly"])
         a = _random_terms(rng, carrier, kind)
         b = _random_terms(rng, carrier, kind)
-        got = _integrated(carrier, a, b)
+        if rng.random() < 0.2:  # the trivial shape, e = 1
+            shape, inverse = (carrier, 0, 1, 0), EquivariantClass.unit(carrier)
+        else:
+            component = _random_component(rng, carrier)
+            shape, inverse = _shape(component), invert_euler(equivariant_euler(component))
+        got = _integrated(shape, a, b)
+        formed = mul_terms(mul_terms(a, b), inverse.terms)
         expected = {
             k: v if isinstance(v, Poly) else Poly.const(v)
-            for k, v in integrate_component(EquivariantClass(carrier, mul_terms(a, b))).items()
+            for k, v in integrate_component(EquivariantClass(carrier, formed)).items()
         }
         assert list(got.items()) == list(expected.items())
         assert [[type(c) for _, c in v.terms] for v in got.values()] == [
@@ -300,6 +336,93 @@ def test_integrate_product_matches_the_formed_product():
         ]
         nonzero += bool(got)
     assert nonzero > 1000
+
+
+# ---------------------------------------------------------------------------
+# the closed form against sympy (test-only dependency)
+
+
+def _to_sympy(sympy, lam, u, terms):
+    """A term list, its coefficients ints, Fractions or ``Poly``s, as a
+    sympy expression in ``lam`` and ``u``."""
+
+    def coefficient(x):
+        if not isinstance(x, Poly):
+            return sympy.Rational(x.numerator, x.denominator)
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
+                for m, c in x.terms
+            )
+        )
+
+    return sympy.Add(*((coefficient(c) + coefficient(d) * u) * lam**k for k, (c, d) in terms))
+
+
+def _sympy_integral(sympy, lam, u, shape, integrand):
+    """``integrand / (sigma lam^m + beta lam^(m-1) u)`` to first order in
+    ``u``, its carrier's part (scalar at a point, ``u`` on a surface) as
+    a dict from each power of lam to its nonzero coefficient."""
+    carrier, m, sigma, beta = shape
+    quotient = integrand / (sigma * lam**m + beta * lam ** (m - 1) * u)
+    part = quotient if carrier == "point" else sympy.diff(quotient, u)
+    out = {}
+    expanded = sympy.expand(part.subs(u, 0))
+    for power, value in sympy.collect(expanded, lam, evaluate=False).items():
+        k = 0 if power == 1 else int(power.as_base_exp()[1])
+        if sympy.expand(value) != 0:
+            out[k] = value
+    return out
+
+
+def _assert_same_laurent(sympy, got, expected):
+    assert sorted(got) == sorted(expected)
+    for k, value in expected.items():
+        assert sympy.expand(got[k] - value) == 0, k
+
+
+def test_integrate_pair_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam, u = sympy.symbols("lam u")
+    rng = random.Random(23)
+    nonzero = 0
+    for _ in range(150):
+        carrier = rng.choice(["point", "surface"])
+        kind = rng.choice(["int", "fraction", "poly"])
+        a = _random_terms(rng, carrier, kind)
+        b = _random_terms(rng, carrier, kind)
+        shape = _shape(_random_component(rng, carrier))
+        got = {k: _to_sympy(sympy, lam, u, ((0, (v, 0)),)) for k, v in _integrated(shape, a, b).items()}
+        integrand = _to_sympy(sympy, lam, u, a) * _to_sympy(sympy, lam, u, b)
+        _assert_same_laurent(sympy, got, _sympy_integral(sympy, lam, u, shape, integrand))
+        nonzero += bool(got)
+    assert nonzero > 50
+
+
+def test_abbv_integrate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam, u = sympy.symbols("lam u")
+    rng = random.Random(24)
+    nonzero = 0
+    for _ in range(200):
+        components = [
+            _random_component(rng, rng.choice(["point", "surface"])) for _ in range(rng.randint(1, 3))
+        ]
+        data = FixedPointData(tuple(components))
+        restrictions = []
+        expected = {}
+        for component in data.components:
+            terms = _random_terms(rng, component.kind, rng.choice(["int", "fraction"]))
+            restrictions.append(EquivariantClass.make(component.kind, dict(terms)))
+            integrand = _to_sympy(sympy, lam, u, terms)
+            for k, value in _sympy_integral(sympy, lam, u, _shape(component), integrand).items():
+                expected[k] = expected.get(k, 0) + value
+        expected = {k: v for k, v in expected.items() if v != 0}
+        got = abbv_integrate(data, restrictions)
+        assert {k: sympy.Rational(v.numerator, v.denominator) for k, v in got.items()} == expected
+        nonzero += bool(got)
+    assert nonzero > 100
 
 
 def test_make_keeps_fractions_and_converts_the_rest():

@@ -428,7 +428,7 @@ def test_mapping_proxy_entries_are_accepted():
 def _fresh(data: FixedPointData) -> FixedPointData:
     copy = FixedPointData(data.components, twist=data.twist)
     assert copy == data and copy is not data
-    assert not {"_report", "_type", "_euler_inverses"} & set(vars(copy))
+    assert set(vars(copy)) == {"components", "twist"}
     return copy
 
 

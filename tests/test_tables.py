@@ -24,9 +24,10 @@ from fractions import Fraction
 import pytest
 
 from corpus import builtin_data, classified_fuzz_data, enumerated_members, family_presets, fuzz_data
+from oracles import equivariant_euler, invert_euler
 from semifree import localization
 from semifree._solve import Poly, Solution, solve_linear, solve_system
-from semifree.algebra import POINT, EquivariantClass, invert_euler, mul_terms
+from semifree.algebra import POINT, EquivariantClass, mul_terms
 from semifree.classifier import euler_transport, family_instance
 from semifree.cli import RunConfig, run
 from semifree.fixed_points import _memo, classify_type, validate
@@ -36,7 +37,6 @@ from semifree.localization import (
     TableClass,
     _build_skeleton,
     _c1_decomposition,
-    equivariant_euler,
     _integration_equations,
     _selection_rule_values,
     _solved_restriction,
