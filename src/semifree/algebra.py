@@ -28,7 +28,7 @@ chain engine, which start from the same matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._solve import Poly, _scalar
 from .fixed_points import POINT, SURFACE
@@ -90,64 +90,14 @@ class EquivariantClass:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, k: int) -> tuple[Rational, Rational]:
-        """Return ``(c_k, d_k)`` at exponent ``k`` (zeros when absent)."""
-        for exp, pair in self.terms:
-            if exp == k:
-                return pair
-        return (0, 0)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    # -- ring structure ----------------------------------------------------
-
-    def __mul__(self, other: EquivariantClass) -> EquivariantClass:
-        """Product of two classes on the same carrier (``u * u = 0``)."""
-        if self.carrier != other.carrier:
-            raise CarrierMismatchError(
-                f"cannot combine {self.carrier} class with {other.carrier} class"
-            )
-        return EquivariantClass(self.carrier, mul_terms(self.terms, other.terms))
 
     def shifted(self, k: int) -> EquivariantClass:
         """Multiply by ``lam**k``."""
         return EquivariantClass(
             self.carrier, tuple((exp + k, pair) for exp, pair in self.terms)
         )
-
-
-def mul_terms(
-    a: Iterable[tuple[int, tuple]], b: Iterable[tuple[int, tuple]]
-) -> tuple[tuple[int, tuple], ...]:
-    """Multiply two term lists; works for any commutative coefficient type.
-
-    The ``u`` parts multiply to zero, so the product of ``(c1 + d1 u)``
-    and ``(c2 + d2 u)`` is ``c1 c2 + (c1 d2 + d1 c2) u``. A product with
-    a zero ``u`` factor is not formed; a zero ``u`` part stays the zero
-    of its operands' type. Scalar coefficients come out canonical.
-    """
-    acc: dict[int, list] = {}
-    for i, (c1, d1) in a:
-        for j, (c2, d2) in b:
-            k = i + j
-            c = c1 * c2
-            if d2:
-                d = c1 * d2 + d1 * c2 if d1 else c1 * d2
-            else:
-                d = d1 * c2 if d1 else d2
-            if k in acc:
-                acc[k][0] = acc[k][0] + c
-                if d:
-                    acc[k][1] = acc[k][1] + d
-            else:
-                acc[k] = [c, d]
-    out = []
-    for k in sorted(acc):
-        c, d = acc[k]
-        if c or d:
-            out.append((k, (canon(c), canon(d))))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

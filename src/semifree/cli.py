@@ -7,7 +7,9 @@ input is well-formed but mathematically invalid (validation failure,
 no solution, failed check), 2 means the input or command line is
 malformed. A structured report is the text of
 ``json.dumps(payload, indent=2, sort_keys=True)``, written by the
-package's one JSON writer, ``fixed_points._dump_json``.
+package's one JSON writer, ``fixed_points._dump_json``. Each command
+handler builds the report of the requested format only: the payload
+for ``--format structured``, the text lines for ``--format text``.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def _decode(raw: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit code, payload dict, text lines)
+# command handlers; each returns (exit code, payload dict, text lines),
+# and builds only the payload (structured) or only the lines (text)
 
 
 def _integral_payload(values: dict[int, Fraction]) -> dict[str, str]:
@@ -110,34 +113,35 @@ def _format_integral(values: dict[int, Fraction]) -> str:
     )
 
 
-def _cmd_validate(data: FixedPointData):
+def _cmd_validate(data: FixedPointData, output_format: str):
     report = validate(data)
-    payload = {
-        "ok": report.ok,
-        "violations": list(report.violations),
-    }
+    code = 0 if report.ok else 1
+    tag = classify_type(data) if report.ok else None
+    if output_format == "structured":
+        payload = {"ok": report.ok, "violations": list(report.violations)}
+        if report.ok:
+            payload["type"] = tag
+        return code, payload, []
     if report.ok:
-        payload["type"] = classify_type(data)
-        lines = [f"valid fixed point data, type {payload['type']}"]
-    else:
-        lines = ["invalid fixed point data:"]
-        lines += [f"  - {v}" for v in report.violations]
-    return (0 if report.ok else 1), payload, lines
+        return code, {}, [f"valid fixed point data, type {tag}"]
+    return code, {}, ["invalid fixed point data:"] + [f"  - {v}" for v in report.violations]
 
 
-def _cmd_localize(data: FixedPointData):
-    report = validate(data)
-    if not report.ok:
-        return _cmd_validate(data)
+def _cmd_localize(data: FixedPointData, output_format: str):
+    if not validate(data).ok:
+        return _cmd_validate(data, output_format)
     integrals = dict(_c1_power_integrals(data))
     ok = all(integrals[name] == {} for name in ("1", "c_1", "c_1^2"))
-    payload = {
-        "relations_hold": ok,
-        "integrals": {
-            name: _integral_payload(values)
-            for name, values in integrals.items()
-        },
-    }
+    code = 0 if ok else 1
+    if output_format == "structured":
+        payload = {
+            "relations_hold": ok,
+            "integrals": {
+                name: _integral_payload(values)
+                for name, values in integrals.items()
+            },
+        }
+        return code, payload, []
     lines = [
         f"integral of {name}: {_format_integral(values)}"
         for name, values in integrals.items()
@@ -147,7 +151,7 @@ def _cmd_localize(data: FixedPointData):
         if ok
         else "localization relations fail: some integral below top degree is nonzero"
     )
-    return (0 if ok else 1), payload, lines
+    return code, {}, lines
 
 
 def _cmd_restrict_table(data: FixedPointData, output_format: str):
@@ -157,22 +161,24 @@ def _cmd_restrict_table(data: FixedPointData, output_format: str):
     return 0, {}, table.render_text().rstrip("\n").split("\n")
 
 
-def _cmd_classify(data: FixedPointData):
-    report = validate(data)
-    if not report.ok:
-        return _cmd_validate(data)
+def _cmd_classify(data: FixedPointData, output_format: str):
+    if not validate(data).ok:
+        return _cmd_validate(data, output_format)
     tag = classify_type(data)
     chain_ok = euler_chain_check(data)
     try:
         w2 = w2_vanishes(data)
     except (InvalidDataError, NoSolutionError, MultipleSolutionsError):
         w2 = None
-    payload = {
-        "type": tag,
-        "twist": data.twist,
-        "chain_consistent": chain_ok,
-        "w2_vanishes": w2,
-    }
+    code = 0 if chain_ok else 1
+    if output_format == "structured":
+        payload = {
+            "type": tag,
+            "twist": data.twist,
+            "chain_consistent": chain_ok,
+            "w2_vanishes": w2,
+        }
+        return code, payload, []
     lines = [
         f"type: {tag}",
         f"twist: {'yes' if data.twist else 'no'}",
@@ -180,7 +186,7 @@ def _cmd_classify(data: FixedPointData):
         "second Stiefel-Whitney class vanishes: "
         + ("unknown" if w2 is None else "yes" if w2 else "no"),
     ]
-    return (0 if chain_ok else 1), payload, lines
+    return code, {}, lines
 
 
 def _cmd_enumerate(config: RunConfig, output_format: str):
@@ -204,24 +210,26 @@ def _cmd_enumerate(config: RunConfig, output_format: str):
     return 0, {}, lines
 
 
-def _cmd_polytope_check(polytope: delzant.LatticePolytope):
+def _cmd_polytope_check(polytope: delzant.LatticePolytope, output_format: str):
     dc = delzant.delzant_check(polytope)
     sc = delzant.semifree_check(polytope)
-    payload = {
-        "delzant": {
-            "ok": dc.ok,
-            "vertex_determinants": [list(cert) for cert in dc.certificates],
-        },
-        "semifree": {"ok": sc.ok, "violations": list(sc.violations)},
-    }
+    code = 0 if dc.ok and sc.ok else 1
+    if output_format == "structured":
+        payload = {
+            "delzant": {
+                "ok": dc.ok,
+                "vertex_determinants": [list(cert) for cert in dc.certificates],
+            },
+            "semifree": {"ok": sc.ok, "violations": list(sc.violations)},
+        }
+        return code, payload, []
     lines = [
         f"vertices: {len(polytope.vertices)}, edges: {len(polytope.edges)}",
         f"smooth (every vertex unimodular): {'yes' if dc.ok else 'no'}",
         f"height circle semi-free: {'yes' if sc.ok else 'no'}",
     ]
     lines += [f"  - {v}" for v in sc.violations]
-    ok = dc.ok and sc.ok
-    return (0 if ok else 1), payload, lines
+    return code, {}, lines
 
 
 def _cmd_polytope_extract(polytope: delzant.LatticePolytope, output_format: str):
@@ -263,16 +271,19 @@ def _format_reduced(cls: ReducedClass) -> str:
 
 def _cmd_dh_check(data: FixedPointData, config: RunConfig):
     if not validate(data).ok:
-        return _cmd_validate(data)
+        return _cmd_validate(data, config.output_format)
     path = dh_path(data, config.alpha0, list(config.gaps))
-    payload = {
-        "verdict": path.verdict,
-        "complete": path.complete,
-        "times": [format_rational(t) for t in path.times],
-        "classes": [_format_reduced(w) for w in path.omegas],
-        "wall_areas": [format_rational(a) for a in path.wall_areas],
-        "failures": list(path.failures),
-    }
+    code = 0 if path.verdict == "positive" else 1
+    if config.output_format == "structured":
+        payload = {
+            "verdict": path.verdict,
+            "complete": path.complete,
+            "times": [format_rational(t) for t in path.times],
+            "classes": [_format_reduced(w) for w in path.omegas],
+            "wall_areas": [format_rational(a) for a in path.wall_areas],
+            "failures": list(path.failures),
+        }
+        return code, payload, []
     lines = [f"verdict: {path.verdict}", f"complete sweep: {'yes' if path.complete else 'no'}"]
     for t, w in zip(path.times, path.omegas):
         lines.append(f"  t={format_rational(t)}: {_format_reduced(w)}")
@@ -282,7 +293,7 @@ def _cmd_dh_check(data: FixedPointData, config: RunConfig):
             + ", ".join(format_rational(a) for a in path.wall_areas)
         )
     lines += [f"  - {f}" for f in path.failures]
-    return (0 if path.verdict == "positive" else 1), payload, lines
+    return code, {}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +305,21 @@ def run(config: RunConfig, raw: bytes) -> tuple[int, bytes]:
     structured = config.output_format == "structured"
     try:
         if config.command == "validate":
-            code, payload, lines = _cmd_validate(_read_fpdata(raw))
+            code, payload, lines = _cmd_validate(_read_fpdata(raw), config.output_format)
         elif config.command == "localize":
-            code, payload, lines = _cmd_localize(_read_fpdata(raw))
+            code, payload, lines = _cmd_localize(_read_fpdata(raw), config.output_format)
         elif config.command == "restrict-table":
             code, payload, lines = _cmd_restrict_table(
                 _read_fpdata(raw), config.output_format
             )
         elif config.command == "classify":
-            code, payload, lines = _cmd_classify(_read_fpdata(raw))
+            code, payload, lines = _cmd_classify(_read_fpdata(raw), config.output_format)
         elif config.command == "enumerate":
             code, payload, lines = _cmd_enumerate(config, config.output_format)
         elif config.command == "polytope-check":
-            code, payload, lines = _cmd_polytope_check(_read_polytope(raw))
+            code, payload, lines = _cmd_polytope_check(
+                _read_polytope(raw), config.output_format
+            )
         elif config.command == "polytope-extract":
             code, payload, lines = _cmd_polytope_extract(
                 _read_polytope(raw), config.output_format

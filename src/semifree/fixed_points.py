@@ -10,7 +10,9 @@ pattern-matches the data against the known shapes with small second
 Betti number.
 
 Every command starts here, so each per-datum cost is paid once. The
-parser reads each entry in one pass, ``validate`` groups the
+parser checks each field of an entry once and builds the component
+without re-running its constructor's checks (the rules of a component's
+shape live once, in ``_check_shape``), ``validate`` groups the
 components in one pass, and a datum keeps its ``validate`` report and
 its type tag once computed (``_memo``).
 
@@ -67,34 +69,16 @@ class FixedComponent:
     b_minus: int | None = None
 
     def __post_init__(self) -> None:
-        level, index, kind = self.level, self.index, self.kind
-        genus, b, b_plus, b_minus = self.genus, self.b, self.b_plus, self.b_minus
-        optional = (("genus", genus), ("b", b), ("b_plus", b_plus), ("b_minus", b_minus))
+        level, index = self.level, self.index
+        optional = (self.genus, self.b, self.b_plus, self.b_minus)
         if not (type(level) is int or type(level) is Fraction and level.denominator > 1):
             object.__setattr__(self, "level", parse_rational(level))
         if not _is_int(index):
             raise ValueError(f"index must be an integer: {index!r}")
-        for name, value in optional:
+        for name, value in zip(_OPTIONAL_FIELDS, optional):
             if value is not None and not _is_int(value):
                 raise ValueError(f"{name} must be an integer: {value!r}")
-        if kind == POINT:
-            if index not in (0, 2, 4, 6):
-                raise ValueError(f"point index must be 0, 2, 4 or 6: {index}")
-            for name, value in optional:
-                if value is not None:
-                    raise ValueError(f"isolated point carries no {name}")
-        elif kind == SURFACE:
-            if index not in (0, 2, 4):
-                raise ValueError(f"surface index must be 0, 2 or 4: {index}")
-            if not isinstance(genus, int) or genus < 0:
-                raise ValueError(f"surface needs a genus >= 0: {genus}")
-            if index == 2:
-                if b is not None:
-                    raise ValueError("index-2 surface carries (b_plus, b_minus), not b")
-            elif b_plus is not None or b_minus is not None:
-                raise ValueError("extremal surface carries a single b")
-        else:
-            raise ValueError(f"unknown component kind: {kind}")
+        _check_shape(index, self.kind, *optional)
 
     @property
     def is_point(self) -> bool:
@@ -126,6 +110,29 @@ class FixedComponent:
             f"surface(genus {self.genus}, index {self.index}, "
             f"level {format_rational(self.level)}{extra})"
         )
+
+
+def _check_shape(index: int, kind: str, genus, b, b_plus, b_minus) -> None:
+    """Raise ``ValueError`` unless the kind, index and optional fields of
+    a component fit together; the fields are already integers or None."""
+    if kind == POINT:
+        if index not in (0, 2, 4, 6):
+            raise ValueError(f"point index must be 0, 2, 4 or 6: {index}")
+        for name, value in zip(_OPTIONAL_FIELDS, (genus, b, b_plus, b_minus)):
+            if value is not None:
+                raise ValueError(f"isolated point carries no {name}")
+    elif kind == SURFACE:
+        if index not in (0, 2, 4):
+            raise ValueError(f"surface index must be 0, 2 or 4: {index}")
+        if not isinstance(genus, int) or genus < 0:
+            raise ValueError(f"surface needs a genus >= 0: {genus}")
+        if index == 2:
+            if b is not None:
+                raise ValueError("index-2 surface carries (b_plus, b_minus), not b")
+        elif b_plus is not None or b_minus is not None:
+            raise ValueError("extremal surface carries a single b")
+    else:
+        raise ValueError(f"unknown component kind: {kind}")
 
 
 def point(index: int, level: Rational | str) -> FixedComponent:
@@ -225,7 +232,13 @@ class FixedPointData:
 
     @staticmethod
     def from_json_dict(payload: Mapping) -> "FixedPointData":
-        if not isinstance(payload, Mapping):
+        """The datum of a parsed ``fpdata.v1`` document.
+
+        Each field is checked once, by an exact-type test before the
+        ``Mapping`` and bool-aware ones, and each component is built
+        without re-running ``FixedComponent``'s checks.
+        """
+        if type(payload) is not dict and not isinstance(payload, Mapping):
             raise SchemaError("fixed point data must be a JSON object")
         schema = payload.get("schema")
         if schema != FPDATA_SCHEMA:
@@ -240,7 +253,7 @@ class FixedPointData:
             raise SchemaError("components must be a non-empty list")
         comps = []
         for entry in raw:
-            if not isinstance(entry, Mapping):
+            if type(entry) is not dict and not isinstance(entry, Mapping):
                 raise SchemaError("component entries must be objects")
             if not _COMPONENT_FIELDS.issuperset(entry):
                 extra = sorted(set(entry) - _COMPONENT_FIELDS)
@@ -251,22 +264,27 @@ class FixedPointData:
                 raise SchemaError("component missing level") from None
             except ValueError as exc:
                 raise SchemaError(str(exc)) from None
-            kind = entry.get("kind")
-            index = entry.get("index")
+            get = entry.get
+            kind = get("kind")
+            index = get("index")
             if kind not in (POINT, SURFACE):
                 raise SchemaError(f"unknown component kind: {kind!r}")
-            if not _is_int(index):
+            if type(index) is not int and not _is_int(index):
                 raise SchemaError("component index must be an integer")
-            optional = []
-            for name in _OPTIONAL_FIELDS:
-                value = entry.get(name)
-                if value is not None and not _is_int(value):
+            optional = (get("genus"), get("b"), get("b_plus"), get("b_minus"))
+            for name, value in zip(_OPTIONAL_FIELDS, optional):
+                if value is not None and type(value) is not int and not _is_int(value):
                     raise SchemaError(f"{name} must be an integer")
-                optional.append(value)
             try:
-                comps.append(FixedComponent(level, index, kind, *optional))
+                _check_shape(index, kind, *optional)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from None
+            genus, b, b_plus, b_minus = optional
+            component = object.__new__(FixedComponent)
+            component.__dict__.update(
+                level=level, index=index, kind=kind, genus=genus, b=b, b_plus=b_plus, b_minus=b_minus
+            )
+            comps.append(component)
         return FixedPointData(tuple(comps), twist=twist)
 
     def dumps(self) -> str:

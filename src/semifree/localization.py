@@ -9,8 +9,10 @@ sigma = +-1 (``_euler_shape``), and each c_1 restriction the shape
 ``a lambda + gamma u`` (``_c1_shape``). Each summand therefore has a
 closed form: ``abbv_integrate`` integrates every term of an exact
 restriction against the component's Euler shape, kept on the datum,
-without forming an inverse Euler class, and ``localize`` builds each
-power of c_1 straight from its shape.
+without forming an inverse Euler class. ``localize`` and the
+enumeration's relation check integrate 1 + c_1 + c_1^2 + c_1^3 in one
+sum, built from the c_1 shapes, and read the integral of each power off
+its own power of lambda (``_c1_power_integrals``).
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -119,26 +121,10 @@ def c1_restriction(component: FixedComponent) -> EquivariantClass:
     return EquivariantClass.make(component.kind, {1: a, 0: (0, gamma)})
 
 
-def _c1_power(carrier: str, a: int, gamma: int, k: int) -> EquivariantClass:
-    """``(a lambda + gamma u)^k`` for k >= 1, which is
-    ``a^k lambda^k + k a^(k-1) gamma lambda^(k-1) u`` since u^2 = 0."""
-    terms = []
-    u_part = k * a ** (k - 1) * gamma
-    if u_part:
-        terms.append((k - 1, (0, u_part)))
-    if a:
-        terms.append((k, (a**k, 0)))
-    return EquivariantClass(carrier, tuple(terms))
-
-
 def _require(value: int | None, component: FixedComponent, name: str) -> int:
     if value is None:
         raise InvalidDataError(f"{component.describe()} is missing {name}")
     return value
-
-
-def unit_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
-    return tuple(EquivariantClass.unit(c.kind) for c in data.components)
 
 
 def c1_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
@@ -194,14 +180,28 @@ def _c1_power_integrals(
 ) -> Iterator[tuple[str, dict[int, Rational]]]:
     """The integrals of 1, c_1, c_1^2 and c_1^3, named as in the ``localize`` report.
 
-    Each power of c_1 is built from the shape of its restrictions
-    (``_c1_power``) and integrated only when the iterator reaches it.
+    One ``abbv_integrate`` call integrates 1 + c_1 + c_1^2 + c_1^3. At a
+    component with c_1 restriction ``a lambda + gamma u`` (``_c1_shape``),
+    c_1^j is ``a^j lambda^j + j a^(j-1) gamma lambda^(j-1) u`` since u^2 = 0,
+    so the sum's term at lambda^j is ``(a^j, (j+1) a^j gamma)`` for j < 3
+    and ``(a^3, 0)`` at j = 3; a zero term (j > 0 where a = 0) is left out.
+    c_1^k has degree 2k and the Euler shape lowers it by six, so the
+    integral of c_1^k is the sum's single term at lambda^(k-3).
     """
-    shapes = [(c.kind, *_c1_shape(c)) for c in data.components]
-    yield "1", abbv_integrate(data, unit_restrictions(data))
-    for k, name in enumerate(("c_1", "c_1^2", "c_1^3"), 1):
-        powers = tuple(_c1_power(carrier, a, gamma, k) for carrier, a, gamma in shapes)
-        yield name, abbv_integrate(data, powers)
+    total = abbv_integrate(data, [_c1_power_sum(c) for c in data.components])
+    for k, name in enumerate(("1", "c_1", "c_1^2", "c_1^3")):
+        value = total.get(k - 3)
+        yield name, {} if value is None else {k - 3: value}
+
+
+def _c1_power_sum(component: FixedComponent) -> EquivariantClass:
+    """The restriction of 1 + c_1 + c_1^2 + c_1^3 to a fixed component."""
+    a, gamma = _c1_shape(component)
+    terms = ((0, (1, gamma)),)
+    if a:
+        a2 = a * a
+        terms += ((1, (a, 2 * a * gamma)), (2, (a2, 3 * a2 * gamma)), (3, (a2 * a, 0)))
+    return EquivariantClass(component.kind, terms)
 
 
 def _relation_integrals(

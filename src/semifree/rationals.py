@@ -35,12 +35,13 @@ def qdiv(a: Rational, b: Rational) -> Rational:
 
 def parse_rational(text: str | int | Fraction) -> Rational:
     """Parse ``"p/q"`` (or a bare integer) into a canonical exact rational."""
-    if isinstance(text, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(text, (int, Fraction)):
-        return canon(text)
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
+    if type(text) is not str:
+        if isinstance(text, bool):
+            raise ValueError("expected a rational, got a boolean")
+        if isinstance(text, (int, Fraction)):
+            return canon(text)
+        if not isinstance(text, str):
+            raise ValueError(f"expected a rational string, got {text!r}")
     try:
         digits = text[1:] if text[:1] == "-" else text
         if digits.isascii() and digits.isdigit():

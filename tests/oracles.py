@@ -1,16 +1,84 @@
-"""Equivariant Euler classes and their inverses, formed as classes.
+"""Equivariant classes formed and multiplied out, as the package once did.
 
 The package integrates in closed form against each component's Euler
-shape (``localization._euler_shape``) and never forms an Euler class or
-its inverse. The equation and integral oracles of the tests form both,
-multiply them out and integrate the product, so they check the closed
-form by a second route.
+shape (``localization._euler_shape``) and never forms an Euler class,
+its inverse or a product of classes. The equation and integral oracles
+of the tests form all three, multiply them out and integrate the
+product, so they check the closed form by a second route. The
+multiplier (``mul_terms``), the powers of c_1 (``c1_power``) and the
+unit restrictions are the package's own former code.
 """
 
-from semifree.algebra import EquivariantClass
-from semifree.fixed_points import FixedComponent
+from typing import Iterable
+
+from semifree.algebra import CarrierMismatchError, EquivariantClass
+from semifree.fixed_points import FixedComponent, FixedPointData
 from semifree.localization import _euler_shape
-from semifree.rationals import qdiv
+from semifree.rationals import Rational, canon, qdiv
+
+
+def mul_terms(
+    a: Iterable[tuple[int, tuple]], b: Iterable[tuple[int, tuple]]
+) -> tuple[tuple[int, tuple], ...]:
+    """Multiply two term lists; works for any commutative coefficient type.
+
+    The ``u`` parts multiply to zero, so the product of ``(c1 + d1 u)``
+    and ``(c2 + d2 u)`` is ``c1 c2 + (c1 d2 + d1 c2) u``. A product with
+    a zero ``u`` factor is not formed; a zero ``u`` part stays the zero
+    of its operands' type. Scalar coefficients come out canonical.
+    """
+    acc: dict[int, list] = {}
+    for i, (c1, d1) in a:
+        for j, (c2, d2) in b:
+            k = i + j
+            c = c1 * c2
+            if d2:
+                d = c1 * d2 + d1 * c2 if d1 else c1 * d2
+            else:
+                d = d1 * c2 if d1 else d2
+            if k in acc:
+                acc[k][0] = acc[k][0] + c
+                if d:
+                    acc[k][1] = acc[k][1] + d
+            else:
+                acc[k] = [c, d]
+    out = []
+    for k in sorted(acc):
+        c, d = acc[k]
+        if c or d:
+            out.append((k, (canon(c), canon(d))))
+    return tuple(out)
+
+
+def multiply(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
+    """Product of two classes on the same carrier (``u * u = 0``)."""
+    if x.carrier != y.carrier:
+        raise CarrierMismatchError(f"cannot combine {x.carrier} class with {y.carrier} class")
+    return EquivariantClass(x.carrier, mul_terms(x.terms, y.terms))
+
+
+def coefficient(x: EquivariantClass, k: int) -> tuple[Rational, Rational]:
+    """``(c_k, d_k)`` of ``x`` at exponent ``k`` (zeros when absent)."""
+    for exp, pair in x.terms:
+        if exp == k:
+            return pair
+    return (0, 0)
+
+
+def c1_power(carrier: str, a: int, gamma: int, k: int) -> EquivariantClass:
+    """``(a lambda + gamma u)^k`` for k >= 1, which is
+    ``a^k lambda^k + k a^(k-1) gamma lambda^(k-1) u`` since u^2 = 0."""
+    terms = []
+    u_part = k * a ** (k - 1) * gamma
+    if u_part:
+        terms.append((k - 1, (0, u_part)))
+    if a:
+        terms.append((k, (a**k, 0)))
+    return EquivariantClass(carrier, tuple(terms))
+
+
+def unit_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
+    return tuple(EquivariantClass.unit(c.kind) for c in data.components)
 
 
 class NotInvertibleError(ValueError):
@@ -41,8 +109,8 @@ def invert_euler(e: EquivariantClass) -> EquivariantClass:
     k = scalar_exps[0]
     if any(j != k - 1 for j in u_exps):
         raise NotInvertibleError(f"not an Euler class shape: {e.terms!r}")
-    c, _ = e.coefficient(k)
-    _, d = e.coefficient(k - 1)
+    c, _ = coefficient(e, k)
+    _, d = coefficient(e, k - 1)
     return EquivariantClass.make(
         e.carrier, {-k: (qdiv(1, c), 0), -k - 1: (0, -qdiv(d, c * c))}
     )

@@ -97,6 +97,22 @@ def test_validate_invalid_data_exits_one():
     assert b"need exactly one minimum" in out
 
 
+@pytest.mark.parametrize("output_format", ["text", "structured"])
+@pytest.mark.parametrize("command", ["localize", "classify", "dh-check"])
+def test_invalid_data_gets_the_validate_report(command, output_format):
+    raw = invalid_data()
+    code, out = run(RunConfig(command=command, output_format=output_format), raw)
+    want_code, want = run(RunConfig(command="validate", output_format=output_format), raw)
+    assert code == want_code == 1
+    if output_format == "text":
+        assert out == want == (
+            b"invalid fixed point data:\n  - need exactly one minimum, found 2\n"
+        )
+    else:
+        assert json.loads(out) == {**json.loads(want), "command": command}
+        assert json.loads(want)["violations"] == ["need exactly one minimum, found 2"]
+
+
 def test_validate_malformed_input_exits_two():
     code, out = run(RunConfig(command="validate"), b"{not json")
     assert code == 2

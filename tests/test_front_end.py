@@ -12,6 +12,7 @@ a fresh computation on an equal datum that was never asked.
 
 from __future__ import annotations
 
+import collections
 import json
 import random
 import types
@@ -20,7 +21,7 @@ from typing import Mapping
 
 import pytest
 
-from corpus import builtin_data, family_presets, fuzz_data
+from corpus import builtin_data, family_presets, fuzz_data, perfbench_module
 from semifree.fixed_points import (
     FPDATA_SCHEMA,
     POINT,
@@ -314,6 +315,39 @@ def _outcome(parse, payload):
 BAD_VALUES = [True, False, 1.5, 2.0, "1", "x", None, [1], {"a": 1}]
 
 
+class Int(int):
+    """An int subclass, which every integer field accepts; it prints
+    unlike an int, so a message that formats it shows where it came from."""
+
+    def __str__(self) -> str:
+        return f"Int({int(self)})"
+
+
+class Document(dict):
+    """A dict subclass: a ``Mapping`` whose type is not ``dict``."""
+
+
+INTEGER_FIELDS = ("level", "index", "genus", "b", "b_plus", "b_minus")
+
+
+def _integer_field_payloads(base: list[dict]) -> list:
+    """Each integer field of each component of some presets set to an
+    ``Int`` (its own value, or 1 for a field the entry lacks, or -1) or
+    to a bool, so that the exact-type tests meet every other int."""
+    out = []
+    for payload in base[::7]:
+        for at in range(len(payload["components"])):
+            for name in INTEGER_FIELDS:
+                entry = payload["components"][at]
+                current = entry.get(name)
+                whole = 1 if current is None or name == "level" else current
+                for value in (Int(whole), Int(-1), True, False):
+                    entries = list(payload["components"])
+                    entries[at] = {**entry, name: value}
+                    out.append({**payload, "components": entries})
+    return out
+
+
 def _mutations(entry: dict, rng: random.Random) -> dict:
     """``entry`` with one random defect, or unchanged."""
     entry = dict(entry)
@@ -366,7 +400,11 @@ def malformed_payloads() -> tuple:
             **base[1],
             "components": [types.MappingProxyType(e) for e in base[1]["components"]],
         },
+        collections.UserDict(base[2]),
+        Document(base[3], components=[Document(e) for e in base[3]["components"]]),
+        {**base[4], "components": [collections.UserDict(e) for e in base[4]["components"]]},
     ]
+    out += _integer_field_payloads(base)
     for _ in range(3000):
         payload = dict(rng.choice(base))
         entries = list(payload["components"])
@@ -406,12 +444,48 @@ def test_malformed_payloads_cover_every_message():
     ):
         assert needle in messages, needle
     assert sum(kind == "parsed" for kind, _ in outcomes) > 100
+    # an int subclass is read in every integer field, and a bool in none
+    parsed = [vars(c) for kind, data in outcomes if kind == "parsed" for c in data.components]
+    for name in INTEGER_FIELDS:
+        assert any(type(fields[name]) is Int for fields in parsed), name
+        assert not any(type(fields[name]) is bool for fields in parsed), name
+    errors = {message for kind, message in outcomes if kind == "SchemaError"}
+    assert "surface needs a genus >= 0: Int(-1)" in errors
+    assert "point index must be 0, 2, 4 or 6: Int(-1)" in errors
 
 
 def test_from_json_dict_matches_the_reference():
     for payload in malformed_payloads():
         expected = _outcome(reference_from_json_dict, payload)
         assert _outcome(FixedPointData.from_json_dict, payload) == expected, payload
+
+
+def _valid_documents() -> list:
+    """Both fuzz pools as generated, and every preset as written."""
+    workloads = perfbench_module("workloads")
+    raws = workloads.fuzz_pool(1) + workloads.fuzz_pool(2)
+    return [json.loads(raw) for raw in raws] + [
+        json.loads(data.dumps()) for _, data in family_presets()
+    ]
+
+
+def test_reader_builds_the_constructors_components():
+    # The reader skips FixedComponent's checks; what it builds must be
+    # what the constructor builds, field by field and type by type.
+    documents = _valid_documents()
+    assert len(documents) == 800 + 800 + 71
+    for payload in documents:
+        read = FixedPointData.from_json_dict(payload).components
+        built = reference_from_json_dict(payload).components
+        assert len(read) == len(built)
+        for got, want in zip(read, built):
+            assert type(got) is FixedComponent
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+            assert vars(got) == vars(want)
+            assert [(k, type(v)) for k, v in vars(got).items()] == [
+                (k, type(v)) for k, v in vars(want).items()
+            ]
 
 
 def test_mapping_proxy_entries_are_accepted():

@@ -1,12 +1,14 @@
-"""Golden digests of the ``restrict-table``, ``classify``, ``localize``
-and ``dh-check`` reports.
+"""Golden digests of the ``validate``, ``restrict-table``, ``classify``,
+``localize`` and ``dh-check`` reports.
 
 The corpus is the 71 benchmark family presets plus the data extracted
 from the 6 builtin polytopes. Each digest is the sha256 over every
 datum's name, exit code and report bytes, in corpus order. The
 benchmark's correctness gate checks only the structured format, and
-only on the presets; these pin the text format and the builtin data as
-well.
+only on the presets and the fuzz pools; these pin the text format and
+the builtin data as well. The text reports of all five data commands
+on fuzz pool 1 are pinned by one more digest, so the rejection path's
+text rendering is covered too.
 
 The example scripts' stdout is pinned the same way: they are the only
 callers of ``b_plus_minus`` and ``slice_polygon`` outside the tests.
@@ -19,10 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from corpus import builtin_data, family_presets
+from corpus import builtin_data, family_presets, perfbench_module
 from semifree.cli import RunConfig, run
 
 GOLDEN_DIGESTS = {
+    ("validate", "text"):
+        "121984d752b6c5a7e6c6c48a6eabf09ee5a9580196dad5ce7a9e5f99d5b4c8bf",
+    ("validate", "structured"):
+        "9a1e268aee77fd08a152fa9240a66d2381eb41dd3e86c62e51d56318d097e648",
     ("restrict-table", "text"):
         "15262faaf597120081b10209540c380b864250c1ab84895bf61a589baccecd8a",
     ("restrict-table", "structured"):
@@ -62,6 +68,28 @@ def test_report_digest_frozen(corpus, command, output_format):
         h.update(f"{name}\0{code}\0{len(out)}\0".encode())
         h.update(out)
     assert h.hexdigest() == GOLDEN_DIGESTS[(command, output_format)]
+
+
+FUZZ_TEXT_DIGEST = "3df99a1d3b785299dacc804cd51db1b7e7d5877030935dd4b72c54f51ef44438"
+
+
+def test_fuzz_pool_text_reports_digest_frozen():
+    # An exception that escapes ``run`` is digested by its class, as the
+    # benchmark's correctness gate records it (C.1's solver stalls).
+    workloads = perfbench_module("workloads")
+    configs = [RunConfig(command=command) for command in workloads.DATA_COMMANDS]
+    h = hashlib.sha256()
+    for position, raw in enumerate(workloads.fuzz_pool(1)):
+        for config in configs:
+            h.update(f"{position}\0{config.command}\0".encode())
+            try:
+                code, out = run(config, raw)
+            except Exception as exc:  # noqa: BLE001 - a raise is an outcome here
+                h.update(f"raise:{type(exc).__name__}\0".encode())
+                continue
+            h.update(f"{code}\0{len(out)}\0".encode())
+            h.update(out)
+    assert h.hexdigest() == FUZZ_TEXT_DIGEST
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

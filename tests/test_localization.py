@@ -14,9 +14,16 @@ from corpus import (
     family_presets,
     fuzz_data,
 )
-from oracles import equivariant_euler, invert_euler
+from oracles import (
+    c1_power,
+    equivariant_euler,
+    invert_euler,
+    mul_terms,
+    multiply,
+    unit_restrictions,
+)
 from semifree._solve import Poly, Solution, solve_system
-from semifree.algebra import CarrierMismatchError, EquivariantClass, mul_terms
+from semifree.algebra import CarrierMismatchError, EquivariantClass
 from semifree import classifier, localization
 from semifree.classifier import (
     ChainResult,
@@ -39,6 +46,8 @@ from semifree.localization import (
     RestrictionTable,
     _build_skeleton,
     _c1_power_integrals,
+    _c1_power_sum,
+    _c1_shape,
     _integration_equations,
     _SkeletonClass,
     abbv_integrate,
@@ -46,7 +55,6 @@ from semifree.localization import (
     c1_restrictions,
     dh_path,
     solve_restriction_table,
-    unit_restrictions,
     w2_vanishes,
 )
 from semifree.rationals import canon
@@ -167,7 +175,7 @@ def test_low_degree_integrals_vanish(tag, params):
     data = family_instance(tag, **params)
     ones = unit_restrictions(data)
     c1 = c1_restrictions(data)
-    squares = tuple(r * r for r in c1)
+    squares = tuple(multiply(r, r) for r in c1)
     assert abbv_integrate(data, ones) == {}
     assert abbv_integrate(data, c1) == {}
     assert abbv_integrate(data, squares) == {}
@@ -176,7 +184,7 @@ def test_low_degree_integrals_vanish(tag, params):
 def test_top_chern_integral_type_one():
     data = family_instance("1")
     c1 = c1_restrictions(data)
-    cubes = tuple(r * r * r for r in c1)
+    cubes = tuple(multiply(multiply(r, r), r) for r in c1)
     assert abbv_integrate(data, cubes) == {0: Fraction(54)}
 
 
@@ -191,7 +199,7 @@ def sphere_min_isolated_shape(n2, n4, b):
 def relations_hold(data):
     ones = unit_restrictions(data)
     c1 = c1_restrictions(data)
-    squares = tuple(r * r for r in c1)
+    squares = tuple(multiply(r, r) for r in c1)
     return (
         abbv_integrate(data, ones) == {}
         and abbv_integrate(data, c1) == {}
@@ -859,8 +867,8 @@ def test_equations_match_the_formed_products(corpus):
 
 def _integrands(data):
     c1 = c1_restrictions(data)
-    squares = tuple(r * r for r in c1)
-    cubes = tuple(a * b for a, b in zip(squares, c1))
+    squares = tuple(multiply(r, r) for r in c1)
+    cubes = tuple(multiply(a, b) for a, b in zip(squares, c1))
     return unit_restrictions(data), c1, squares, cubes
 
 
@@ -877,7 +885,7 @@ def reference_abbv_integrate(data, restrictions):
     """``abbv_integrate`` as it was: each Euler class inverted and each product formed."""
     total = {}
     for comp, restriction in zip(data.components, restrictions):
-        term = restriction * invert_euler(equivariant_euler(comp))
+        term = multiply(restriction, invert_euler(equivariant_euler(comp)))
         part = 0 if term.carrier == "point" else 1
         for k, pair in term.terms:
             if pair[part]:
@@ -965,6 +973,60 @@ def test_c1_power_integrals_match_the_formed_products(corpus):
         for name, values in want.items():
             assert list(got[name].items()) == list(values.items())
             assert [type(v) for v in got[name].values()] == [type(v) for v in values.values()]
+
+
+def _assert_homogeneous(data):
+    """The single sum of 1 + c_1 + c_1^2 + c_1^3 lies in lambda^-3..lambda^0,
+    and the integral of c_1^k that ``_c1_power_integrals`` reads off it
+    has at most the key k - 3."""
+    total = abbv_integrate(data, [_c1_power_sum(c) for c in data.components])
+    assert set(total) <= {-3, -2, -1, 0}
+    integrals = list(_c1_power_integrals(data))
+    assert [name for name, _ in integrals] == ["1", "c_1", "c_1^2", "c_1^3"]
+    for k, (_, values) in enumerate(integrals):
+        assert set(values) <= {k - 3}
+        assert values == ({k - 3: total[k - 3]} if k - 3 in total else {})
+
+
+@pytest.mark.parametrize("corpus", ["presets", "builtins", "fuzz1", "fuzz2", "enumerated"])
+def test_c1_power_integrals_are_homogeneous(corpus):
+    cases = EVERY_DATUM[corpus]()
+    assert cases
+    for _, data in cases:
+        _assert_homogeneous(data)
+
+
+@st.composite
+def normal_data(draw):
+    """A datum of one to five components of any kind, index and normal data."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    return FixedPointData(tuple(draw(normal_data_component(level)) for level in range(size)))
+
+
+@given(normal_data())
+@settings(max_examples=300, deadline=None)
+def test_c1_power_integrals_are_homogeneous_on_drawn_data(data):
+    _assert_homogeneous(data)
+
+
+@given(normal_data())
+@settings(max_examples=200, deadline=None)
+def test_c1_power_sum_is_the_sum_of_the_formed_powers(data):
+    # each power formed by the old multiplier, and by its closed form
+    for component in data.components:
+        c1 = c1_restriction(component)
+        a, gamma = _c1_shape(component)
+        total = {0: [1, 0]}
+        power = EquivariantClass.unit(component.kind)
+        for k in (1, 2, 3):
+            power = multiply(power, c1)
+            assert power == c1_power(component.kind, a, gamma, k)
+            for exp, (c, d) in power.terms:
+                acc = total.setdefault(exp, [0, 0])
+                acc[0] += c
+                acc[1] += d
+        want = tuple((exp, tuple(pair)) for exp, pair in sorted(total.items()) if any(pair))
+        assert _c1_power_sum(component) == EquivariantClass(component.kind, want)
 
 
 def test_abbv_integrate_errors_on_every_call():

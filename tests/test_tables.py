@@ -24,10 +24,10 @@ from fractions import Fraction
 import pytest
 
 from corpus import builtin_data, classified_fuzz_data, enumerated_members, family_presets, fuzz_data
-from oracles import equivariant_euler, invert_euler
+from oracles import coefficient, equivariant_euler, invert_euler, mul_terms
 from semifree import localization
 from semifree._solve import Poly, Solution, solve_linear, solve_system
-from semifree.algebra import POINT, EquivariantClass, mul_terms
+from semifree.algebra import POINT, EquivariantClass
 from semifree.classifier import euler_transport, family_instance
 from semifree.cli import RunConfig, run
 from semifree.fixed_points import _memo, classify_type, validate
@@ -123,8 +123,8 @@ def _old_c1_decomposition(classes, c1_values):
     for ci, target in enumerate(c1_values):
         for k in sorted(exponents):
             for part in (0, 1):
-                coeffs = {name: col[ci].coefficient(k)[part] for name, col in columns}
-                rows.append((coeffs, target.coefficient(k)[part]))
+                coeffs = {name: coefficient(col[ci], k)[part] for name, col in columns}
+                rows.append((coeffs, coefficient(target, k)[part]))
     names = [name for name, _ in columns]
     solved = solve_linear(rows, names)
     if solved is None:
