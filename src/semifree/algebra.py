@@ -59,9 +59,10 @@ def _coerce_pair(value: object) -> tuple[Rational, Rational]:
 class EquivariantClass:
     """Laurent polynomial ``sum_k (c_k + d_k u) lam^k`` on one carrier.
 
-    ``terms`` maps the exponent ``k`` to the pair ``(c_k, d_k)``; zero
-    pairs are dropped on construction.  Point carriers have no ``u``
-    part, so ``d_k = 0`` is enforced for them.
+    ``terms`` maps the exponent ``k`` to the pair ``(c_k, d_k)``;
+    ``make`` drops zero pairs, while the constructor keeps the terms it
+    is given.  Point carriers have no ``u`` part, so ``d_k = 0`` is
+    enforced for them.
     """
 
     carrier: str
@@ -211,14 +212,18 @@ class ReducedClass:
         return ReducedClass(self.space, tuple(canon(f * a) for a in self.coeffs))
 
 
-def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
+def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence, into: dict | None = None):
     """``sum a_i g_ij b_j`` over the non-zero Gram entries.
 
     A ``Poly`` when some summed product has a ``Poly`` factor (zero
     ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
+    Given ``into``, a monomial dict as ``Poly.accumulate`` fills, the sum
+    is added into it (the scalar part at ``()``) and ``into`` is returned,
+    so an equation of several pairings is summed in one dict and
+    canonicalized once by ``Poly.from_dict``.
     """
     scalar: Rational = 0
-    acc: dict = {}
+    acc: dict = {} if into is None else into
     poly = False
     for i, ai in enumerate(a):
         a_poly = isinstance(ai, Poly)
@@ -240,10 +245,10 @@ def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence):
                 bj.accumulate(acc, ai * g)
             else:
                 scalar += ai * g * bj
-    if not poly:
+    if into is None and not poly:
         return canon(scalar)
     acc[()] = acc.get((), 0) + scalar
-    return Poly.from_dict(acc)
+    return acc if into is not None else Poly.from_dict(acc)
 
 
 def pair(a: ReducedClass, b: ReducedClass) -> Rational:

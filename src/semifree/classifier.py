@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -234,10 +234,14 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
 # -- exceptional class enumeration ------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _minus_one_classes(
-    gram: Sequence[Sequence[int]], c1: Sequence[Rational]
-) -> list[tuple[int, ...]]:
+    gram: tuple[tuple[int, ...], ...], c1: tuple[Rational, ...]
+) -> tuple[tuple[int, ...], ...]:
     """Integer classes K with K.K = -1 and c1.K = 1, by one exact search.
+
+    A pure function of the chart's ``(gram, c1)``, so each pair is
+    searched once per process; a refusal is not kept and raises again.
 
     Over the unimodular clearing of c1, K = k0 + sum t_i b_i and K.K + 1
     is a quadratic q(t). Completing the square in t_0, t_1, ... (an exact
@@ -248,11 +252,11 @@ def _minus_one_classes(
     ``isqrt`` bound (Fincke and Pohst 1985); the innermost is solved exactly.
     """
     if any(c.denominator != 1 for c in c1):
-        return []
+        return ()
     c1_int = [c.numerator for c in c1]
     functional = _pairing_functional(gram, c1_int)
     if gcd(*functional) != 1:
-        return []
+        return ()
     if sum(c * f for c, f in zip(c1_int, functional)) <= 0:
         raise NotImplementedError("exceptional search needs c1.c1 > 0")
     clearing = unimodular_clearing(functional)
@@ -302,10 +306,10 @@ def _minus_one_classes(
                 search(i - 1, rest + a * (value - center) ** 2)
 
     search(n - 1, rest)
-    return out
+    return tuple(out)
 
 
-def _blow_down_candidates(chart: _Chart, searches: dict) -> list[tuple[int, ...]]:
+def _blow_down_candidates(chart: _Chart, searches: dict) -> Sequence[tuple[int, ...]]:
     """The classes a blow-down may contract; ``searches`` keeps each search."""
     if chart.base_genus > 0:
         candidates: list[tuple[int, ...]] = []
@@ -512,23 +516,26 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent, walks: dict) -> list[
     ``walks`` keeps the blow-down searches (see ``_walk``).
     """
     equations, crossings, chart = state.equations, state.crossings, state.top
+    gram = chart.gram
     if comp.is_surface:
         names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
         eta = [Poly.var(name) for name in names]
-        genus = comp.genus or 0
-        # Each pairing is formed once: eta.eta, c1.eta and e.eta.
-        eta_eta = _dot(chart.gram, eta, eta)
-        eqs = [eta_eta - _dot(chart.gram, chart.c1, eta) + (2 - 2 * genus)]
+        # Each equation is summed in one monomial dict and canonicalized once.
+        adjunction = _dot(gram, eta, eta, into={(): 2 - 2 * (comp.genus or 0)})
+        eqs = [Poly.from_dict(_dot(gram, [-c for c in chart.c1], eta, into=adjunction))]
         if comp.b_minus is not None or comp.b_plus is not None:
-            e_eta = _dot(chart.gram, chart.euler, eta)
+            e_eta = _dot(gram, chart.euler, eta, into={})
             if comp.b_minus is not None:
-                eqs.append(e_eta + Poly.const(comp.b_minus))
+                eqs.append(Poly.from_dict({**e_eta, (): e_eta[()] + comp.b_minus}))
             if comp.b_plus is not None:
-                eqs.append(e_eta + eta_eta - comp.b_plus)
+                acc = _dot(gram, eta, eta, into={**e_eta, (): e_eta[()] - comp.b_plus})
+                eqs.append(Poly.from_dict(acc))
+        # e + eta: each unknown is new, so it adds one monomial to its entry.
+        euler = (Poly.from_dict({**dict(e.terms), ((n, 1),): 1}) for e, n in zip(chart.euler, names))
         new_chart = _Chart(
-            gram=chart.gram,
+            gram=gram,
             c1=chart.c1,
-            euler=tuple(e + v for e, v in zip(chart.euler, eta)),
+            euler=tuple(euler),
             fiber=chart.fiber,
             base_genus=chart.base_genus,
             pristine=chart.pristine,
@@ -541,16 +548,14 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent, walks: dict) -> list[
     if comp.index == 4:
         out = []
         for k_class in _blow_down_candidates(chart, walks):
-            condition = _dot(chart.gram, chart.euler, k_class) - 1
-            if isinstance(condition, Poly) and condition.is_constant():
-                if condition.constant_value():
-                    continue
-                extra: tuple[Poly, ...] = ()
-            elif isinstance(condition, Poly):
-                extra = (condition,)
+            # e.K - 1 = 0 is an equation only while some unknown keeps a
+            # nonzero coefficient; a constant condition holds or kills the class.
+            condition = _dot(gram, chart.euler, k_class, into={(): -1})
+            if any(c for m, c in condition.items() if m):
+                extra: tuple[Poly, ...] = (Poly.from_dict(condition),)
+            elif condition[()]:
+                continue
             else:
-                if condition:
-                    continue
                 extra = ()
             contracted = _blow_down(chart, k_class)
             if contracted is not None:
@@ -615,19 +620,19 @@ def _terminal_variants(
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
         return []
-    e = chart.euler
+    e, gram = chart.euler, chart.gram
     if data.twist:
         if chart.fiber is None:
             return []
         eqs = [
-            _dot(chart.gram, e, chart.fiber) + Poly.const(qdiv(b_max, 2)),
-            _dot(chart.gram, e, e) + Poly.const(b_max),
+            Poly.from_dict(_dot(gram, e, chart.fiber, into={(): qdiv(b_max, 2)})),
+            Poly.from_dict(_dot(gram, e, e, into={(): b_max})),
         ]
         if b_max == 0:
-            section = _section_for(chart.gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
+            section = _section_for(gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
             if section is None:
                 return []
-            eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
+            eqs.append(Poly.from_dict(_dot(gram, e, section, into={(): -1})))
         return [(eqs, chart)]
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
@@ -635,10 +640,8 @@ def _terminal_variants(
         fibers = [fib for _, fib, _section in chart.bundle_forms]
     if not fibers:
         return []
-    square = _dot(chart.gram, e, e) + Poly.const(b_max)
-    return [
-        ([_dot(chart.gram, e, fib) - Poly.const(1), square], chart) for fib in fibers
-    ]
+    square = Poly.from_dict(_dot(gram, e, e, into={(): b_max}))
+    return [([Poly.from_dict(_dot(gram, e, fib, into={(): -1})), square], chart) for fib in fibers]
 
 
 # -- solving -----------------------------------------------------------------

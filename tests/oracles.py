@@ -1,4 +1,4 @@
-"""Equivariant classes formed and multiplied out, as the package once did.
+"""Former package code, kept as the reference of the tests' oracles.
 
 The package integrates in closed form against each component's Euler
 shape (``localization._euler_shape``) and never forms an Euler class,
@@ -7,11 +7,18 @@ of the tests form all three, multiply them out and integrate the
 product, so they check the closed form by a second route. The
 multiplier (``mul_terms``), the powers of c_1 (``c1_power``) and the
 unit restrictions are the package's own former code.
+
+``terminal_variants`` is the chain engine's former closing step, which
+formed each equation by ``Poly`` arithmetic on whole pairings; the
+engine now sums each equation in one monomial dict. The recursive walk
+of ``tests/test_walk.py`` closes its branches with it.
 """
 
 from typing import Iterable
 
-from semifree.algebra import CarrierMismatchError, EquivariantClass
+from semifree._solve import Poly
+from semifree.algebra import CarrierMismatchError, EquivariantClass, _dot
+from semifree.classifier import _section_for
 from semifree.fixed_points import FixedComponent, FixedPointData
 from semifree.localization import _euler_shape
 from semifree.rationals import Rational, canon, qdiv
@@ -114,3 +121,41 @@ def invert_euler(e: EquivariantClass) -> EquivariantClass:
     return EquivariantClass.make(
         e.carrier, {-k: (qdiv(1, c), 0), -k - 1: (0, -qdiv(d, c * c))}
     )
+
+
+def terminal_variants(data: FixedPointData, chart) -> list:
+    """The equations that close a chain branch under the maximum, with
+    the chart they close on; empty when the maximum cannot sit on it."""
+    maximum = data.maximum
+    if maximum.is_point:
+        if chart.rank != 1 or chart.gram[0][0] != 1 or abs(chart.c1[0]) != 3:
+            return []
+        h = qdiv(chart.c1[0], 3)
+        return [([chart.euler[0] - Poly.const(h)], chart)]
+    b_max = maximum.b
+    if b_max is None or chart.rank != 2:
+        return []
+    e = chart.euler
+    if data.twist:
+        if chart.fiber is None:
+            return []
+        eqs = [
+            _dot(chart.gram, e, chart.fiber) + Poly.const(qdiv(b_max, 2)),
+            _dot(chart.gram, e, e) + Poly.const(b_max),
+        ]
+        if b_max == 0:
+            section = _section_for(chart.gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
+            if section is None:
+                return []
+            eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
+        return [(eqs, chart)]
+    if chart.fiber is not None:
+        fibers = [chart.fiber]
+    else:
+        fibers = [fib for _, fib, _section in chart.bundle_forms]
+    if not fibers:
+        return []
+    square = _dot(chart.gram, e, e) + Poly.const(b_max)
+    return [
+        ([_dot(chart.gram, e, fib) - Poly.const(1), square], chart) for fib in fibers
+    ]

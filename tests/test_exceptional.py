@@ -161,6 +161,25 @@ def test_the_plane_blown_up_nine_times_is_refused():
         classifier._minus_one_classes(tuple(map(tuple, gram)), c1)
 
 
+def test_each_search_is_kept_once_as_a_tuple():
+    # The search is memoized per (gram, c1) for the process, so a caller
+    # gets the one shared result, which must not be mutable.
+    gram, c1 = _blown_up_plane(6)
+    first = classifier._minus_one_classes(tuple(map(tuple, gram)), c1)
+    assert type(first) is tuple and all(type(cls) is tuple for cls in first)
+    assert classifier._minus_one_classes(tuple(map(tuple, gram)), tuple(c1)) is first
+    other_gram, other_c1 = _blown_up_plane(5)
+    other = classifier._minus_one_classes(tuple(map(tuple, other_gram)), other_c1)
+    assert type(other) is tuple and len(other) == DEL_PEZZO_COUNTS[5]
+
+
+def test_a_refused_search_raises_on_every_call():
+    gram, c1 = _blown_up_plane(9)
+    for _ in range(3):
+        with pytest.raises(NotImplementedError, match=r"c1\.c1 > 0"):
+            classifier._minus_one_classes(tuple(map(tuple, gram)), c1)
+
+
 @pytest.mark.parametrize("b", range(-3, 4))
 def test_sphere_minimum_start_charts(b):
     chart = classifier._start_chart(surface(0, 0, genus=0, b=b))

@@ -5,7 +5,8 @@ a fault in a pairing helper would sit on both sides of it. Here the
 pairings that ``_cross`` and ``_blow_down`` use, ``_dot`` and
 ``_pairing_functional``, are checked against the sum over i, j of
 a_i g_ij b_j written out term by term in ``Poly`` arithmetic, on the
-Gram matrices the walk reaches. ``Poly.substitute``
+Gram matrices the walk reaches, both as a value and summed into a
+monomial dict (``into=``). ``Poly.substitute``
 and ``_mono_mul`` are checked against references on plain dicts that
 share no code with ``Poly``.
 """
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 from semifree import classifier
 from semifree._solve import Poly, SolverStallError, _mono_mul
-from semifree.fixed_points import FixedComponent, InvalidDataError
+from semifree.fixed_points import FixedComponent, InvalidDataError, point
 
 from corpus import fuzz_data
 
@@ -114,6 +116,44 @@ def test_dot_matches_the_written_out_sum():
             if not isinstance(got, Poly):
                 _assert_canonical_scalar(got)
             assert _as_poly(got) == _written_out(gram, a, b), (gram, a, b)
+
+
+def test_dot_into_adds_the_written_out_sum_into_a_prefilled_dict():
+    rng = random.Random(12002)
+    for gram in _reached_grams():
+        n = len(gram)
+        for _ in range(40):
+            a, b = _vector(rng, n), _vector(rng, n)
+            start = _affine(rng, names=("x", "y", "eta7_0"))
+            if rng.random() < 0.3:
+                # Terms that the sum cancels leave zero coefficients behind.
+                start = -_written_out(gram, a, b) + start
+            acc = dict(start.terms)
+            assert classifier._dot(gram, a, b, into=acc) is acc
+            assert Poly.from_dict(acc) == start + _written_out(gram, a, b), (gram, a, b)
+
+
+def _blow_down_state(euler):
+    """A walk state on the plane blown up twice, gram diag(1, -1, -1)."""
+    chart = classifier._blow_up(classifier._blow_up(classifier._start_chart(point(0, 0))))
+    return classifier._Branch((), (), replace(chart, euler=euler))
+
+
+def test_a_blow_down_condition_whose_unknowns_cancel_is_a_constant():
+    # With e = (x, -x, c), e.K = c for K = H - E1 - E2: x cancels, so
+    # e.K - 1 is a constant; it holds (c = 1) or kills the class (c = 2),
+    # and in neither case is it an equation. e.E1 = x stays an equation.
+    x = Poly.var("x")
+    line = (1, -1, -1)
+    for c, survives in ((1, True), (2, False)):
+        state = _blow_down_state((x, -x, Poly.const(c)))
+        assert line in classifier._blow_down_candidates(state.top, {})
+        branches = classifier._cross(state, 5, point(4, 1), {})
+        for branch in branches:
+            assert not any(eq.is_constant() for eq in branch.equations), branch.equations
+        assert (x - 1,) in [branch.equations for branch in branches]
+        line_top = classifier._blow_down(state.top, line)
+        assert any(b.equations == () and b.top == line_top for b in branches) is survives
 
 
 def test_pairing_functional_matches_the_written_out_sum():

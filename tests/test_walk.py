@@ -1,9 +1,14 @@
 """The memoized chain walk against the recursive walk it replaced.
 
 ``_advance`` below is the recursive walk the classifier used before the
-walk remembered its prefixes; it is kept here as the oracle. The shared
-walk must give the same branches in the same order, so the solver sees
-the same systems and the first-wins choice of a solution is unchanged.
+walk remembered its prefixes; it is kept here as the oracle. It forms
+every equation by ``Poly`` arithmetic on whole pairings and closes its
+branches with ``oracles.terminal_variants``, the engine's former closing
+step, so it shares no equation-building code with ``_cross`` and
+``_terminal_variants``, which sum each equation in one monomial dict.
+The shared walk must give the same branches in the same order, so the
+solver sees the same systems and the first-wins choice of a solution is
+unchanged.
 """
 
 from dataclasses import replace
@@ -14,12 +19,13 @@ from semifree import classifier
 from semifree._solve import Poly
 from semifree.fixed_points import FixedPointData, InvalidDataError, point
 
-from corpus import fuzz_data, middle_orderings
+from corpus import family_presets, fuzz_data, middle_orderings
+from oracles import terminal_variants
 
 
 def _advance(data, chart, ordering, equations, crossings, out):
     if not ordering:
-        for extra, top in classifier._terminal_variants(data, chart):
+        for extra, top in terminal_variants(data, chart):
             out.append(
                 classifier._Branch(
                     tuple(equations) + tuple(extra), tuple(crossings), top
@@ -120,6 +126,16 @@ def test_shared_walk_matches_the_recursive_walk_on_enumeration_shapes():
 
 def test_shared_walk_matches_the_recursive_walk_on_the_fuzz_pool():
     data_sets = [data for _, data in fuzz_data(1)]
+    assert _compare_walks(data_sets) > len(data_sets)
+
+
+def test_shared_walk_matches_the_recursive_walk_on_the_holdout_fuzz_pool():
+    data_sets = [data for _, data in fuzz_data(2)]
+    assert _compare_walks(data_sets) > len(data_sets)
+
+
+def test_shared_walk_matches_the_recursive_walk_on_the_family_presets():
+    data_sets = [data for _, data in family_presets()]
     assert _compare_walks(data_sets) > len(data_sets)
 
 
