@@ -274,15 +274,6 @@ class Poly:
                 acc[m2] = acc[m2] + c2 if m2 in acc else c2
         return Poly.from_dict(acc)
 
-    def __repr__(self) -> str:  # compact debugging form
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms:
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
-            parts.append(f"{c}{'*' + mono if mono else ''}")
-        return " + ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # linear algebra over the rationals
@@ -331,8 +322,6 @@ def solve_linear(
     """
     order = list(variables)
     mat = [[coeffs.get(v, 0) for v in order] + [rhs] for coeffs, rhs in rows]
-    if not mat:
-        return {v: 0 for v in order}, order
     n = len(order)
     red, pivots = rref(mat, col_limit=n)
     for r in red:
@@ -362,8 +351,6 @@ def span_coordinates(
         [b[j] for b in basis] + [t[j] for t in targets]
         for j in range(len(targets[0]) if targets else 0)
     ]
-    if not rows:
-        return [[0] * m for _ in targets]
     red, pivots = rref(rows, col_limit=m)
     out: list[list[Rational] | None] = []
     for col in range(m, m + len(targets)):
@@ -407,18 +394,12 @@ def sqrt_fraction(value: Rational) -> Rational | None:
     return qdiv(rn, rd)
 
 
-def _rational_roots(coeffs: list[Rational]) -> list[Rational] | None:
-    """Roots of a univariate polynomial of degree <= 2; None above that."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) > 3:
-        return None
-    if not coeffs:
-        raise ValueError("zero polynomial has no finite root set")
-    if len(coeffs) == 1:
-        return []
-    if len(coeffs) == 2:
-        return [qdiv(-coeffs[0], coeffs[1])]
+def _rational_roots(coeffs: list[Rational]) -> list[Rational]:
+    """The rational roots of ``c + b x + a x^2``, given as ``[c, b, a]`` with a != 0."""
+    if len(coeffs) != 3:
+        # The systems solved here are at most quadratic, and the linear
+        # closure leaves no linear or constant equation to split on.
+        raise ValueError(f"the case split takes a quadratic, got {coeffs!r}")
     c, b, a = coeffs
     root = sqrt_fraction(b * b - 4 * a * c)
     if root is None:
@@ -431,9 +412,11 @@ def solve_system(equations: Iterable[Poly]) -> list[Solution]:
 
     Strategy: exact linear elimination (expressing pivot variables as
     affine combinations of the rest), then case splits on equations that
-    become univariate of degree <= 2, recursing until every equation is
+    become univariate quadratics, recursing until every equation is
     satisfied. Branches without rational roots are discarded, which is
     sound because only rational solutions are admissible downstream.
+    Every system solved here is at most quadratic: the chain's pairings
+    and the integrals of products of two degree-2 classes.
     """
     variables = sorted(set().union(*(e.variables() for e in equations)) or set())
     out: list[Solution] = []
@@ -499,34 +482,33 @@ def _solve_rec(
                 new_eqs.append(e)
             eqs = new_eqs
             continue
-        if exprs:
-            # Eliminate pivot variables, solve the reduced system, then
-            # back-substitute each branch.
-            reduced = []
-            for e in eqs:
-                e = e.substitute(exprs)
-                if e.is_constant():
-                    if e.constant_value():
-                        return
-                    continue
-                reduced.append(e)
-            sub_out: list[Solution] = []
-            _solve_rec(reduced, {}, universe - set(exprs), sub_out)
-            for sol in sub_out:
-                values = sol.as_dict()
-                merged = {**fixed, **values}
-                # The sub-universe may still list variables pinned in
-                # ``fixed``; those are not free.
-                free = set(sol.free) - set(merged)
-                for var, expr in exprs.items():
-                    value = expr.substitute(values)
-                    if value.is_constant():
-                        merged[var] = value.constant_value()
-                    else:
-                        free.add(var)
-                _emit(merged, free, universe, out)
-            return
-        break
+        # Every linear row has a pivot, so with none forced some pivot
+        # has an expression: eliminate those pivot variables, solve the
+        # reduced system, then back-substitute each branch.
+        reduced = []
+        for e in eqs:
+            e = e.substitute(exprs)
+            if e.is_constant():
+                if e.constant_value():
+                    return
+                continue
+            reduced.append(e)
+        sub_out: list[Solution] = []
+        _solve_rec(reduced, {}, universe - set(exprs), sub_out)
+        for sol in sub_out:
+            values = sol.as_dict()
+            merged = {**fixed, **values}
+            # The sub-universe may still list variables pinned in
+            # ``fixed``; those are not free.
+            free = set(sol.free) - set(merged)
+            for var, expr in exprs.items():
+                value = expr.substitute(values)
+                if value.is_constant():
+                    merged[var] = value.constant_value()
+                else:
+                    free.add(var)
+            _emit(merged, free, universe, out)
+        return
 
     if not eqs:
         _emit(fixed, set(), universe, out)
@@ -537,10 +519,7 @@ def _solve_rec(
         if uni is None:
             continue
         var, coeffs = uni
-        roots = _rational_roots(coeffs)
-        if roots is None:
-            continue
-        for root in roots:
+        for root in _rational_roots(coeffs):
             _solve_rec(eqs, {**fixed, var: root}, universe, out)
         return
 
@@ -665,6 +644,7 @@ def integer_kernel_basis(vector: Sequence[int]) -> list[tuple[int, ...]]:
     zero with v, and unimodularity makes those rows a saturated basis.
     """
     if not any(vector):
+        # The one caller, a blow-down, pairs its class K to K.K = -1.
         raise ValueError("zero functional has full kernel")
     w = unimodular_clearing(vector)
     return [tuple(row) for row in w[1:]]

@@ -19,10 +19,12 @@ its vectors in the kernel basis by one elimination. A chart computes
 its canonical bundle forms once (``_Chart.bundle_forms``). One chain
 solve walks and solves only the first of the orderings whose step keys
 repeat, since those walk to the very same branches; the others are
-never generated (``_distinct_orderings``); so is a repeated walk state,
-and each chart's (-1)-classes are searched once (``_walk``). No cache outlives
-its chart, its call or its datum: the ``walks`` dict belongs to one
-chain solve, or in the enumeration to one minimum, and a datum keeps
+never generated (``_distinct_orderings``); so is a repeated walk state.
+Each chart's (-1)-classes are searched once per process
+(``_minus_one_classes``), a pure function of the chart's Gram matrix and
+c1. No other cache outlives its chart, its call or its datum: the
+``walks`` dict belongs to one chain solve, or in the enumeration to one
+minimum, and a datum keeps
 its solved chain (``_memo``), so the chain check, the Euler transport
 and their readers (the w2 selection rule, ``b_plus_minus`` and the
 sweep) share one solve.
@@ -162,31 +164,28 @@ def _pairing_functional(
 def _affine_parts(
     vec: Sequence[Poly],
 ) -> tuple[list[Rational], dict[str, list[Rational]]]:
-    const: list[Rational] = []
+    # Euler entries stay affine in the unknowns: no chart operation multiplies them.
+    const: list[Rational] = [0] * len(vec)
     per_var: dict[str, list[Rational]] = {}
-    n = len(vec)
     for j, entry in enumerate(vec):
-        lin = entry.as_linear()
-        if lin is None:
-            raise ValueError("chart vector is not affine in the unknowns")
-        c, coeffs = lin
-        const.append(c)
-        for var, value in coeffs.items():
-            per_var.setdefault(var, [0] * n)[j] = value
+        for m, c in entry.terms:
+            if m:
+                per_var.setdefault(m[0][0], [0] * len(vec))[j] = c
+            else:
+                const[j] = c
     return const, per_var
 
 
-def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
+def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart:
     """Contract a (-1)-class; the Euler condition is handled by the caller.
 
     The new chart's vectors are re-expressed in the kernel basis by one
     elimination: the constant part and each unknown's coefficients of
     the projected Euler vector, the shifted c1 and, when it pairs to
-    zero with the class, the fiber.
+    zero with the class, the fiber. As K.K = -1 and c1.K = 1, each of
+    them is orthogonal to K and so lies in the span of the kernel basis.
     """
     functional = _pairing_functional(chart.gram, k_class)
-    if not any(functional):
-        return None
     basis = integer_kernel_basis(functional)
     rows = [_pairing_functional(chart.gram, bi) for bi in basis]
     gram = tuple(
@@ -209,22 +208,17 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
         targets.append(chart.fiber)
     coords = span_coordinates(basis, targets)
     euler_coords, c1_coords = coords[: len(per_var) + 1], coords[len(per_var) + 1]
-    if c1_coords is None or any(t is None for t in euler_coords):
-        return None
     euler = []
     for j, c in enumerate(euler_coords[0]):
         entry = {(): c}
         for var, t in zip(per_var, euler_coords[1:]):
             entry[((var, 1),)] = t[j]
         euler.append(Poly.from_dict(entry))
-    fiber = None
-    if keeps_fiber and coords[-1] is not None:
-        fiber = tuple(coords[-1])
     return _Chart(
         gram=gram,
         c1=tuple(c1_coords),
         euler=tuple(euler),
-        fiber=fiber,
+        fiber=tuple(coords[-1]) if keeps_fiber else None,
         base_genus=chart.base_genus,
         pristine=None,
         exceptional=(),
@@ -236,12 +230,13 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart | None:
 
 @lru_cache(maxsize=256)
 def _minus_one_classes(
-    gram: tuple[tuple[int, ...], ...], c1: tuple[Rational, ...]
+    gram: tuple[tuple[int, ...], ...], c1: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Integer classes K with K.K = -1 and c1.K = 1, by one exact search.
 
     A pure function of the chart's ``(gram, c1)``, so each pair is
     searched once per process; a refusal is not kept and raises again.
+    A chart's c1 is integral, as every chart basis is a lattice basis.
 
     Over the unimodular clearing of c1, K = k0 + sum t_i b_i and K.K + 1
     is a quadratic q(t). Completing the square in t_0, t_1, ... (an exact
@@ -251,13 +246,10 @@ def _minus_one_classes(
     classes need not be finitely many. Each outer t_i runs over an
     ``isqrt`` bound (Fincke and Pohst 1985); the innermost is solved exactly.
     """
-    if any(c.denominator != 1 for c in c1):
-        return ()
-    c1_int = [c.numerator for c in c1]
-    functional = _pairing_functional(gram, c1_int)
+    functional = _pairing_functional(gram, c1)
     if gcd(*functional) != 1:
         return ()
-    if sum(c * f for c, f in zip(c1_int, functional)) <= 0:
+    if sum(c * f for c, f in zip(c1, functional)) <= 0:
         raise NotImplementedError("exceptional search needs c1.c1 > 0")
     clearing = unimodular_clearing(functional)
     k0, basis = clearing[0], clearing[1:]
@@ -309,24 +301,21 @@ def _minus_one_classes(
     return tuple(out)
 
 
-def _blow_down_candidates(chart: _Chart, searches: dict) -> Sequence[tuple[int, ...]]:
-    """The classes a blow-down may contract; ``searches`` keeps each search."""
+def _blow_down_candidates(chart: _Chart) -> Sequence[tuple[int, ...]]:
+    """The classes K a blow-down may contract; each has K.K = -1 and c1.K = 1.
+
+    Over a base of positive genus these are each open exceptional class E
+    and F - E for the fiber F (F.F = F.E = 0, c1.F = 2).
+    """
     if chart.base_genus > 0:
         candidates: list[tuple[int, ...]] = []
         for idx in chart.exceptional:
             w = tuple(1 if j == idx else 0 for j in range(chart.rank))
             candidates.append(w)
-            if chart.fiber is not None and all(
-                f.denominator == 1 for f in chart.fiber
-            ):
-                candidates.append(
-                    tuple(f.numerator - wi for f, wi in zip(chart.fiber, w))
-                )
+            if chart.fiber is not None:
+                candidates.append(tuple(f - wi for f, wi in zip(chart.fiber, w)))
         return candidates
-    key = (chart.gram, chart.c1)
-    if key not in searches:
-        searches[key] = _minus_one_classes(*key)
-    return searches[key]
+    return _minus_one_classes(chart.gram, chart.c1)
 
 
 # -- canonical forms of small charts -----------------------------------------
@@ -342,8 +331,7 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     rays: list[tuple[int, int]] = []
 
     def add(s: int, t: int) -> None:
-        if s == 0 and t == 0:
-            return
+        # (s, t) is never (0, 0): s = 1, c != 0 or t is a denominator.
         g = gcd(s, t)
         s, t = s // g, t // g
         if s < 0 or (s == 0 and t < 0):
@@ -370,7 +358,11 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 def _bundle_forms(
     chart: _Chart,
 ) -> list[tuple[ReducedSpaceType, tuple[int, int], tuple[int, int]]]:
-    """Canonical (space, fiber, section) presentations of a rank-2 chart."""
+    """Canonical (space, fiber, section) presentations of a rank-2 chart.
+
+    There is at least one. As c1.c1 = 8 - 8g at rank 2, a fiber F and its
+    section S give c1 = 2S + (2 - 2g - S.S)F, so S satisfies adjunction.
+    """
     if chart.rank != 2:
         return []
     g = chart.base_genus
@@ -381,52 +373,34 @@ def _bundle_forms(
             if _dot(chart.gram, chart.c1, fib) != 2:
                 continue
             section = _section_for(chart.gram, fib)
-            if section is None:
-                continue
             sq = _dot(chart.gram, section, section)
             space = trivial_bundle(g) if sq == 0 else nontrivial_bundle(g)
-            expect = 2 - 2 * g if sq == 0 else 1 - 2 * g
-            if _dot(chart.gram, chart.c1, section) != expect:
-                continue
             forms.append((space, fib, section))
     return forms
 
 
-def _section_for(
-    gram: Sequence[Sequence[int]], fib: tuple[int, int]
-) -> tuple[int, int] | None:
+def _section_for(gram: Sequence[Sequence[int]], fib: tuple[int, int]) -> tuple[int, int]:
+    """The S with S.fib = 1 and S.S in {0, -1}; it exists as every chart's
+    Gram matrix is unimodular, so a primitive fiber pairs to 1 with some class."""
     functional = _pairing_functional(gram, list(fib))
-    g = gcd(functional[0], functional[1])
-    if g != 1:
-        return None
-    clearing = unimodular_clearing(functional)
-    section = list(clearing[0])
-    # Normalize the self-pairing into {0, -1} by sliding along the fiber.
-    sq = _dot(gram, section, section)
-    shift = -(sq.numerator // 2) if sq.numerator % 2 == 0 else -((sq.numerator + 1) // 2)
-    section = [section[j] + shift * fib[j] for j in range(2)]
-    sq = _dot(gram, section, section)
-    if sq not in (0, -1):
-        return None
-    return (section[0], section[1])
+    section = list(unimodular_clearing(functional)[0])
+    # Each step along the fiber moves S.S by 2.
+    shift = -((_dot(gram, section, section) + 1) // 2)
+    return (section[0] + shift * fib[0], section[1] + shift * fib[1])
 
 
 def _chart_reduced_class(
     chart: _Chart, vec: Sequence[Rational]
 ) -> ReducedClass | None:
-    """Express a numeric chart vector as a canonical reduced class."""
+    """Express a numeric chart vector as a canonical reduced class, if the
+    chart has a canonical space; at rank 1 it is the plane, c1 = +-3h."""
     if chart.pristine is not None:
         return ReducedClass.make(chart.pristine, *vec)
     if chart.rank == 1:
-        if abs(chart.c1[0]) != 3:
-            return None
         h = qdiv(chart.c1[0], 3)
         return ReducedClass.make(projective_plane(), qdiv(vec[0], h))
     if chart.rank == 2:
-        forms = chart.bundle_forms
-        if not forms:
-            return None
-        space, fib, section = forms[0]
+        space, fib, section = chart.bundle_forms[0]
         q = _dot(chart.gram, vec, fib)
         sq = _dot(chart.gram, section, section)
         p = _dot(chart.gram, vec, section) - q * sq
@@ -509,11 +483,12 @@ def _distinct_arrangements(keyed: list[tuple[int, tuple]]) -> Iterable[tuple[int
             yield (pos, *rest)
 
 
-def _cross(state: _Branch, pos: int, comp: FixedComponent, walks: dict) -> list[_Branch]:
+def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
     """The walk states just above one crossing, in branch order.
 
-    A state is a ``_Branch`` whose ``top`` is the chart reached so far;
-    ``walks`` keeps the blow-down searches (see ``_walk``).
+    A state is a ``_Branch`` whose ``top`` is the chart reached so far.
+    ``comp`` is a middle component: an index-2 surface, or a point of
+    index 2 or 4 (``minimum`` and ``maximum`` refuse a second extreme).
     """
     equations, crossings, chart = state.equations, state.crossings, state.top
     gram = chart.gram
@@ -545,23 +520,19 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent, walks: dict) -> list[
         return [_Branch(equations + tuple(eqs), crossings + (log,), new_chart)]
     if comp.index == 2:
         return [_Branch(equations, crossings, _blow_up(chart))]
-    if comp.index == 4:
-        out = []
-        for k_class in _blow_down_candidates(chart, walks):
-            # e.K - 1 = 0 is an equation only while some unknown keeps a
-            # nonzero coefficient; a constant condition holds or kills the class.
-            condition = _dot(gram, chart.euler, k_class, into={(): -1})
-            if any(c for m, c in condition.items() if m):
-                extra: tuple[Poly, ...] = (Poly.from_dict(condition),)
-            elif condition[()]:
-                continue
-            else:
-                extra = ()
-            contracted = _blow_down(chart, k_class)
-            if contracted is not None:
-                out.append(_Branch(equations + extra, crossings, contracted))
-        return out
-    raise InvalidDataError(f"cannot cross {comp.describe()}")
+    out = []
+    for k_class in _blow_down_candidates(chart):
+        # e.K - 1 = 0 is an equation only while some unknown keeps a
+        # nonzero coefficient; a constant condition holds or kills the class.
+        condition = _dot(gram, chart.euler, k_class, into={(): -1})
+        if any(c for m, c in condition.items() if m):
+            extra: tuple[Poly, ...] = (Poly.from_dict(condition),)
+        elif condition[()]:
+            continue
+        else:
+            extra = ()
+        out.append(_Branch(equations + extra, crossings, _blow_down(chart, k_class)))
+    return out
 
 
 def _walk(
@@ -571,11 +542,11 @@ def _walk(
 
     The walk reads only the minimum and, per crossing, the step key
     ``("P", index)`` of a point or ``("S", pos, genus, b_plus, b_minus)``
-    of a surface, whose unknowns are named after ``pos``. ``walks`` maps
-    each walked prefix of such keys to its states, or to the error its
-    last step raised, so a prefix already in it is not walked again.
-    A prefix keeps each distinct state once, and ``walks`` also maps each
-    searched chart's ``(gram, c1)`` to its (-1)-classes.
+    of a surface, whose unknowns are named after ``pos``. ``walks`` holds
+    only prefixes: it maps each walked prefix of such keys, the minimum
+    first, to its states, or to the error its last step raised, so a
+    prefix already in it is not walked again. A prefix keeps each
+    distinct state once.
     """
     key: tuple = (data.minimum,)
     if key not in walks:
@@ -586,10 +557,10 @@ def _walk(
         key += (_step_key(pos, comp),)
         if key not in walks and not isinstance(states, Exception):
             try:
-                crossed = [new for old in states for new in _cross(old, pos, comp, walks)]
+                crossed = [new for old in states for new in _cross(old, pos, comp)]
                 # Only a blow-down can take two states to one.
                 walks[key] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
-            except (InvalidDataError, NotImplementedError) as exc:
+            except NotImplementedError as exc:
                 walks[key] = exc
         states = walks.get(key, states)
     if isinstance(states, Exception):
@@ -611,9 +582,11 @@ def _branches(
 def _terminal_variants(
     data: FixedPointData, chart: _Chart
 ) -> list[tuple[list[Poly], _Chart]]:
+    """The terminal equations of ``chart`` for each presentation of the
+    maximum; none when it cannot sit under the maximum."""
     maximum = data.maximum
     if maximum.is_point:
-        if chart.rank != 1 or chart.gram[0][0] != 1 or abs(chart.c1[0]) != 3:
+        if chart.rank != 1:
             return []
         h = qdiv(chart.c1[0], 3)
         return [([chart.euler[0] - Poly.const(h)], chart)]
@@ -629,17 +602,13 @@ def _terminal_variants(
             Poly.from_dict(_dot(gram, e, e, into={(): b_max})),
         ]
         if b_max == 0:
-            section = _section_for(gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
-            if section is None:
-                return []
+            section = _section_for(gram, chart.fiber)
             eqs.append(Poly.from_dict(_dot(gram, e, section, into={(): -1})))
         return [(eqs, chart)]
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
         fibers = [fib for _, fib, _section in chart.bundle_forms]
-    if not fibers:
-        return []
     square = Poly.from_dict(_dot(gram, e, e, into={(): b_max}))
     return [([Poly.from_dict(_dot(gram, e, fib, into={(): -1})), square], chart) for fib in fibers]
 
@@ -702,34 +671,37 @@ def _structural_check(data: FixedPointData) -> None:
 
 def _chain_solutions(
     data: FixedPointData, walks: dict | None = None
-) -> tuple[list[_ChainSolution], bool]:
-    """Solve the chain; ``walks`` shares walked prefixes (see ``_walk``)."""
+) -> list[_ChainSolution]:
+    """Solve the chain; ``walks`` shares walked prefixes (see ``_walk``).
+
+    An underdetermined chain raises ``MultipleSolutionsError``.
+    """
     _structural_check(data)
     walks = {} if walks is None else walks
     solutions: dict[tuple, _ChainSolution] = {}
-    unbounded = False
     for ordering in _distinct_orderings(data):
         for branch in _branches(data, ordering, walks):
             for sol in solve_system(list(branch.equations)):
                 if sol.free:
-                    unbounded = True
-                    continue
-                values = sol.as_dict()
-                resolved = _resolve_branch(branch, values)
-                if resolved is None:
-                    continue
-                solutions.setdefault(resolved.key, resolved)
-    return list(solutions.values()), unbounded
+                    # No datum tried, unvalidated ones included, leaves one free.
+                    raise MultipleSolutionsError(
+                        "the Euler chain is underdetermined for this data"
+                    )
+                resolved = _resolve_branch(branch, sol.as_dict())
+                if resolved is not None:
+                    solutions.setdefault(resolved.key, resolved)
+    return list(solutions.values())
 
 
 def _resolve_branch(
     branch: _Branch, values: Mapping[str, Rational]
 ) -> _ChainSolution | None:
+    """The crossings of a branch at ``values``, which fix every eta (each is
+    in its adjunction equation), or None for a non-integral or
+    non-positive dual class."""
     crossings: list[Crossing] = []
     key: list[tuple] = []
     for log in branch.crossings:
-        if not all(name in values for name in log.eta_vars):
-            return None
         eta_values = [values[name] for name in log.eta_vars]
         if any(v.denominator != 1 for v in eta_values):
             return None
@@ -749,21 +721,16 @@ def euler_chain_check(data: FixedPointData) -> bool:
     """Whether a consistent Euler-class chain exists for the data.
 
     The chain is solved once per datum and kept on it (``_memo``).
+    Malformed data and a refused (-1)-class search give False; an
+    underdetermined chain raises ``MultipleSolutionsError``.
     """
     try:
-        solutions, unbounded = _memo(data, "_chain", _chain_solutions)
+        return bool(_memo(data, "_chain", _chain_solutions))
     except (InvalidDataError, NotImplementedError):
         return False
-    return unbounded or bool(solutions)
 
 
-def _unique_solution(
-    solutions: list[_ChainSolution], unbounded: bool
-) -> _ChainSolution:
-    if unbounded:
-        raise MultipleSolutionsError(
-            "the Euler chain is underdetermined for this data"
-        )
+def _unique_solution(solutions: list[_ChainSolution]) -> _ChainSolution:
     if not solutions:
         raise NoSolutionError("no consistent Euler chain exists for this data")
     if len(solutions) > 1:
@@ -778,8 +745,10 @@ def euler_transport(data: FixedPointData) -> ChainResult:
     """Transport the level Euler class from the minimum to the maximum.
 
     Reads the one chain solve of the datum that ``euler_chain_check`` reads.
+    An underdetermined chain, like more than one solution, raises
+    ``MultipleSolutionsError``.
     """
-    return _chain_result(data, _unique_solution(*_memo(data, "_chain", _chain_solutions)))
+    return _chain_result(data, _unique_solution(_memo(data, "_chain", _chain_solutions)))
 
 
 def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult:
@@ -991,14 +960,11 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     def decide(
         candidate: FixedPointData, solutions: list[_ChainSolution] | None = None
     ) -> None:
-        unbounded = False
+        # Every shape is well formed, and every chart it reaches has
+        # rank <= 3, so c1.c1 >= 7 and the (-1)-class search never refuses.
         if solutions is None:
-            try:
-                solutions, unbounded = _chain_solutions(candidate, walks)
-            except (InvalidDataError, NotImplementedError):
-                reject("chain")
-                return
-        filled = _derive_splittings(candidate, solutions, unbounded)
+            solutions = _chain_solutions(candidate, walks)
+        filled = _derive_splittings(candidate, solutions)
         if filled is None:
             reject("chain")
             return
@@ -1008,7 +974,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if not _localization_relations_hold(filled):
             raise RuntimeError(f"invariant broken at the localization stage: {filled!r}")
         if all(c.is_surface for c in filled.components):
-            transport = _chain_result(filled, _unique_solution(solutions, unbounded))
+            transport = _chain_result(filled, _unique_solution(solutions))
             if dh_path(filled, 1, [], transport).verdict == "inconsistent":
                 reject("sweep")
                 return
@@ -1090,19 +1056,15 @@ def _solve_prefix(
     When all those solutions are bounded, the solutions of the branch
     for a maximum of degree ``b`` are exactly the ones with
     ``e.e = -b``. Returns None when some reduced system has a free
-    variable or stalls the solver, and no solutions when the walk
-    itself fails, which does not depend on ``b``.
+    variable or stalls the solver. A bounded solution fixes every
+    unknown (``_resolve_branch``), so ``e.e`` is a number.
     """
     walks = {} if walks is None else walks
-    try:
-        _structural_check(shape)
-        branches = [
-            branch
-            for ordering in _distinct_orderings(shape)
-            for branch in _branches(shape, ordering, walks)
-        ]
-    except (InvalidDataError, NotImplementedError):
-        return {}
+    branches = [
+        branch
+        for ordering in _distinct_orderings(shape)
+        for branch in _branches(shape, ordering, walks)
+    ]
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}
     for branch in branches:
         try:
@@ -1113,12 +1075,10 @@ def _solve_prefix(
             if sol.free:
                 return None
             values = sol.as_dict()
-            square = branch.equations[-1].substitute(values)
-            if not square.is_constant():
-                return None
             resolved = _resolve_branch(branch, values)
             if resolved is not None:
-                found = by_square.setdefault(square.constant_value(), {})
+                square = branch.equations[-1].substitute(values).constant_value()
+                found = by_square.setdefault(square, {})
                 found.setdefault(resolved.key, resolved)
     return {square: list(found.values()) for square, found in by_square.items()}
 
@@ -1129,18 +1089,18 @@ def _solve_rest(branch: _Branch) -> list[Solution]:
 
 
 def _derive_splittings(
-    data: FixedPointData, solutions: list[_ChainSolution], unbounded: bool
+    data: FixedPointData, solutions: list[_ChainSolution]
 ) -> FixedPointData | None:
     """Fill in (b_plus, b_minus) of middle surfaces from the chain solutions.
 
     Data without index-2 surfaces passes when its chain has a solution;
     otherwise the splittings are read off the one bounded solution, and
-    the data is None when there is no such unique solution or some
+    the data is None when there is no unique solution or some
     splitting is not integral.
     """
     if not any(comp.is_surface and comp.index == 2 for comp in data.components):
-        return data if unbounded or solutions else None
-    if unbounded or len(solutions) != 1:
+        return data if solutions else None
+    if len(solutions) != 1:
         return None
     components = list(data.components)
     for crossing in solutions[0].crossings:
@@ -1212,9 +1172,8 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
                 for n_mid in range(0, 3):
                     if b2_base + n2 + n_mid > 2:
                         continue
+                    # >= 0, and >= 1 under extremes of unequal kinds.
                     n4 = b2_base + n2 - (1 if max_is_surface else 0)
-                    if n4 < 0:
-                        continue
                     for mid_genera in itertools.combinations_with_replacement(
                         genera, n_mid
                     ):
@@ -1224,8 +1183,6 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
                             + [(4, None)] * n4
                             + [(2, g1) for g1 in mid_genera]
                         )
-                        if not middles and minimum.is_surface != max_is_surface:
-                            continue
                         for levels in _level_assignments(len(middles)):
                             top = max(levels, default=0) + 1
                             shape = FixedPointData(

@@ -589,7 +589,7 @@ def _match_type(data: FixedPointData) -> str:
         return UNCLASSIFIED
 
     if lo.is_surface and hi.is_point:
-        if data.twist or lo.genus != 0 or lo.b is None or lo.b % 2 == 0:
+        if data.twist or lo.genus != 0 or lo.b % 2 == 0:
             return UNCLASSIFIED
         if (
             len(mid_surfaces) == 1
@@ -603,8 +603,7 @@ def _match_type(data: FixedPointData) -> str:
     if lo.is_point and hi.is_surface:
         return UNCLASSIFIED
 
-    if lo.b is None or hi.b is None:
-        return UNCLASSIFIED
+    # validate's field completeness gives every surface extreme its b.
     if not middles:
         return "4" if data.twist else UNCLASSIFIED
     if (

@@ -145,8 +145,6 @@ def terminal_variants(data: FixedPointData, chart) -> list:
         ]
         if b_max == 0:
             section = _section_for(chart.gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
-            if section is None:
-                return []
             eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
         return [(eqs, chart)]
     if chart.fiber is not None:

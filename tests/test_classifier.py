@@ -21,7 +21,7 @@ from semifree.algebra import (
     trivial_bundle,
 )
 from semifree import classifier, cli
-from semifree._solve import SolverStallError
+from semifree._solve import SolverStallError, solve_system
 from semifree.classifier import (
     Crossing,
     b_plus_minus,
@@ -37,7 +37,12 @@ from semifree.fixed_points import (
     point,
     surface,
 )
-from semifree.localization import NoSolutionError, dh_path, solve_restriction_table
+from semifree.localization import (
+    MultipleSolutionsError,
+    NoSolutionError,
+    dh_path,
+    solve_restriction_table,
+)
 
 from corpus import fuzz_data, middle_orderings
 
@@ -197,10 +202,10 @@ def test_crossing_splitting_is_none_unless_integral(pair_eta_eta):
 
 def test_derive_splittings_rejects_a_non_integral_splitting():
     data = family_instance("1")
-    assert classifier._derive_splittings(data, *classifier._chain_solutions(data)) == data
+    assert classifier._derive_splittings(data, classifier._chain_solutions(data)) == data
     half = Crossing(1, Fraction(1, 2), 0, None)
     solution = classifier._ChainSolution(((1, Fraction(1, 2), 0),), (half,))
-    assert classifier._derive_splittings(data, [solution], False) is None
+    assert classifier._derive_splittings(data, [solution]) is None
 
 
 def dual_class_solve(data):
@@ -422,12 +427,9 @@ def test_prefix_shared_chain_matches_concrete_chain():
             candidate = classifier._with_maximum(shape, genus, b, twist)
             assert candidate not in seen
             seen.add(candidate)
-            try:
-                solved = classifier._chain_solutions(candidate)
-            except (InvalidDataError, NotImplementedError):
-                concrete = None
-            else:
-                concrete = classifier._derive_splittings(candidate, *solved)
+            # The enumeration's chain solves never raise.
+            solved = classifier._chain_solutions(candidate)
+            concrete = classifier._derive_splittings(candidate, solved)
             if solutions is None:
                 verdicts["concrete"] += 1
                 continue
@@ -436,7 +438,7 @@ def test_prefix_shared_chain_matches_concrete_chain():
                 assert concrete is None
             else:
                 verdicts["shared"] += 1
-                assert classifier._derive_splittings(candidate, solutions, False) == concrete
+                assert classifier._derive_splittings(candidate, solutions) == concrete
     assert len(seen) == 842
     assert all(verdicts.values())
 
@@ -569,7 +571,7 @@ def assert_chart_round_trips(minimum, times):
     for _ in range(times):
         up = classifier._blow_up(chart)
         e_n = tuple(int(j == up.rank - 1) for j in range(up.rank))
-        assert e_n in classifier._blow_down_candidates(up, {})
+        assert e_n in classifier._blow_down_candidates(up)
         chart = classifier._blow_down(up, e_n)
         assert chart is not None and chart.rank == start.rank
         assert _gram_det(chart.gram) == _gram_det(start.gram)
@@ -688,3 +690,60 @@ def test_chain_solve_is_fast_with_many_points_at_one_level():
         assert time.perf_counter() - started < 2
         assert code == 1
     assert len(classifier._distinct_orderings(data)) == 924
+
+
+# ---------------------------------------------------------------------------
+# the chain engine on data that validate would refuse
+
+
+@pytest.mark.parametrize(
+    "components, twist",
+    [
+        # One component: no minimum and maximum to walk between.
+        ((point(0, 0),), False),
+        # A middle above the maximum.
+        ((point(0, 0), point(2, 3), point(6, 2)), False),
+        # A surface minimum without b has no start chart.
+        ((surface(0, 0, genus=0), surface(4, 1, genus=0, b=0)), False),
+        # A point maximum over a rank-2 chart, where e = (-1, 1) + eta
+        # would otherwise solve e.H = 1 and adjunction.
+        ((point(0, 0), point(2, 1), surface(2, 2, genus=0), point(6, 3)), False),
+        # A surface maximum without b, and one over a rank-1 chart.
+        ((surface(0, 0, genus=0, b=0), surface(4, 1, genus=0)), False),
+        ((point(0, 0), surface(4, 1, genus=0, b=1)), False),
+        # A twisted surface maximum over a chart with no fiber.
+        ((point(0, 0), point(2, 1), surface(4, 2, genus=0, b=0)), True),
+    ],
+)
+def test_the_chain_check_refuses_malformed_data(components, twist):
+    assert euler_chain_check(FixedPointData(components, twist=twist)) is False
+
+
+def test_a_non_integral_dual_class_is_no_chain():
+    # The plane blown up once: the middle sphere's equations have the
+    # one rational solution eta = (3/2, -1/2), which is no integral class.
+    data = FixedPointData(
+        (point(0, 0), point(2, 1), surface(2, 2, genus=0), surface(4, 4, genus=0, b=0))
+    )
+    (ordering,) = classifier._distinct_orderings(data)
+    (branch,) = classifier._branches(data, ordering, {})
+    (solution,) = solve_system(list(branch.equations))
+    assert solution.as_dict() == {"eta2_0": Fraction(3, 2), "eta2_1": Fraction(-1, 2)}
+    assert classifier._chain_solutions(data) == []
+    assert euler_chain_check(data) is False
+
+
+def test_two_chains_make_the_transport_ambiguous():
+    # Two lines of the plane without splittings at one level: the chain
+    # solves with either one crossed first, and the two disagree.
+    data = FixedPointData(
+        (point(0, 0), surface(2, 1, genus=0), surface(2, 1, genus=0), point(6, 4))
+    )
+    assert euler_chain_check(data) is True
+    with pytest.raises(MultipleSolutionsError, match="2 distinct Euler chains"):
+        euler_transport(data)
+
+
+def test_b_plus_minus_needs_an_index_2_surface():
+    with pytest.raises(InvalidDataError, match="^b_plus_minus needs an index-2 surface$"):
+        b_plus_minus(family_instance("6a"), 0)

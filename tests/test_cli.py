@@ -468,6 +468,60 @@ def test_main_negative_genus_bound_exits_two(capsysbinary):
     assert b"genus <= -1" not in out
 
 
+def test_main_dh_check_prints_the_sweep_and_its_wall_areas(tmp_path, capsysbinary):
+    path = tmp_path / "6a.json"
+    path.write_bytes(family_instance("6a").dumps().encode())
+    assert main(["dh-check", "--alpha0", "3", "--gaps", "1", str(path)]) == 0
+    assert capsysbinary.readouterr().out.decode().splitlines() == [
+        "verdict: positive",
+        "complete sweep: no",
+        "  t=0: (3)*x",
+        "  t=1: (3)*x + (1)*y",
+        "wall areas: 7",
+    ]
+    # An empty --gaps is no gap at all.
+    assert main(["dh-check", "--alpha0", "3", "--gaps", "", str(path)]) == 0
+    assert capsysbinary.readouterr().out.decode().splitlines() == [
+        "verdict: positive",
+        "complete sweep: no",
+        "  t=0: (3)*x",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dh-check", "--gaps", "x"], "argument --gaps: malformed rational 'x'"),
+        (["dh-check", "--alpha0", "q"], "argument --alpha0: malformed rational 'q'"),
+        (
+            ["enumerate", "--b-range", "a..b"],
+            "argument --b-range: expected LO..HI integers, got 'a..b'",
+        ),
+    ],
+)
+def test_main_bad_argument_values_exit_two(argv, message, capsysbinary):
+    assert main(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert message in captured.err.decode()
+
+
+@pytest.mark.parametrize(
+    "position, entry, message",
+    [
+        (0, 5, "error: bad facet entry 0: not an object\n"),
+        (1, None, "error: bad facet entry 1: offset: malformed rational 'one'\n"),
+    ],
+)
+def test_a_malformed_facet_entry_exits_two(position, entry, message):
+    payload = polytope_to_json_dict(builtin_examples()["type4"])
+    payload["facets"][position] = (
+        {**payload["facets"][position], "offset": "one"} if entry is None else entry
+    )
+    code, out = run(RunConfig("polytope-check"), json.dumps(payload).encode())
+    assert (code, out.decode()) == (2, message)
+
+
 def test_main_builtin_to_stdout(capsysbinary):
     assert main(["polytope-builtin", "type3_bmin1"]) == 0
     payload = json.loads(capsysbinary.readouterr().out)

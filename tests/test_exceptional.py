@@ -21,7 +21,6 @@ import pytest
 from semifree import classifier
 from semifree._solve import (
     SolverStallError,
-    _rational_roots,
     sqrt_fraction,
     unimodular_clearing,
 )
@@ -33,6 +32,18 @@ from semifree.rationals import qdiv
 from corpus import family_presets, fuzz_data
 
 DEL_PEZZO_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+
+
+def _roots(c, b, a):
+    """The rational roots of c + b t + a t^2, where a and b may vanish."""
+    if a:
+        root = sqrt_fraction(b * b - 4 * a * c)
+        return [] if root is None else sorted({qdiv(-b + root, 2 * a), qdiv(-b - root, 2 * a)})
+    if b:
+        return [qdiv(-c, b)]
+    if c:
+        return []
+    raise ValueError("zero polynomial has no finite root set")
 
 
 def _ranked_minus_one_classes(gram, c1):
@@ -64,7 +75,7 @@ def _ranked_minus_one_classes(gram, c1):
         ))
 
     if len(basis) == 1:
-        for root in _rational_roots([c0 + 1, 2 * b[0], m[0][0]]) or []:
+        for root in _roots(c0 + 1, 2 * b[0], m[0][0]):
             if root.denominator == 1:
                 emit([root.numerator])
         return out
@@ -251,8 +262,7 @@ def test_three_blow_ups_then_three_blow_downs_have_one_chain():
             point(6, 7),
         )
     )
-    solutions, unbounded = classifier._chain_solutions(data)
-    assert len(solutions) == 1 and not unbounded
+    assert len(classifier._chain_solutions(data)) == 1
     code, out = run(RunConfig(command="classify"), data.dumps().encode())
     assert code == 0
     assert "wall-crossing chain consistent: yes" in out.decode().splitlines()

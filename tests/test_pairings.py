@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from semifree import classifier
 from semifree._solve import Poly, SolverStallError, _mono_mul
-from semifree.fixed_points import FixedComponent, InvalidDataError, point
+from semifree.fixed_points import InvalidDataError, point
 
 from corpus import fuzz_data
 
@@ -40,9 +40,9 @@ def _reached_grams() -> tuple[tuple[tuple[int, ...], ...], ...]:
             classifier._chain_solutions(data, walks)
         except (InvalidDataError, NotImplementedError, SolverStallError):
             pass
-        for key, states in walks.items():
-            # Skip the errors and the (-1)-class searches the walks keep.
-            if isinstance(states, Exception) or not isinstance(key[0], FixedComponent):
+        for states in walks.values():
+            # Skip the errors the walks keep.
+            if isinstance(states, Exception):
                 continue
             for state in states:
                 charts = [state.top] + [log.chart for log in state.crossings]
@@ -147,8 +147,8 @@ def test_a_blow_down_condition_whose_unknowns_cancel_is_a_constant():
     line = (1, -1, -1)
     for c, survives in ((1, True), (2, False)):
         state = _blow_down_state((x, -x, Poly.const(c)))
-        assert line in classifier._blow_down_candidates(state.top, {})
-        branches = classifier._cross(state, 5, point(4, 1), {})
+        assert line in classifier._blow_down_candidates(state.top)
+        branches = classifier._cross(state, 5, point(4, 1))
         for branch in branches:
             assert not any(eq.is_constant() for eq in branch.equations), branch.equations
         assert (x - 1,) in [branch.equations for branch in branches]

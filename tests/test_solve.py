@@ -100,6 +100,13 @@ def test_feasible_strict_box():
     assert not feasible(rows)
 
 
+def test_constant_value_refuses_a_variable():
+    assert Poly.const(F(3, 2)).constant_value() == F(3, 2)
+    assert Poly(()).constant_value() == 0
+    with pytest.raises(ValueError, match="not a constant"):
+        Poly.var("x").constant_value()
+
+
 def test_sqrt_fraction():
     assert sqrt_fraction(F(49, 4)) == F(7, 2)
     assert sqrt_fraction(F(2)) is None

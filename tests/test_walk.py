@@ -63,7 +63,7 @@ def _advance(data, chart, ordering, equations, crossings, out):
         _advance(data, classifier._blow_up(chart), rest, equations, crossings, out)
         return
     if comp.index == 4:
-        for k_class in classifier._blow_down_candidates(chart, {}):
+        for k_class in classifier._blow_down_candidates(chart):
             condition = dot(chart.gram, chart.euler, k_class) - 1
             if isinstance(condition, Poly) and condition.is_constant():
                 if condition.constant_value():
@@ -76,8 +76,6 @@ def _advance(data, chart, ordering, equations, crossings, out):
                     continue
                 extra = []
             contracted = classifier._blow_down(chart, k_class)
-            if contracted is None:
-                continue
             _advance(data, contracted, rest, equations + extra, crossings, out)
         return
     raise InvalidDataError(f"cannot cross {comp.describe()}")
