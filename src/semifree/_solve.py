@@ -399,7 +399,7 @@ def _rational_roots(coeffs: list[Rational]) -> list[Rational]:
     if len(coeffs) != 3:
         # The systems solved here are at most quadratic, and the linear
         # closure leaves no linear or constant equation to split on.
-        raise ValueError(f"the case split takes a quadratic, got {coeffs!r}")
+        raise RuntimeError(f"invariant broken: the case split takes a quadratic, got {coeffs!r}")
     c, b, a = coeffs
     root = sqrt_fraction(b * b - 4 * a * c)
     if root is None:
@@ -645,6 +645,6 @@ def integer_kernel_basis(vector: Sequence[int]) -> list[tuple[int, ...]]:
     """
     if not any(vector):
         # The one caller, a blow-down, pairs its class K to K.K = -1.
-        raise ValueError("zero functional has full kernel")
+        raise RuntimeError("invariant broken: zero functional has full kernel")
     w = unimodular_clearing(vector)
     return [tuple(row) for row in w[1:]]

@@ -24,16 +24,16 @@ Each chart's (-1)-classes are searched once per process
 (``_minus_one_classes``), a pure function of the chart's Gram matrix and
 c1. No other cache outlives its chart, its call or its datum: the
 ``walks`` dict belongs to one chain solve, or in the enumeration to one
-minimum, and a datum keeps
-its solved chain (``_memo``), so the chain check, the Euler transport
-and their readers (the w2 selection rule, ``b_plus_minus`` and the
-sweep) share one solve.
+minimum, and a datum keeps its solved chain (``_memo``), so the chain
+check, the Euler transport and their readers (the w2 selection rule,
+``b_plus_minus`` and the sweep) share one solve.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
 calculus, the normal splittings of middle surfaces read off the solved
 chain, and a bounded exhaustive enumeration of all admissible data
-shapes with small second Betti number, grouped into families.
+shapes with small second Betti number, grouped into families; it
+builds each shape once and tallies the unbuilt chain rejects per ``b``.
 """
 
 from __future__ import annotations
@@ -922,7 +922,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     has never happened, so either raises RuntimeError as a fault.
 
     The walk is shape-first. A shape is the minimum, the middles with
-    their levels, and the maximum's kind and level; ``_shapes`` yields
+    their levels, and the maximum's kind and level; ``_shapes`` builds
     each one once, grouped by minimum. All chain walks of one minimum
     share one ``walks`` dict: the walk reads neither the levels nor the
     maximum, so a chain prefix is walked once for every ordering, shape
@@ -934,10 +934,10 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     branch, ``e.e + b = 0``. Every branch of the shape is solved once
     without that equation (``_solve_prefix``), and an untwisted maximum
     of degree ``b`` keeps the solutions whose ``e.e`` equals ``-b``. A
-    maximum that keeps none is rejected at the chain stage without
-    building its candidate. A shape whose reduced system has a free
-    variable or stalls the solver, and every twisted candidate, takes
-    the concrete chain solve instead.
+    ``b`` that keeps none adds all its genera to the chain tally in one
+    step, and no candidate of it is built. A shape whose reduced system
+    has a free variable or stalls the solver, and every twisted
+    candidate, takes the concrete chain solve instead.
 
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage: the splittings are read off its
@@ -954,8 +954,8 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     rejected: dict[str, int] = {}
     families: dict[str, list[FixedPointData]] = {}
 
-    def reject(stage: str) -> None:
-        rejected[stage] = rejected.get(stage, 0) + 1
+    def reject(stage: str, count: int = 1) -> None:
+        rejected[stage] = rejected.get(stage, 0) + count
 
     def decide(
         candidate: FixedPointData, solutions: list[_ChainSolution] | None = None
@@ -991,14 +991,24 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if shape.maximum.is_point:
             decide(shape)
             continue
-        for genus, b, twist, solutions in _surface_maxima(
-            shape, genera, b_values, walks
+        by_square = _solve_prefix(shape, walks)
+        solved = [b for b in b_values if by_square is None or -b in by_square]
+        unbuilt = len(b_values) - len(solved)
+        if unbuilt:
+            # No e.e = -b solution: every genus of such a b is rejected
+            # without building its candidate.
+            reject("chain", unbuilt * len(genera))
+        for genus in genera:
+            for b in solved:
+                solutions = None if by_square is None else by_square[-b]
+                decide(_with_maximum(shape, genus, b), solutions)
+        if (
+            all(c.is_surface for c in shape.components)
+            and minimum.genus == 0
+            and minimum.b % 2 == 0
         ):
-            if solutions is not None and not solutions:
-                # No e.e = -b solution: rejected without building it.
-                reject("chain")
-            else:
-                decide(_with_maximum(shape, genus, b, twist), solutions)
+            for b in b_values[lo % 2 :: 2]:  # every even b
+                decide(_with_maximum(shape, 0, b, twist=True))
     return EnumerationResult(
         max_genus=max_genus,
         b_range=(lo, hi),
@@ -1008,31 +1018,6 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         },
         rejected=rejected,
     )
-
-
-def _surface_maxima(
-    shape: FixedPointData, genera: range, b_values: range, walks: dict | None = None
-) -> Iterable[tuple[int, int, bool, list[_ChainSolution] | None]]:
-    """Every surface maximum of ``shape``, with the chain solutions that decide it.
-
-    Yields ``(genus, b, twist, solutions)`` for each candidate the shape
-    stands for. ``solutions`` are the candidate's chain solutions, read
-    off the shape's one prefix solve; they are None when the candidate
-    needs the concrete chain solve.
-    """
-    by_square = _solve_prefix(shape, walks)
-    minimum = shape.minimum
-    twistable = (
-        all(c.is_surface for c in shape.components)
-        and minimum.genus == 0
-        and minimum.b % 2 == 0
-    )
-    for genus in genera:
-        for b in b_values:
-            solutions = None if by_square is None else by_square.get(-b, [])
-            yield genus, b, False, solutions
-            if twistable and genus == 0 and b % 2 == 0:
-                yield genus, b, True, None
 
 
 def _with_maximum(
@@ -1156,22 +1141,24 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
     """Every candidate shape once, a surface maximum standing as genus 0, ``b = 0``.
 
     Two level assignments give the same shape when they permute equal
-    middles, so duplicates share their minimum and the seen set lives
-    for one minimum.
+    middles. Equal middles are listed next to each other, so the first
+    assignment of each shape is the one whose levels never fall between
+    equal neighbours, and only it is built. Components and assignments
+    are built once per call.
     """
+    assignments = lru_cache(maxsize=None)(_level_assignments)
+    point_at, surface_at = lru_cache(maxsize=None)(point), lru_cache(maxsize=None)(surface)
     minima = [point(0, 0)] + [
         surface(0, 0, genus=g, b=b) for g in genera for b in b_values
     ]
     for minimum in minima:
-        seen: set[FixedPointData] = set()
         b2_base = 1 if minimum.is_surface else 0
         # A point minimum under a surface maximum mirrors a surface
         # minimum under a point maximum; it is counted there.
         for max_is_surface in (False, True) if minimum.is_surface else (False,):
-            for n2 in range(0, 3):
-                for n_mid in range(0, 3):
-                    if b2_base + n2 + n_mid > 2:
-                        continue
+            for n2 in range(3):
+                # The second Betti number b2_base + n2 + n_mid stays below 3.
+                for n_mid in range(3 - b2_base - n2):
                     # >= 0, and >= 1 under extremes of unequal kinds.
                     n4 = b2_base + n2 - (1 if max_is_surface else 0)
                     for mid_genera in itertools.combinations_with_replacement(
@@ -1183,25 +1170,27 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
                             + [(4, None)] * n4
                             + [(2, g1) for g1 in mid_genera]
                         )
-                        for levels in _level_assignments(len(middles)):
+                        for levels in assignments(len(middles)):
+                            if any(
+                                m == n and lo > hi
+                                for m, n, lo, hi in zip(middles, middles[1:], levels, levels[1:])
+                            ):
+                                continue
                             top = max(levels, default=0) + 1
-                            shape = FixedPointData(
+                            yield FixedPointData(
                                 (
                                     minimum,
                                     *(
-                                        point(index, level)
+                                        point_at(index, level)
                                         if g1 is None
-                                        else surface(2, level, genus=g1)
+                                        else surface_at(2, level, g1)
                                         for (index, g1), level in zip(middles, levels)
                                     ),
-                                    surface(4, top, genus=0, b=0)
+                                    surface_at(4, top, 0, 0)
                                     if max_is_surface
-                                    else point(6, top),
+                                    else point_at(6, top),
                                 )
                             )
-                            if shape not in seen:
-                                seen.add(shape)
-                                yield shape
 
 
 def _level_assignments(count: int) -> tuple[tuple[int, ...], ...]:

@@ -603,17 +603,13 @@ def _match_type(data: FixedPointData) -> str:
     if lo.is_point and hi.is_surface:
         return UNCLASSIFIED
 
-    # validate's field completeness gives every surface extreme its b.
+    # validate's field completeness gives every surface extreme its b, and
+    # its N2 = N4 with b2 < 3 leaves three cases: no middles, one {2, 4}
+    # point pair, or one middle surface.
     if not middles:
         return "4" if data.twist else UNCLASSIFIED
-    if (
-        len(mid_points) == 2
-        and not mid_surfaces
-        and {c.index for c in mid_points} == {2, 4}
-    ):
-        if lo.genus == 0 and hi.genus == 0 and lo.b % 2 == 1 and hi.b % 2 == 1:
-            return "5"
-        return UNCLASSIFIED
-    if len(mid_surfaces) == 1 and not mid_points:
+    if mid_surfaces:
         return "6b" if data.twist else "6a"
+    if lo.genus == 0 and hi.genus == 0 and lo.b % 2 == 1 and hi.b % 2 == 1:
+        return "5"
     return UNCLASSIFIED

@@ -408,23 +408,42 @@ def test_enumeration_report_digest_frozen(bounds):
     assert _enumeration_digest(*bounds) == ENUMERATION_DIGESTS[bounds]
 
 
-def test_prefix_shared_chain_matches_concrete_chain():
+def test_prefix_shared_chain_matches_concrete_chain(small_enumeration):
     # Every unique candidate at (1, -2..2) is built here, also those the
-    # shape path rejects without building one; the shape path's verdict
-    # must equal the concrete chain solve's on each.
+    # enumeration tallies in bulk without building one. Each is solved
+    # concretely: a bulk-tallied candidate has no chain, and a verdict
+    # read off the shape's prefix solve equals the concrete one.
     genera, b_values = range(2), range(-2, 3)
     seen = set()
     verdicts = {"unbuilt": 0, "shared": 0, "concrete": 0}
+    bulk = chainless = 0
     for shape in classifier._shapes(genera, b_values):
         if shape.maximum.is_point:
-            assert shape not in seen
-            seen.add(shape)
-            verdicts["concrete"] += 1
-            continue
-        for genus, b, twist, solutions in classifier._surface_maxima(
-            shape, genera, b_values
-        ):
-            candidate = classifier._with_maximum(shape, genus, b, twist)
+            candidates = [(shape, None)]
+        else:
+            by_square = classifier._solve_prefix(shape)
+            if by_square is not None:
+                bulk += len(genera) * sum(-b not in by_square for b in b_values)
+            candidates = [
+                (
+                    classifier._with_maximum(shape, genus, b),
+                    None if by_square is None else by_square.get(-b, []),
+                )
+                for genus in genera
+                for b in b_values
+            ]
+            minimum = shape.minimum
+            if (
+                all(c.is_surface for c in shape.components)
+                and minimum.genus == 0
+                and minimum.b % 2 == 0
+            ):
+                candidates += [
+                    (classifier._with_maximum(shape, 0, b, twist=True), None)
+                    for b in b_values
+                    if b % 2 == 0
+                ]
+        for candidate, solutions in candidates:
             assert candidate not in seen
             seen.add(candidate)
             # The enumeration's chain solves never raise.
@@ -432,15 +451,89 @@ def test_prefix_shared_chain_matches_concrete_chain():
             concrete = classifier._derive_splittings(candidate, solved)
             if solutions is None:
                 verdicts["concrete"] += 1
-                continue
-            if not solutions:
+            elif not solutions:
                 verdicts["unbuilt"] += 1
                 assert concrete is None
             else:
                 verdicts["shared"] += 1
                 assert classifier._derive_splittings(candidate, solutions) == concrete
+            chainless += concrete is None
     assert len(seen) == 842
     assert all(verdicts.values())
+    assert verdicts["unbuilt"] == bulk
+    assert small_enumeration.rejected["chain"] == chainless
+
+
+def test_enumeration_counts_at_genus_five_and_degree_ten():
+    # Recorded with one chain reject tallied per candidate, before the
+    # unbuilt rejects of a b were tallied in bulk.
+    result = enumerate_types(5, (-10, 10))
+    counts = {key: len(members) for key, members in result.families.items()}
+    assert counts == {"1": 1, "2": 1, "3": 21, "4": 1, "5": 3, "6": 533}
+    assert result.rejected == {"chain": 160025, "sweep": 20, "validate": 2575}
+
+
+def _all_level_assignments(count):
+    return tuple(
+        sorted(
+            combo
+            for groups in range(1 if count else 0, count + 1)
+            for combo in itertools.product(range(1, groups + 1), repeat=count)
+            if len(set(combo)) == groups
+        )
+    )
+
+
+def _seen_set_shapes(genera, b_values):
+    """Every shape once, by building every level assignment and dropping
+    the repeats of a shape: how ``_shapes`` once generated them."""
+    minima = [point(0, 0)] + [
+        surface(0, 0, genus=g, b=b) for g in genera for b in b_values
+    ]
+    for minimum in minima:
+        seen = set()
+        b2_base = 1 if minimum.is_surface else 0
+        for max_is_surface in (False, True) if minimum.is_surface else (False,):
+            for n2 in range(0, 3):
+                for n_mid in range(0, 3):
+                    if b2_base + n2 + n_mid > 2:
+                        continue
+                    n4 = b2_base + n2 - (1 if max_is_surface else 0)
+                    for mid_genera in itertools.combinations_with_replacement(
+                        genera, n_mid
+                    ):
+                        middles = (
+                            [(2, None)] * n2
+                            + [(4, None)] * n4
+                            + [(2, g1) for g1 in mid_genera]
+                        )
+                        for levels in _all_level_assignments(len(middles)):
+                            top = max(levels, default=0) + 1
+                            shape = FixedPointData(
+                                (
+                                    minimum,
+                                    *(
+                                        point(index, level)
+                                        if g1 is None
+                                        else surface(2, level, genus=g1)
+                                        for (index, g1), level in zip(middles, levels)
+                                    ),
+                                    surface(4, top, genus=0, b=0)
+                                    if max_is_surface
+                                    else point(6, top),
+                                )
+                            )
+                            if shape not in seen:
+                                seen.add(shape)
+                                yield shape
+
+
+@pytest.mark.parametrize(("max_genus", "bound"), [(1, 2), (3, 6)])
+def test_shapes_match_the_seen_set_generator(max_genus, bound):
+    genera, b_values = range(max_genus + 1), range(-bound, bound + 1)
+    shapes = list(classifier._shapes(genera, b_values))
+    assert shapes == list(_seen_set_shapes(genera, b_values))
+    assert len(set(shapes)) == len(shapes)
 
 
 def test_enumeration_decides_each_unique_candidate_once(small_enumeration):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from semifree import _solve, classifier
 from semifree.cli import COMMANDS, RunConfig, build_parser, config_from_args, main, run
 from semifree.classifier import family_instance
 from semifree.delzant import (
@@ -72,6 +73,29 @@ def test_run_rejects_unknown_command():
         RunConfig(command="explode")
     with pytest.raises(ValueError):
         RunConfig(command="validate", output_format="yaml")
+
+
+def _feed_a_cubic(real):
+    return lambda coeffs: real([*coeffs, 1])
+
+
+def _feed_a_zero_functional(real):
+    return lambda vector: real([0] * len(vector))
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "fault"),
+    [
+        (_solve, "_rational_roots", _feed_a_cubic),
+        (classifier, "integer_kernel_basis", _feed_a_zero_functional),
+    ],
+)
+def test_run_lets_a_broken_invariant_escape(monkeypatch, module, name, fault):
+    # Exit 2 means bad arguments; a program fault must not read as one.
+    # The fault feeds the real function an input its invariant refuses.
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        run(RunConfig(command="classify"), family_instance("5").dumps().encode())
 
 
 def test_validate_text():

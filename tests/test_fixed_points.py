@@ -92,6 +92,13 @@ def test_constructors_reject_fields_that_loads_rejects(fields):
             FixedPointData.loads(text)
 
 
+def test_component_rejects_an_unknown_kind():
+    # The parser refuses an unknown kind before it builds a component, so
+    # only a direct construction reaches the component's own rule.
+    with pytest.raises(ValueError, match="^unknown component kind: disk$"):
+        FixedComponent(level=0, index=0, kind="disk")
+
+
 def test_constructed_data_round_trips_through_json():
     data = FixedPointData(
         (

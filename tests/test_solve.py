@@ -11,6 +11,7 @@ from semifree import classifier
 from semifree._solve import (
     AffineConstraint,
     Poly,
+    _rational_roots,
     feasible,
     integer_kernel_basis,
     rref,
@@ -121,6 +122,18 @@ def test_integer_kernel_basis_annihilates(a, b, c):
     assert len(basis) == 2
     for vector in basis:
         assert sum(x * y for x, y in zip(vector, (a, b, c))) == 0
+
+
+def test_integer_kernel_basis_refuses_a_zero_functional_as_an_invariant():
+    # A program fault, not a bad argument: cli.run must not map it to exit 2.
+    with pytest.raises(RuntimeError, match="invariant broken: zero functional"):
+        integer_kernel_basis((0, 0, 0))
+
+
+@pytest.mark.parametrize("coeffs", [[F(1), F(2)], [F(1), F(0), F(0), F(1)]])
+def test_rational_roots_refuses_a_non_quadratic_as_an_invariant(coeffs):
+    with pytest.raises(RuntimeError, match="invariant broken: the case split"):
+        _rational_roots(coeffs)
 
 
 @given(
