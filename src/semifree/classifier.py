@@ -24,16 +24,17 @@ Each chart's (-1)-classes are searched once per process
 (``_minus_one_classes``), a pure function of the chart's Gram matrix and
 c1. No other cache outlives its chart, its call or its datum: the
 ``walks`` dict belongs to one chain solve, or in the enumeration to one
-minimum, and a datum keeps its solved chain (``_memo``), so the chain
-check, the Euler transport and their readers (the w2 selection rule,
-``b_plus_minus`` and the sweep) share one solve.
+minimum; the enumeration keeps each level signature's orderings for
+its call; and a datum keeps its extremes and its solved chain
+(``_memo``), so the chain check, the Euler transport and their readers
+(the w2 selection rule, ``b_plus_minus`` and the sweep) share one solve.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
 calculus, the normal splittings of middle surfaces read off the solved
 chain, and a bounded exhaustive enumeration of all admissible data
 shapes with small second Betti number, grouped into families; it
-builds each shape once and tallies the unbuilt chain rejects per ``b``.
+builds each shape once, and of a surface maximum one genus per ``b``.
 """
 
 from __future__ import annotations
@@ -658,35 +659,26 @@ class _ChainSolution:
 def _structural_check(data: FixedPointData) -> None:
     if len(data.components) < 2:
         raise InvalidDataError("need at least a minimum and a maximum")
-    minimum = data.minimum
-    maximum = data.maximum
-    for comp in data.components:
-        if comp is minimum or comp is maximum:
-            continue
-        if not (minimum.level < comp.level < maximum.level):
-            raise InvalidDataError(
-                "middle components must sit strictly between the extremes"
-            )
+    low, high = data.minimum.level, data.maximum.level
+    if not all(low < comp.level < high for comp in data.middles()):
+        raise InvalidDataError("middle components must sit strictly between the extremes")
 
 
 def _chain_solutions(
-    data: FixedPointData, walks: dict | None = None
+    data: FixedPointData, walks: dict | None = None, orderings: list | None = None
 ) -> list[_ChainSolution]:
-    """Solve the chain; ``walks`` shares walked prefixes (see ``_walk``).
-
-    An underdetermined chain raises ``MultipleSolutionsError``.
-    """
-    _structural_check(data)
+    """Solve the chain of well-formed data (``_structural_check``); an
+    underdetermined one raises ``MultipleSolutionsError``. ``walks``
+    shares walked prefixes (see ``_walk``), and ``orderings`` are the
+    data's ``_distinct_orderings`` when already derived."""
     walks = {} if walks is None else walks
     solutions: dict[tuple, _ChainSolution] = {}
-    for ordering in _distinct_orderings(data):
+    for ordering in _distinct_orderings(data) if orderings is None else orderings:
         for branch in _branches(data, ordering, walks):
             for sol in solve_system(list(branch.equations)):
                 if sol.free:
                     # No datum tried, unvalidated ones included, leaves one free.
-                    raise MultipleSolutionsError(
-                        "the Euler chain is underdetermined for this data"
-                    )
+                    raise MultipleSolutionsError("the Euler chain is underdetermined for this data")
                 resolved = _resolve_branch(branch, sol.as_dict())
                 if resolved is not None:
                     solutions.setdefault(resolved.key, resolved)
@@ -725,6 +717,7 @@ def euler_chain_check(data: FixedPointData) -> bool:
     underdetermined chain raises ``MultipleSolutionsError``.
     """
     try:
+        _structural_check(data)
         return bool(_memo(data, "_chain", _chain_solutions))
     except (InvalidDataError, NotImplementedError):
         return False
@@ -748,6 +741,7 @@ def euler_transport(data: FixedPointData) -> ChainResult:
     An underdetermined chain, like more than one solution, raises
     ``MultipleSolutionsError``.
     """
+    _structural_check(data)
     return _chain_result(data, _unique_solution(_memo(data, "_chain", _chain_solutions)))
 
 
@@ -926,18 +920,21 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     each one once, grouped by minimum. All chain walks of one minimum
     share one ``walks`` dict: the walk reads neither the levels nor the
     maximum, so a chain prefix is walked once for every ordering, shape
-    and candidate of that minimum, and the dict is dropped when the
-    minimum changes. A shape with a point maximum is one candidate and
-    takes the concrete chain solve. A shape with a surface maximum
-    stands for every genus and ``b`` of that maximum: the chain never
-    reads the genus, and ``b`` enters only the last equation of each
-    branch, ``e.e + b = 0``. Every branch of the shape is solved once
-    without that equation (``_solve_prefix``), and an untwisted maximum
-    of degree ``b`` keeps the solutions whose ``e.e`` equals ``-b``. A
-    ``b`` that keeps none adds all its genera to the chain tally in one
-    step, and no candidate of it is built. A shape whose reduced system
-    has a free variable or stalls the solver, and every twisted
-    candidate, takes the concrete chain solve instead.
+    and candidate of that minimum; the dict is dropped with the minimum.
+    The orderings read only the middles, at positions 1 to n, so each
+    middle configuration derives them once per call. A shape with a
+    point maximum is one candidate and takes the concrete chain solve. A
+    shape with a surface maximum stands for every genus and ``b`` of
+    that maximum: the chain never reads the genus, and ``b`` enters only
+    the last equation of each branch, ``e.e + b = 0``. Every branch of
+    the shape is solved once without that equation (``_solve_prefix``),
+    and an untwisted maximum of degree ``b`` keeps the solutions whose
+    ``e.e`` equals ``-b``. A ``b`` that keeps none adds all its genera
+    to the chain tally, and no candidate of it is built. Of another
+    ``b`` only the minimum's genus is built: the other genera share its
+    chain verdict and, with a chain, fail validate (surface extremes
+    share a genus). A free variable or a solver stall in a reduced
+    system, like a twist, means the concrete chain solve.
 
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage: the splittings are read off its
@@ -953,21 +950,31 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     b_values = range(lo, hi + 1)
     rejected: dict[str, int] = {}
     families: dict[str, list[FixedPointData]] = {}
+    orderings: dict[tuple[FixedComponent, ...], list[tuple[int, ...]]] = {}
 
     def reject(stage: str, count: int = 1) -> None:
-        rejected[stage] = rejected.get(stage, 0) + count
+        if count:
+            rejected[stage] = rejected.get(stage, 0) + count
+
+    def orderings_of(data: FixedPointData) -> list[tuple[int, ...]]:
+        middles = data.components[1:-1]
+        if middles not in orderings:
+            orderings[middles] = _distinct_orderings(data)
+        return orderings[middles]
 
     def decide(
-        candidate: FixedPointData, solutions: list[_ChainSolution] | None = None
+        candidate: FixedPointData, solutions: list[_ChainSolution] | None = None, others: int = 0
     ) -> None:
         # Every shape is well formed, and every chart it reaches has
         # rank <= 3, so c1.c1 >= 7 and the (-1)-class search never refuses.
+        # ``others`` counts the unbuilt candidates of the other maximum genera.
         if solutions is None:
-            solutions = _chain_solutions(candidate, walks)
+            solutions = _chain_solutions(candidate, walks, orderings_of(candidate))
         filled = _derive_splittings(candidate, solutions)
         if filled is None:
-            reject("chain")
+            reject("chain", 1 + others)
             return
+        reject("validate", others)
         if not validate(filled).ok:
             reject("validate")
             return
@@ -991,22 +998,14 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if shape.maximum.is_point:
             decide(shape)
             continue
-        by_square = _solve_prefix(shape, walks)
+        by_square = _solve_prefix(shape, walks, orderings_of(shape))
         solved = [b for b in b_values if by_square is None or -b in by_square]
-        unbuilt = len(b_values) - len(solved)
-        if unbuilt:
-            # No e.e = -b solution: every genus of such a b is rejected
-            # without building its candidate.
-            reject("chain", unbuilt * len(genera))
-        for genus in genera:
-            for b in solved:
-                solutions = None if by_square is None else by_square[-b]
-                decide(_with_maximum(shape, genus, b), solutions)
-        if (
-            all(c.is_surface for c in shape.components)
-            and minimum.genus == 0
-            and minimum.b % 2 == 0
-        ):
+        # No e.e = -b solution: every genus of such a b is a chain reject.
+        reject("chain", (len(b_values) - len(solved)) * len(genera))
+        for b in solved:
+            solutions = None if by_square is None else by_square[-b]
+            decide(_with_maximum(shape, minimum.genus, b), solutions, len(genera) - 1)
+        if minimum.genus == 0 and minimum.b % 2 == 0 and all(c.is_surface for c in shape.components):
             for b in b_values[lo % 2 :: 2]:  # every even b
                 decide(_with_maximum(shape, 0, b, twist=True))
     return EnumerationResult(
@@ -1020,9 +1019,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     )
 
 
-def _with_maximum(
-    shape: FixedPointData, genus: int, b: int, twist: bool = False
-) -> FixedPointData:
+def _with_maximum(shape: FixedPointData, genus: int, b: int, twist: bool = False) -> FixedPointData:
     """The candidate of ``shape`` whose surface maximum has this genus and ``b``."""
     *rest, maximum = shape.components
     top = surface(4, maximum.level, genus=genus, b=b)
@@ -1030,24 +1027,25 @@ def _with_maximum(
 
 
 def _solve_prefix(
-    shape: FixedPointData, walks: dict | None = None
+    shape: FixedPointData, walks: dict | None = None, orderings: list | None = None
 ) -> dict[Rational, list[_ChainSolution]] | None:
     """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
     The shape's maximum has genus 0 and ``b = 0``, so the last equation
     of every branch is ``e.e`` itself. The branches come from the walks
     in ``walks``, shared with the other shapes of the same minimum (a
-    fresh dict when None); each branch is solved without that equation.
-    When all those solutions are bounded, the solutions of the branch
-    for a maximum of degree ``b`` are exactly the ones with
-    ``e.e = -b``. Returns None when some reduced system has a free
-    variable or stalls the solver. A bounded solution fixes every
-    unknown (``_resolve_branch``), so ``e.e`` is a number.
+    fresh dict when None), along ``orderings`` as in ``_chain_solutions``;
+    each branch is solved without that equation. When all those
+    solutions are bounded, the solutions of the branch for a maximum of
+    degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
+    when some reduced system has a free variable or stalls the solver.
+    A bounded solution fixes every unknown (``_resolve_branch``), so
+    ``e.e`` is a number.
     """
     walks = {} if walks is None else walks
     branches = [
         branch
-        for ordering in _distinct_orderings(shape)
+        for ordering in (_distinct_orderings(shape) if orderings is None else orderings)
         for branch in _branches(shape, ordering, walks)
     ]
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}

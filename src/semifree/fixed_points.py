@@ -13,8 +13,8 @@ Every command starts here, so each per-datum cost is paid once. The
 parser checks each field of an entry once and builds the component
 without re-running its constructor's checks (the rules of a component's
 shape live once, in ``_check_shape``), ``validate`` groups the
-components in one pass, and a datum keeps its ``validate`` report and
-its type tag once computed (``_memo``).
+components in one pass, and a datum keeps its extremes, its ``validate``
+report and its type tag once computed (``_memo``).
 
 JSON is read by ``_load_json`` and written by ``_dump_json`` alone,
 which gives the text of ``json.dumps(value, indent=2, sort_keys=True)``
@@ -175,10 +175,10 @@ class FixedPointData:
     """All fixed components of one action, ordered by level.
 
     The data are immutable, so a costly fact derived from them alone is
-    computed once per datum (``_memo``): the ``validate`` report, the
-    ``classify_type`` tag, the Euler shapes that every localization
-    sum integrates against, the c_1 restrictions of the restriction
-    tables, and the solved wall-crossing chain.
+    computed once per datum (``_memo``): the extremes, the ``validate``
+    report, the ``classify_type`` tag, the Euler shapes that every
+    localization sum integrates against, the c_1 restrictions of the
+    restriction tables, and the solved wall-crossing chain.
     """
 
     components: tuple[FixedComponent, ...]
@@ -191,17 +191,11 @@ class FixedPointData:
 
     @property
     def minimum(self) -> FixedComponent:
-        mins = [c for c in self.components if c.is_minimum]
-        if len(mins) != 1:
-            raise InvalidDataError(f"expected one minimum, found {len(mins)}")
-        return mins[0]
+        return _memo(self, "_minimum", _extreme, "is_minimum")
 
     @property
     def maximum(self) -> FixedComponent:
-        maxes = [c for c in self.components if c.is_maximum]
-        if len(maxes) != 1:
-            raise InvalidDataError(f"expected one maximum, found {len(maxes)}")
-        return maxes[0]
+        return _memo(self, "_maximum", _extreme, "is_maximum")
 
     def middles(self) -> tuple[FixedComponent, ...]:
         return tuple(
@@ -347,8 +341,8 @@ def _dump_json(value, newline: str = "\n") -> str:
 # validation
 
 
-def _memo(data: FixedPointData, name: str, compute):
-    """``compute(data)``, kept on the datum after its first success.
+def _memo(data: FixedPointData, name: str, compute, *args):
+    """``compute(data, *args)``, kept on the datum after its first success.
 
     The value sits in the instance ``__dict__`` beside the fields, which
     equality and hashing do not read. A computation that raises keeps
@@ -356,8 +350,16 @@ def _memo(data: FixedPointData, name: str, compute):
     """
     value = data.__dict__.get(name)
     if value is None:
-        value = data.__dict__[name] = compute(data)
+        value = data.__dict__[name] = compute(data, *args)
     return value
+
+
+def _extreme(data: FixedPointData, test: str) -> FixedComponent:
+    """The one component of ``data`` whose ``test``, "is_minimum" or "is_maximum", holds."""
+    found = [c for c in data.components if getattr(c, test)]
+    if len(found) != 1:
+        raise InvalidDataError(f"expected one {test.removeprefix('is_')}, found {len(found)}")
+    return found[0]
 
 
 @dataclass(frozen=True)

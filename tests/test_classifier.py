@@ -36,6 +36,7 @@ from semifree.fixed_points import (
     classify_type,
     point,
     surface,
+    validate,
 )
 from semifree.localization import (
     MultipleSolutionsError,
@@ -409,14 +410,17 @@ def test_enumeration_report_digest_frozen(bounds):
 
 
 def test_prefix_shared_chain_matches_concrete_chain(small_enumeration):
-    # Every unique candidate at (1, -2..2) is built here, also those the
-    # enumeration tallies in bulk without building one. Each is solved
-    # concretely: a bulk-tallied candidate has no chain, and a verdict
-    # read off the shape's prefix solve equals the concrete one.
+    # Every unique candidate at (1, -2..2) is built here, every maximum
+    # genus included, also those the enumeration tallies in bulk without
+    # building one. Each is solved concretely: a bulk-tallied candidate
+    # has no chain, and a verdict read off the shape's prefix solve
+    # equals the concrete one. Each datum with a chain is validated: a
+    # surface maximum whose genus differs from the minimum's fails, so
+    # the enumeration may tally those candidates without building them.
     genera, b_values = range(2), range(-2, 3)
     seen = set()
     verdicts = {"unbuilt": 0, "shared": 0, "concrete": 0}
-    bulk = chainless = 0
+    bulk = chainless = invalid = mismatched = 0
     for shape in classifier._shapes(genera, b_values):
         if shape.maximum.is_point:
             candidates = [(shape, None)]
@@ -458,10 +462,18 @@ def test_prefix_shared_chain_matches_concrete_chain(small_enumeration):
                 verdicts["shared"] += 1
                 assert classifier._derive_splittings(candidate, solutions) == concrete
             chainless += concrete is None
+            if concrete is None:
+                continue
+            fails = not validate(concrete).ok
+            invalid += fails
+            if candidate.maximum.is_surface and candidate.maximum.genus != candidate.minimum.genus:
+                mismatched += 1
+                assert fails, candidate
     assert len(seen) == 842
     assert all(verdicts.values())
     assert verdicts["unbuilt"] == bulk
     assert small_enumeration.rejected["chain"] == chainless
+    assert mismatched and small_enumeration.rejected["validate"] == invalid
 
 
 def test_enumeration_counts_at_genus_five_and_degree_ten():
@@ -708,6 +720,30 @@ def test_untwisted_join_chain_always_consistent(n, g, g1):
     middle = data.components[crossing.position]
     assert crossing.pair_e_eta == -middle.b_minus
     assert crossing.pair_eta_eta == middle.b_plus + middle.b_minus
+
+
+def test_enumeration_hands_each_solve_its_fresh_orderings(monkeypatch):
+    # The enumeration derives the orderings once per middle configuration
+    # and hands them to every prefix and concrete chain solve; each must
+    # equal a fresh derivation for the datum solved, in the same order.
+    handed = []
+    solve_prefix, solve_chain = classifier._solve_prefix, classifier._chain_solutions
+
+    def record_prefix(shape, walks=None, orderings=None):
+        handed.append((shape, orderings))
+        return solve_prefix(shape, walks, orderings)
+
+    def record_chain(data, walks=None, orderings=None):
+        handed.append((data, orderings))
+        return solve_chain(data, walks, orderings)
+
+    monkeypatch.setattr(classifier, "_solve_prefix", record_prefix)
+    monkeypatch.setattr(classifier, "_chain_solutions", record_chain)
+    assert _enumeration_digest(2, (-3, 3)) == ENUMERATION_DIGESTS[(2, (-3, 3))]
+    assert any(data.twist for data, _ in handed)
+    assert any(data.maximum.is_surface and not data.twist for data, _ in handed)
+    for data, orderings in handed:
+        assert orderings == classifier._distinct_orderings(data), data
 
 
 def test_back_to_back_enumerations_report_the_same():

@@ -421,3 +421,30 @@ def test_fractional_levels_round_trip():
         )
     )
     assert FixedPointData.loads(data.dumps()) == data
+
+
+# ---------------------------------------------------------------------------
+# the extremes, read once per datum
+
+
+@pytest.mark.parametrize(
+    "components, which, found",
+    [
+        ((point(0, 0), point(0, 1), point(6, 2)), "minimum", 2),
+        ((point(0, 0), point(2, 1)), "maximum", 0),
+    ],
+)
+def test_a_bad_extreme_raises_on_every_read(components, which, found):
+    data = FixedPointData(components)
+    for _ in range(2):
+        with pytest.raises(InvalidDataError, match=f"expected one {which}, found {found}"):
+            getattr(data, which)
+
+
+def test_reading_the_extremes_keeps_equality_hash_and_text():
+    read, fresh = family_instance("3", n=3), family_instance("3", n=3)
+    assert read.minimum == surface(0, 0, genus=0, b=3)
+    assert read.maximum == point(6, 3)
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert read.dumps() == fresh.dumps()
