@@ -4,10 +4,18 @@ Everything here works over the rationals in the int-first form of
 ``rationals``: an integral value is an ``int``, any other a ``Fraction``
 with denominator above 1, and every division goes through ``qdiv``.
 The utilities are sparse multivariate polynomials, linear elimination,
-a complete solver for the tiny polynomial systems produced by the
+a complete solver for the tiny polynomial systems of the chain and the
 integration equations (linear closure alternating with case splits on
 univariate quadratics), strict and non-strict Fourier-Motzkin
 feasibility, and primitive integer kernel bases for lattice quotients.
+
+``Poly`` is the form in which callers hand over equations. The solver
+turns each one into its monomial dict once (``{monomial: coefficient}``,
+``Poly.terms`` unsorted) and works on dicts from there on: one
+substitution routine, ``_substitute``, puts in the fixed values, the
+values forced by the linear closure, the eliminated pivots' expressions
+and the back-substituted values, and returns its input untouched when
+no substituted variable occurs. ``Poly.substitute`` wraps it too.
 """
 
 from __future__ import annotations
@@ -65,9 +73,9 @@ class Poly:
     The hot operations take fast paths that return that same form:
     ``_mono_mul`` joins two single-variable monomials without a dict,
     ``from_dict`` keeps an ``int`` coefficient without a ``canon`` call,
-    ``substitute`` multiplies an ``int`` or ``Fraction`` value in
-    directly and a ``Poly`` value out term by term, canonicalizing once
-    in its closing ``from_dict``, and ``p ** 1`` is ``p`` itself.
+    ``substitute`` is the solver's ``_substitute`` on its terms and
+    returns ``self`` when no substituted variable occurs, and ``p ** 1``
+    is ``p`` itself.
     """
 
     terms: tuple[tuple[Monomial, Rational], ...]
@@ -113,33 +121,6 @@ class Poly:
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m, _ in self.terms for v, _ in m)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
-
-    def as_linear(self) -> tuple[Rational, dict[str, Rational]] | None:
-        """Return ``(constant, {var: coeff})`` when total degree <= 1."""
-        const: Rational = 0
-        coeffs: dict[str, Rational] = {}
-        for m, c in self.terms:
-            if not m:
-                const = c
-            elif len(m) == 1 and m[0][1] == 1:
-                coeffs[m[0][0]] = c
-            else:
-                return None
-        return const, coeffs
-
-    def as_univariate(self) -> tuple[str, list[Rational]] | None:
-        """Return ``(var, [c0, c1, ...])`` when only one variable appears."""
-        names = self.variables()
-        if len(names) != 1:
-            return None
-        (name,) = names
-        coeffs: list[Rational] = [0] * (self.total_degree() + 1)
-        for m, c in self.terms:
-            coeffs[m[0][1] if m else 0] = c
-        return name, coeffs
 
     # -- arithmetic --------------------------------------------------------
 
@@ -234,45 +215,56 @@ class Poly:
         return bool(self.terms)
 
     def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
-        if not any(v in values for m, _ in self.terms for v, _ in m):
-            return self
-        acc: dict[Monomial, Rational] = {}
-        for m, c in self.terms:
-            kept: list[tuple[str, int]] = []
-            # The product of the substituted non-constant factors,
-            # multiplied out term by term; ``from_dict`` sums it up once.
-            factor: Sequence[tuple[Monomial, Rational]] | None = None
-            for var, exp in m:
-                value = values.get(var)
-                if value is None:
-                    kept.append((var, exp))
-                    continue
-                kind = type(value)
-                if kind is int or kind is Fraction:
-                    c = c * value if exp == 1 else c * value**exp
-                    continue
-                if isinstance(value, Poly):
-                    if not value.is_constant():
-                        for _ in range(exp):
-                            if factor is None:
-                                factor = value.terms
-                                continue
-                            factor = [
-                                (_mono_mul(m1, m2), c1 * c2)
-                                for m1, c1 in factor
-                                for m2, c2 in value.terms
-                            ]
-                        continue
-                    value = value.constant_value()
-                c = c * _scalar(value) ** exp
-            mono = tuple(kept)
-            if factor is None:
-                acc[mono] = acc[mono] + c if mono in acc else c
+        terms = dict(self.terms)
+        out = _substitute(
+            terms, {v: dict(x.terms) if isinstance(x, Poly) else x for v, x in values.items()}
+        )
+        return self if out is terms else Poly.from_dict(out)
+
+
+def _substitute(
+    terms: dict[Monomial, Rational], values: Mapping[str, "dict[Monomial, Rational] | Rational"]
+) -> dict[Monomial, Rational]:
+    """``terms`` with each variable of ``values`` replaced by its value,
+    a scalar or a monomial dict, as a monomial dict of canonical non-zero
+    coefficients; ``terms`` itself when none of those variables occurs.
+
+    A scalar value multiplies in directly; a dict value is multiplied out
+    term by term into the product of the substituted factors.
+    """
+    if values.keys().isdisjoint([v for m in terms for v, _ in m]):
+        return terms
+    get = values.get
+    acc: dict[Monomial, Rational] = {}
+    for m, c in terms.items():
+        mono: Monomial = ()  # the factors that stay
+        factor: Iterable[tuple[Monomial, Rational]] | None = None
+        for pair in m:
+            value = get(pair[0])
+            if value is None:
+                mono += (pair,)
                 continue
-            for m2, c2 in factor:
-                m2, c2 = _mono_mul(mono, m2), c * c2
-                acc[m2] = acc[m2] + c2 if m2 in acc else c2
-        return Poly.from_dict(acc)
+            kind = type(value)
+            if kind is dict:
+                for _ in range(pair[1]):
+                    factor = value.items() if factor is None else [
+                        (_mono_mul(m1, m2), c1 * c2)
+                        for m1, c1 in factor
+                        for m2, c2 in value.items()
+                    ]
+            elif kind is int or kind is Fraction:
+                c = c * value if pair[1] == 1 else c * value ** pair[1]
+            else:
+                c = c * _scalar(value) ** pair[1]
+        if factor is None:
+            acc[mono] = acc[mono] + c if mono in acc else c
+            continue
+        for m2, c2 in factor:
+            if mono:
+                m2 = _mono_mul(mono, m2)
+            c2 = c * c2
+            acc[m2] = acc[m2] + c2 if m2 in acc else c2
+    return {m: c if type(c) is int else canon(c) for m, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +409,51 @@ def solve_system(equations: Iterable[Poly]) -> list[Solution]:
     sound because only rational solutions are admissible downstream.
     Every system solved here is at most quadratic: the chain's pairings
     and the integrals of products of two degree-2 classes.
+
+    Each equation becomes its monomial dict once, and the recursion
+    substitutes into those dicts (``_substitute``) without sorting them.
     """
-    variables = sorted(set().union(*(e.variables() for e in equations)) or set())
+    eqs = [dict(e.terms) for e in equations]
     out: list[Solution] = []
-    _solve_rec([e for e in equations], {}, set(variables), out)
+    _solve_rec(eqs, {}, {v for e in eqs for m in e for v, _ in m}, out)
     unique: dict[tuple, Solution] = {}
     for sol in out:
         unique[(sol.assignment, sol.free)] = sol
     return list(unique.values())
 
 
+def _reduce(eqs: list[dict], values: Mapping) -> list[dict] | None:
+    """The equations at ``values``, without the ones that vanish; None
+    when one becomes a non-zero constant."""
+    out = []
+    for e in eqs:
+        if values:
+            e = _substitute(e, values)
+        if len(e) < 2 and (not e or () in e):
+            if e:
+                return None
+            continue
+        out.append(e)
+    return out
+
+
 def _solve_rec(
-    equations: list[Poly],
+    equations: list[dict[Monomial, Rational]],
     fixed: dict[str, Rational],
     universe: set[str],
     out: list[Solution],
 ) -> None:
-    eqs = []
-    for e in equations:
-        e = e.substitute(fixed) if fixed else e
-        if e.is_constant():
-            if e.constant_value():
-                return
-            continue
-        eqs.append(e)
+    eqs = _reduce(equations, fixed)
+    if eqs is None:
+        return
 
     # Linear closure: pin down variables forced by the linear subset.
     while True:
-        linear = [(e, e.as_linear()) for e in eqs]
+        linear = [all(not m or (len(m) == 1 and m[0][1] == 1) for m in e) for e in eqs]
         lin_rows = [
-            (coeffs, -const) for _, lin in linear if lin for const, coeffs in [lin]
+            ({m[0][0]: c for m, c in e.items() if m}, -e.get((), 0))
+            for e, lin in zip(eqs, linear)
+            if lin
         ]
         if not lin_rows:
             break
@@ -460,39 +467,29 @@ def _solve_rec(
         if any(r[n] and not any(r[:n]) for r in red):
             return
         forced: dict[str, Rational] = {}
-        exprs: dict[str, Poly] = {}
+        exprs: dict[str, dict[Monomial, Rational]] = {}
         for ri, col in enumerate(pivots):
             others = [j for j in range(n) if j != col and red[ri][j]]
             if not others:
                 forced[lin_vars[col]] = red[ri][n]
             else:
-                expr = Poly.const(red[ri][n])
-                for j in others:
-                    expr = expr - Poly.var(lin_vars[j]) * red[ri][j]
+                expr = {((lin_vars[j], 1),): -red[ri][j] for j in others}
+                if red[ri][n]:
+                    expr[()] = red[ri][n]
                 exprs[lin_vars[col]] = expr
         if forced:
             fixed = {**fixed, **forced}
-            new_eqs = []
-            for e in eqs:
-                e = e.substitute(forced)
-                if e.is_constant():
-                    if e.constant_value():
-                        return
-                    continue
-                new_eqs.append(e)
-            eqs = new_eqs
+            eqs = _reduce(eqs, forced)
+            if eqs is None:
+                return
             continue
         # Every linear row has a pivot, so with none forced some pivot
         # has an expression: eliminate those pivot variables, solve the
-        # reduced system, then back-substitute each branch.
-        reduced = []
-        for e in eqs:
-            e = e.substitute(exprs)
-            if e.is_constant():
-                if e.constant_value():
-                    return
-                continue
-            reduced.append(e)
+        # reduced system, then back-substitute each branch. The linear
+        # equations are combinations of the pivot rows, so they vanish.
+        reduced = _reduce([e for e, lin in zip(eqs, linear) if not lin], exprs)
+        if reduced is None:
+            return
         sub_out: list[Solution] = []
         _solve_rec(reduced, {}, universe - set(exprs), sub_out)
         for sol in sub_out:
@@ -502,9 +499,9 @@ def _solve_rec(
             # ``fixed``; those are not free.
             free = set(sol.free) - set(merged)
             for var, expr in exprs.items():
-                value = expr.substitute(values)
-                if value.is_constant():
-                    merged[var] = value.constant_value()
+                value = _substitute(expr, values)
+                if len(value) < 2 and (not value or () in value):
+                    merged[var] = value.get((), 0)
                 else:
                     free.add(var)
             _emit(merged, free, universe, out)
@@ -515,10 +512,13 @@ def _solve_rec(
         return
 
     for e in eqs:
-        uni = e.as_univariate()
-        if uni is None:
+        names = {v for m in e for v, _ in m}
+        if len(names) != 1:
             continue
-        var, coeffs = uni
+        (var,) = names
+        coeffs: list[Rational] = [0] * (max(m[0][1] if m else 0 for m in e) + 1)
+        for m, c in e.items():
+            coeffs[m[0][1] if m else 0] = c
         for root in _rational_roots(coeffs):
             _solve_rec(eqs, {**fixed, var: root}, universe, out)
         return

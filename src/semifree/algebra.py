@@ -20,17 +20,21 @@ rational combinations of the fiber class ``x`` and the section class
 ``y`` (a single multiple of ``u`` on the projective plane), and the
 only operation needed is the intersection pairing. Each space states
 its intersection form once, as the Gram matrix
-``ReducedSpaceType.gram``; ``_dot`` evaluates a Gram form on scalar or
-``Poly`` vectors, for ``pair`` here and for the lattice charts of the
-chain engine, which start from the same matrices.
+``ReducedSpaceType.gram``; ``_dot`` evaluates a Gram form on number
+vectors, for ``pair`` here and for the lattice charts of the chain
+engine, which start from the same matrices. For those charts,
+``_pairing_functional`` pairs a vector with each basis vector, and
+``_pair_parts`` pairs two vectors affine in the unknowns into one
+monomial dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Sequence
 
-from ._solve import Poly, _scalar
+from ._solve import _mono_mul, _scalar
 from .fixed_points import POINT, SURFACE
 from .rationals import Rational, canon
 
@@ -212,43 +216,45 @@ class ReducedClass:
         return ReducedClass(self.space, tuple(canon(f * a) for a in self.coeffs))
 
 
-def _dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence, into: dict | None = None):
-    """``sum a_i g_ij b_j`` over the non-zero Gram entries.
+def _dot(gram: Sequence[Sequence[int]], a: Sequence[Rational], b: Sequence[Rational]) -> Rational:
+    """``sum a_i g_ij b_j`` over the non-zero Gram entries, canonical."""
+    total: Rational = 0
+    for ai, row in zip(a, gram):
+        if ai:
+            for g, bj in zip(row, b):
+                if g:
+                    total += ai * g * bj
+    return canon(total)
 
-    A ``Poly`` when some summed product has a ``Poly`` factor (zero
-    ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
-    Given ``into``, a monomial dict as ``Poly.accumulate`` fills, the sum
-    is added into it (the scalar part at ``()``) and ``into`` is returned,
-    so an equation of several pairings is summed in one dict and
-    canonicalized once by ``Poly.from_dict``.
+
+def _pairing_functional(
+    gram: Sequence[Sequence[int]], vec: Sequence[Rational]
+) -> list[Rational]:
+    # A Gram matrix is symmetric, so each row pairs ``vec`` with a basis vector.
+    return [sum(map(mul, row, vec)) for row in gram]
+
+
+def _pair_parts(gram: Sequence[Sequence[int]], left: list, right: list, into: dict) -> dict:
+    """Add the pairing of two vectors affine in the unknowns into a monomial dict.
+
+    Each vector is a list of ``(monomial, number vector)`` parts, as
+    ``_Chart.euler_parts`` gives; every two parts add their Gram product
+    at the product of their monomials. A vector paired with itself
+    (``right is left``) takes each two distinct parts once, doubled.
+    ``into`` is returned, so an equation of several pairings is summed in
+    one dict and canonicalized once by ``Poly.from_dict``.
     """
-    scalar: Rational = 0
-    acc: dict = {} if into is None else into
-    poly = False
-    for i, ai in enumerate(a):
-        a_poly = isinstance(ai, Poly)
-        if a_poly and ai.is_zero():
-            continue
-        row = gram[i]
-        for j, bj in enumerate(b):
-            g = row[j]
-            if not g:
-                continue
-            if a_poly:
-                poly = True
-                if isinstance(bj, Poly):
-                    ai.accumulate(acc, g, bj)
-                else:
-                    ai.accumulate(acc, g * bj)
-            elif isinstance(bj, Poly):
-                poly = True
-                bj.accumulate(acc, ai * g)
-            else:
-                scalar += ai * g * bj
-    if into is None and not poly:
-        return canon(scalar)
-    acc[()] = acc.get((), 0) + scalar
-    return acc if into is not None else Poly.from_dict(acc)
+    square = right is left
+    for i, (m1, a) in enumerate(left):
+        functional = _pairing_functional(gram, a)
+        for j, (m2, b) in enumerate(right[i:] if square else right):
+            value = sum(map(mul, functional, b))
+            if value:
+                if square and j:
+                    value *= 2
+                m = _mono_mul(m1, m2) if m1 else m2
+                into[m] = into[m] + value if m in into else value
+    return into
 
 
 def pair(a: ReducedClass, b: ReducedClass) -> Rational:

@@ -13,6 +13,13 @@ steps (``_cross``), and ``_walk`` remembers the states after each
 prefix of crossings, so the orderings of one datum, and in the
 enumeration all shapes of one minimum, walk each shared prefix once.
 
+The walk computes on numbers. The Euler class stays affine in the
+unknowns, and a chart carries it as a constant vector plus one column
+per unknown (``_Chart``), so the surgery is integer and rational vector
+arithmetic. Each equation a step emits is summed from Gram products of
+those vectors into one monomial dict (``_pair_parts``) and becomes a
+``Poly`` once, for the solver.
+
 Each piece of work is done once in its scope. A surface crossing forms
 e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
 its vectors in the kernel basis by one elimination. A chart computes
@@ -46,6 +53,7 @@ from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from ._solve import (
+    Monomial,
     Poly,
     Solution,
     SolverStallError,
@@ -59,6 +67,8 @@ from .algebra import (
     ReducedClass,
     ReducedSpaceType,
     _dot,
+    _pair_parts,
+    _pairing_functional,
     c1_reduced,
     nontrivial_bundle,
     projective_plane,
@@ -88,9 +98,18 @@ from .rationals import Rational, qdiv
 
 @dataclass(frozen=True)
 class _Chart:
+    """A lattice chart of the reduced space, with its level Euler class.
+
+    No chart operation multiplies the Euler class by an unknown, so it
+    stays affine: ``euler`` is its constant vector and ``unknowns`` one
+    ``(name, coefficient column)`` per unknown, sorted by name, no column
+    all zero. So equal classes have equal fields.
+    """
+
     gram: tuple[tuple[int, ...], ...]
     c1: tuple[Rational, ...]
-    euler: tuple[Poly, ...]
+    euler: tuple[Rational, ...]
+    unknowns: tuple[tuple[str, tuple[Rational, ...]], ...]
     fiber: tuple[Rational, ...] | None
     base_genus: int
     pristine: ReducedSpaceType | None  # canonical space while untouched
@@ -107,6 +126,19 @@ class _Chart:
         """``_bundle_forms`` of this chart, computed on first use."""
         return tuple(_bundle_forms(self))
 
+    def euler_parts(self) -> list[tuple[Monomial, tuple[Rational, ...]]]:
+        """The Euler vector as ``(monomial, vector)`` parts: the constant
+        vector at ``()``, then each unknown's column at its monomial."""
+        return [((), self.euler), *((((name, 1),), column) for name, column in self.unknowns)]
+
+    def euler_at(self, values: Mapping[str, Rational]) -> list[Rational]:
+        """The Euler vector at ``values``, which fix every unknown in it."""
+        vec = list(self.euler)
+        for name, column in self.unknowns:
+            value = values[name]
+            vec = [x + value * c for x, c in zip(vec, column)]
+        return vec
+
 
 def _start_chart(minimum: FixedComponent) -> _Chart:
     if minimum.is_point:
@@ -114,7 +146,8 @@ def _start_chart(minimum: FixedComponent) -> _Chart:
         return _Chart(
             gram=space.gram,
             c1=c1_reduced(space).coeffs,
-            euler=(Poly.const(-1),),
+            euler=(-1,),
+            unknowns=(),
             fiber=None,
             base_genus=0,
             pristine=space,
@@ -128,7 +161,8 @@ def _start_chart(minimum: FixedComponent) -> _Chart:
     return _Chart(
         gram=space.gram,
         c1=c1_reduced(space).coeffs,
-        euler=(Poly.const(b // 2), Poly.const(-1)),
+        euler=(b // 2, -1),
+        unknowns=(),
         fiber=(1, 0),
         base_genus=g,
         pristine=space,
@@ -147,34 +181,13 @@ def _blow_up(chart: _Chart) -> _Chart:
     return _Chart(
         gram=gram,
         c1=chart.c1 + (-1,),
-        euler=chart.euler + (Poly.const(1),),
+        euler=chart.euler + (1,),
+        unknowns=tuple((name, column + (0,)) for name, column in chart.unknowns),
         fiber=None if chart.fiber is None else chart.fiber + (0,),
         base_genus=chart.base_genus,
         pristine=None,
         exceptional=chart.exceptional + (n,),
     )
-
-
-def _pairing_functional(
-    gram: Sequence[Sequence[int]], vec: Sequence[int]
-) -> list[int]:
-    n = len(gram)
-    return [sum(vec[i] * gram[i][j] for i in range(n)) for j in range(n)]
-
-
-def _affine_parts(
-    vec: Sequence[Poly],
-) -> tuple[list[Rational], dict[str, list[Rational]]]:
-    # Euler entries stay affine in the unknowns: no chart operation multiplies them.
-    const: list[Rational] = [0] * len(vec)
-    per_var: dict[str, list[Rational]] = {}
-    for j, entry in enumerate(vec):
-        for m, c in entry.terms:
-            if m:
-                per_var.setdefault(m[0][0], [0] * len(vec))[j] = c
-            else:
-                const[j] = c
-    return const, per_var
 
 
 def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart:
@@ -193,14 +206,16 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart:
         tuple(sum(r * x for r, x in zip(row, bj)) for bj in basis) for row in rows
     )
     # Project, then re-express; e + K is orthogonal to K exactly when
-    # pair(e, K) = 1, which the caller imposes as an equation.
-    shifted = [entry + ki for entry, ki in zip(chart.euler, k_class)]
-    correction = _dot(chart.gram, shifted, k_class)
-    projected = [
-        entry + correction * ki for entry, ki in zip(shifted, k_class)
+    # pair(e, K) = 1, which the caller imposes as an equation. Each part
+    # of e + K moves along K by its pairing with K, as K.K = -1.
+    parts = [
+        [c + ki for c, ki in zip(chart.euler, k_class)],
+        *(column for _, column in chart.unknowns),
     ]
-    const, per_var = _affine_parts(projected)
-    targets = [const, *per_var.values()]
+    targets = []
+    for part in parts:
+        correction = _dot(chart.gram, part, k_class)
+        targets.append([x + correction * ki for x, ki in zip(part, k_class)])
     targets.append([c + ki for c, ki in zip(chart.c1, k_class)])
     keeps_fiber = (
         chart.fiber is not None and _dot(chart.gram, chart.fiber, k_class) == 0
@@ -208,17 +223,16 @@ def _blow_down(chart: _Chart, k_class: Sequence[int]) -> _Chart:
     if keeps_fiber:
         targets.append(chart.fiber)
     coords = span_coordinates(basis, targets)
-    euler_coords, c1_coords = coords[: len(per_var) + 1], coords[len(per_var) + 1]
-    euler = []
-    for j, c in enumerate(euler_coords[0]):
-        entry = {(): c}
-        for var, t in zip(per_var, euler_coords[1:]):
-            entry[((var, 1),)] = t[j]
-        euler.append(Poly.from_dict(entry))
+    n = len(parts)
     return _Chart(
         gram=gram,
-        c1=tuple(c1_coords),
-        euler=tuple(euler),
+        c1=tuple(coords[n]),
+        euler=tuple(coords[0]),
+        unknowns=tuple(
+            (name, tuple(column))
+            for (name, _), column in zip(chart.unknowns, coords[1:n])
+            if any(column)
+        ),
         fiber=tuple(coords[-1]) if keeps_fiber else None,
         base_genus=chart.base_genus,
         pristine=None,
@@ -494,24 +508,26 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
     equations, crossings, chart = state.equations, state.crossings, state.top
     gram = chart.gram
     if comp.is_surface:
-        names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
-        eta = [Poly.var(name) for name in names]
+        n = chart.rank
+        names = tuple(f"eta{pos}_{i}" for i in range(n))
+        # eta as parts: each eta_i is a new unknown, with a unit column.
+        eta = [(((name, 1),), tuple(int(i == j) for j in range(n))) for i, name in enumerate(names)]
         # Each equation is summed in one monomial dict and canonicalized once.
-        adjunction = _dot(gram, eta, eta, into={(): 2 - 2 * (comp.genus or 0)})
-        eqs = [Poly.from_dict(_dot(gram, [-c for c in chart.c1], eta, into=adjunction))]
+        eta_eta = _pair_parts(gram, eta, eta, {})
+        adjunction = {**eta_eta, (): 2 - 2 * (comp.genus or 0)}
+        eqs = [Poly.from_dict(_pair_parts(gram, [((), [-c for c in chart.c1])], eta, adjunction))]
         if comp.b_minus is not None or comp.b_plus is not None:
-            e_eta = _dot(gram, chart.euler, eta, into={})
+            e_eta = _pair_parts(gram, chart.euler_parts(), eta, {})
             if comp.b_minus is not None:
-                eqs.append(Poly.from_dict({**e_eta, (): e_eta[()] + comp.b_minus}))
+                eqs.append(Poly.from_dict({**e_eta, (): comp.b_minus}))
             if comp.b_plus is not None:
-                acc = _dot(gram, eta, eta, into={**e_eta, (): e_eta[()] - comp.b_plus})
-                eqs.append(Poly.from_dict(acc))
-        # e + eta: each unknown is new, so it adds one monomial to its entry.
-        euler = (Poly.from_dict({**dict(e.terms), ((n, 1),): 1}) for e, n in zip(chart.euler, names))
+                eqs.append(Poly.from_dict({**e_eta, **eta_eta, (): -comp.b_plus}))
         new_chart = _Chart(
             gram=gram,
             c1=chart.c1,
-            euler=tuple(euler),
+            euler=chart.euler,
+            # e + eta: the unknowns gain the unit columns of eta.
+            unknowns=tuple(sorted(chart.unknowns + tuple(zip(names, (u for _, u in eta))))),
             fiber=chart.fiber,
             base_genus=chart.base_genus,
             pristine=chart.pristine,
@@ -522,10 +538,11 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
     if comp.index == 2:
         return [_Branch(equations, crossings, _blow_up(chart))]
     out = []
+    e = chart.euler_parts()
     for k_class in _blow_down_candidates(chart):
         # e.K - 1 = 0 is an equation only while some unknown keeps a
         # nonzero coefficient; a constant condition holds or kills the class.
-        condition = _dot(gram, chart.euler, k_class, into={(): -1})
+        condition = _pair_parts(gram, [((), k_class)], e, {(): -1})
         if any(c for m, c in condition.items() if m):
             extra: tuple[Poly, ...] = (Poly.from_dict(condition),)
         elif condition[()]:
@@ -590,28 +607,32 @@ def _terminal_variants(
         if chart.rank != 1:
             return []
         h = qdiv(chart.c1[0], 3)
-        return [([chart.euler[0] - Poly.const(h)], chart)]
+        entry = {m: part[0] for m, part in chart.euler_parts()}
+        return [([Poly.from_dict({**entry, (): entry[()] - h})], chart)]
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
         return []
-    e, gram = chart.euler, chart.gram
+    e, gram = chart.euler_parts(), chart.gram
     if data.twist:
         if chart.fiber is None:
             return []
         eqs = [
-            Poly.from_dict(_dot(gram, e, chart.fiber, into={(): qdiv(b_max, 2)})),
-            Poly.from_dict(_dot(gram, e, e, into={(): b_max})),
+            Poly.from_dict(_pair_parts(gram, [((), chart.fiber)], e, {(): qdiv(b_max, 2)})),
+            Poly.from_dict(_pair_parts(gram, e, e, {(): b_max})),
         ]
         if b_max == 0:
             section = _section_for(gram, chart.fiber)
-            eqs.append(Poly.from_dict(_dot(gram, e, section, into={(): -1})))
+            eqs.append(Poly.from_dict(_pair_parts(gram, [((), section)], e, {(): -1})))
         return [(eqs, chart)]
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
         fibers = [fib for _, fib, _section in chart.bundle_forms]
-    square = Poly.from_dict(_dot(gram, e, e, into={(): b_max}))
-    return [([Poly.from_dict(_dot(gram, e, fib, into={(): -1})), square], chart) for fib in fibers]
+    square = Poly.from_dict(_pair_parts(gram, e, e, {(): b_max}))
+    return [
+        ([Poly.from_dict(_pair_parts(gram, [((), fib)], e, {(): -1})), square], chart)
+        for fib in fibers
+    ]
 
 
 # -- solving -----------------------------------------------------------------
@@ -701,8 +722,7 @@ def _resolve_branch(
         if log.chart.rank == 1 and (dual is None or dual.coeffs[0] < 1):
             # Surfaces in the plane chart must have positive degree.
             return None
-        euler = [e.substitute(values).constant_value() for e in log.chart.euler]
-        pe = _dot(log.chart.gram, euler, eta_values)
+        pe = _dot(log.chart.gram, log.chart.euler_at(values), eta_values)
         pee = _dot(log.chart.gram, eta_values, eta_values)
         crossings.append(Crossing(log.position, pe, pee, dual))
         key.append((log.position, pe, pee))
@@ -752,9 +772,7 @@ def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult
     if all(c.is_surface for c in data.components):
         start_chart = _start_chart(data.minimum)
         chart = start_chart.pristine
-        start = ReducedClass(
-            chart, tuple(p.constant_value() for p in start_chart.euler)
-        )
+        start = ReducedClass(chart, start_chart.euler)
     ordered = sorted(
         solution.crossings,
         key=lambda c: (data.components[c.position].level, c.position),
@@ -1023,7 +1041,15 @@ def _with_maximum(shape: FixedPointData, genus: int, b: int, twist: bool = False
     """The candidate of ``shape`` whose surface maximum has this genus and ``b``."""
     *rest, maximum = shape.components
     top = surface(4, maximum.level, genus=genus, b=b)
-    return FixedPointData((*rest, top), twist=twist)
+    return _datum((*rest, top), shape.minimum, top, twist)
+
+
+def _datum(components: tuple, minimum: FixedComponent, maximum: FixedComponent, twist=False):
+    """``FixedPointData(components, twist)`` built by a caller that knows
+    its extremes, so it seeds the extremes memo (``_memo``) with them."""
+    data = FixedPointData(components, twist=twist)
+    data.__dict__.update(_minimum=minimum, _maximum=maximum)
+    return data
 
 
 def _solve_prefix(
@@ -1040,7 +1066,7 @@ def _solve_prefix(
     degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
     when some reduced system has a free variable or stalls the solver.
     A bounded solution fixes every unknown (``_resolve_branch``), so
-    ``e.e`` is a number.
+    ``e.e`` is a number, the top chart's Euler vector at it squared.
     """
     walks = {} if walks is None else walks
     branches = [
@@ -1060,7 +1086,8 @@ def _solve_prefix(
             values = sol.as_dict()
             resolved = _resolve_branch(branch, values)
             if resolved is not None:
-                square = branch.equations[-1].substitute(values).constant_value()
+                e = branch.top.euler_at(values)
+                square = _dot(branch.top.gram, e, e)
                 found = by_square.setdefault(square, {})
                 found.setdefault(resolved.key, resolved)
     return {square: list(found.values()) for square, found in by_square.items()}
@@ -1094,7 +1121,7 @@ def _derive_splittings(
         components[crossing.position] = replace(
             components[crossing.position], b_plus=b_plus, b_minus=b_minus
         )
-    return FixedPointData(tuple(components), twist=data.twist)
+    return _datum(tuple(components), data.minimum, data.maximum, data.twist)
 
 
 def b_plus_minus(
@@ -1142,7 +1169,8 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
     middles. Equal middles are listed next to each other, so the first
     assignment of each shape is the one whose levels never fall between
     equal neighbours, and only it is built. Components and assignments
-    are built once per call.
+    are built once per call, and each shape carries its extremes
+    (``_datum``).
     """
     assignments = lru_cache(maxsize=None)(_level_assignments)
     point_at, surface_at = lru_cache(maxsize=None)(point), lru_cache(maxsize=None)(surface)
@@ -1175,7 +1203,10 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
                             ):
                                 continue
                             top = max(levels, default=0) + 1
-                            yield FixedPointData(
+                            maximum = (
+                                surface_at(4, top, 0, 0) if max_is_surface else point_at(6, top)
+                            )
+                            yield _datum(
                                 (
                                     minimum,
                                     *(
@@ -1184,10 +1215,10 @@ def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:
                                         else surface_at(2, level, g1)
                                         for (index, g1), level in zip(middles, levels)
                                     ),
-                                    surface_at(4, top, 0, 0)
-                                    if max_is_surface
-                                    else point_at(6, top),
-                                )
+                                    maximum,
+                                ),
+                                minimum,
+                                maximum,
                             )
 
 

@@ -9,15 +9,35 @@ multiplier (``mul_terms``), the powers of c_1 (``c1_power``) and the
 unit restrictions are the package's own former code.
 
 ``terminal_variants`` is the chain engine's former closing step, which
-formed each equation by ``Poly`` arithmetic on whole pairings; the
-engine now sums each equation in one monomial dict. The recursive walk
-of ``tests/test_walk.py`` closes its branches with it.
+formed each equation by ``Poly`` arithmetic on whole pairings with
+``dot``, the package's former ``_dot``; the engine now sums each
+equation in one monomial dict from number vectors. The recursive walk
+of ``tests/test_walk.py`` closes its branches with it. That walk keeps a
+chart's Euler class as a vector of affine ``Poly`` entries, as the
+engine once did; ``euler_polys`` and ``with_euler`` translate between it
+and the engine's numbers (a constant vector and one column per unknown).
+
+``solve_system`` is the package's former solver, verbatim, which ran on
+``Poly`` throughout; the package's solver now runs on monomial dicts,
+and the differential tests of ``tests/test_solve.py`` hold it to this
+one.
 """
 
-from typing import Iterable
+from dataclasses import replace
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
-from semifree._solve import Poly
-from semifree.algebra import CarrierMismatchError, EquivariantClass, _dot
+from semifree._solve import (
+    Monomial,
+    Poly,
+    Solution,
+    SolverStallError,
+    _mono_mul,
+    _rational_roots,
+    _scalar,
+    rref,
+)
+from semifree.algebra import CarrierMismatchError, EquivariantClass
 from semifree.classifier import _section_for
 from semifree.fixed_points import FixedComponent, FixedPointData
 from semifree.localization import _euler_shape
@@ -123,6 +143,46 @@ def invert_euler(e: EquivariantClass) -> EquivariantClass:
     )
 
 
+def dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence, into: dict | None = None):
+    """``sum a_i g_ij b_j`` over the non-zero Gram entries, the package's
+    former ``_dot``, which also paired ``Poly`` vectors.
+
+    A ``Poly`` when some summed product has a ``Poly`` factor (zero
+    ``Poly`` entries of ``a`` are skipped), else a canonical scalar.
+    Given ``into``, a monomial dict as ``Poly.accumulate`` fills, the sum
+    is added into it (the scalar part at ``()``) and ``into`` is returned,
+    so an equation of several pairings is summed in one dict and
+    canonicalized once by ``Poly.from_dict``.
+    """
+    scalar: Rational = 0
+    acc: dict = {} if into is None else into
+    poly = False
+    for i, ai in enumerate(a):
+        a_poly = isinstance(ai, Poly)
+        if a_poly and ai.is_zero():
+            continue
+        row = gram[i]
+        for j, bj in enumerate(b):
+            g = row[j]
+            if not g:
+                continue
+            if a_poly:
+                poly = True
+                if isinstance(bj, Poly):
+                    ai.accumulate(acc, g, bj)
+                else:
+                    ai.accumulate(acc, g * bj)
+            elif isinstance(bj, Poly):
+                poly = True
+                bj.accumulate(acc, ai * g)
+            else:
+                scalar += ai * g * bj
+    if into is None and not poly:
+        return canon(scalar)
+    acc[()] = acc.get((), 0) + scalar
+    return acc if into is not None else Poly.from_dict(acc)
+
+
 def terminal_variants(data: FixedPointData, chart) -> list:
     """The equations that close a chain branch under the maximum, with
     the chart they close on; empty when the maximum cannot sit on it."""
@@ -131,21 +191,21 @@ def terminal_variants(data: FixedPointData, chart) -> list:
         if chart.rank != 1 or chart.gram[0][0] != 1 or abs(chart.c1[0]) != 3:
             return []
         h = qdiv(chart.c1[0], 3)
-        return [([chart.euler[0] - Poly.const(h)], chart)]
+        return [([euler_polys(chart)[0] - Poly.const(h)], chart)]
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
         return []
-    e = chart.euler
+    e = euler_polys(chart)
     if data.twist:
         if chart.fiber is None:
             return []
         eqs = [
-            _dot(chart.gram, e, chart.fiber) + Poly.const(qdiv(b_max, 2)),
-            _dot(chart.gram, e, e) + Poly.const(b_max),
+            dot(chart.gram, e, chart.fiber) + Poly.const(qdiv(b_max, 2)),
+            dot(chart.gram, e, e) + Poly.const(b_max),
         ]
         if b_max == 0:
             section = _section_for(chart.gram, (chart.fiber[0].numerator, chart.fiber[1].numerator))
-            eqs.append(_dot(chart.gram, e, section) - Poly.const(1))
+            eqs.append(dot(chart.gram, e, section) - Poly.const(1))
         return [(eqs, chart)]
     if chart.fiber is not None:
         fibers = [chart.fiber]
@@ -153,7 +213,245 @@ def terminal_variants(data: FixedPointData, chart) -> list:
         fibers = [fib for _, fib, _section in chart.bundle_forms]
     if not fibers:
         return []
-    square = _dot(chart.gram, e, e) + Poly.const(b_max)
+    square = dot(chart.gram, e, e) + Poly.const(b_max)
     return [
-        ([_dot(chart.gram, e, fib) - Poly.const(1), square], chart) for fib in fibers
+        ([dot(chart.gram, e, fib) - Poly.const(1), square], chart) for fib in fibers
     ]
+
+
+def euler_polys(chart) -> tuple[Poly, ...]:
+    """The Euler vector of a chart, one affine ``Poly`` per entry."""
+    return tuple(
+        Poly.from_dict(
+            {(): c, **{((name, 1),): column[j] for name, column in chart.unknowns}}
+        )
+        for j, c in enumerate(chart.euler)
+    )
+
+
+def with_euler(chart, euler: Sequence[Poly]):
+    """``chart`` with the Euler vector ``euler`` of affine ``Poly`` entries."""
+    const = [0] * len(euler)
+    columns: dict[str, list] = {}
+    for j, entry in enumerate(euler):
+        for m, c in entry.terms:
+            if not m:
+                const[j] = c
+                continue
+            ((name, exp),) = m
+            assert exp == 1, entry
+            columns.setdefault(name, [0] * len(euler))[j] = c
+    unknowns = tuple((name, tuple(columns[name])) for name in sorted(columns))
+    return replace(chart, euler=tuple(const), unknowns=unknowns)
+
+
+# ---------------------------------------------------------------------------
+# the former solver on ``Poly``: ``Poly.substitute``, ``as_linear``,
+# ``as_univariate`` and ``total_degree`` as they were, and
+# ``solve_system`` with its recursion, reading them as functions
+
+
+def substitute(poly: Poly, values: Mapping[str, "Poly | Rational"]) -> Poly:
+    if not any(v in values for m, _ in poly.terms for v, _ in m):
+        return poly
+    acc: dict[Monomial, Rational] = {}
+    for m, c in poly.terms:
+        kept: list[tuple[str, int]] = []
+        # The product of the substituted non-constant factors,
+        # multiplied out term by term; ``from_dict`` sums it up once.
+        factor: Sequence[tuple[Monomial, Rational]] | None = None
+        for var, exp in m:
+            value = values.get(var)
+            if value is None:
+                kept.append((var, exp))
+                continue
+            kind = type(value)
+            if kind is int or kind is Fraction:
+                c = c * value if exp == 1 else c * value**exp
+                continue
+            if isinstance(value, Poly):
+                if not value.is_constant():
+                    for _ in range(exp):
+                        if factor is None:
+                            factor = value.terms
+                            continue
+                        factor = [
+                            (_mono_mul(m1, m2), c1 * c2)
+                            for m1, c1 in factor
+                            for m2, c2 in value.terms
+                        ]
+                    continue
+                value = value.constant_value()
+            c = c * _scalar(value) ** exp
+        mono = tuple(kept)
+        if factor is None:
+            acc[mono] = acc[mono] + c if mono in acc else c
+            continue
+        for m2, c2 in factor:
+            m2, c2 = _mono_mul(mono, m2), c * c2
+            acc[m2] = acc[m2] + c2 if m2 in acc else c2
+    return Poly.from_dict(acc)
+
+
+def total_degree(poly: Poly) -> int:
+    return max((sum(e for _, e in m) for m, _ in poly.terms), default=0)
+
+
+def as_linear(poly: Poly) -> tuple[Rational, dict[str, Rational]] | None:
+    """Return ``(constant, {var: coeff})`` when total degree <= 1."""
+    const: Rational = 0
+    coeffs: dict[str, Rational] = {}
+    for m, c in poly.terms:
+        if not m:
+            const = c
+        elif len(m) == 1 and m[0][1] == 1:
+            coeffs[m[0][0]] = c
+        else:
+            return None
+    return const, coeffs
+
+
+def as_univariate(poly: Poly) -> tuple[str, list[Rational]] | None:
+    """Return ``(var, [c0, c1, ...])`` when only one variable appears."""
+    names = poly.variables()
+    if len(names) != 1:
+        return None
+    (name,) = names
+    coeffs: list[Rational] = [0] * (total_degree(poly) + 1)
+    for m, c in poly.terms:
+        coeffs[m[0][1] if m else 0] = c
+    return name, coeffs
+
+
+def solve_system(equations: Iterable[Poly]) -> list[Solution]:
+    """All rational solutions of a system of polynomials set to zero.
+
+    Strategy: exact linear elimination (expressing pivot variables as
+    affine combinations of the rest), then case splits on equations that
+    become univariate quadratics, recursing until every equation is
+    satisfied. Branches without rational roots are discarded, which is
+    sound because only rational solutions are admissible downstream.
+    Every system solved here is at most quadratic: the chain's pairings
+    and the integrals of products of two degree-2 classes.
+    """
+    variables = sorted(set().union(*(e.variables() for e in equations)) or set())
+    out: list[Solution] = []
+    _solve_rec([e for e in equations], {}, set(variables), out)
+    unique: dict[tuple, Solution] = {}
+    for sol in out:
+        unique[(sol.assignment, sol.free)] = sol
+    return list(unique.values())
+
+
+def _solve_rec(
+    equations: list[Poly],
+    fixed: dict[str, Rational],
+    universe: set[str],
+    out: list[Solution],
+) -> None:
+    eqs = []
+    for e in equations:
+        e = substitute(e, fixed) if fixed else e
+        if e.is_constant():
+            if e.constant_value():
+                return
+            continue
+        eqs.append(e)
+
+    # Linear closure: pin down variables forced by the linear subset.
+    while True:
+        linear = [(e, as_linear(e)) for e in eqs]
+        lin_rows = [
+            (coeffs, -const) for _, lin in linear if lin for const, coeffs in [lin]
+        ]
+        if not lin_rows:
+            break
+        lin_vars = sorted(set().union(*(c.keys() for c, _ in lin_rows)))
+        n = len(lin_vars)
+        mat = [
+            [coeffs.get(v, 0) for v in lin_vars] + [rhs]
+            for coeffs, rhs in lin_rows
+        ]
+        red, pivots = rref(mat, col_limit=n)
+        if any(r[n] and not any(r[:n]) for r in red):
+            return
+        forced: dict[str, Rational] = {}
+        exprs: dict[str, Poly] = {}
+        for ri, col in enumerate(pivots):
+            others = [j for j in range(n) if j != col and red[ri][j]]
+            if not others:
+                forced[lin_vars[col]] = red[ri][n]
+            else:
+                expr = Poly.const(red[ri][n])
+                for j in others:
+                    expr = expr - Poly.var(lin_vars[j]) * red[ri][j]
+                exprs[lin_vars[col]] = expr
+        if forced:
+            fixed = {**fixed, **forced}
+            new_eqs = []
+            for e in eqs:
+                e = substitute(e, forced)
+                if e.is_constant():
+                    if e.constant_value():
+                        return
+                    continue
+                new_eqs.append(e)
+            eqs = new_eqs
+            continue
+        # Every linear row has a pivot, so with none forced some pivot
+        # has an expression: eliminate those pivot variables, solve the
+        # reduced system, then back-substitute each branch.
+        reduced = []
+        for e in eqs:
+            e = substitute(e, exprs)
+            if e.is_constant():
+                if e.constant_value():
+                    return
+                continue
+            reduced.append(e)
+        sub_out: list[Solution] = []
+        _solve_rec(reduced, {}, universe - set(exprs), sub_out)
+        for sol in sub_out:
+            values = sol.as_dict()
+            merged = {**fixed, **values}
+            # The sub-universe may still list variables pinned in
+            # ``fixed``; those are not free.
+            free = set(sol.free) - set(merged)
+            for var, expr in exprs.items():
+                value = substitute(expr, values)
+                if value.is_constant():
+                    merged[var] = value.constant_value()
+                else:
+                    free.add(var)
+            _emit(merged, free, universe, out)
+        return
+
+    if not eqs:
+        _emit(fixed, set(), universe, out)
+        return
+
+    for e in eqs:
+        uni = as_univariate(e)
+        if uni is None:
+            continue
+        var, coeffs = uni
+        for root in _rational_roots(coeffs):
+            _solve_rec(eqs, {**fixed, var: root}, universe, out)
+        return
+
+    raise SolverStallError(
+        f"no univariate case split available among {len(eqs)} equations"
+    )
+
+
+def _emit(
+    merged: dict[str, Rational],
+    free: set[str],
+    universe: set[str],
+    out: list[Solution],
+) -> None:
+    free = (free | (universe - set(merged))) & universe
+    assignment = tuple(
+        sorted((v, val) for v, val in merged.items() if v in universe and v not in free)
+    )
+    out.append(Solution(assignment, frozenset(free)))

@@ -20,6 +20,7 @@ from semifree.algebra import (
     projective_plane,
     trivial_bundle,
     ReducedClass,
+    ReducedSpaceType,
 )
 from semifree._solve import Poly
 from semifree.fixed_points import FixedPointData, point, surface
@@ -58,6 +59,41 @@ def test_point_carrier_rejects_u_part():
 def test_carrier_mismatch_rejected():
     with pytest.raises(CarrierMismatchError):
         multiply(surf({0: (1, 0)}), pt({0: (1, 0)}))
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: EquivariantClass("torus", ()), "unknown carrier 'torus'"),
+        (lambda: ReducedSpaceType("cone"), "unknown reduced space form 'cone'"),
+        (lambda: trivial_bundle(-1), "genus must be non-negative"),
+        (lambda: ReducedSpaceType("projective_plane", 1), "carries no genus parameter"),
+        (lambda: ReducedClass.make(projective_plane(), 1, 2), "projective plane needs 1 coefficients"),
+        (
+            lambda: ReducedClass.make(nontrivial_bundle(2), 1),
+            "nontrivial sphere bundle over genus-2 surface needs 2 coefficients",
+        ),
+        (
+            lambda: ReducedClass.make(trivial_bundle(0), 1, 2, 3),
+            "trivial sphere bundle over genus-0 surface needs 2 coefficients",
+        ),
+    ],
+)
+def test_constructors_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_pairing_refuses_classes_on_different_spaces():
+    with pytest.raises(CarrierMismatchError, match="different reduced spaces"):
+        pair(fiber_class(trivial_bundle(0)), fiber_class(nontrivial_bundle(0)))
+
+
+def test_fiber_class_on_the_plane_is_the_hyperplane_class():
+    plane = projective_plane()
+    h = fiber_class(plane)
+    assert h == ReducedClass.make(plane, 1)
+    assert (pair(h, h), pair(c1_reduced(plane), h)) == (1, 3)
 
 
 @given(nonzero_rationals, rationals, st.integers(-3, 3))

@@ -548,6 +548,27 @@ def test_shapes_match_the_seen_set_generator(max_genus, bound):
     assert len(set(shapes)) == len(shapes)
 
 
+def test_enumeration_hands_every_datum_the_extremes_a_fresh_one_reads(monkeypatch):
+    # Every shape, candidate and filled candidate the enumeration builds
+    # comes with its extremes, and they are the ones a fresh datum reads.
+    built = []
+    datum = classifier._datum
+
+    def record(*args, **kwargs):
+        data = datum(*args, **kwargs)
+        assert {"_minimum", "_maximum"} <= data.__dict__.keys()
+        built.append(data)
+        return data
+
+    monkeypatch.setattr(classifier, "_datum", record)
+    classifier.enumerate_types(2, (-3, 3))
+    assert len(built) > 500
+    assert any(d.twist for d in built) and any(d.maximum.is_point for d in built)
+    for data in built:
+        fresh = FixedPointData(data.components, twist=data.twist)
+        assert (data.minimum, data.maximum) == (fresh.minimum, fresh.maximum), data
+
+
 def test_enumeration_decides_each_unique_candidate_once(small_enumeration):
     members = sum(len(m) for m in small_enumeration.families.values())
     assert sum(small_enumeration.rejected.values()) + members == 842

@@ -1,12 +1,12 @@
 """The chain engine's pairings and the ``Poly`` kernel against plain references.
 
-``tests/test_walk.py``'s oracle pairs with ``classifier._dot`` itself, so
-a fault in a pairing helper would sit on both sides of it. Here the
-pairings that ``_cross`` and ``_blow_down`` use, ``_dot`` and
-``_pairing_functional``, are checked against the sum over i, j of
+``tests/test_walk.py``'s oracle pairs with ``oracles.dot``, so a fault
+in a pairing helper of the engine would show there only as a different
+branch. Here the pairings that the walk uses, ``_dot`` on numbers,
+``_pair_parts`` on vectors affine in the unknowns (summed into a
+prefilled monomial dict) and ``_pairing_functional``, are checked against the sum over i, j of
 a_i g_ij b_j written out term by term in ``Poly`` arithmetic, on the
-Gram matrices the walk reaches, both as a value and summed into a
-monomial dict (``into=``). ``Poly.substitute``
+Gram matrices the walk reaches. ``Poly.substitute``
 and ``_mono_mul`` are checked against references on plain dicts that
 share no code with ``Poly``.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +23,7 @@ from semifree._solve import Poly, SolverStallError, _mono_mul
 from semifree.fixed_points import InvalidDataError, point
 
 from corpus import fuzz_data
+from oracles import with_euler
 
 NAMES = ("a", "b", "x", "y")
 
@@ -68,18 +68,25 @@ def _affine(rng: random.Random, names=NAMES) -> Poly:
 
 
 def _vector(rng: random.Random, n: int) -> list:
-    """Ints, Fractions, affine ``Poly``s, or a mix of them (zeros included)."""
-    kind = rng.choice(("int", "fraction", "poly", "mixed"))
+    """Ints, Fractions, or a mix of them (zeros included)."""
+    kind = rng.choice(("int", "fraction", "mixed"))
     out = []
     for _ in range(n):
-        pick = kind if kind != "mixed" else rng.choice(("int", "fraction", "poly"))
+        pick = kind if kind != "mixed" else rng.choice(("int", "fraction"))
         if pick == "int":
             out.append(rng.randint(-3, 3))
-        elif pick == "fraction":
-            out.append(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         else:
-            out.append(_affine(rng) if rng.random() < 0.85 else Poly(()))
+            out.append(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
     return out
+
+
+def _parts(rng: random.Random, n: int) -> tuple[list, list]:
+    """A vector affine in the unknowns as ``(monomial, number vector)``
+    parts, as ``_Chart.euler_parts`` gives, and as ``Poly`` entries."""
+    parts = [((), _vector(rng, n))]
+    for name in sorted(rng.sample(NAMES, rng.randint(0, 3))):
+        parts.append((((name, 1),), _vector(rng, n)))
+    return parts, [Poly.from_dict({m: vec[j] for m, vec in parts}) for j in range(n)]
 
 
 def _as_poly(value) -> Poly:
@@ -105,38 +112,38 @@ def test_dot_matches_the_written_out_sum():
         n = len(gram)
         for _ in range(40):
             a, b = _vector(rng, n), _vector(rng, n)
-            if rng.random() < 0.3:
-                # A vector of unknowns, as ``_cross`` pairs with; its
-                # names may be shared with the other vector's variables.
-                names = rng.sample(("eta7_0", "eta7_1", "eta7_2", "x", "y"), n)
-                b = [Poly.var(name) for name in names]
-                if rng.random() < 0.3:
-                    a = b
             got = classifier._dot(gram, a, b)
-            if not isinstance(got, Poly):
-                _assert_canonical_scalar(got)
-            assert _as_poly(got) == _written_out(gram, a, b), (gram, a, b)
+            _assert_canonical_scalar(got)
+            assert Poly.const(got) == _written_out(gram, a, b), (gram, a, b)
 
 
-def test_dot_into_adds_the_written_out_sum_into_a_prefilled_dict():
+def _prefilled(rng: random.Random, expected: Poly) -> Poly:
+    start = _affine(rng, names=("x", "y", "eta7_0"))
+    if rng.random() < 0.3:
+        # Terms that the sum cancels leave zero coefficients behind.
+        start = -expected + start
+    return start
+
+
+def test_pair_parts_adds_the_written_out_sum_into_a_prefilled_dict():
     rng = random.Random(12002)
     for gram in _reached_grams():
         n = len(gram)
         for _ in range(40):
-            a, b = _vector(rng, n), _vector(rng, n)
-            start = _affine(rng, names=("x", "y", "eta7_0"))
+            (left, a), (right, b) = _parts(rng, n), _parts(rng, n)
             if rng.random() < 0.3:
-                # Terms that the sum cancels leave zero coefficients behind.
-                start = -_written_out(gram, a, b) + start
+                # A vector paired with itself, as e.e: each two parts once.
+                right, b = left, a
+            start = _prefilled(rng, _written_out(gram, a, b))
             acc = dict(start.terms)
-            assert classifier._dot(gram, a, b, into=acc) is acc
-            assert Poly.from_dict(acc) == start + _written_out(gram, a, b), (gram, a, b)
+            assert classifier._pair_parts(gram, left, right, acc) is acc
+            assert Poly.from_dict(acc) == start + _written_out(gram, a, b), (gram, left, right)
 
 
 def _blow_down_state(euler):
     """A walk state on the plane blown up twice, gram diag(1, -1, -1)."""
     chart = classifier._blow_up(classifier._blow_up(classifier._start_chart(point(0, 0))))
-    return classifier._Branch((), (), replace(chart, euler=euler))
+    return classifier._Branch((), (), with_euler(chart, euler))
 
 
 def test_a_blow_down_condition_whose_unknowns_cancel_is_a_constant():

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semifree import classifier
+from semifree import classifier, cli, localization
 from semifree._solve import (
     AffineConstraint,
     Poly,
+    SolverStallError,
     _rational_roots,
     feasible,
     integer_kernel_basis,
@@ -21,6 +23,10 @@ from semifree._solve import (
     sqrt_fraction,
     unimodular_clearing,
 )
+from semifree.fixed_points import InvalidDataError
+
+import oracles
+from corpus import builtin_data, family_presets, perfbench_module
 
 F = Fraction
 
@@ -86,6 +92,15 @@ def test_solve_system_forced_value_is_not_free():
     assert not solution.free
 
 
+def test_back_substituted_values_are_canonical():
+    # x = y/2 is eliminated, y splits on y^2 = 4, and x = y/2 comes back
+    # as the int 1 (and -1), not Fraction(1, 1).
+    x, y = Poly.var("x"), Poly.var("y")
+    solutions = solve_system([x - y * F(1, 2), y * y - Poly.const(4)])
+    assert [sol.assignment for sol in solutions] == [(("x", -1), ("y", -2)), (("x", 1), ("y", 2))]
+    assert {type(value) for sol in solutions for _, value in sol.assignment} == {int}
+
+
 def test_solve_system_no_solution():
     x = Poly.var("x")
     assert solve_system([x - Poly.const(1), x - Poly.const(2)]) == []
@@ -148,6 +163,12 @@ def test_unimodular_clearing_sends_vector_to_axis(vector):
     ]
     assert image[1] == 0 and image[2] == 0
     assert image[0] != 0
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+def test_substitute_refuses_an_inexact_value(value):
+    with pytest.raises(TypeError, match="exact rational"):
+        Poly.var("x").substitute({"x": value})
 
 
 def test_poly_arithmetic_exact():
@@ -389,10 +410,11 @@ def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
     return list(systems)
 
 
-def test_solve_system_matches_sympy_on_enumeration_chains(monkeypatch):
-    sympy = pytest.importorskip("sympy")
+def _assert_solutions_match_sympy(sympy, systems) -> int:
+    """Compare each bounded system's solutions with sympy's rational ones;
+    returns how many systems were compared."""
     compared = 0
-    for equations in _enumeration_chain_systems(monkeypatch):
+    for equations in systems:
         ours = solve_system(list(equations))
         if any(sol.free for sol in ours):
             continue
@@ -415,4 +437,120 @@ def test_solve_system_matches_sympy_on_enumeration_chains(monkeypatch):
                 )
         assert got == expected
         compared += 1
-    assert compared
+    return compared
+
+
+def test_solve_system_matches_sympy_on_enumeration_chains(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    assert _assert_solutions_match_sympy(sympy, _enumeration_chain_systems(monkeypatch))
+
+
+# ---------------------------------------------------------------------------
+# the systems that the benchmark's workloads and the restriction tables pose
+
+
+def _recorded_systems(run) -> dict[tuple[Poly, ...], str]:
+    """The distinct systems that ``run()`` hands to ``classifier.solve_system``
+    or ``localization.solve_system``, in first-seen order, each with the
+    name of its first caller's module."""
+    systems: dict[tuple[Poly, ...], str] = {}
+    solves = {module: module.solve_system for module in (classifier, localization)}
+
+    def recorder(module):
+        def record(equations):
+            equations = list(equations)
+            systems.setdefault(tuple(equations), module.__name__)
+            return solves[module](equations)
+
+        return record
+
+    try:
+        for module in solves:
+            module.solve_system = recorder(module)
+        run()
+    finally:
+        for module, solve in solves.items():
+            module.solve_system = solve
+    return systems
+
+
+@lru_cache(maxsize=None)
+def _workload_systems() -> tuple[tuple[Poly, ...], ...]:
+    """Every system that the three benchmark workloads (the fuzz one on
+    both pools) and ``enumerate_types(5, (-10, 10))`` hand to the solver."""
+    workloads = perfbench_module("workloads")
+
+    def run():
+        ops = [*workloads.commands_families_ops(), *workloads.fuzz_ops(1), *workloads.fuzz_ops(2)]
+        ops.append(workloads.Op("enumerate default", "enumerate", b""))
+        configs: dict = {}
+        for op in ops:
+            config = configs.setdefault(
+                op.command, cli.RunConfig(command=op.command, output_format="structured")
+            )
+            try:
+                cli.run(config, op.raw)
+            except SolverStallError:
+                pass
+        classifier.enumerate_types(5, (-10, 10))
+
+    return tuple(_recorded_systems(run))
+
+
+def _typed(solve, equations):
+    """The solutions with each value's type, or the stall message."""
+    try:
+        return [
+            (tuple((name, type(value), value) for name, value in sol.assignment), sol.free)
+            for sol in solve(list(equations))
+        ]
+    except SolverStallError as exc:
+        return ("stall", str(exc))
+
+
+def test_solve_system_matches_the_former_solver_on_every_workload_system():
+    # The same solutions in the same order, the same value types and free
+    # sets, and the same stalls, as the solver that ran on ``Poly``.
+    systems = _workload_systems()
+    assert len(systems) > 2000
+    stalls = 0
+    for equations in systems:
+        got = _typed(solve_system, equations)
+        assert got == _typed(oracles.solve_system, equations), equations
+        stalls += isinstance(got, tuple)
+    # The SolverStallError data of the fuzz pools still stall.
+    assert stalls > 0
+
+
+def test_every_returned_solution_zeroes_its_system():
+    # Put each solution back into its system (by the former substitution,
+    # which shares no code with the solver's): every equation is exactly 0.
+    checked = 0
+    for equations in _workload_systems():
+        try:
+            solutions = solve_system(list(equations))
+        except SolverStallError:
+            continue
+        for sol in solutions:
+            # No system of the corpus leaves a variable free.
+            assert not sol.free
+            values = sol.as_dict()
+            for e in equations:
+                assert oracles.substitute(e, values).is_zero(), (equations, sol)
+            checked += 1
+    assert checked > 200
+
+
+def test_solve_system_matches_sympy_on_restriction_tables():
+    sympy = pytest.importorskip("sympy")
+
+    def run():
+        for _, data in family_presets() + builtin_data():
+            try:
+                localization.solve_restriction_table(data)
+            except InvalidDataError:
+                pass  # the two remark-0 builtins have no table
+
+    # The tables read the solved chain too; only their own systems count here.
+    systems = [s for s, module in _recorded_systems(run).items() if module == "semifree.localization"]
+    assert _assert_solutions_match_sympy(sympy, systems) > 50

@@ -1,17 +1,18 @@
 """The memoized chain walk against the recursive walk it replaced.
 
 ``_advance`` below is the recursive walk the classifier used before the
-walk remembered its prefixes; it is kept here as the oracle. It forms
-every equation by ``Poly`` arithmetic on whole pairings and closes its
-branches with ``oracles.terminal_variants``, the engine's former closing
-step, so it shares no equation-building code with ``_cross`` and
-``_terminal_variants``, which sum each equation in one monomial dict.
+walk remembered its prefixes; it is kept here as the oracle. It keeps
+each chart's Euler class as ``Poly`` entries (``oracles.euler_polys``
+and ``with_euler`` translate), forms every equation by ``Poly``
+arithmetic on whole pairings (``oracles.dot``) and closes its branches
+with ``oracles.terminal_variants``, the engine's former closing step, so
+it shares no equation-building code with ``_cross`` and
+``_terminal_variants``, which sum each equation in one monomial dict
+from number vectors.
 The shared walk must give the same branches in the same order, so the
 solver sees the same systems and the first-wins choice of a solution is
 unchanged.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from semifree._solve import Poly
 from semifree.fixed_points import FixedPointData, InvalidDataError, point
 
 from corpus import family_presets, fuzz_data, middle_orderings
-from oracles import terminal_variants
+from oracles import dot, euler_polys, terminal_variants, with_euler
 
 
 def _advance(data, chart, ordering, equations, crossings, out):
@@ -34,7 +35,7 @@ def _advance(data, chart, ordering, equations, crossings, out):
         return
     pos, rest = ordering[0], ordering[1:]
     comp = data.components[pos]
-    dot = classifier._dot
+    euler = euler_polys(chart)
     if comp.is_surface:
         names = tuple(f"eta{pos}_{i}" for i in range(chart.rank))
         eta = [Poly.var(name) for name in names]
@@ -46,16 +47,14 @@ def _advance(data, chart, ordering, equations, crossings, out):
             + Poly.const(2 - 2 * genus)
         )
         if comp.b_minus is not None:
-            eqs.append(dot(chart.gram, chart.euler, eta) + Poly.const(comp.b_minus))
+            eqs.append(dot(chart.gram, euler, eta) + Poly.const(comp.b_minus))
         if comp.b_plus is not None:
             eqs.append(
-                dot(chart.gram, chart.euler, eta)
+                dot(chart.gram, euler, eta)
                 + dot(chart.gram, eta, eta)
                 - Poly.const(comp.b_plus)
             )
-        new_chart = replace(
-            chart, euler=tuple(e + v for e, v in zip(chart.euler, eta))
-        )
+        new_chart = with_euler(chart, tuple(e + v for e, v in zip(euler, eta)))
         log = classifier._CrossingLog(pos, chart, names)
         _advance(data, new_chart, rest, eqs, crossings + [log], out)
         return
@@ -64,7 +63,7 @@ def _advance(data, chart, ordering, equations, crossings, out):
         return
     if comp.index == 4:
         for k_class in classifier._blow_down_candidates(chart):
-            condition = dot(chart.gram, chart.euler, k_class) - 1
+            condition = dot(chart.gram, euler, k_class) - 1
             if isinstance(condition, Poly) and condition.is_constant():
                 if condition.constant_value():
                     continue
