@@ -9,13 +9,14 @@ integration equations (linear closure alternating with case splits on
 univariate quadratics), strict and non-strict Fourier-Motzkin
 feasibility, and primitive integer kernel bases for lattice quotients.
 
-``Poly`` is the form in which callers hand over equations. The solver
-turns each one into its monomial dict once (``{monomial: coefficient}``,
-``Poly.terms`` unsorted) and works on dicts from there on: one
-substitution routine, ``_substitute``, puts in the fixed values, the
-values forced by the linear closure, the eliminated pivots' expressions
-and the back-substituted values, and returns its input untouched when
-no substituted variable occurs. ``Poly.substitute`` wraps it too.
+A polynomial is a monomial dict, ``{monomial: coefficient}``, while it
+is summed. Callers hand each equation over as its canonical term tuple
+(``equation``), so equal equations are equal and hash alike. The solver
+turns each one back into its dict once and works on dicts from there
+on: one substitution routine, ``_substitute``, puts in the fixed values,
+the values forced by the linear closure, the eliminated pivots'
+expressions and the back-substituted values, and returns its input
+untouched when no substituted variable occurs.
 """
 
 from __future__ import annotations
@@ -61,165 +62,15 @@ def _scalar(value: Rational) -> Rational:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Sparse multivariate polynomial with rational coefficients.
+Equation = tuple[tuple[Monomial, Rational], ...]
 
-    ``terms`` is canonical: sorted by monomial, with no zero coefficient,
-    and every coefficient an ``int`` when integral and a ``Fraction``
-    otherwise. Equal polynomials therefore have equal ``terms``, and
-    every operation below returns that form.
 
-    The hot operations take fast paths that return that same form:
-    ``_mono_mul`` joins two single-variable monomials without a dict,
-    ``from_dict`` keeps an ``int`` coefficient without a ``canon`` call,
-    ``substitute`` is the solver's ``_substitute`` on its terms and
-    returns ``self`` when no substituted variable occurs, and ``p ** 1``
-    is ``p`` itself.
-    """
-
-    terms: tuple[tuple[Monomial, Rational], ...]
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_dict(d: Mapping[Monomial, Rational]) -> Poly:
-        """The polynomial with coefficient ``d[m]`` at each monomial ``m``."""
-        return Poly(
-            tuple(
-                sorted(
-                    (m, c if type(c) is int else canon(c))
-                    for m, c in d.items()
-                    if c
-                )
-            )
-        )
-
-    @staticmethod
-    def const(value: Rational) -> Poly:
-        v = _scalar(value)
-        return Poly(((((), v)),)) if v else Poly(())
-
-    @staticmethod
-    def var(name: str) -> Poly:
-        return Poly(((((name, 1),), 1),))
-
-    # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        # The constant monomial () sorts first.
-        terms = self.terms
-        return not terms or (len(terms) == 1 and not terms[0][0])
-
-    def constant_value(self) -> Rational:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self!r}")
-        return self.terms[0][1] if self.terms else 0
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(v for m, _ in self.terms for v, _ in m)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def accumulate(
-        self,
-        acc: dict[Monomial, Rational],
-        k: Rational,
-        other: "Poly | None" = None,
-    ) -> None:
-        """Add ``k * self`` (times ``other`` when given) into ``acc``.
-
-        ``k`` is an int or a Fraction. Summing many products into one
-        dict and calling ``from_dict`` once sorts once, not per addition.
-        """
-        if not k:
-            return
-        terms = self.terms if k == 1 else [(m, c * k) for m, c in self.terms]
-        if other is not None:
-            terms = [
-                (_mono_mul(m1, m2), c1 * c2)
-                for m1, c1 in terms
-                for m2, c2 in other.terms
-            ]
-        for m, c in terms:
-            acc[m] = acc[m] + c if m in acc else c
-
-    def _scale(self, k: Rational) -> Poly:
-        # Scaling by a non-zero rational keeps the order and the support.
-        if not k:
-            return Poly(())
-        if k == 1:
-            return self
-        return Poly(tuple((m, canon(c * k)) for m, c in self.terms))
-
-    def _add_const(self, value: Rational) -> Poly:
-        if not value:
-            return self
-        terms = self.terms
-        if terms and not terms[0][0]:
-            c = canon(terms[0][1] + value)
-            return Poly(((((), c),) + terms[1:]) if c else terms[1:])
-        return Poly(Poly.const(value).terms + terms)
-
-    def __add__(self, other: "Poly | Rational") -> Poly:
-        if not isinstance(other, Poly):
-            return self._add_const(_scalar(other))
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        acc = dict(self.terms)
-        other.accumulate(acc, 1)
-        return Poly.from_dict(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "Poly | Rational") -> Poly:
-        if not isinstance(other, Poly):
-            return self._add_const(-_scalar(other))
-        return self + (-other)
-
-    def __rsub__(self, other: "Poly | Rational") -> Poly:
-        return (-self)._add_const(_scalar(other))
-
-    def __mul__(self, other: "Poly | Rational") -> Poly:
-        if not isinstance(other, Poly):
-            return self._scale(_scalar(other))
-        if other.is_constant():
-            return self._scale(other.constant_value())
-        if self.is_constant():
-            return other._scale(self.constant_value())
-        acc: dict[Monomial, Rational] = {}
-        self.accumulate(acc, 1, other)
-        return Poly.from_dict(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError(f"negative exponent {n} of a polynomial")
-        if n == 1:
-            return self
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
-        terms = dict(self.terms)
-        out = _substitute(
-            terms, {v: dict(x.terms) if isinstance(x, Poly) else x for v, x in values.items()}
-        )
-        return self if out is terms else Poly.from_dict(out)
+def equation(d: Mapping[Monomial, Rational]) -> Equation:
+    """The polynomial with coefficient ``d[m]`` at each monomial ``m``, as
+    its canonical term tuple: sorted by monomial, with no zero
+    coefficient, and every coefficient an ``int`` when integral and a
+    ``Fraction`` otherwise. Equal polynomials have equal tuples."""
+    return tuple(sorted((m, c if type(c) is int else canon(c)) for m, c in d.items() if c))
 
 
 def _substitute(
@@ -399,7 +250,7 @@ def _rational_roots(coeffs: list[Rational]) -> list[Rational]:
     return sorted({qdiv(-b + root, 2 * a), qdiv(-b - root, 2 * a)})
 
 
-def solve_system(equations: Iterable[Poly]) -> list[Solution]:
+def solve_system(equations: Iterable[Equation]) -> list[Solution]:
     """All rational solutions of a system of polynomials set to zero.
 
     Strategy: exact linear elimination (expressing pivot variables as
@@ -413,7 +264,7 @@ def solve_system(equations: Iterable[Poly]) -> list[Solution]:
     Each equation becomes its monomial dict once, and the recursion
     substitutes into those dicts (``_substitute``) without sorting them.
     """
-    eqs = [dict(e.terms) for e in equations]
+    eqs = [dict(e) for e in equations]
     out: list[Solution] = []
     _solve_rec(eqs, {}, {v for e in eqs for m in e for v, _ in m}, out)
     unique: dict[tuple, Solution] = {}

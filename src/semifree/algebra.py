@@ -8,10 +8,11 @@ isolated fixed point the coefficients are rationals; for a fixed
 surface they live in the two-step ring spanned by 1 and the area
 generator ``u`` (with ``u * u = 0``).
 
-A term list's coefficients may be scalars or ``Poly``: the
-restriction-table skeleton's known entries are scalars and its unknown
-ones ``Poly``. Integrating a class, by localization against the Euler
-shapes of the fixed components, lives in ``localization``.
+A class's coefficients are exact rationals; the restriction-table
+skeleton of ``localization`` uses the same term lists, with the name of
+a variable for each unknown coefficient. Integrating a class, by
+localization against the Euler shapes of the fixed components, lives
+in ``localization``.
 
 A second, much smaller algebra lives on the reduced spaces of the
 action: the projective plane, or a sphere bundle (trivial or
@@ -88,10 +89,6 @@ class EquivariantClass:
             if c or d:
                 cleaned[int(k)] = (c, d)
         return EquivariantClass(carrier, tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def unit(carrier: str) -> EquivariantClass:
-        return EquivariantClass.make(carrier, {0: (1, 0)})
 
     # -- inspection --------------------------------------------------------
 
@@ -242,7 +239,7 @@ def _pair_parts(gram: Sequence[Sequence[int]], left: list, right: list, into: di
     at the product of their monomials. A vector paired with itself
     (``right is left``) takes each two distinct parts once, doubled.
     ``into`` is returned, so an equation of several pairings is summed in
-    one dict and canonicalized once by ``Poly.from_dict``.
+    one dict and canonicalized once by ``_solve.equation``.
     """
     square = right is left
     for i, (m1, a) in enumerate(left):

@@ -17,8 +17,8 @@ The walk computes on numbers. The Euler class stays affine in the
 unknowns, and a chart carries it as a constant vector plus one column
 per unknown (``_Chart``), so the surgery is integer and rational vector
 arithmetic. Each equation a step emits is summed from Gram products of
-those vectors into one monomial dict (``_pair_parts``) and becomes a
-``Poly`` once, for the solver.
+those vectors into one monomial dict (``_pair_parts``) and becomes its
+canonical term tuple (``equation``) once, for the solver.
 
 Each piece of work is done once in its scope. A surface crossing forms
 e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
@@ -53,10 +53,11 @@ from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from ._solve import (
+    Equation,
     Monomial,
-    Poly,
     Solution,
     SolverStallError,
+    equation,
     integer_kernel_basis,
     solve_system,
     span_coordinates,
@@ -436,7 +437,7 @@ class _CrossingLog:
 
 @dataclass(frozen=True)
 class _Branch:
-    equations: tuple[Poly, ...]
+    equations: tuple[Equation, ...]
     crossings: tuple[_CrossingLog, ...]
     top: _Chart
 
@@ -515,13 +516,13 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
         # Each equation is summed in one monomial dict and canonicalized once.
         eta_eta = _pair_parts(gram, eta, eta, {})
         adjunction = {**eta_eta, (): 2 - 2 * (comp.genus or 0)}
-        eqs = [Poly.from_dict(_pair_parts(gram, [((), [-c for c in chart.c1])], eta, adjunction))]
+        eqs = [equation(_pair_parts(gram, [((), [-c for c in chart.c1])], eta, adjunction))]
         if comp.b_minus is not None or comp.b_plus is not None:
             e_eta = _pair_parts(gram, chart.euler_parts(), eta, {})
             if comp.b_minus is not None:
-                eqs.append(Poly.from_dict({**e_eta, (): comp.b_minus}))
+                eqs.append(equation({**e_eta, (): comp.b_minus}))
             if comp.b_plus is not None:
-                eqs.append(Poly.from_dict({**e_eta, **eta_eta, (): -comp.b_plus}))
+                eqs.append(equation({**e_eta, **eta_eta, (): -comp.b_plus}))
         new_chart = _Chart(
             gram=gram,
             c1=chart.c1,
@@ -544,7 +545,7 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
         # nonzero coefficient; a constant condition holds or kills the class.
         condition = _pair_parts(gram, [((), k_class)], e, {(): -1})
         if any(c for m, c in condition.items() if m):
-            extra: tuple[Poly, ...] = (Poly.from_dict(condition),)
+            extra: tuple[Equation, ...] = (equation(condition),)
         elif condition[()]:
             continue
         else:
@@ -599,7 +600,7 @@ def _branches(
 
 def _terminal_variants(
     data: FixedPointData, chart: _Chart
-) -> list[tuple[list[Poly], _Chart]]:
+) -> list[tuple[list[Equation], _Chart]]:
     """The terminal equations of ``chart`` for each presentation of the
     maximum; none when it cannot sit under the maximum."""
     maximum = data.maximum
@@ -608,7 +609,7 @@ def _terminal_variants(
             return []
         h = qdiv(chart.c1[0], 3)
         entry = {m: part[0] for m, part in chart.euler_parts()}
-        return [([Poly.from_dict({**entry, (): entry[()] - h})], chart)]
+        return [([equation({**entry, (): entry[()] - h})], chart)]
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
         return []
@@ -617,20 +618,20 @@ def _terminal_variants(
         if chart.fiber is None:
             return []
         eqs = [
-            Poly.from_dict(_pair_parts(gram, [((), chart.fiber)], e, {(): qdiv(b_max, 2)})),
-            Poly.from_dict(_pair_parts(gram, e, e, {(): b_max})),
+            equation(_pair_parts(gram, [((), chart.fiber)], e, {(): qdiv(b_max, 2)})),
+            equation(_pair_parts(gram, e, e, {(): b_max})),
         ]
         if b_max == 0:
             section = _section_for(gram, chart.fiber)
-            eqs.append(Poly.from_dict(_pair_parts(gram, [((), section)], e, {(): -1})))
+            eqs.append(equation(_pair_parts(gram, [((), section)], e, {(): -1})))
         return [(eqs, chart)]
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
         fibers = [fib for _, fib, _section in chart.bundle_forms]
-    square = Poly.from_dict(_pair_parts(gram, e, e, {(): b_max}))
+    square = equation(_pair_parts(gram, e, e, {(): b_max}))
     return [
-        ([Poly.from_dict(_pair_parts(gram, [((), fib)], e, {(): -1})), square], chart)
+        ([equation(_pair_parts(gram, [((), fib)], e, {(): -1})), square], chart)
         for fib in fibers
     ]
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import AffineConstraint, _scalar, feasible, rref, solve_linear, span_coordinates
+from ._solve import AffineConstraint, _scalar, feasible, solve_linear, span_coordinates
 from .fixed_points import (
     FixedComponent,
     FixedPointData,
@@ -139,8 +139,9 @@ def build(
     """Build the polytope cut out by inward facet inequalities.
 
     Raises PolytopeError when a normal is not primitive, the region is
-    unbounded or not full-dimensional, some vertex lies on more than
-    three facets, or a facet carries no two-dimensional face.
+    unbounded or empty, some vertex lies on more than three facets (as
+    one does when the region is not full-dimensional), or a facet
+    carries no two-dimensional face.
     """
     cleaned: list[tuple[tuple[int, int, int], Fraction]] = []
     for normal, offset in facets:
@@ -178,17 +179,15 @@ def build(
     if not points:
         raise PolytopeError("the inequalities have no vertex")
 
+    # Each vertex now lies on exactly three facets, with independent
+    # normals. So the region is full-dimensional (a flatter one has a
+    # vertex on four facets or more), and two facets through a vertex meet
+    # in one edge: their common line leaves the vertex inside the region
+    # until a third facet stops it at a second vertex.
     vertices = tuple(
         Vertex(location, tuple(sorted(incident)))
         for location, incident in sorted(points.items())
     )
-    span = [
-        tuple(x - y for x, y in zip(v.location, vertices[0].location))
-        for v in vertices[1:]
-    ]
-    if len(rref(span)[1]) < 3:
-        raise PolytopeError("the polytope is not full-dimensional")
-
     edges = []
     for pair in itertools.combinations(range(len(cleaned)), 2):
         shared = [
@@ -198,10 +197,6 @@ def build(
         ]
         if not shared:
             continue
-        if len(shared) != 2:
-            raise PolytopeError(
-                f"facets {pair} meet in a degenerate face"
-            )
         tail, head = shared
         delta = tuple(
             h - t
@@ -342,19 +337,14 @@ def _edge_weight_in_facet(
     polytope: LatticePolytope, edge: Edge, facet: int
 ) -> int:
     # The weight of the normal summand inside the facet is the height
-    # component of the facet's adjacent edge at either endpoint.
-    weights = set()
-    for vi in (edge.tail, edge.head):
-        for other in _edges_at(polytope, vi):
-            if other == edge or facet not in other.facets:
-                continue
-            weights.add(_away_direction(other, vi)[2])
-    if len(weights) != 1:
-        raise PolytopeError(
-            f"ambiguous normal weight for edge {edge.tail}-{edge.head} "
-            f"inside facet {facet}"
-        )
-    return weights.pop()
+    # component of the facet's other edge at the tail. The facet lies on
+    # one side of the horizontal edge, so its edges at both ends go the
+    # same way, and on a semi-free polytope both have height component 1
+    # or -1: the head gives the same weight.
+    other = next(
+        e for e in _edges_at(polytope, edge.tail) if e != edge and facet in e.facets
+    )
+    return _away_direction(other, edge.tail)[2]
 
 
 def _sphere_vertices(polytope: LatticePolytope) -> set[int]:
@@ -512,16 +502,16 @@ def detect_twist(polytope: LatticePolytope) -> bool:
         ]
         return [[int(ray == shadow) for ray in rays] for shadow in shadows]
 
-    (b0, b1), (t0, t1) = fibers(levels[0]), fibers(levels[-1])
+    (b0, b1), (t0, _) = fibers(levels[0]), fibers(levels[-1])
     characters = [[ray[0] for ray in rays], [ray[1] for ray in rays]]
-    bottom, top, across = span_coordinates(
-        characters,
-        [[x - y for x, y in zip(u, v)] for u, v in ((b0, b1), (t0, t1), (b0, t0))],
+    bottom, across = span_coordinates(
+        characters, [[x - y for x, y in zip(u, v)] for u, v in ((b0, b1), (b0, t0))]
     )
+    # The fan has four distinct rays: the two facets along an extreme
+    # edge have opposite shadows, and the two fibers there are the other
+    # two rays. So when the bottom fibers agree in class, so do the top.
     if bottom is None:
         raise PolytopeError("the bottom fiber divisors disagree in class")
-    if top is None:
-        raise PolytopeError("the top fiber divisors disagree in class")
     return across is None
 
 

@@ -21,14 +21,14 @@ restrictions at higher components are determined by requiring that
 every product integrates to zero below the top degree, and the known
 one-line normal forms appear as the solved values. The table's rows
 are plain term tuples like ``EquivariantClass.terms``, a known entry a
-scalar and an unknown one a ``Poly`` variable. Its equations take the
-same closed form against the same Euler shapes (``_integrate_pair``):
+scalar and an unknown one the name of its variable. Its equations take
+the same closed form against the same Euler shapes (``_integrate_pair``):
 each entry becomes atoms (``_atoms``) once, and each equation adds the
 integrals of its atom pairs into one monomial dict per power of lambda
-and builds its ``Poly`` once. No inverse Euler class is formed on
-either path. The solved table is read straight from the solution's
-values, and c_1 is decomposed over the basis from its nonzero rows
-only.
+and becomes its term tuple (``equation``) once. No inverse Euler class
+is formed on either path. The solved table is read straight from the
+solution's values, and c_1 is decomposed over the basis from its
+nonzero rows only.
 
 Last, it sweeps the reduced symplectic class of all-surface data
 (Duistermaat-Heckman): the conditions on a positive sweep are listed
@@ -46,9 +46,10 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ._solve import (
     AffineConstraint,
-    Poly,
+    Equation,
     _mono_mul,
     _scalar,
+    equation,
     feasible,
     solve_linear,
     solve_system,
@@ -332,13 +333,8 @@ def _class_payload(cls: EquivariantClass) -> list:
 
 
 def _pretty_name(name: str) -> str:
-    if name.startswith("lambda*"):
-        return "λ·" + _pretty_name(name[len("lambda*"):])
-    if name.startswith("alpha'_"):
-        return "α′_" + name[len("alpha'_"):]
-    if name.startswith("alpha_"):
-        return "α_" + name[len("alpha_"):]
-    return name
+    """A table name, ``alpha_k`` or ``alpha'_k`` possibly behind ``lambda*``, in Greek."""
+    return name.replace("lambda*", "λ·").replace("alpha'_", "α′_").replace("alpha_", "α_")
 
 
 def _label_note(component: FixedComponent) -> str:
@@ -387,8 +383,8 @@ _Terms = tuple[tuple[int, tuple], ...]
 class _SkeletonClass:
     """A basis class with its restriction at each label, as term tuples.
 
-    A known entry is a scalar; an unknown one is a ``Poly`` in the
-    table's variables.
+    A known entry is a scalar; an unknown one is the name (a ``str``) of
+    its variable.
     """
 
     name: str
@@ -440,10 +436,10 @@ def _unknown_restriction(
     half = degree // 2
     if degree >= component.index + (0 if component.is_point else 2):
         return ()
-    t = ((half, (Poly.var(_unknown_name(class_name, label, "t")), 0)),)
+    t = ((half, (_unknown_name(class_name, label, "t"), 0)),)
     if component.is_point:
         return t
-    s = ((half - 1, (0, Poly.var(_unknown_name(class_name, label, "s")))),)
+    s = ((half - 1, (0, _unknown_name(class_name, label, "s"))),)
     return s if degree == component.index else s + t
 
 
@@ -454,7 +450,7 @@ def _build_skeleton(
     labels = [f"F{i + 1}" for i in range(len(positions))]
     comps = data.components
     min_pos = comps.index(data.minimum)
-    unit = ((0, (1, 0)),)  # EquivariantClass.unit(carrier).terms on either carrier
+    unit = ((0, (1, 0)),)  # the unit class's terms on either carrier
     classes: list[_SkeletonClass] = []
     for li, pos in enumerate(positions):
         comp = comps[pos]
@@ -491,15 +487,15 @@ def _build_skeleton(
 def _solved_restriction(
     carrier: str, terms: _Terms, values: Mapping[str, Rational]
 ) -> EquivariantClass:
-    """A skeleton entry with its unknowns, each one ``Poly.var(name)``,
+    """A skeleton entry with its unknowns, each one its variable's name,
     read from the solution: every unknown occurs in the equations (in
     its class's own integral, or as ``s t`` in its square)."""
     solved = []
     for k, (c, d) in terms:
-        if isinstance(c, Poly):
-            c = values[c.terms[0][0][0][0]]
-        if isinstance(d, Poly):
-            d = values[d.terms[0][0][0][0]]
+        if type(c) is str:
+            c = values[c]
+        if type(d) is str:
+            d = values[d]
         if c or d:
             solved.append((k, (c, d)))
     return EquivariantClass(carrier, tuple(solved))
@@ -509,15 +505,15 @@ def _atoms(terms: _Terms) -> list[tuple]:
     """A term list as atoms ``(k, j, m, c)``, each ``c m lambda^k u^j``.
 
     Each nonzero part of a term, scalar (``j = 0``) or ``u`` (``j = 1``),
-    gives one atom per monomial ``m`` of its coefficient: a scalar is
-    the coefficient of the empty monomial, and a ``Poly`` gives one
-    atom per term. Like terms are not collected.
+    gives one atom: a number ``c`` at the empty monomial, or an
+    unknown's name as ``c = 1`` at its variable's monomial. Like terms
+    are not collected.
     """
     out = []
     for k, (c, d) in terms:
         for j, part in ((0, c), (1, d)):
-            if isinstance(part, Poly):
-                out += [(k, j, m, v) for m, v in part.terms]
+            if type(part) is str:
+                out.append((k, j, ((part, 1),), 1))
             elif part:
                 out.append((k, j, (), part))
     return out
@@ -561,7 +557,7 @@ def _integration_equations(
     data: FixedPointData,
     positions: tuple[int, ...],
     factors: Sequence[_SkeletonClass],
-) -> list[Poly]:
+) -> list[Equation]:
     """The integration constraints on the basis restrictions.
 
     Every restriction is homogeneous: a basis class lies in its degree,
@@ -593,13 +589,13 @@ def _integration_equations(
     degree_two.append([_atoms(c1s[p].terms) for p in positions])
     for i, left in enumerate(degree_two):
         integrands += [list(zip(left, right)) for right in degree_two[i:]]
-    equations: list[Poly] = []
+    equations: list[Equation] = []
     for integrand in integrands:
         total: dict[int, dict] = {}
         for shape, (a, b) in zip(ordered, integrand):
             _integrate_pair(shape, a, b, total)
         for k in sorted(total):
-            value = Poly.from_dict(total[k])
+            value = equation(total[k])
             if value:
                 equations.append(value)
     return equations

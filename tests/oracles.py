@@ -1,5 +1,12 @@
 """Former package code, kept as the reference of the tests' oracles.
 
+``Poly`` is the package's former polynomial class, verbatim. The
+package now hands each equation over as its canonical term tuple
+(``_solve.equation``), which is exactly a ``Poly``'s ``terms``: the tests
+build equations with ``Poly`` arithmetic, hand ``p.terms`` to the
+package, and wrap its tuples as ``Poly(terms)`` to compare them.
+``Poly.substitute`` still wraps the package's ``_substitute``.
+
 The package integrates in closed form against each component's Euler
 shape (``localization._euler_shape``) and never forms an Euler class,
 its inverse or a product of classes. The equation and integral oracles
@@ -23,18 +30,20 @@ and the differential tests of ``tests/test_solve.py`` hold it to this
 one.
 """
 
-from dataclasses import replace
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from semifree._solve import (
     Monomial,
-    Poly,
     Solution,
     SolverStallError,
     _mono_mul,
     _rational_roots,
     _scalar,
+    _substitute,
     rref,
 )
 from semifree.algebra import CarrierMismatchError, EquivariantClass
@@ -42,6 +51,189 @@ from semifree.classifier import _section_for
 from semifree.fixed_points import FixedComponent, FixedPointData
 from semifree.localization import _euler_shape
 from semifree.rationals import Rational, canon, qdiv
+
+
+# ---------------------------------------------------------------------------
+# the former polynomial class
+
+
+@dataclass(frozen=True)
+class Poly:
+    """Sparse multivariate polynomial with rational coefficients.
+
+    ``terms`` is canonical: sorted by monomial, with no zero coefficient,
+    and every coefficient an ``int`` when integral and a ``Fraction``
+    otherwise. Equal polynomials therefore have equal ``terms``, and
+    every operation below returns that form.
+
+    The hot operations take fast paths that return that same form:
+    ``_mono_mul`` joins two single-variable monomials without a dict,
+    ``from_dict`` keeps an ``int`` coefficient without a ``canon`` call,
+    ``substitute`` is the solver's ``_substitute`` on its terms and
+    returns ``self`` when no substituted variable occurs, and ``p ** 1``
+    is ``p`` itself.
+    """
+
+    terms: tuple[tuple[Monomial, Rational], ...]
+
+    # -- construction ------------------------------------------------------
+
+    @staticmethod
+    def from_dict(d: Mapping[Monomial, Rational]) -> Poly:
+        """The polynomial with coefficient ``d[m]`` at each monomial ``m``."""
+        return Poly(
+            tuple(
+                sorted(
+                    (m, c if type(c) is int else canon(c))
+                    for m, c in d.items()
+                    if c
+                )
+            )
+        )
+
+    @staticmethod
+    def const(value: Rational) -> Poly:
+        v = _scalar(value)
+        return Poly(((((), v)),)) if v else Poly(())
+
+    @staticmethod
+    def var(name: str) -> Poly:
+        return Poly(((((name, 1),), 1),))
+
+    # -- inspection --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        # The constant monomial () sorts first.
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not terms[0][0])
+
+    def constant_value(self) -> Rational:
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self!r}")
+        return self.terms[0][1] if self.terms else 0
+
+    def variables(self) -> frozenset[str]:
+        return frozenset(v for m, _ in self.terms for v, _ in m)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def accumulate(
+        self,
+        acc: dict[Monomial, Rational],
+        k: Rational,
+        other: "Poly | None" = None,
+    ) -> None:
+        """Add ``k * self`` (times ``other`` when given) into ``acc``.
+
+        ``k`` is an int or a Fraction. Summing many products into one
+        dict and calling ``from_dict`` once sorts once, not per addition.
+        """
+        if not k:
+            return
+        terms = self.terms if k == 1 else [(m, c * k) for m, c in self.terms]
+        if other is not None:
+            terms = [
+                (_mono_mul(m1, m2), c1 * c2)
+                for m1, c1 in terms
+                for m2, c2 in other.terms
+            ]
+        for m, c in terms:
+            acc[m] = acc[m] + c if m in acc else c
+
+    def _scale(self, k: Rational) -> Poly:
+        # Scaling by a non-zero rational keeps the order and the support.
+        if not k:
+            return Poly(())
+        if k == 1:
+            return self
+        return Poly(tuple((m, canon(c * k)) for m, c in self.terms))
+
+    def _add_const(self, value: Rational) -> Poly:
+        if not value:
+            return self
+        terms = self.terms
+        if terms and not terms[0][0]:
+            c = canon(terms[0][1] + value)
+            return Poly(((((), c),) + terms[1:]) if c else terms[1:])
+        return Poly(Poly.const(value).terms + terms)
+
+    def __add__(self, other: "Poly | Rational") -> Poly:
+        if not isinstance(other, Poly):
+            return self._add_const(_scalar(other))
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
+        other.accumulate(acc, 1)
+        return Poly.from_dict(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Poly:
+        return Poly(tuple((m, -c) for m, c in self.terms))
+
+    def __sub__(self, other: "Poly | Rational") -> Poly:
+        if not isinstance(other, Poly):
+            return self._add_const(-_scalar(other))
+        return self + (-other)
+
+    def __rsub__(self, other: "Poly | Rational") -> Poly:
+        return (-self)._add_const(_scalar(other))
+
+    def __mul__(self, other: "Poly | Rational") -> Poly:
+        if not isinstance(other, Poly):
+            return self._scale(_scalar(other))
+        if other.is_constant():
+            return self._scale(other.constant_value())
+        if self.is_constant():
+            return other._scale(self.constant_value())
+        acc: dict[Monomial, Rational] = {}
+        self.accumulate(acc, 1, other)
+        return Poly.from_dict(acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError(f"negative exponent {n} of a polynomial")
+        if n == 1:
+            return self
+        out = Poly.const(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
+        terms = dict(self.terms)
+        out = _substitute(
+            terms, {v: dict(x.terms) if isinstance(x, Poly) else x for v, x in values.items()}
+        )
+        return self if out is terms else Poly.from_dict(out)
+
+
+def poly_terms(terms: Iterable[tuple[int, tuple]]) -> tuple[tuple[int, tuple], ...]:
+    """A term list of the restriction-table skeleton with each unknown,
+    which the package marks by its variable's name, as that variable's
+    ``Poly``, so the multiplier can form products."""
+    return tuple(
+        (k, tuple(Poly.var(x) if type(x) is str else x for x in pair)) for k, pair in terms
+    )
+
+
+def poly_skeleton(skeleton: Sequence) -> list:
+    """The skeleton (``localization._build_skeleton``) with its
+    restrictions as ``poly_terms``."""
+    return [
+        replace(f, restrictions=tuple(poly_terms(terms) for terms in f.restrictions))
+        for f in skeleton
+    ]
 
 
 def mul_terms(
@@ -104,8 +296,13 @@ def c1_power(carrier: str, a: int, gamma: int, k: int) -> EquivariantClass:
     return EquivariantClass(carrier, tuple(terms))
 
 
+def unit(carrier: str) -> EquivariantClass:
+    """The unit class on ``carrier``, the package's former ``EquivariantClass.unit``."""
+    return EquivariantClass.make(carrier, {0: (1, 0)})
+
+
 def unit_restrictions(data: FixedPointData) -> tuple[EquivariantClass, ...]:
-    return tuple(EquivariantClass.unit(c.kind) for c in data.components)
+    return tuple(unit(c.kind) for c in data.components)
 
 
 class NotInvertibleError(ValueError):

@@ -337,7 +337,7 @@ def test_criterion_7_properties():
                 b=rng.randint(-6, 6),
             )
         euler = equivariant_euler(component)
-        unit = EquivariantClass.unit(component.kind)
+        unit = EquivariantClass.make(component.kind, {0: 1})
         assert multiply(invert_euler(euler), euler) == unit
         assert multiply(euler, invert_euler(euler)) == unit
 

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import NotInvertibleError, equivariant_euler, invert_euler, mul_terms, multiply
+from oracles import (
+    NotInvertibleError,
+    Poly,
+    equivariant_euler,
+    invert_euler,
+    mul_terms,
+    multiply,
+    poly_terms,
+    unit,
+)
 from semifree import classifier
 from semifree.algebra import (
     CarrierMismatchError,
@@ -22,7 +31,7 @@ from semifree.algebra import (
     ReducedClass,
     ReducedSpaceType,
 )
-from semifree._solve import Poly
+from semifree._solve import equation
 from semifree.fixed_points import FixedPointData, point, surface
 from semifree.localization import _atoms, _euler_shape, _integrate_pair, abbv_integrate
 
@@ -100,15 +109,14 @@ def test_fiber_class_on_the_plane_is_the_hyperplane_class():
 def test_invert_euler_left_and_right_inverse(c, d, k):
     e = surf({k: (c, 0), k - 1: (0, d)})
     inverse = invert_euler(e)
-    unit = EquivariantClass.unit("surface")
-    assert multiply(e, inverse) == unit
-    assert multiply(inverse, e) == unit
+    assert multiply(e, inverse) == unit("surface")
+    assert multiply(inverse, e) == unit("surface")
 
 
 @given(nonzero_rationals, st.integers(-3, 3))
 def test_invert_euler_point_carrier(c, k):
     e = pt({k: (c, 0)})
-    assert multiply(e, invert_euler(e)) == EquivariantClass.unit("point")
+    assert multiply(e, invert_euler(e)) == unit("point")
 
 
 def test_invert_euler_rejects_wide_classes():
@@ -123,10 +131,11 @@ def test_invert_euler_rejects_wide_classes():
 
 def _integrated(shape, a, b):
     """``_integrate_pair`` of two term lists over one component of Euler
-    shape ``shape`` into a fresh total, each power's sum built as its ``Poly``."""
+    shape ``shape`` into a fresh total, each power's sum built as its
+    equation and read as a ``Poly``."""
     total = {}
     _integrate_pair(shape, _atoms(a), _atoms(b), total)
-    return {k: p for k, acc in sorted(total.items()) if (p := Poly.from_dict(acc))}
+    return {k: p for k, acc in sorted(total.items()) if (p := Poly(equation(acc)))}
 
 
 def _shape(component):
@@ -308,7 +317,9 @@ def integrate_component(x):
 
 
 def _random_terms(rng: random.Random, carrier: str, kind: str) -> tuple:
-    """A term list with int, Fraction or affine Poly coefficients.
+    """A term list with int or Fraction coefficients, or ("poly") with
+    scalar and unknown ones, each unknown its variable's name as in the
+    restriction-table skeleton.
 
     Zero parts and terms that cancel in a product come up on purpose.
     """
@@ -321,18 +332,13 @@ def _random_terms(rng: random.Random, carrier: str, kind: str) -> tuple:
             value = rng.randint(-3, 3)
         else:
             value = F(rng.randint(-3, 3), rng.randint(1, 3))
-        if kind != "poly":
+        if kind != "poly" or rng.random() < 0.5:
             return value
-        terms = {(): value}
-        for var in ("s", "t"):
-            if rng.random() < 0.4:
-                terms[((var, 1),)] = rng.randint(-2, 2)
-        return Poly.from_dict(terms)
+        return rng.choice(("s", "t"))
 
-    zero = Poly.const(0) if kind == "poly" else 0
     terms = {}
     for _ in range(rng.randint(0, 4)):
-        terms[rng.randint(-3, 3)] = (entry(), entry() if carrier == "surface" else zero)
+        terms[rng.randint(-3, 3)] = (entry(), entry() if carrier == "surface" else 0)
     return tuple(sorted(terms.items()))
 
 
@@ -355,12 +361,12 @@ def test_integrate_product_matches_the_formed_product():
         a = _random_terms(rng, carrier, kind)
         b = _random_terms(rng, carrier, kind)
         if rng.random() < 0.2:  # the trivial shape, e = 1
-            shape, inverse = (carrier, 0, 1, 0), EquivariantClass.unit(carrier)
+            shape, inverse = (carrier, 0, 1, 0), unit(carrier)
         else:
             component = _random_component(rng, carrier)
             shape, inverse = _shape(component), invert_euler(equivariant_euler(component))
         got = _integrated(shape, a, b)
-        formed = mul_terms(mul_terms(a, b), inverse.terms)
+        formed = mul_terms(mul_terms(poly_terms(a), poly_terms(b)), inverse.terms)
         expected = {
             k: v if isinstance(v, Poly) else Poly.const(v)
             for k, v in integrate_component(EquivariantClass(carrier, formed)).items()
@@ -429,7 +435,7 @@ def test_integrate_pair_matches_sympy():
         b = _random_terms(rng, carrier, kind)
         shape = _shape(_random_component(rng, carrier))
         got = {k: _to_sympy(sympy, lam, u, ((0, (v, 0)),)) for k, v in _integrated(shape, a, b).items()}
-        integrand = _to_sympy(sympy, lam, u, a) * _to_sympy(sympy, lam, u, b)
+        integrand = _to_sympy(sympy, lam, u, poly_terms(a)) * _to_sympy(sympy, lam, u, poly_terms(b))
         _assert_same_laurent(sympy, got, _sympy_integral(sympy, lam, u, shape, integrand))
         nonzero += bool(got)
     assert nonzero > 50

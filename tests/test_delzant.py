@@ -22,6 +22,7 @@ from semifree.delzant import (
     slice_polygon,
     vertex_weights,
 )
+from semifree.cli import RunConfig, run
 from semifree.fixed_points import classify_type, validate
 
 CUBE = [
@@ -130,6 +131,102 @@ def test_unimodular_shear_preserves_smoothness_not_semifreeness():
     assert delzant_check(sheared).ok
     assert semifree_check(type4).ok
     assert not semifree_check(sheared).ok
+
+
+# ---------------------------------------------------------------------------
+# degenerate and non-semi-free polytopes: each ends in exit 1 with its
+# message, never in a traceback
+
+# The unit cube shifted off its own facet x >= 1: no point satisfies both.
+EMPTY_CUBE = [((1, 0, 0), 1), ((-1, 0, 0), 0)] + CUBE[2:]
+# A prism along x over the square |y| <= z <= 2 - |y|, cut by the slanted
+# cap 2x + y + z >= 0 and by x <= 4. Every facet shadow is primitive and
+# every edge has vertical degree 0 or 1, so the height circle is
+# semi-free, but no vertex is smooth.
+SLANTED_PRISM = [
+    ((0, 1, 1), 0),
+    ((0, -1, 1), 0),
+    ((2, 1, 1), 0),
+    ((-1, 0, 0), -4),
+    ((0, 1, -1), -2),
+    ((0, -1, -1), -2),
+]
+# The same prism with the cap x + y >= 0: at every horizontal edge the two
+# caps' normals sum to a combination of the edge's two facet normals with
+# half-integer coefficients.
+HALF_PRISM = [((1, 1, 0), 0)] + SLANTED_PRISM[:2] + SLANTED_PRISM[3:]
+# A wedge whose slanted facet -2x - z >= -2 has the imprimitive shadow (-2, 0).
+WEDGE = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0), ((-2, 0, -1), -2)]
+
+
+def _payload(facets) -> bytes:
+    return json.dumps(
+        {
+            "schema": POLYTOPE_SCHEMA,
+            "facets": [{"normal": list(n), "offset": str(c)} for n, c in facets],
+        }
+    ).encode()
+
+
+def _exits_one(command: str, facets) -> str:
+    """The message of ``command`` on the polytope of ``facets``, in both
+    formats, each exiting 1."""
+    out = {}
+    for output_format in ("text", "structured"):
+        code, raw = run(RunConfig(command=command, output_format=output_format), _payload(facets))
+        assert code == 1, (command, output_format, raw)
+        out[output_format] = raw.decode()
+    return out["text"]
+
+
+def test_an_empty_region_has_no_vertex():
+    with pytest.raises(PolytopeError, match="^the inequalities have no vertex$"):
+        build(EMPTY_CUBE)
+    for command in ("polytope-check", "polytope-extract"):
+        assert _exits_one(command, EMPTY_CUBE) == "error: the inequalities have no vertex\n"
+
+
+def test_a_flat_region_has_a_vertex_on_four_facets():
+    # The square 0 <= x, y <= 1 at z = 0: a region that is not full-dimensional.
+    flat = CUBE[:4] + [((0, 0, 1), 0), ((0, 0, -1), 0)]
+    with pytest.raises(PolytopeError, match="lies on more than three facets"):
+        build(flat)
+
+
+def test_a_semifree_prism_with_a_singular_cap_is_not_extracted():
+    prism = build(SLANTED_PRISM)
+    assert semifree_check(prism).ok and not delzant_check(prism).ok
+    assert _exits_one("polytope-check", SLANTED_PRISM).splitlines()[1:] == [
+        "smooth (every vertex unimodular): no",
+        "height circle semi-free: yes",
+    ]
+    assert _exits_one("polytope-extract", SLANTED_PRISM) == "error: the polytope is not smooth\n"
+    with pytest.raises(PolytopeError, match="^the bottom fiber divisors disagree in class$"):
+        detect_twist(prism)
+
+
+def test_edge_degrees_refuse_a_singular_edge():
+    prism = build(SLANTED_PRISM)
+    (bottom,) = [e for e in prism.edges if e.is_horizontal and prism.vertices[e.tail].location[2] == 0]
+    with pytest.raises(PolytopeError, match="^the facet normals around the edge are degenerate$"):
+        edge_normal_degrees(prism, bottom)
+    half = build(HALF_PRISM)
+    horizontal = [e for e in half.edges if e.is_horizontal]
+    assert len(horizontal) == 4
+    for edge in horizontal:
+        with pytest.raises(PolytopeError, match="^non-integer self-intersection; polytope not smooth$"):
+            edge_normal_degrees(half, edge)
+    assert _exits_one("polytope-extract", HALF_PRISM) == "error: the polytope is not smooth\n"
+
+
+def test_an_imprimitive_shadow_is_a_semifree_violation():
+    wedge = build(WEDGE)
+    message = "facet 4 normal (-2, 0, -1) has imprimitive shadow"
+    assert message in semifree_check(wedge).violations
+    assert f"  - {message}" in _exits_one("polytope-check", WEDGE).splitlines()
+    assert _exits_one("polytope-extract", WEDGE) == "error: the polytope is not smooth\n"
+    with pytest.raises(PolytopeError, match="^the height circle is not semi-free: .*imprimitive shadow"):
+        detect_twist(wedge)
 
 
 # ---------------------------------------------------------------------------

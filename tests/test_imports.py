@@ -1,13 +1,14 @@
 """Import hygiene and the public surface.
 
 Modules import at the top, except across the one cycle, every
-function and class of the package has a caller outside the tests, and
-every function that the benchmark's tracer wraps by name is where it
-looks.
+function and class of the package, and every method of its classes, has
+a caller outside the tests, and every function that the benchmark's
+tracer wraps by name is where it looks.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from corpus import perfbench_module
@@ -141,6 +142,67 @@ def test_every_export_has_a_caller_outside_the_tests():
     # function and class, public or private, exported from the package
     # or not.
     assert _definitions_without_a_user() == []
+
+
+# Methods that only the tests read. RestrictionTable.restriction reads one
+# solved entry by class name and label: the acceptance tests state the
+# paper's tables entry by entry, while the package prints whole tables.
+ALLOWED_TEST_ONLY_METHODS = [
+    ("localization", "RestrictionTable.restriction"),
+]
+
+
+def _methods_without_a_user() -> list[tuple[str, str]]:
+    """``(module, class.method)`` of each non-dunder method or property of
+    a class of the package that nothing in src, scripts or perfbench reads.
+
+    A method is read where an attribute of its name is loaded outside its
+    own body; the receiver's type is not resolved, so any attribute of
+    that name counts. A string ``"Class.method"``, as the tracer's
+    targets name a method, counts too.
+    """
+    package = Path(semifree.__file__).parent
+    root = package.parent.parent
+    methods: list[tuple[str, str, ast.FunctionDef]] = []
+    reads: Counter = Counter()
+    strings: set[str] = set()
+    for directory in (package, root / "scripts", root / "perfbench"):
+        for path in sorted(directory.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if directory == package:
+                methods += [
+                    (path.stem, cls.name, function)
+                    for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for function in cls.body
+                    if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (function.name.startswith("__") and function.name.endswith("__"))
+                ]
+            reads.update(_attribute_loads(tree))
+            strings |= {
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            }
+    return [
+        (module, f"{cls}.{function.name}")
+        for module, cls, function in methods
+        if reads[function.name] == _attribute_loads(function)[function.name]
+        and f"{cls}.{function.name}" not in strings
+    ]
+
+
+def _attribute_loads(node: ast.AST) -> Counter:
+    """How often each attribute name is loaded under ``node``."""
+    return Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    # As for the module-level definitions: a method or property that only
+    # the tests read belongs in the tests, unless it is listed above.
+    assert _methods_without_a_user() == ALLOWED_TEST_ONLY_METHODS
 
 
 def test_every_traced_function_resolves():

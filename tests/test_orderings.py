@@ -23,6 +23,7 @@ from semifree.fixed_points import FixedPointData, InvalidDataError, point, surfa
 from semifree.localization import MultipleSolutionsError
 
 from corpus import fuzz_data, middle_orderings
+from oracles import Poly
 
 ERRORS = (InvalidDataError, NotImplementedError, SolverStallError, MultipleSolutionsError)
 
@@ -92,7 +93,7 @@ def _reference_solve_prefix(shape):
             values = sol.as_dict()
             resolved = classifier._resolve_branch(branch, values)
             if resolved is not None:
-                square = branch.equations[-1].substitute(values).constant_value()
+                square = Poly(branch.equations[-1]).substitute(values).constant_value()
                 found = by_square.setdefault(square, {})
                 found.setdefault(resolved.key, resolved)
     return {square: list(found.values()) for square, found in by_square.items()}

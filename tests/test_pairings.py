@@ -1,4 +1,4 @@
-"""The chain engine's pairings and the ``Poly`` kernel against plain references.
+"""The chain engine's pairings and the solver's kernel against plain references.
 
 ``tests/test_walk.py``'s oracle pairs with ``oracles.dot``, so a fault
 in a pairing helper of the engine would show there only as a different
@@ -6,9 +6,9 @@ branch. Here the pairings that the walk uses, ``_dot`` on numbers,
 ``_pair_parts`` on vectors affine in the unknowns (summed into a
 prefilled monomial dict) and ``_pairing_functional``, are checked against the sum over i, j of
 a_i g_ij b_j written out term by term in ``Poly`` arithmetic, on the
-Gram matrices the walk reaches. ``Poly.substitute``
-and ``_mono_mul`` are checked against references on plain dicts that
-share no code with ``Poly``.
+Gram matrices the walk reaches. ``Poly.substitute`` (the oracles' class
+over the solver's ``_substitute``) and ``_mono_mul`` are checked against
+references on plain dicts that share no code with either.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from semifree import classifier
-from semifree._solve import Poly, SolverStallError, _mono_mul
+from semifree._solve import SolverStallError, _mono_mul
 from semifree.fixed_points import InvalidDataError, point
 
 from corpus import fuzz_data
-from oracles import with_euler
+from oracles import Poly, with_euler
 
 NAMES = ("a", "b", "x", "y")
 
@@ -157,8 +157,8 @@ def test_a_blow_down_condition_whose_unknowns_cancel_is_a_constant():
         assert line in classifier._blow_down_candidates(state.top)
         branches = classifier._cross(state, 5, point(4, 1))
         for branch in branches:
-            assert not any(eq.is_constant() for eq in branch.equations), branch.equations
-        assert (x - 1,) in [branch.equations for branch in branches]
+            assert not any(Poly(eq).is_constant() for eq in branch.equations), branch.equations
+        assert ((x - 1).terms,) in [branch.equations for branch in branches]
         line_top = classifier._blow_down(state.top, line)
         assert any(b.equations == () and b.top == line_top for b in branches) is survives
 

@@ -16,7 +16,7 @@ import pytest
 
 import semifree
 from semifree import classifier
-from semifree._solve import Poly, Solution
+from semifree._solve import Solution
 from semifree.algebra import EquivariantClass, ReducedClass, pair, trivial_bundle
 from semifree.classifier import family_instance
 from semifree.delzant import (
@@ -30,6 +30,7 @@ from semifree.localization import abbv_integrate, dh_path, solve_restriction_tab
 from semifree.rationals import canon, format_rational, parse_rational, qdiv
 
 from corpus import family_presets
+from oracles import Poly
 
 F = Fraction
 

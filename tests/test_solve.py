@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from semifree import classifier, cli, localization
 from semifree._solve import (
     AffineConstraint,
-    Poly,
     SolverStallError,
     _rational_roots,
     feasible,
@@ -27,6 +26,7 @@ from semifree.fixed_points import InvalidDataError
 
 import oracles
 from corpus import builtin_data, family_presets, perfbench_module
+from oracles import Poly
 
 F = Fraction
 
@@ -56,11 +56,16 @@ def test_solve_linear_inconsistent():
     assert solve_linear(rows, ["x"]) is None
 
 
+def _terms(equations):
+    """The equations as the package takes them: each ``Poly``'s terms."""
+    return [e.terms for e in equations]
+
+
 def test_solve_system_linear_closure():
     x = Poly.var("x")
     y = Poly.var("y")
     eqs = [x + y - Poly.const(2), x - y]
-    solutions = solve_system(eqs)
+    solutions = solve_system(_terms(eqs))
     assert len(solutions) == 1
     assert solutions[0].as_dict() == {"x": F(1), "y": F(1)}
     assert not solutions[0].free
@@ -69,7 +74,7 @@ def test_solve_system_linear_closure():
 def test_solve_system_quadratic_case_split():
     x = Poly.var("x")
     eqs = [x * x - Poly.const(4)]
-    roots = sorted(s.as_dict()["x"] for s in solve_system(eqs))
+    roots = sorted(s.as_dict()["x"] for s in solve_system(_terms(eqs)))
     assert roots == [F(-2), F(2)]
 
 
@@ -85,7 +90,7 @@ def test_solve_system_forced_value_is_not_free():
         y * z + y * x,
         y - Poly.const(2),
     ]
-    solutions = solve_system(eqs)
+    solutions = solve_system(_terms(eqs))
     assert len(solutions) == 1
     solution = solutions[0]
     assert solution.as_dict() == {"x": F(-1), "y": F(2), "z": F(1)}
@@ -96,14 +101,14 @@ def test_back_substituted_values_are_canonical():
     # x = y/2 is eliminated, y splits on y^2 = 4, and x = y/2 comes back
     # as the int 1 (and -1), not Fraction(1, 1).
     x, y = Poly.var("x"), Poly.var("y")
-    solutions = solve_system([x - y * F(1, 2), y * y - Poly.const(4)])
+    solutions = solve_system(_terms([x - y * F(1, 2), y * y - Poly.const(4)]))
     assert [sol.assignment for sol in solutions] == [(("x", -1), ("y", -2)), (("x", 1), ("y", 2))]
     assert {type(value) for sol in solutions for _, value in sol.assignment} == {int}
 
 
 def test_solve_system_no_solution():
     x = Poly.var("x")
-    assert solve_system([x - Poly.const(1), x - Poly.const(2)]) == []
+    assert solve_system(_terms([x - Poly.const(1), x - Poly.const(2)])) == []
 
 
 def test_feasible_strict_box():
@@ -393,7 +398,7 @@ def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
 
     def record_solve(equations):
         equations = list(equations)
-        systems.setdefault(tuple(equations), None)
+        systems.setdefault(tuple(map(Poly, equations)), None)
         return solve(equations)
 
     def record_hold(data):
@@ -415,7 +420,7 @@ def _assert_solutions_match_sympy(sympy, systems) -> int:
     returns how many systems were compared."""
     compared = 0
     for equations in systems:
-        ours = solve_system(list(equations))
+        ours = solve_system(_terms(equations))
         if any(sol.free for sol in ours):
             continue
         got = {tuple(sorted(sol.assignment)) for sol in ours}
@@ -451,15 +456,16 @@ def test_solve_system_matches_sympy_on_enumeration_chains(monkeypatch):
 
 def _recorded_systems(run) -> dict[tuple[Poly, ...], str]:
     """The distinct systems that ``run()`` hands to ``classifier.solve_system``
-    or ``localization.solve_system``, in first-seen order, each with the
-    name of its first caller's module."""
+    or ``localization.solve_system``, in first-seen order, each equation
+    read as a ``Poly``, each system with the name of its first caller's
+    module."""
     systems: dict[tuple[Poly, ...], str] = {}
     solves = {module: module.solve_system for module in (classifier, localization)}
 
     def recorder(module):
         def record(equations):
             equations = list(equations)
-            systems.setdefault(tuple(equations), module.__name__)
+            systems.setdefault(tuple(map(Poly, equations)), module.__name__)
             return solves[module](equations)
 
         return record
@@ -515,7 +521,7 @@ def test_solve_system_matches_the_former_solver_on_every_workload_system():
     assert len(systems) > 2000
     stalls = 0
     for equations in systems:
-        got = _typed(solve_system, equations)
+        got = _typed(solve_system, _terms(equations))
         assert got == _typed(oracles.solve_system, equations), equations
         stalls += isinstance(got, tuple)
     # The SolverStallError data of the fuzz pools still stall.
@@ -528,7 +534,7 @@ def test_every_returned_solution_zeroes_its_system():
     checked = 0
     for equations in _workload_systems():
         try:
-            solutions = solve_system(list(equations))
+            solutions = solve_system(_terms(equations))
         except SolverStallError:
             continue
         for sol in solutions:

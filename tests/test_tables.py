@@ -8,9 +8,12 @@ before each equation's sum was accumulated into one monomial dict: every
 ``_old_c1_decomposition`` are the read-out as it was: each entry
 substituted into its ``Poly``, and one decomposition row for every
 (component, power of lambda, part), zero or not. They are kept as the
-oracle: ``solve_system`` must receive the same equations, equal
-``Poly``s in the same order with the same coefficient types, and every
-solution must read out to the same table and the same decomposition.
+oracle: ``solve_system`` must receive the same equations, the terms of
+equal ``Poly``s in the same order with the same coefficient types, and
+every solution must read out to the same table and the same
+decomposition. The oracles run on the skeleton with each unknown as its
+variable's ``Poly`` (``oracles.poly_skeleton``); the package marks it by
+the variable's name.
 
 The second half pins each error exit of ``solve_restriction_table`` and
 the order in which they are checked, and, over the fuzz pools, which
@@ -24,9 +27,17 @@ from fractions import Fraction
 import pytest
 
 from corpus import builtin_data, classified_fuzz_data, enumerated_members, family_presets, fuzz_data
-from oracles import coefficient, equivariant_euler, invert_euler, mul_terms
+from oracles import (
+    Poly,
+    coefficient,
+    equivariant_euler,
+    invert_euler,
+    mul_terms,
+    poly_skeleton,
+    poly_terms,
+)
 from semifree import localization
-from semifree._solve import Poly, Solution, solve_linear, solve_system
+from semifree._solve import Solution, solve_linear, solve_system
 from semifree.algebra import POINT, EquivariantClass
 from semifree.classifier import euler_transport, family_instance
 from semifree.cli import RunConfig, run
@@ -188,7 +199,8 @@ def test_the_solver_gets_the_old_equations_and_every_solution_reads_out_as_befor
             continue
         positions, skeleton = _build_skeleton(data, tag)
         equations = _integration_equations(data, positions, skeleton)
-        assert _typed(equations) == _typed(_old_integration_equations(data, positions, skeleton)), name
+        old = _old_integration_equations(data, positions, poly_skeleton(skeleton))
+        assert _typed(equations) == _typed([p.terms for p in old]), name
         carriers = [data.components[p].kind for p in positions]
         c1s = _memo(data, "_c1_restrictions", c1_restrictions)
         c1_values = tuple(c1s[p] for p in positions)
@@ -201,7 +213,8 @@ def test_the_solver_gets_the_old_equations_and_every_solution_reads_out_as_befor
                 row = []
                 for carrier, terms in zip(carriers, cls.restrictions):
                     entry = _solved_restriction(carrier, terms, values)
-                    assert _typed(entry) == _typed(_old_solved_restriction(carrier, terms, values)), name
+                    old_entry = _old_solved_restriction(carrier, poly_terms(terms), values)
+                    assert _typed(entry) == _typed(old_entry), name
                     row.append(entry)
                 classes.append(TableClass(cls.name, cls.degree, f"F{cls.home_index + 1}", tuple(row)))
             assert _outcome(_c1_decomposition, classes, c1_values) == _outcome(

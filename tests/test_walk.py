@@ -5,7 +5,8 @@ walk remembered its prefixes; it is kept here as the oracle. It keeps
 each chart's Euler class as ``Poly`` entries (``oracles.euler_polys``
 and ``with_euler`` translate), forms every equation by ``Poly``
 arithmetic on whole pairings (``oracles.dot``) and closes its branches
-with ``oracles.terminal_variants``, the engine's former closing step, so
+with ``oracles.terminal_variants``, the engine's former closing step,
+handing each branch its equations' terms as the engine does, so
 it shares no equation-building code with ``_cross`` and
 ``_terminal_variants``, which sum each equation in one monomial dict
 from number vectors.
@@ -17,11 +18,10 @@ unchanged.
 import pytest
 
 from semifree import classifier
-from semifree._solve import Poly
 from semifree.fixed_points import FixedPointData, InvalidDataError, point
 
 from corpus import family_presets, fuzz_data, middle_orderings
-from oracles import dot, euler_polys, terminal_variants, with_euler
+from oracles import Poly, dot, euler_polys, terminal_variants, with_euler
 
 
 def _advance(data, chart, ordering, equations, crossings, out):
@@ -29,7 +29,7 @@ def _advance(data, chart, ordering, equations, crossings, out):
         for extra, top in terminal_variants(data, chart):
             out.append(
                 classifier._Branch(
-                    tuple(equations) + tuple(extra), tuple(crossings), top
+                    tuple(e.terms for e in (*equations, *extra)), tuple(crossings), top
                 )
             )
         return
@@ -89,7 +89,7 @@ def _oracle_branches(data, ordering):
 def _view(branch):
     """Everything of a branch that the solve and its resolution read."""
     return (
-        [e.terms for e in branch.equations],
+        list(branch.equations),
         [(log.position, log.chart, log.eta_vars) for log in branch.crossings],
         branch.top,
     )
