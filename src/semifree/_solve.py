@@ -95,18 +95,15 @@ def _substitute(
             if value is None:
                 mono += (pair,)
                 continue
-            kind = type(value)
-            if kind is dict:
+            if type(value) is dict:
                 for _ in range(pair[1]):
                     factor = value.items() if factor is None else [
                         (_mono_mul(m1, m2), c1 * c2)
                         for m1, c1 in factor
                         for m2, c2 in value.items()
                     ]
-            elif kind is int or kind is Fraction:
-                c = c * value if pair[1] == 1 else c * value ** pair[1]
             else:
-                c = c * _scalar(value) ** pair[1]
+                c = c * value if pair[1] == 1 else c * value ** pair[1]
         if factor is None:
             acc[mono] = acc[mono] + c if mono in acc else c
             continue
@@ -182,8 +179,8 @@ def solve_linear(
 def span_coordinates(
     basis: Sequence[Sequence[Rational]], targets: Sequence[Sequence[Rational]]
 ) -> list[list[Rational] | None]:
-    """For each target, coordinates t with sum t_i basis_i = target, or
-    None outside the span, all from one elimination of the basis.
+    """For each of one or more targets, coordinates t with sum t_i basis_i
+    = target, or None outside the span, all from one elimination of the basis.
 
     The targets ride along as right-hand columns of one ``rref``. As in
     ``solve_linear``, the coordinates of a dependent basis that no pivot
@@ -192,7 +189,7 @@ def span_coordinates(
     m = len(basis)
     rows = [
         [b[j] for b in basis] + [t[j] for t in targets]
-        for j in range(len(targets[0]) if targets else 0)
+        for j in range(len(targets[0]))
     ]
     red, pivots = rref(rows, col_limit=m)
     out: list[list[Rational] | None] = []
@@ -329,6 +326,10 @@ def _solve_rec(
                     expr[()] = red[ri][n]
                 exprs[lin_vars[col]] = expr
         if forced:
+            # ``_reduce`` removes each fixed variable; one forced again would loop forever.
+            if not forced.keys().isdisjoint(fixed):
+                again = sorted(forced.keys() & fixed.keys())
+                raise RuntimeError(f"invariant broken: the linear closure forced {again} twice")
             fixed = {**fixed, **forced}
             eqs = _reduce(eqs, forced)
             if eqs is None:
@@ -367,7 +368,7 @@ def _solve_rec(
         if len(names) != 1:
             continue
         (var,) = names
-        coeffs: list[Rational] = [0] * (max(m[0][1] if m else 0 for m in e) + 1)
+        coeffs: list[Rational] = [0] * (max(m[0][1] for m in e if m) + 1)
         for m, c in e.items():
             coeffs[m[0][1] if m else 0] = c
         for root in _rational_roots(coeffs):
@@ -471,6 +472,10 @@ def unimodular_clearing(vector: Sequence[int]) -> list[list[int]]:
     primitive vector to a lattice basis (columns of W^-1) and for
     quotient coordinates (the trailing rows of W).
     """
+    if not any(vector):
+        # Each caller clears a primitive functional: of a class K with
+        # K.K = -1, of a gcd-checked c1, or of a fiber on a unimodular form.
+        raise RuntimeError("invariant broken: zero functional has full kernel")
     n = len(vector)
     w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = list(vector)
@@ -494,8 +499,4 @@ def integer_kernel_basis(vector: Sequence[int]) -> list[tuple[int, ...]]:
     With W v = (g, 0, ..., 0), every row of W past the first pairs to
     zero with v, and unimodularity makes those rows a saturated basis.
     """
-    if not any(vector):
-        # The one caller, a blow-down, pairs its class K to K.K = -1.
-        raise RuntimeError("invariant broken: zero functional has full kernel")
-    w = unimodular_clearing(vector)
-    return [tuple(row) for row in w[1:]]
+    return [tuple(row) for row in unimodular_clearing(vector)[1:]]

@@ -340,14 +340,15 @@ def _blow_down_candidates(chart: _Chart) -> Sequence[tuple[int, ...]]:
 def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The primitive rays (s, t), up to sign, with a s^2 + 2b st + c t^2 = 0.
 
-    Each ray is a root of the form by construction: (1, 0), and (0, 1)
-    or (c, -2b), when a = 0; an exact root of the discriminant otherwise.
+    Each ray is a root of the form by construction: (1, 0) and (c, -2b)
+    when a = 0; an exact root of the discriminant otherwise. A unimodular
+    form with a = 0 has b = +-1, so at c = 0 the second ray is (0, 1).
     """
     a, b, c = gram[0][0], gram[0][1], gram[1][1]
     rays: list[tuple[int, int]] = []
 
     def add(s: int, t: int) -> None:
-        # (s, t) is never (0, 0): s = 1, c != 0 or t is a denominator.
+        # (s, t) is never (0, 0): s = 1, b != 0 or t is a denominator.
         g = gcd(s, t)
         s, t = s // g, t // g
         if s < 0 or (s == 0 and t < 0):
@@ -357,10 +358,7 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
     if a == 0:
         add(1, 0)
-        if c == 0:
-            add(0, 1)
-        else:
-            add(c, -2 * b)
+        add(c, -2 * b)
     else:
         disc = b * b - a * c
         root = sqrt_fraction(disc)
@@ -930,9 +928,27 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     compatible with the Betti bound, all level orderings including
     ties, and both twist settings. The normal splittings of middle
     surfaces are derived from the chain, never enumerated. Survivors
-    of the full filter stack are grouped into families. Failing the
-    localization relations or coming out unclassified after validate
-    has never happened, so either raises RuntimeError as a fault.
+    of the full filter stack are grouped into families.
+
+    A built candidate with a chain passes validate, so failing it raises
+    RuntimeError as a fault. ``_shapes`` and ``_with_maximum`` fix the
+    extremes' levels, kinds and ``b``, the counts N2 and N4, the shared
+    genus of surface extremes and the twist's prerequisites. The chain
+    gives the rest. A rank-1 chart (form (1)) has no (-1)-class, and a
+    base of positive genus blows down only an open exceptional class,
+    so the rank stays >= 1, and >= 2 over a positive-genus minimum,
+    which a point maximum (rank 1) therefore never tops; the terminal
+    variants fix the last rank. With no middle point the start chart
+    stays, where e.F = -1 and e.e = -b: a bare untwisted join fails
+    e.F = 1, a bare twisted one forces b = 2 at both ends, and an
+    integral e with e.F = 1 has e.e even exactly on the trivial
+    (even-b) bundle, so the extremes' b share a parity. Two middle
+    surfaces over point extremes at one level are lines of the plane
+    (degrees d1 + d2 = 2, each positive), and their two orders solve
+    with different splittings, so the chain has no unique solution.
+    Failing the localization relations or coming out unclassified
+    after validate has never happened, so either raises RuntimeError
+    as a fault too.
 
     The walk is shape-first. A shape is the minimum, the middles with
     their levels, and the maximum's kind and level; ``_shapes`` builds
@@ -995,8 +1011,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
             return
         reject("validate", others)
         if not validate(filled).ok:
-            reject("validate")
-            return
+            raise RuntimeError(f"invariant broken at the validate stage: {filled!r}")
         if not _localization_relations_hold(filled):
             raise RuntimeError(f"invariant broken at the localization stage: {filled!r}")
         if all(c.is_surface for c in filled.components):
@@ -1228,7 +1243,7 @@ def _level_assignments(count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         sorted(
             combo
-            for groups in range(1 if count else 0, count + 1)
+            for groups in range(count + 1)
             for combo in itertools.product(range(1, groups + 1), repeat=count)
             if len(set(combo)) == groups
         )

@@ -163,7 +163,7 @@ def _sort_key(c: FixedComponent) -> tuple:
         c.level,
         c.index,
         c.kind,
-        -1 if c.genus is None else c.genus,
+        c.genus,  # None exactly for points, which the kind sets apart
         (c.b is None, c.b or 0),
         (c.b_plus is None, c.b_plus or 0),
         (c.b_minus is None, c.b_minus or 0),

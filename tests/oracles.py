@@ -212,8 +212,11 @@ class Poly:
 
     def substitute(self, values: Mapping[str, "Poly | Rational"]) -> Poly:
         terms = dict(self.terms)
+        # The package substitutes only ints, Fractions and monomial dicts,
+        # so a float or a bool is refused here.
         out = _substitute(
-            terms, {v: dict(x.terms) if isinstance(x, Poly) else x for v, x in values.items()}
+            terms,
+            {v: dict(x.terms) if isinstance(x, Poly) else _scalar(x) for v, x in values.items()},
         )
         return self if out is terms else Poly.from_dict(out)
 

@@ -3,9 +3,11 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -582,6 +584,7 @@ def test_enumeration_rejects_negative_genus_bound():
 @pytest.mark.parametrize(
     ("target", "fault", "stage"),
     [
+        ("validate", SimpleNamespace(ok=False), "validate"),
         ("_localization_relations_hold", False, "localization"),
         ("classify_type", "unclassified", "unclassified"),
     ],
@@ -683,6 +686,77 @@ def _gram_det(gram):
     if len(gram) == 1:
         return gram[0][0]
     return gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+
+
+def _brute_force_rays(a, b, c):
+    """The primitive (s, t) with s > 0, or s = 0 < t, and a s^2 + 2b st + c t^2 = 0,
+    searched in a box that holds every such ray of a unimodular form."""
+    bound = max(abs(a), abs(b) + 1, abs(c), 2)
+    return {
+        (s, t)
+        for s in range(0, bound + 1)
+        for t in range(-bound, bound + 1)
+        if (s > 0 or t > 0)
+        and math.gcd(s, t) == 1
+        and a * s * s + 2 * b * s * t + c * t * t == 0
+    }
+
+
+def test_isotropic_rays_and_their_sections_on_every_small_unimodular_form():
+    # Every unimodular form in the box, a = 0 among them: a = 0 forces
+    # b = +-1, and c = 0 is then the one form with the ray (0, 1). Each
+    # ray, either way round, is a fiber whose section S has S.fib = 1
+    # and S.S in {0, -1}.
+    forms = [
+        (a, b, c)
+        for a in range(-4, 5)
+        for b in range(-6, 7)
+        for c in range(-8, 9)
+        if abs(a * c - b * b) == 1
+    ]
+    assert sum(a == 0 for a, _, _ in forms) == 34
+    dot = classifier._dot
+    for a, b, c in forms:
+        gram = ((a, b), (b, c))
+        rays = classifier._isotropic_rays(gram)
+        assert len(rays) == len(set(rays))
+        assert set(rays) == _brute_force_rays(a, b, c), gram
+        for s, t in rays:
+            for fib in ((s, t), (-s, -t)):
+                section = classifier._section_for(gram, fib)
+                assert dot(gram, section, fib) == 1, (gram, fib)
+                assert dot(gram, section, section) in (0, -1), (gram, fib)
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+@pytest.mark.parametrize("bundle", [trivial_bundle, nontrivial_bundle])
+def test_bundle_forms_recognise_a_bundle_in_every_small_basis(bundle, genus):
+    # A change of basis P takes the Gram matrix to P^T G P and c1's
+    # coordinates to P^-1 c1; every form found is a fiber with c1.F = 2
+    # and its section, and the bundle's own space is among them.
+    space = bundle(genus)
+    gram, c1 = space.gram, c1_reduced(space).coeffs
+    dot = classifier._dot
+    bases = [
+        ((p, q), (r, s))
+        for p, q, r, s in itertools.product(range(-2, 3), repeat=4)
+        if abs(p * s - q * r) == 1
+    ]
+    for (p, q), (r, s) in bases:
+        det = p * s - q * r
+        moved = tuple(
+            tuple(dot(gram, (p, r) if i == 0 else (q, s), (p, r) if j == 0 else (q, s)) for j in range(2))
+            for i in range(2)
+        )
+        coords = (det * (s * c1[0] - q * c1[1]), det * (-r * c1[0] + p * c1[1]))
+        chart = SimpleNamespace(rank=2, base_genus=genus, gram=moved, c1=coords)
+        forms = classifier._bundle_forms(chart)
+        assert space in [form for form, _, _ in forms], ((p, q), (r, s))
+        for form, fib, section in forms:
+            assert dot(moved, fib, fib) == 0 and dot(moved, coords, fib) == 2
+            assert dot(moved, section, fib) == 1
+            square = dot(moved, section, section)
+            assert form == (trivial_bundle if square == 0 else nontrivial_bundle)(genus)
 
 
 def assert_chart_round_trips(minimum, times):

@@ -1,9 +1,13 @@
 """Command-line entry points: exit codes, report bytes, and shell pipelines."""
 
+import io
 import json
+import runpy
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -383,6 +387,12 @@ def test_dh_check_excess_gaps_exits_two():
     )
     assert code == 2
     assert b"at most 1 gaps" in out
+    code, out = run(
+        RunConfig(command="dh-check", gaps=(Fraction(1), Fraction(1)), output_format="structured"),
+        family_instance("4").dumps().encode(),
+    )
+    assert code == 2
+    assert json.loads(out)["exit_code"] == 2
 
 
 def test_dh_check_validates_first():
@@ -550,6 +560,44 @@ def test_main_builtin_to_stdout(capsysbinary):
     assert main(["polytope-builtin", "type3_bmin1"]) == 0
     payload = json.loads(capsysbinary.readouterr().out)
     assert payload["schema"] == "polytope.v1"
+
+
+def test_main_enumerates_at_genus_three_and_degrees_minus_six_to_six_by_default(capsysbinary):
+    assert main(["enumerate"]) == 0
+    assert capsysbinary.readouterr().out.startswith(b"bounds: genus <= 3, b in [-6, 6]\n")
+
+
+def test_main_accepts_a_range_of_one_degree(capsysbinary):
+    assert main(["enumerate", "--max-genus", "0", "--b-range", "0..0"]) == 0
+    assert capsysbinary.readouterr().out.startswith(b"bounds: genus <= 0, b in [0, 0]\n")
+
+
+def test_main_flag_without_its_value_exits_two(capsysbinary):
+    assert main(["enumerate", "--b-range"]) == 2
+    assert b"expected one argument" in capsysbinary.readouterr().err
+
+
+def test_main_help_exits_zero(capsysbinary):
+    assert main(["--help"]) == 0
+    assert capsysbinary.readouterr().out.startswith(b"usage:")
+
+
+def test_main_reads_argv_and_stdin(monkeypatch, capsysbinary):
+    monkeypatch.setattr(sys, "argv", ["semifree", "validate"])
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(TYPE1)))
+    assert main() == 0
+    assert capsysbinary.readouterr().out == b"valid fixed point data, type 1\n"
+
+
+def test_module_runs_as_a_script(monkeypatch, capsysbinary):
+    # ``python -m semifree.cli`` in-process. runpy warns when the module is
+    # already imported, so it runs from a fresh entry; the old one comes back.
+    monkeypatch.delitem(sys.modules, "semifree.cli")
+    monkeypatch.setattr(sys, "argv", ["semifree", "polytope-builtin", "type3_bmin1"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("semifree.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert json.loads(capsysbinary.readouterr().out)["schema"] == "polytope.v1"
 
 
 # ---------------------------------------------------------------------------

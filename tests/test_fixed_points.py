@@ -129,6 +129,35 @@ def test_components_are_sorted_by_level():
     assert [c.level for c in data.components] == [0, 1, 2, 5]
 
 
+@pytest.mark.parametrize(
+    ("component", "text"),
+    [
+        (point(4, F(3, 2)), "point(index 4, level 3/2)"),
+        (surface(0, 0, genus=1, b=-3), "surface(genus 1, index 0, level 0, b=-3)"),
+        (surface(2, 1, genus=0, b_plus=2, b_minus=-1), "surface(genus 0, index 2, level 1, b+=2, b-=-1)"),
+        (surface(4, 2, genus=0, b=5), "surface(genus 0, index 4, level 2, b=5)"),
+    ],
+)
+def test_describe_names_each_kind_of_component(component, text):
+    assert component.describe() == text
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        # One level, index and kind; each group differs in one field only,
+        # over values that include 0 and 1 and, where allowed, None.
+        [surface(0, 0, genus=0, b=b) for b in (None, -1, 0, 1)],
+        [surface(2, 1, genus=0, b_plus=b, b_minus=0) for b in (None, -1, 0, 1)],
+        [surface(2, 1, genus=0, b_plus=0, b_minus=b) for b in (None, -1, 0, 1)],
+        [surface(2, 1, genus=g, b_plus=0, b_minus=0) for g in (0, 1, 2)],
+    ],
+)
+def test_component_order_does_not_depend_on_the_input_order(group):
+    orders = {FixedPointData(order).components for order in itertools.permutations(group)}
+    assert len(orders) == 1
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -1,14 +1,16 @@
 """Unit tests for the exact linear and polynomial solving helpers."""
 
+import math
 import random
+import signal
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semifree import classifier, cli, localization
+from semifree import _solve, classifier, cli, localization
 from semifree._solve import (
     AffineConstraint,
     SolverStallError,
@@ -97,6 +99,16 @@ def test_solve_system_forced_value_is_not_free():
     assert not solution.free
 
 
+def test_a_pivot_affine_in_a_free_variable_stays_free():
+    # x = y + 1 is eliminated and z splits on z^2 = 4; y stays free, so
+    # the back-substituted x is y + 1, two terms with a constant, and x
+    # is free too rather than the constant 1.
+    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
+    solutions = solve_system(_terms([x - y - Poly.const(1), z * z - Poly.const(4)]))
+    assert [sol.assignment for sol in solutions] == [(("z", -2),), (("z", 2),)]
+    assert [sol.free for sol in solutions] == [{"x", "y"}, {"x", "y"}]
+
+
 def test_back_substituted_values_are_canonical():
     # x = y/2 is eliminated, y splits on y^2 = 4, and x = y/2 comes back
     # as the int 1 (and -1), not Fraction(1, 1).
@@ -156,9 +168,30 @@ def test_rational_roots_refuses_a_non_quadratic_as_an_invariant(coeffs):
         _rational_roots(coeffs)
 
 
+def test_linear_closure_refuses_to_force_a_variable_twice(monkeypatch):
+    # A _substitute that substitutes nothing leaves x - 1 = 0 in place, so
+    # the closure would force x = 1 on every pass; it must raise instead.
+    # The alarm turns a hang into a failure.
+    monkeypatch.setattr(_solve, "_substitute", lambda terms, values: terms)
+
+    def hang(signum, frame):
+        raise TimeoutError("the linear closure loops")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RuntimeError, match=r"invariant broken: the linear closure forced \['x'\]"):
+            solve_system(_terms([Poly.var("x") - Poly.const(1)]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @given(
     st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
 )
+# A vector on the negative first axis is the one that the last sign flip fixes.
+@example((-3, 0, 0))
 def test_unimodular_clearing_sends_vector_to_axis(vector):
     if vector == (0, 0, 0):
         return
@@ -168,6 +201,9 @@ def test_unimodular_clearing_sends_vector_to_axis(vector):
     ]
     assert image[1] == 0 and image[2] == 0
     assert image[0] != 0
+    assert image[0] == math.gcd(*vector)
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) in (1, -1)
 
 
 @pytest.mark.parametrize("value", [0.5, True])
