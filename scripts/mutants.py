@@ -23,8 +23,13 @@ reported as a survivor. Before the first such rerun the unmutated copy
 runs the whole suite once; if that fails, no rerun can tell a kill
 from the failure, so subset survivors are reported as survivors.
 
-The default subset is the six test files of the chain engine (about
-15 s a run on 2 CPUs). Stdlib only; pytest runs in a child process,
+Each module's mutants run against its own subset of the tests
+(``MODULE_TESTS``): the six test files of the chain engine (about 15 s a
+run on 2 CPUs), which ``_solve`` and ``classifier`` keep, plus for
+``localization`` and ``fixed_points`` the files that test them most, so
+that a mutant the engine files pass need not wait for the whole suite.
+``--tests`` names one subset for every module instead. Stdlib only;
+pytest runs in a child process,
 with ``-x``, the copy's ``src`` first on ``PYTHONPATH`` and no
 bytecode written (a mutant may keep its module's size and mtime
 second, so a cached one could be stale).
@@ -36,8 +41,8 @@ Usage::
     python scripts/mutants.py --sample 5 --timeout 60      # 20 mutants in all
     python scripts/mutants.py --site _solve.py:94:30       # one named mutant
 
-The unmutated checkout runs the subset first; if it fails, no mutant
-runs and the exit status is 1. Otherwise it is 0 whatever the mutants
+The unmutated checkout runs each subset once first; if one fails, no
+mutant runs and the exit status is 1. Otherwise it is 0 whatever the mutants
 do: the report is the output.
 """
 
@@ -58,6 +63,7 @@ import time
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semifree"
@@ -71,6 +77,21 @@ ENGINE_TESTS = (
     "tests/test_orderings.py",
     "tests/test_pairings.py",
 )
+# The subset of each module that the engine files alone leave weak.
+MODULE_TESTS = {
+    "localization": ENGINE_TESTS + (
+        "tests/test_localization.py",
+        "tests/test_tables.py",
+        "tests/test_acceptance.py",
+        "tests/test_sweep.py",
+    ),
+    "fixed_points": ENGINE_TESTS + (
+        "tests/test_fixed_points.py",
+        "tests/test_front_end.py",
+        "tests/test_acceptance.py",
+        "tests/test_cli.py",
+    ),
+}
 # What a copy of the checkout leaves out: history, caches and outputs.
 SKIP_IN_COPY = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out", "*.egg-info"
@@ -162,7 +183,7 @@ def sites(module: str, source: str) -> list[Site]:
     return sorted(found, key=lambda s: (s.line, s.col))
 
 
-def run_tests(checkout: Path, tests: list[str], limit: float) -> tuple[str, str]:
+def run_tests(checkout: Path, tests: Sequence[str], limit: float) -> tuple[str, str]:
     """``("killed", first failing test)``, ``("survived", "")`` or
     ``("timeout", "")`` for pytest on ``tests`` in ``checkout``."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
@@ -195,7 +216,7 @@ def run_tests(checkout: Path, tests: list[str], limit: float) -> tuple[str, str]
     return "killed", next(failed, f"pytest exit status {child.returncode}")
 
 
-def run_mutant(site: Site, checkout: Path, tests: list[str], limit: float) -> tuple[str, str]:
+def run_mutant(site: Site, checkout: Path, tests: Sequence[str], limit: float) -> tuple[str, str]:
     """``run_tests`` with ``site`` written into ``checkout``, whose
     original module is put back afterwards."""
     target = checkout / "src" / "semifree" / f"{site.module}.py"
@@ -216,8 +237,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="wall limit in seconds of one subset run, and four times it"
                         " of one whole-suite rerun (default 120)")
-    parser.add_argument("--tests", nargs="+", default=list(ENGINE_TESTS),
-                        help="the pytest subset (default: the six engine test files)")
+    parser.add_argument("--tests", nargs="+",
+                        help="the pytest subset of every module (default: each module's"
+                        " own, the six engine test files and its own tests)")
     parser.add_argument("--site", action="append", default=[],
                         help="run just the mutant at module.py:line:col, as the report"
                         " names it, instead of a sample (repeatable)")
@@ -243,6 +265,7 @@ def main(argv: list[str]) -> int:
                 by_module[m], min(args.sample, len(by_module[m]))
             )
         ]
+    subsets = {m: tuple(args.tests or MODULE_TESTS.get(m, ENGINE_TESTS)) for m in args.modules}
     drawn = "named" if args.site else f"seed {args.seed}"
     print(f"{drawn}; sites: " + ", ".join(f"{m} {len(s)}" for m, s in by_module.items()))
 
@@ -252,13 +275,15 @@ def main(argv: list[str]) -> int:
         checkout = Path(scratch) / "checkout"
         shutil.copytree(ROOT, checkout, ignore=SKIP_IN_COPY)
         # A failing test would count every mutant as killed.
-        outcome, failed = run_tests(checkout, args.tests, args.timeout)
-        if outcome != "survived":
-            print(f"the unmutated checkout fails the subset ({failed or outcome}): no mutant run")
-            return 1
+        for tests in dict.fromkeys(subsets.values()):
+            outcome, failed = run_tests(checkout, tests, args.timeout)
+            if outcome != "survived":
+                print(f"the unmutated checkout fails the subset {' '.join(tests)}"
+                      f" ({failed or outcome}): no mutant run")
+                return 1
         for number, site in enumerate(sample, 1):
             start = time.perf_counter()
-            outcome, failed = run_mutant(site, checkout, args.tests, args.timeout)
+            outcome, failed = run_mutant(site, checkout, subsets[site.module], args.timeout)
             if outcome == "survived" and whole_suite is None:
                 whole_suite = run_tests(checkout, ["tests"], 4 * args.timeout)
                 if whole_suite[0] != "survived":

@@ -9,9 +9,11 @@ chain engine walks these events from the minimum to the maximum in an
 integer lattice chart, solving exactly for the unknown dual classes
 (adjunction plus the boundary normal forms) and branching over the
 possible exceptional classes at blow-downs. The walk is a sequence of
-steps (``_cross``), and ``_walk`` remembers the states after each
-prefix of crossings, so the orderings of one datum, and in the
-enumeration all shapes of one minimum, walk each shared prefix once.
+steps (``_cross``) taken level by level: one lazy descent (``_descend``)
+crosses, at each node, each middle of the lowest level not yet crossed.
+It remembers the states after each prefix of crossings, so the crossing
+orders of one datum, and in the enumeration all shapes of one minimum,
+walk each shared prefix once.
 
 The walk computes on numbers. The Euler class stays affine in the
 unknowns, and a chart carries it as a constant vector plus one column
@@ -23,16 +25,15 @@ canonical term tuple (``equation``) once, for the solver.
 Each piece of work is done once in its scope. A surface crossing forms
 e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
 its vectors in the kernel basis by one elimination. A chart computes
-its canonical bundle forms once (``_Chart.bundle_forms``). One chain
-solve walks and solves only the first of the orderings whose step keys
-repeat, since those walk to the very same branches; the others are
-never generated (``_distinct_orderings``); so is a repeated walk state.
-Each chart's (-1)-classes are searched once per process
-(``_minus_one_classes``), a pure function of the chart's Gram matrix and
-c1. No other cache outlives its chart, its call or its datum: the
+its canonical bundle forms once (``_Chart.bundle_forms``). At a node
+the descent skips a crossing whose step key it already tried there,
+since the two walk to the very same branches; so one chain solve walks
+and solves each sequence of step keys once, and a repeated walk state
+once. Each chart's (-1)-classes are searched once per process
+(``_minus_one_classes``), a pure function of the chart's Gram matrix
+and c1. No other cache outlives its chart, its call or its datum: the
 ``walks`` dict belongs to one chain solve, or in the enumeration to one
-minimum; the enumeration keeps each level signature's orderings for
-its call; and a datum keeps its extremes and its solved chain
+minimum; and a datum keeps its extremes and its solved chain
 (``_memo``), so the chain check, the Euler transport and their readers
 (the w2 selection rule, ``b_plus_minus`` and the sweep) share one solve.
 
@@ -440,61 +441,11 @@ class _Branch:
     top: _Chart
 
 
-def _level_groups(data: FixedPointData) -> list[list[int]]:
-    """The positions of the middle components, grouped by level from the bottom."""
-    groups: dict[Rational, list[int]] = {}
-    for pos, comp in enumerate(data.components):
-        if comp.is_minimum or comp.is_maximum:
-            continue
-        groups.setdefault(comp.level, []).append(pos)
-    return [groups[lv] for lv in sorted(groups)]
-
-
 def _step_key(pos: int, comp: FixedComponent) -> tuple:
-    """The key of one crossing in ``_walk``'s prefix keys."""
+    """The key of one crossing in ``_descend``'s prefix keys."""
     if comp.is_surface:
         return ("S", pos, comp.genus, comp.b_plus, comp.b_minus)
     return ("P", comp.index)
-
-
-def _distinct_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
-    """Each level's middles in every order, levels upward, without the
-    orderings whose step keys repeat an earlier one's.
-
-    Orderings with equal step keys, such as two index-2 points swapped
-    at one level, walk to the very same branches, so only the first of
-    them needs walking and solving. They are generated directly, level
-    by level (``_distinct_arrangements``), never by filtering every
-    permutation: n equal points at one level have n! orderings and one
-    sequence of step keys.
-    """
-    comps = data.components
-    pools = [
-        list(_distinct_arrangements([(pos, _step_key(pos, comps[pos])) for pos in group]))
-        for group in _level_groups(data)
-    ]
-    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
-
-
-def _distinct_arrangements(keyed: list[tuple[int, tuple]]) -> Iterable[tuple[int, ...]]:
-    """The first arrangement, in ``itertools.permutations`` order, of each key sequence.
-
-    ``keyed`` holds ``(position, step key)`` pairs in increasing
-    position. A depth-first search takes the pairs in that order at each
-    depth and skips a pair whose key was already tried at the same
-    depth, so each key sequence is reached once, by its first
-    permutation.
-    """
-    if not keyed:
-        yield ()
-        return
-    tried: set[tuple] = set()
-    for i, (pos, key) in enumerate(keyed):
-        if key in tried:
-            continue
-        tried.add(key)
-        for rest in _distinct_arrangements(keyed[:i] + keyed[i + 1 :]):
-            yield (pos, *rest)
 
 
 def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
@@ -552,48 +503,65 @@ def _cross(state: _Branch, pos: int, comp: FixedComponent) -> list[_Branch]:
     return out
 
 
-def _walk(
-    data: FixedPointData, ordering: Sequence[int], walks: dict
-) -> list[_Branch]:
-    """The states of the chain walk of ``ordering`` just below the maximum.
+def _branches(data: FixedPointData, walks: dict) -> Iterable[_Branch]:
+    """The chain branches of well-formed data, lazily: each walk state of
+    each distinct crossing order under each presentation of the maximum.
 
-    The walk reads only the minimum and, per crossing, the step key
-    ``("P", index)`` of a point or ``("S", pos, genus, b_plus, b_minus)``
-    of a surface, whose unknowns are named after ``pos``. ``walks`` holds
-    only prefixes: it maps each walked prefix of such keys, the minimum
-    first, to its states, or to the error its last step raised, so a
-    prefix already in it is not walked again. A prefix keeps each
-    distinct state once.
+    The descent starts at the minimum with every middle still to cross;
+    components sort by level, so the extremes are first and last.
     """
     key: tuple = (data.minimum,)
     if key not in walks:
         walks[key] = [_Branch((), (), _start_chart(data.minimum))]
+    yield from _descend(data, key, tuple(range(1, len(data.components) - 1)), walks)
+
+
+def _descend(
+    data: FixedPointData, key: tuple, rest: tuple[int, ...], walks: dict
+) -> Iterable[_Branch]:
+    """The branches below one node: the prefix ``key`` of step keys, the
+    minimum first, with the positions ``rest`` still to cross.
+
+    The candidates for the next crossing are the leading positions of
+    ``rest`` at its lowest level, taken in order. A candidate whose step
+    key was already tried at this node walks to the very same branches,
+    so it is skipped: each crossing order is reached once, by its first
+    arrangement, and n equal points at one level are one order, not n!.
+    ``walks`` holds only prefixes: it maps each walked prefix to its
+    states, or to the error its last step raised, which is raised again
+    whenever the descent reaches it. The walk reads only the minimum and
+    the step keys, ``("P", index)`` of a point or ``("S", pos, genus,
+    b_plus, b_minus)`` of a surface, whose unknowns are named after
+    ``pos``, so data of one minimum can share ``walks``. A prefix keeps
+    each distinct state once.
+    """
     states = walks[key]
-    for pos in ordering:
-        comp = data.components[pos]
-        key += (_step_key(pos, comp),)
-        if key not in walks and not isinstance(states, Exception):
+    if isinstance(states, Exception):
+        raise states.with_traceback(None)
+    if not rest:
+        for state in states:
+            for extra, top in _terminal_variants(data, state.top):
+                yield _Branch(state.equations + tuple(extra), state.crossings, top)
+        return
+    comps = data.components
+    level, tried = comps[rest[0]].level, set()
+    for i, pos in enumerate(rest):
+        comp = comps[pos]
+        if comp.level != level:
+            break
+        step = _step_key(pos, comp)
+        if step in tried:
+            continue
+        tried.add(step)
+        child = key + (step,)
+        if child not in walks:
             try:
                 crossed = [new for old in states for new in _cross(old, pos, comp)]
                 # Only a blow-down can take two states to one.
-                walks[key] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
+                walks[child] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
             except NotImplementedError as exc:
-                walks[key] = exc
-        states = walks.get(key, states)
-    if isinstance(states, Exception):
-        raise states.with_traceback(None)
-    return states
-
-
-def _branches(
-    data: FixedPointData, ordering: Sequence[int], walks: dict
-) -> list[_Branch]:
-    """The chain branches of one ordering: each walk state under each maximum."""
-    return [
-        _Branch(state.equations + tuple(extra), state.crossings, top)
-        for state in _walk(data, ordering, walks)
-        for extra, top in _terminal_variants(data, state.top)
-    ]
+                walks[child] = exc
+        yield from _descend(data, child, rest[:i] + rest[i + 1 :], walks)
 
 
 def _terminal_variants(
@@ -684,24 +652,21 @@ def _structural_check(data: FixedPointData) -> None:
         raise InvalidDataError("middle components must sit strictly between the extremes")
 
 
-def _chain_solutions(
-    data: FixedPointData, walks: dict | None = None, orderings: list | None = None
-) -> list[_ChainSolution]:
+def _chain_solutions(data: FixedPointData, walks: dict | None = None) -> list[_ChainSolution]:
     """Solve the chain of well-formed data (``_structural_check``); an
     underdetermined one raises ``MultipleSolutionsError``. ``walks``
-    shares walked prefixes (see ``_walk``), and ``orderings`` are the
-    data's ``_distinct_orderings`` when already derived."""
-    walks = {} if walks is None else walks
+    shares walked prefixes (see ``_descend``). Each branch is solved as
+    the descent yields it, so an order that fails to walk raises only
+    after the orders before it are solved."""
     solutions: dict[tuple, _ChainSolution] = {}
-    for ordering in _distinct_orderings(data) if orderings is None else orderings:
-        for branch in _branches(data, ordering, walks):
-            for sol in solve_system(list(branch.equations)):
-                if sol.free:
-                    # No datum tried, unvalidated ones included, leaves one free.
-                    raise MultipleSolutionsError("the Euler chain is underdetermined for this data")
-                resolved = _resolve_branch(branch, sol.as_dict())
-                if resolved is not None:
-                    solutions.setdefault(resolved.key, resolved)
+    for branch in _branches(data, {} if walks is None else walks):
+        for sol in solve_system(list(branch.equations)):
+            if sol.free:
+                # No datum tried, unvalidated ones included, leaves one free.
+                raise MultipleSolutionsError("the Euler chain is underdetermined for this data")
+            resolved = _resolve_branch(branch, sol.as_dict())
+            if resolved is not None:
+                solutions.setdefault(resolved.key, resolved)
     return list(solutions.values())
 
 
@@ -925,8 +890,8 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
 
     Candidates run over both extremal kinds, genera up to ``max_genus``,
     extremal normal degrees in ``b_range``, every middle configuration
-    compatible with the Betti bound, all level orderings including
-    ties, and both twist settings. The normal splittings of middle
+    compatible with the Betti bound, every assignment of levels, ties
+    included, and both twist settings. The normal splittings of middle
     surfaces are derived from the chain, never enumerated. Survivors
     of the full filter stack are grouped into families.
 
@@ -950,26 +915,24 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     after validate has never happened, so either raises RuntimeError
     as a fault too.
 
-    The walk is shape-first. A shape is the minimum, the middles with
-    their levels, and the maximum's kind and level; ``_shapes`` builds
-    each one once, grouped by minimum. All chain walks of one minimum
-    share one ``walks`` dict: the walk reads neither the levels nor the
-    maximum, so a chain prefix is walked once for every ordering, shape
-    and candidate of that minimum; the dict is dropped with the minimum.
-    The orderings read only the middles, at positions 1 to n, so each
-    middle configuration derives them once per call. A shape with a
-    point maximum is one candidate and takes the concrete chain solve. A
-    shape with a surface maximum stands for every genus and ``b`` of
-    that maximum: the chain never reads the genus, and ``b`` enters only
-    the last equation of each branch, ``e.e + b = 0``. Every branch of
-    the shape is solved once without that equation (``_solve_prefix``),
-    and an untwisted maximum of degree ``b`` keeps the solutions whose
-    ``e.e`` equals ``-b``. A ``b`` that keeps none adds all its genera
-    to the chain tally, and no candidate of it is built. Of another
-    ``b`` only the minimum's genus is built: the other genera share its
-    chain verdict and, with a chain, fail validate (surface extremes
-    share a genus). A free variable or a solver stall in a reduced
-    system, like a twist, means the concrete chain solve.
+    The walk is shape-first. A shape is the minimum, the middles with their
+    levels, and the maximum's kind and level; ``_shapes`` builds each one
+    once, grouped by minimum. All chain walks of one minimum share one
+    ``walks`` dict: a prefix key holds neither the levels nor the maximum,
+    so a chain prefix is crossed once for every crossing order, shape and
+    candidate of that minimum; the dict is dropped with the minimum. A
+    shape with a point maximum is one candidate and takes the concrete
+    chain solve. A shape with a surface maximum stands for every genus and
+    ``b`` of that maximum: the chain never reads the genus, and ``b``
+    enters only the last equation of each branch, ``e.e + b = 0``. Every
+    branch of the shape is solved once without that equation
+    (``_solve_prefix``), and an untwisted maximum of degree ``b`` keeps the
+    solutions whose ``e.e`` equals ``-b``. A ``b`` that keeps none adds all
+    its genera to the chain tally, and no candidate of it is built. Of
+    another ``b`` only the minimum's genus is built: the other genera share
+    its chain verdict and, with a chain, fail validate (surface extremes
+    share a genus). A free variable or a solver stall in a reduced system,
+    like a twist, means the concrete chain solve.
 
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage: the splittings are read off its
@@ -985,17 +948,10 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     b_values = range(lo, hi + 1)
     rejected: dict[str, int] = {}
     families: dict[str, list[FixedPointData]] = {}
-    orderings: dict[tuple[FixedComponent, ...], list[tuple[int, ...]]] = {}
 
     def reject(stage: str, count: int = 1) -> None:
         if count:
             rejected[stage] = rejected.get(stage, 0) + count
-
-    def orderings_of(data: FixedPointData) -> list[tuple[int, ...]]:
-        middles = data.components[1:-1]
-        if middles not in orderings:
-            orderings[middles] = _distinct_orderings(data)
-        return orderings[middles]
 
     def decide(
         candidate: FixedPointData, solutions: list[_ChainSolution] | None = None, others: int = 0
@@ -1004,7 +960,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         # rank <= 3, so c1.c1 >= 7 and the (-1)-class search never refuses.
         # ``others`` counts the unbuilt candidates of the other maximum genera.
         if solutions is None:
-            solutions = _chain_solutions(candidate, walks, orderings_of(candidate))
+            solutions = _chain_solutions(candidate, walks)
         filled = _derive_splittings(candidate, solutions)
         if filled is None:
             reject("chain", 1 + others)
@@ -1032,7 +988,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if shape.maximum.is_point:
             decide(shape)
             continue
-        by_square = _solve_prefix(shape, walks, orderings_of(shape))
+        by_square = _solve_prefix(shape, walks)
         solved = [b for b in b_values if by_square is None or -b in by_square]
         # No e.e = -b solution: every genus of such a b is a chain reject.
         reject("chain", (len(b_values) - len(solved)) * len(genera))
@@ -1069,27 +1025,22 @@ def _datum(components: tuple, minimum: FixedComponent, maximum: FixedComponent, 
 
 
 def _solve_prefix(
-    shape: FixedPointData, walks: dict | None = None, orderings: list | None = None
+    shape: FixedPointData, walks: dict | None = None
 ) -> dict[Rational, list[_ChainSolution]] | None:
     """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
     The shape's maximum has genus 0 and ``b = 0``, so the last equation
     of every branch is ``e.e`` itself. The branches come from the walks
     in ``walks``, shared with the other shapes of the same minimum (a
-    fresh dict when None), along ``orderings`` as in ``_chain_solutions``;
-    each branch is solved without that equation. When all those
+    fresh dict when None). All branches are walked first, then each is
+    solved without that equation. When all those
     solutions are bounded, the solutions of the branch for a maximum of
     degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
     when some reduced system has a free variable or stalls the solver.
     A bounded solution fixes every unknown (``_resolve_branch``), so
     ``e.e`` is a number, the top chart's Euler vector at it squared.
     """
-    walks = {} if walks is None else walks
-    branches = [
-        branch
-        for ordering in (_distinct_orderings(shape) if orderings is None else orderings)
-        for branch in _branches(shape, ordering, walks)
-    ]
+    branches = list(_branches(shape, {} if walks is None else walks))
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}
     for branch in branches:
         try:

@@ -43,18 +43,6 @@ from .rationals import Rational, format_rational, parse_rational
 
 REPORT_SCHEMA = "report.v1"
 
-COMMANDS = (
-    "validate",
-    "localize",
-    "restrict-table",
-    "classify",
-    "enumerate",
-    "polytope-check",
-    "polytope-extract",
-    "polytope-builtin",
-    "dh-check",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,8 +84,9 @@ def _decode(raw: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit code, payload dict, text lines),
-# and builds only the payload (structured) or only the lines (text)
+# command handlers; each takes the read input (None for a command
+# without one) and the config, returns (exit code, payload dict, text
+# lines), and builds only the payload (structured) or only the lines (text)
 
 
 def _integral_payload(values: dict[int, Fraction]) -> dict[str, str]:
@@ -113,11 +102,11 @@ def _format_integral(values: dict[int, Fraction]) -> str:
     )
 
 
-def _cmd_validate(data: FixedPointData, output_format: str):
+def _cmd_validate(data: FixedPointData, config: RunConfig):
     report = validate(data)
     code = 0 if report.ok else 1
     tag = classify_type(data) if report.ok else None
-    if output_format == "structured":
+    if config.output_format == "structured":
         payload = {"ok": report.ok, "violations": list(report.violations)}
         if report.ok:
             payload["type"] = tag
@@ -127,13 +116,13 @@ def _cmd_validate(data: FixedPointData, output_format: str):
     return code, {}, ["invalid fixed point data:"] + [f"  - {v}" for v in report.violations]
 
 
-def _cmd_localize(data: FixedPointData, output_format: str):
+def _cmd_localize(data: FixedPointData, config: RunConfig):
     if not validate(data).ok:
-        return _cmd_validate(data, output_format)
+        return _cmd_validate(data, config)
     integrals = dict(_c1_power_integrals(data))
     ok = all(integrals[name] == {} for name in ("1", "c_1", "c_1^2"))
     code = 0 if ok else 1
-    if output_format == "structured":
+    if config.output_format == "structured":
         payload = {
             "relations_hold": ok,
             "integrals": {
@@ -154,16 +143,16 @@ def _cmd_localize(data: FixedPointData, output_format: str):
     return code, {}, lines
 
 
-def _cmd_restrict_table(data: FixedPointData, output_format: str):
+def _cmd_restrict_table(data: FixedPointData, config: RunConfig):
     table = solve_restriction_table(data)
-    if output_format == "structured":
+    if config.output_format == "structured":
         return 0, table.to_json_dict(), []
     return 0, {}, table.render_text().rstrip("\n").split("\n")
 
 
-def _cmd_classify(data: FixedPointData, output_format: str):
+def _cmd_classify(data: FixedPointData, config: RunConfig):
     if not validate(data).ok:
-        return _cmd_validate(data, output_format)
+        return _cmd_validate(data, config)
     tag = classify_type(data)
     chain_ok = euler_chain_check(data)
     try:
@@ -171,7 +160,7 @@ def _cmd_classify(data: FixedPointData, output_format: str):
     except (InvalidDataError, NoSolutionError, MultipleSolutionsError):
         w2 = None
     code = 0 if chain_ok else 1
-    if output_format == "structured":
+    if config.output_format == "structured":
         payload = {
             "type": tag,
             "twist": data.twist,
@@ -189,9 +178,9 @@ def _cmd_classify(data: FixedPointData, output_format: str):
     return code, {}, lines
 
 
-def _cmd_enumerate(config: RunConfig, output_format: str):
+def _cmd_enumerate(_: None, config: RunConfig):
     result = enumerate_types(max_genus=config.max_genus, b_range=config.b_range)
-    if output_format == "structured":
+    if config.output_format == "structured":
         return 0, result.to_json_dict(), []
     lines = [
         f"bounds: genus <= {config.max_genus}, "
@@ -210,11 +199,11 @@ def _cmd_enumerate(config: RunConfig, output_format: str):
     return 0, {}, lines
 
 
-def _cmd_polytope_check(polytope: delzant.LatticePolytope, output_format: str):
+def _cmd_polytope_check(polytope: delzant.LatticePolytope, config: RunConfig):
     dc = delzant.delzant_check(polytope)
     sc = delzant.semifree_check(polytope)
     code = 0 if dc.ok and sc.ok else 1
-    if output_format == "structured":
+    if config.output_format == "structured":
         payload = {
             "delzant": {
                 "ok": dc.ok,
@@ -232,9 +221,9 @@ def _cmd_polytope_check(polytope: delzant.LatticePolytope, output_format: str):
     return code, {}, lines
 
 
-def _cmd_polytope_extract(polytope: delzant.LatticePolytope, output_format: str):
+def _cmd_polytope_extract(polytope: delzant.LatticePolytope, config: RunConfig):
     data = delzant.extract_fixed_data(polytope)
-    if output_format == "structured":
+    if config.output_format == "structured":
         return 0, data.to_json_dict(), []
     lines = []
     for component in data.components:
@@ -248,7 +237,7 @@ def _cmd_polytope_extract(polytope: delzant.LatticePolytope, output_format: str)
     return 0, {}, lines
 
 
-def _cmd_polytope_builtin(config: RunConfig):
+def _cmd_polytope_builtin(_: None, config: RunConfig):
     examples = delzant.builtin_examples()
     name = config.builtin_name
     if name not in examples:
@@ -256,7 +245,10 @@ def _cmd_polytope_builtin(config: RunConfig):
         raise SchemaError(f"unknown builtin {name!r}; choices: {choices}")
     # Always emit the schema document so the output pipes into
     # polytope-extract regardless of the format flag.
-    return 0, delzant.polytope_to_json_dict(examples[name]), []
+    payload = delzant.polytope_to_json_dict(examples[name])
+    if config.output_format == "structured":
+        return 0, payload, []
+    return 0, {}, _dump_json(payload).split("\n")
 
 
 def _format_reduced(cls: ReducedClass) -> str:
@@ -271,7 +263,7 @@ def _format_reduced(cls: ReducedClass) -> str:
 
 def _cmd_dh_check(data: FixedPointData, config: RunConfig):
     if not validate(data).ok:
-        return _cmd_validate(data, config.output_format)
+        return _cmd_validate(data, config)
     path = dh_path(data, config.alpha0, list(config.gaps))
     code = 0 if path.verdict == "positive" else 1
     if config.output_format == "structured":
@@ -297,37 +289,41 @@ def _cmd_dh_check(data: FixedPointData, config: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# driver
+# the command table and the driver
+
+# Each command's input reader (None when it reads no input), handler and help.
+_COMMANDS = {
+    "validate": (_read_fpdata, _cmd_validate, "check fixed point data against the shape rules"),
+    "localize": (
+        _read_fpdata,
+        _cmd_localize,
+        "evaluate the localized integrals of 1, c_1, c_1^2, c_1^3",
+    ),
+    "restrict-table": (_read_fpdata, _cmd_restrict_table, "solve the full restriction table"),
+    "classify": (_read_fpdata, _cmd_classify, "name the family and run the wall-crossing chain"),
+    "enumerate": (None, _cmd_enumerate, "enumerate all families within bounds"),
+    "polytope-check": (
+        _read_polytope,
+        _cmd_polytope_check,
+        "check polytope smoothness and semi-freeness",
+    ),
+    "polytope-extract": (
+        _read_polytope,
+        _cmd_polytope_extract,
+        "read fixed point data off a polytope",
+    ),
+    "polytope-builtin": (None, _cmd_polytope_builtin, "emit one of the named example polytopes"),
+    "dh-check": (_read_fpdata, _cmd_dh_check, "sweep the reduced symplectic class upward"),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig, raw: bytes) -> tuple[int, bytes]:
     """Execute one command; returns (exit code, report bytes)."""
     structured = config.output_format == "structured"
+    reader, handler, _ = _COMMANDS[config.command]
     try:
-        if config.command == "validate":
-            code, payload, lines = _cmd_validate(_read_fpdata(raw), config.output_format)
-        elif config.command == "localize":
-            code, payload, lines = _cmd_localize(_read_fpdata(raw), config.output_format)
-        elif config.command == "restrict-table":
-            code, payload, lines = _cmd_restrict_table(
-                _read_fpdata(raw), config.output_format
-            )
-        elif config.command == "classify":
-            code, payload, lines = _cmd_classify(_read_fpdata(raw), config.output_format)
-        elif config.command == "enumerate":
-            code, payload, lines = _cmd_enumerate(config, config.output_format)
-        elif config.command == "polytope-check":
-            code, payload, lines = _cmd_polytope_check(
-                _read_polytope(raw), config.output_format
-            )
-        elif config.command == "polytope-extract":
-            code, payload, lines = _cmd_polytope_extract(
-                _read_polytope(raw), config.output_format
-            )
-        elif config.command == "polytope-builtin":
-            code, payload, lines = _cmd_polytope_builtin(config)
-        else:
-            code, payload, lines = _cmd_dh_check(_read_fpdata(raw), config)
+        code, payload, lines = handler(None if reader is None else reader(raw), config)
     except SchemaError as exc:
         return 2, _render_error(config, 2, str(exc), structured)
     except (
@@ -342,16 +338,9 @@ def run(config: RunConfig, raw: bytes) -> tuple[int, bytes]:
         # example more gap durations than there are segments).
         return 2, _render_error(config, 2, str(exc), structured)
 
-    if config.command == "polytope-builtin":
-        # Schema document, same in both formats.
-        return code, _encode_json(payload)
     if structured:
         if "schema" not in payload:
-            payload = {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                **payload,
-            }
+            payload = {"schema": REPORT_SCHEMA, "command": config.command, **payload}
         return code, _encode_json(payload)
     return code, ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -365,12 +354,7 @@ def _render_error(
 ) -> bytes:
     if structured:
         return _encode_json(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": config.command,
-                "error": message,
-                "exit_code": code,
-            }
+            {"schema": REPORT_SCHEMA, "command": config.command, "error": message, "exit_code": code}
         )
     return (f"error: {message}\n").encode("utf-8")
 
@@ -415,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compact six-dimensional Hamiltonian manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, needs_input: bool, help_text: str):
-        p = sub.add_parser(name, help=help_text)
+    parsers = {}
+    for name, (reader, _, help_text) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format",
             dest="output_format",
@@ -425,20 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
             default=RunConfig.output_format,
             help="report style (default: %(default)s)",
         )
-        if needs_input:
+        if reader is not None:
             p.add_argument(
-                "input",
+                "input_path",
+                metavar="input",
                 nargs="?",
                 default=None,
                 help="input file (default: standard input)",
             )
-        return p
-
-    add("validate", True, "check fixed point data against the shape rules")
-    add("localize", True, "evaluate the localized integrals of 1, c_1, c_1^2, c_1^3")
-    add("restrict-table", True, "solve the full restriction table")
-    add("classify", True, "name the family and run the wall-crossing chain")
-    p = add("enumerate", False, "enumerate all families within bounds")
+    p = parsers["enumerate"]
     p.add_argument(
         "--max-genus", type=int, default=RunConfig.max_genus, help="largest genus tried"
     )
@@ -449,11 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LO..HI",
         help="range of normal Euler numbers tried",
     )
-    add("polytope-check", True, "check polytope smoothness and semi-freeness")
-    add("polytope-extract", True, "read fixed point data off a polytope")
-    p = add("polytope-builtin", False, "emit one of the named example polytopes")
-    p.add_argument("name", help="builtin name, e.g. type4")
-    p = add("dh-check", True, "sweep the reduced symplectic class upward")
+    parsers["polytope-builtin"].add_argument(
+        "builtin_name", metavar="name", help="builtin name, e.g. type4"
+    )
+    p = parsers["dh-check"]
     p.add_argument(
         "--alpha0",
         type=_parse_alpha0,
@@ -472,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run described by ``args``; a field its command has no
     argument for keeps its ``RunConfig`` default."""
-    renamed = {"input": "input_path", "name": "builtin_name"}
-    return RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
+    return RunConfig(**vars(args))
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
@@ -507,8 +484,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     config = config_from_args(args)
     raw = b""
-    needs_input = config.command not in ("enumerate", "polytope-builtin")
-    if needs_input:
+    if _COMMANDS[config.command][0] is not None:
         if config.input_path:
             try:
                 with open(config.input_path, "rb") as handle:

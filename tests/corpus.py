@@ -5,8 +5,8 @@ The family presets and the fuzz pools are the benchmark's own
 data that the benchmark measures. That module needs only the standard
 library to build them. ``enumerated_members`` are the data that
 ``enumerate`` admits at genus <= 1, b in -2..2. ``middle_orderings`` is
-the reference set of crossing orders that the chain engine's orderings
-are checked against.
+the reference set of crossing orders, and ``filtered_orderings`` the
+ones of them that the chain engine's descent is checked against.
 """
 
 from __future__ import annotations
@@ -86,5 +86,21 @@ def enumerated_members() -> tuple[tuple[str, FixedPointData], ...]:
 
 def middle_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
     """Every crossing order: each level's middles in every order, levels upward."""
-    pools = [list(itertools.permutations(group)) for group in classifier._level_groups(data)]
+    groups: dict = {}
+    for pos, comp in enumerate(data.components):
+        if not (comp.is_minimum or comp.is_maximum):
+            groups.setdefault(comp.level, []).append(pos)
+    pools = [list(itertools.permutations(groups[level])) for level in sorted(groups)]
     return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*pools)]
+
+
+def filtered_orderings(data: FixedPointData) -> list[tuple[int, ...]]:
+    """The first of the ``middle_orderings`` with each step-key sequence:
+    the crossing orders that the chain engine's descent walks, in order."""
+    seen, out = set(), []
+    for ordering in middle_orderings(data):
+        steps = tuple(classifier._step_key(pos, data.components[pos]) for pos in ordering)
+        if steps not in seen:
+            seen.add(steps)
+            out.append(ordering)
+    return out

@@ -47,7 +47,7 @@ from semifree.localization import (
     solve_restriction_table,
 )
 
-from corpus import fuzz_data, middle_orderings
+from corpus import filtered_orderings, fuzz_data, middle_orderings
 
 FAMILY_CASES = [
     ("1", {}),
@@ -817,30 +817,6 @@ def test_untwisted_join_chain_always_consistent(n, g, g1):
     assert crossing.pair_eta_eta == middle.b_plus + middle.b_minus
 
 
-def test_enumeration_hands_each_solve_its_fresh_orderings(monkeypatch):
-    # The enumeration derives the orderings once per middle configuration
-    # and hands them to every prefix and concrete chain solve; each must
-    # equal a fresh derivation for the datum solved, in the same order.
-    handed = []
-    solve_prefix, solve_chain = classifier._solve_prefix, classifier._chain_solutions
-
-    def record_prefix(shape, walks=None, orderings=None):
-        handed.append((shape, orderings))
-        return solve_prefix(shape, walks, orderings)
-
-    def record_chain(data, walks=None, orderings=None):
-        handed.append((data, orderings))
-        return solve_chain(data, walks, orderings)
-
-    monkeypatch.setattr(classifier, "_solve_prefix", record_prefix)
-    monkeypatch.setattr(classifier, "_chain_solutions", record_chain)
-    assert _enumeration_digest(2, (-3, 3)) == ENUMERATION_DIGESTS[(2, (-3, 3))]
-    assert any(data.twist for data, _ in handed)
-    assert any(data.maximum.is_surface and not data.twist for data, _ in handed)
-    for data, orderings in handed:
-        assert orderings == classifier._distinct_orderings(data), data
-
-
 def test_back_to_back_enumerations_report_the_same():
     # Each enumeration walks with its own dicts, so a second run in the
     # same process sees nothing of the first.
@@ -849,25 +825,7 @@ def test_back_to_back_enumerations_report_the_same():
 
 
 # ---------------------------------------------------------------------------
-# distinct orderings, generated without the factorial
-
-
-def filtered_orderings(data):
-    """Every permutation of each level, keeping the first of each step-key
-    sequence: how ``_distinct_orderings`` once filtered them."""
-    groups = {}
-    for pos, comp in enumerate(data.components):
-        if not (comp.is_minimum or comp.is_maximum):
-            groups.setdefault(comp.level, []).append(pos)
-    pools = [list(itertools.permutations(groups[lv])) for lv in sorted(groups)]
-    seen, out = set(), []
-    for combo in itertools.product(*pools):
-        ordering = tuple(pos for part in combo for pos in part)
-        steps = tuple(classifier._step_key(pos, data.components[pos]) for pos in ordering)
-        if steps not in seen:
-            seen.add(steps)
-            out.append(ordering)
-    return out
+# distinct crossing orders, reached without the factorial
 
 
 def _mixed_levels(rng):
@@ -887,6 +845,14 @@ def _mixed_levels(rng):
     return FixedPointData(tuple(comps))
 
 
+def _walked_orders(data) -> list[tuple]:
+    """The step keys of each crossing order that one descent walks, in order:
+    the full-length prefix keys it leaves in its ``walks``."""
+    walks: dict = {}
+    list(classifier._branches(data, walks))
+    return [key[1:] for key in walks if len(key) == len(data.components) - 1]
+
+
 def test_distinct_orderings_match_the_filtered_permutations():
     rng = random.Random(14)
     data_sets = (
@@ -897,7 +863,10 @@ def test_distinct_orderings_match_the_filtered_permutations():
     repeated = 0
     for data in data_sets:
         want = filtered_orderings(data)
-        assert classifier._distinct_orderings(data) == want
+        assert _walked_orders(data) == [
+            tuple(classifier._step_key(pos, data.components[pos]) for pos in ordering)
+            for ordering in want
+        ]
         repeated += len(want) < len(middle_orderings(data))
     assert repeated > 200
 
@@ -913,7 +882,7 @@ def test_chain_solve_is_fast_with_many_points_at_one_level():
         code, _ = cli.run(cli.RunConfig(command=command), raw)
         assert time.perf_counter() - started < 2
         assert code == 1
-    assert len(classifier._distinct_orderings(data)) == 924
+    assert len(_walked_orders(data)) == 924
 
 
 # ---------------------------------------------------------------------------
@@ -949,8 +918,7 @@ def test_a_non_integral_dual_class_is_no_chain():
     data = FixedPointData(
         (point(0, 0), point(2, 1), surface(2, 2, genus=0), surface(4, 4, genus=0, b=0))
     )
-    (ordering,) = classifier._distinct_orderings(data)
-    (branch,) = classifier._branches(data, ordering, {})
+    (branch,) = classifier._branches(data, {})
     (solution,) = solve_system(list(branch.equations))
     assert solution.as_dict() == {"eta2_0": Fraction(3, 2), "eta2_1": Fraction(-1, 2)}
     assert classifier._chain_solutions(data) == []

@@ -1,13 +1,14 @@
 """Soundness of the chain engine's two memos: skipped orderings and chart forms.
 
 ``_chain_solutions`` and ``_solve_prefix`` walk only the first of the
-orderings whose step keys repeat. The references below walk and solve
-every ordering, each in a fresh walk, with the same first-wins rule, and
-must give the same solutions or the same error. They run on every
-datum with more than one ordering, so a skip that drops an ordering it
-should walk shows too. Every chart those walks reach must give the same
-bundle forms from its cache as a fresh computation on an equal,
-uncached chart.
+orderings whose step keys repeat. The references below walk every
+ordering with the recursive oracle of ``tests/test_walk.py``, which
+shares no walk code with the package, and solve each branch with the
+same first-wins rule; they must give the same solutions or the same
+error. They run on every datum with more than one ordering, so a skip
+that drops an ordering it should walk shows too. Every chart those
+walks reach must give the same bundle forms from its cache as a fresh
+computation on an equal, uncached chart.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from semifree.localization import MultipleSolutionsError
 
 from corpus import fuzz_data, middle_orderings
 from oracles import Poly
+from test_walk import _oracle_branches
 
 ERRORS = (InvalidDataError, NotImplementedError, SolverStallError, MultipleSolutionsError)
 
@@ -59,11 +61,9 @@ def _shapes_reordered() -> tuple:
 
 
 def _every_branch(data):
-    """The branches of every ordering, each ordering walked afresh."""
+    """The branches of every ordering, each walked by the oracle."""
     return [
-        branch
-        for ordering in middle_orderings(data)
-        for branch in classifier._branches(data, ordering, {})
+        branch for ordering in middle_orderings(data) for branch in _oracle_branches(data, ordering)
     ]
 
 

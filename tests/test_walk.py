@@ -10,17 +10,18 @@ handing each branch its equations' terms as the engine does, so
 it shares no equation-building code with ``_cross`` and
 ``_terminal_variants``, which sum each equation in one monomial dict
 from number vectors.
-The shared walk must give the same branches in the same order, so the
-solver sees the same systems and the first-wins choice of a solution is
-unchanged.
+The shared descent must give the same branches in the same order as
+the oracle run over each crossing order it walks (``filtered_orderings``)
+in turn, so the solver sees the same systems and the first-wins choice
+of a solution is unchanged.
 """
 
 import pytest
 
 from semifree import classifier
-from semifree.fixed_points import FixedPointData, InvalidDataError, point
+from semifree.fixed_points import FixedPointData, InvalidDataError, point, surface
 
-from corpus import family_presets, fuzz_data, middle_orderings
+from corpus import family_presets, filtered_orderings, fuzz_data
 from oracles import Poly, dot, euler_polys, terminal_variants, with_euler
 
 
@@ -103,16 +104,19 @@ def _outcome(build):
 
 
 def _compare_walks(data_sets):
-    """Compare every ordering of every datum, one shared dict per minimum."""
+    """Compare the descent of every datum, one shared dict per minimum,
+    with the oracle's branches of its crossing orders, concatenated."""
     walks_by_minimum: dict = {}
     compared = 0
     for data in data_sets:
         walks = walks_by_minimum.setdefault(data.minimum, {})
-        for ordering in middle_orderings(data):
-            expected = _outcome(lambda: _oracle_branches(data, ordering))
-            got = _outcome(lambda: classifier._branches(data, ordering, walks))
-            assert got == expected, (data, ordering)
-            compared += 1
+        orderings = filtered_orderings(data)
+        expected = _outcome(
+            lambda: [b for ordering in orderings for b in _oracle_branches(data, ordering)]
+        )
+        got = _outcome(lambda: list(classifier._branches(data, walks)))
+        assert got == expected, data
+        compared += len(orderings)
     return compared
 
 
@@ -157,3 +161,33 @@ def test_a_failed_step_is_raised_again_from_the_shared_walks():
             classifier._chain_solutions(data, walks)
     assert sum(isinstance(v, NotImplementedError) for v in walks.values()) == 1
     assert classifier.euler_chain_check(data) is False
+
+
+def test_an_order_that_fails_to_walk_raises_after_the_earlier_orders_are_solved(monkeypatch):
+    # Two lines of the plane at one level have two crossing orders. The
+    # second one's first step is made to refuse: by then the first
+    # order's branches must be solved, one system each.
+    data = FixedPointData(
+        (point(0, 0), surface(2, 1, genus=0), surface(2, 1, genus=0), point(6, 2))
+    )
+    assert filtered_orderings(data) == [(1, 2), (2, 1)]
+    events = []
+    cross, solve = classifier._cross, classifier.solve_system
+
+    def refusing_cross(state, pos, comp):
+        if pos == 2 and not state.crossings:
+            events.append("refused")
+            raise NotImplementedError("refused for the test")
+        return cross(state, pos, comp)
+
+    def recording_solve(equations):
+        events.append("solved")
+        return solve(equations)
+
+    monkeypatch.setattr(classifier, "_cross", refusing_cross)
+    monkeypatch.setattr(classifier, "solve_system", recording_solve)
+    branches = _oracle_branches(data, (1, 2))
+    assert branches
+    with pytest.raises(NotImplementedError, match="refused for the test"):
+        classifier._chain_solutions(data)
+    assert events == ["solved"] * len(branches) + ["refused"]
