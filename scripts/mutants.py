@@ -28,6 +28,7 @@ Each module's mutants run against its own subset of the tests
 run on 2 CPUs), which ``_solve`` and ``classifier`` keep, plus for
 ``localization`` and ``fixed_points`` the files that test them most, so
 that a mutant the engine files pass need not wait for the whole suite.
+``delzant`` runs against the files that test the polytopes instead.
 ``--tests`` names one subset for every module instead. Stdlib only;
 pytest runs in a child process,
 with ``-x``, the copy's ``src`` first on ``PYTHONPATH`` and no
@@ -90,6 +91,13 @@ MODULE_TESTS = {
         "tests/test_front_end.py",
         "tests/test_acceptance.py",
         "tests/test_cli.py",
+    ),
+    "delzant": (
+        "tests/test_delzant.py",
+        "tests/test_toric_census.py",
+        "tests/test_rationals.py",
+        "tests/test_cli.py",
+        "tests/test_golden.py",
     ),
 }
 # What a copy of the checkout leaves out: history, caches and outputs.

@@ -151,40 +151,14 @@ def rref(
     return mat, pivots
 
 
-def solve_linear(
-    rows: Sequence[tuple[Mapping[str, Rational], Rational]],
-    variables: Sequence[str],
-) -> tuple[dict[str, Rational], list[str]] | None:
-    """Solve ``sum coeff*v = rhs`` rows exactly.
-
-    Returns ``(values, free_variables)`` where free variables are set to
-    zero in ``values``, or ``None`` when the system is inconsistent.
-    """
-    order = list(variables)
-    mat = [[coeffs.get(v, 0) for v in order] + [rhs] for coeffs, rhs in rows]
-    n = len(order)
-    red, pivots = rref(mat, col_limit=n)
-    for r in red:
-        if all(x == 0 for x in r[:n]) and r[n]:
-            return None
-    free = [v for i, v in enumerate(order) if i not in pivots]
-    values: dict[str, Rational] = {v: 0 for v in order}
-    # Every non-pivot column of the RREF is a free variable, set to zero,
-    # so each pivot variable is its row's right-hand side.
-    for ri, col in enumerate(pivots):
-        values[order[col]] = red[ri][n]
-    return values, free
-
-
 def span_coordinates(
     basis: Sequence[Sequence[Rational]], targets: Sequence[Sequence[Rational]]
 ) -> list[list[Rational] | None]:
     """For each of one or more targets, coordinates t with sum t_i basis_i
     = target, or None outside the span, all from one elimination of the basis.
 
-    The targets ride along as right-hand columns of one ``rref``. As in
-    ``solve_linear``, the coordinates of a dependent basis that no pivot
-    fixes are zero.
+    The targets ride along as right-hand columns of one ``rref``. The
+    coordinates of a dependent basis that no pivot fixes are zero.
     """
     m = len(basis)
     rows = [
@@ -487,7 +461,7 @@ def unimodular_clearing(vector: Sequence[int]) -> list[list[int]]:
         row0 = [s * w[0][j] + t * w[i][j] for j in range(n)]
         rowi = [-ai * w[0][j] + a0 * w[i][j] for j in range(n)]
         w[0], w[i] = row0, rowi
-        v[0], v[i] = g, 0
+        v[0] = g  # v[i] is never read again, so it is not zeroed
     if v[0] < 0:
         w[0] = [-x for x in w[0]]
     return w

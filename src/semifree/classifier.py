@@ -24,18 +24,18 @@ canonical term tuple (``equation``) once, for the solver.
 
 Each piece of work is done once in its scope. A surface crossing forms
 e.eta, eta.eta and c1.eta once each, and a blow-down re-expresses all
-its vectors in the kernel basis by one elimination. A chart computes
-its canonical bundle forms once (``_Chart.bundle_forms``). At a node
-the descent skips a crossing whose step key it already tried there,
-since the two walk to the very same branches; so one chain solve walks
-and solves each sequence of step keys once, and a repeated walk state
-once. Each chart's (-1)-classes are searched once per process
+its vectors in the kernel basis by one elimination. An untouched chart
+reads its canonical space off ``pristine``, without its bundle forms.
+At a node the descent skips a crossing whose step key it already tried
+there, since the two walk to the very same branches; so one chain solve
+walks and solves each sequence of step keys once, and a repeated walk
+state once. Each chart's (-1)-classes are searched once per process
 (``_minus_one_classes``), a pure function of the chart's Gram matrix
-and c1. No other cache outlives its chart, its call or its datum: the
-``walks`` dict belongs to one chain solve, or in the enumeration to one
-minimum; and a datum keeps its extremes and its solved chain
-(``_memo``), so the chain check, the Euler transport and their readers
-(the w2 selection rule, ``b_plus_minus`` and the sweep) share one solve.
+and c1. No other cache outlives its call or its datum: the ``walks``
+dict belongs to one chain solve, or in the enumeration to one minimum;
+and a datum keeps its extremes and its solved chain (``_memo``), so the
+chain check, the Euler transport and their readers (the w2 selection
+rule, ``b_plus_minus`` and the sweep) share one solve.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -120,13 +120,6 @@ class _Chart:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def bundle_forms(
-        self,
-    ) -> tuple[tuple[ReducedSpaceType, tuple[int, int], tuple[int, int]], ...]:
-        """``_bundle_forms`` of this chart, computed on first use."""
-        return tuple(_bundle_forms(self))
 
     def euler_parts(self) -> list[tuple[Monomial, tuple[Rational, ...]]]:
         """The Euler vector as ``(monomial, vector)`` parts: the constant
@@ -377,9 +370,8 @@ def _bundle_forms(
 
     There is at least one. As c1.c1 = 8 - 8g at rank 2, a fiber F and its
     section S give c1 = 2S + (2 - 2g - S.S)F, so S satisfies adjunction.
+    Both callers check the rank first.
     """
-    if chart.rank != 2:
-        return []
     g = chart.base_genus
     forms = []
     for s, t in _isotropic_rays(chart.gram):
@@ -415,7 +407,7 @@ def _chart_reduced_class(
         h = qdiv(chart.c1[0], 3)
         return ReducedClass.make(projective_plane(), qdiv(vec[0], h))
     if chart.rank == 2:
-        space, fib, section = chart.bundle_forms[0]
+        space, fib, section = _bundle_forms(chart)[0]
         q = _dot(chart.gram, vec, fib)
         sq = _dot(chart.gram, section, section)
         p = _dot(chart.gram, vec, section) - q * sq
@@ -594,7 +586,7 @@ def _terminal_variants(
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
-        fibers = [fib for _, fib, _section in chart.bundle_forms]
+        fibers = [fib for _, fib, _section in _bundle_forms(chart)]
     square = equation(_pair_parts(gram, e, e, {(): b_max}))
     return [
         ([equation(_pair_parts(gram, [((), fib)], e, {(): -1})), square], chart)

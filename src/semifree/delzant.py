@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._solve import AffineConstraint, _scalar, feasible, solve_linear, span_coordinates
+from ._solve import AffineConstraint, _scalar, feasible, span_coordinates
 from .fixed_points import (
     FixedComponent,
     FixedPointData,
@@ -320,14 +320,12 @@ def edge_normal_degrees(polytope: LatticePolytope, edge: Edge) -> tuple[int, int
     n2 = polytope.facets[edge.facets[1]][0]
     n3 = polytope.facets[_third_facet(polytope, edge.tail, edge)][0]
     n4 = polytope.facets[_third_facet(polytope, edge.head, edge)][0]
-    rows = [
-        ({"s": n1[i], "t": n2[i]}, n3[i] + n4[i])
-        for i in range(3)
-    ]
-    solved = solve_linear(rows, ["s", "t"])
-    if solved is None or solved[1]:
+    # n1 and n2 are independent: with the tail's third normal they have a
+    # nonzero determinant, so a solution is the only one.
+    solved = span_coordinates([n1, n2], [[a + b for a, b in zip(n3, n4)]])[0]
+    if solved is None:
         raise PolytopeError("the facet normals around the edge are degenerate")
-    s, t = solved[0]["s"], solved[0]["t"]
+    s, t = solved
     if s.denominator != 1 or t.denominator != 1:
         raise PolytopeError("non-integer self-intersection; polytope not smooth")
     return int(-t), int(-s)

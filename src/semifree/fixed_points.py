@@ -174,11 +174,10 @@ def _sort_key(c: FixedComponent) -> tuple:
 class FixedPointData:
     """All fixed components of one action, ordered by level.
 
-    The data are immutable, so a costly fact derived from them alone is
-    computed once per datum (``_memo``): the extremes, the ``validate``
-    report, the ``classify_type`` tag, the Euler shapes that every
-    localization sum integrates against, the c_1 restrictions of the
-    restriction tables, and the solved wall-crossing chain.
+    The data are immutable, so a costly fact derived from them alone,
+    and read again, is computed once per datum (``_memo``): the
+    extremes, the ``validate`` report, the ``classify_type`` tag and the
+    solved wall-crossing chain.
     """
 
     components: tuple[FixedComponent, ...]

@@ -8,11 +8,11 @@ class has the shape ``sigma lambda^m + beta lambda^(m-1) u`` with
 sigma = +-1 (``_euler_shape``), and each c_1 restriction the shape
 ``a lambda + gamma u`` (``_c1_shape``). Each summand therefore has a
 closed form: ``abbv_integrate`` integrates every term of an exact
-restriction against the component's Euler shape, kept on the datum,
-without forming an inverse Euler class. ``localize`` and the
-enumeration's relation check integrate 1 + c_1 + c_1^2 + c_1^3 in one
-sum, built from the c_1 shapes, and read the integral of each power off
-its own power of lambda (``_c1_power_integrals``).
+restriction against the component's Euler shape without forming an
+inverse Euler class. ``localize`` and the enumeration's relation check
+integrate 1 + c_1 + c_1^2 + c_1^3 in one sum, built from the c_1
+shapes, and read the integral of each power off its own power of
+lambda (``_c1_power_integrals``).
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -51,8 +51,8 @@ from ._solve import (
     _scalar,
     equation,
     feasible,
-    solve_linear,
     solve_system,
+    span_coordinates,
 )
 from .algebra import CarrierMismatchError, EquivariantClass, ReducedClass, fiber_class, pair
 from .fixed_points import (
@@ -60,7 +60,6 @@ from .fixed_points import (
     FixedComponent,
     FixedPointData,
     InvalidDataError,
-    _memo,
     classify_type,
 )
 from .rationals import Rational, canon, format_rational
@@ -151,15 +150,15 @@ def abbv_integrate(
     sum of restriction / Euler over all fixed components. The sequence
     must align with ``data.components``. A genuine equivariant class of
     degree below six integrates to zero in every Laurent degree. Against
-    the Euler shapes (``_euler_shape``), kept on the datum, a term
-    ``(c + d u) lambda^k`` integrates to ``sigma c lambda^(k-3)`` at a
-    point and to ``sigma d lambda^(k-2) - beta c lambda^(k-3)`` on a surface.
+    the Euler shapes (``_euler_shape``), a term ``(c + d u) lambda^k``
+    integrates to ``sigma c lambda^(k-3)`` at a point and to
+    ``sigma d lambda^(k-2) - beta c lambda^(k-3)`` on a surface.
     """
     if len(restrictions) != len(data.components):
         raise ValueError(
             f"need {len(data.components)} restrictions, got {len(restrictions)}"
         )
-    shapes = _memo(data, "_euler_shapes", _euler_shapes)
+    shapes = _euler_shapes(data)
     total: dict[int, Rational] = {}
     for restriction, (carrier, m, sigma, beta) in zip(restrictions, shapes):
         if restriction.carrier != carrier:
@@ -557,6 +556,7 @@ def _integration_equations(
     data: FixedPointData,
     positions: tuple[int, ...],
     factors: Sequence[_SkeletonClass],
+    c1_values: Sequence[EquivariantClass],
 ) -> list[Equation]:
     """The integration constraints on the basis restrictions.
 
@@ -571,11 +571,10 @@ def _integration_equations(
     solver's case split follows this order. Each integrand pairs two
     atom lists per component (``_integrate_pair``): a single class
     pairs with the unit, and a product's two factors pair directly.
-    The Euler shapes and the c_1 restrictions are the datum's own,
-    formed once.
+    ``c1_values`` are the c_1 restrictions at ``positions``, which
+    ``solve_restriction_table`` forms once for the equations and the table.
     """
-    shapes = _memo(data, "_euler_shapes", _euler_shapes)
-    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    shapes = _euler_shapes(data)
     ordered = [shapes[p] for p in positions]
     unit = [(0, 0, (), 1)]  # the atom of the unit class, on either carrier
     integrands: list[list[tuple[list, list]]] = []
@@ -586,7 +585,7 @@ def _integration_equations(
             integrands.append([(a, unit) for a in row])
             if f.degree == 2:
                 degree_two.append(row)
-    degree_two.append([_atoms(c1s[p].terms) for p in positions])
+    degree_two.append([_atoms(c1.terms) for c1 in c1_values])
     for i, left in enumerate(degree_two):
         integrands += [list(zip(left, right)) for right in degree_two[i:]]
     equations: list[Equation] = []
@@ -618,7 +617,9 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
     if tag == "unclassified":
         raise InvalidDataError("no restriction table for unclassified data")
     positions, skeleton = _build_skeleton(data, tag)
-    equations = _integration_equations(data, positions, skeleton)
+    c1s = c1_restrictions(data)
+    c1_values = tuple(c1s[p] for p in positions)
+    equations = _integration_equations(data, positions, skeleton, c1_values)
     candidates = solve_system(equations)
     rule_values: dict[str, Fraction] | None = None
     if tag in ("6a", "6b"):
@@ -675,8 +676,6 @@ def solve_restriction_table(data: FixedPointData) -> RestrictionTable:
         )
         for cls in skeleton
     )
-    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
-    c1_values = tuple(c1s[p] for p in positions)
     decomposition = _c1_decomposition(table_classes, c1_values)
     odd_decisive = (
         selection_applied
@@ -731,7 +730,7 @@ def _c1_decomposition(
     columns += [(cls.name, cls.restrictions) for cls in classes if cls.degree == 2]
     # One row per (component, power of lambda, part) at which a column
     # or c_1 (keyed "") has a nonzero coefficient: no all-zero rows.
-    rows: list[tuple[dict[str, Rational], Rational]] = []
+    rows: list[dict[str, Rational]] = []
     for ci in range(len(c1_values)):
         entries: dict[tuple[int, int], dict[str, Rational]] = {}
         for name, col in columns + [("", c1_values)]:
@@ -739,19 +738,15 @@ def _c1_decomposition(
                 for part in (0, 1):
                     if pair[part]:
                         entries.setdefault((k, part), {})[name] = pair[part]
-        for _, coeffs in sorted(entries.items()):
-            rhs = coeffs.pop("", 0)
-            rows.append((coeffs, rhs))
+        rows += [coeffs for _, coeffs in sorted(entries.items())]
+    # Each basis class vanishes below its home and is its Thom class
+    # there, so the columns are triangular and the coordinates unique.
     names = [name for name, _ in columns]
-    solved = solve_linear(rows, names)
+    basis = [[row.get(name, 0) for row in rows] for name in names]
+    solved = span_coordinates(basis, [[row.get("", 0) for row in rows]])[0]
     if solved is None:
         raise NoSolutionError("c_1 does not lie in the span of the basis")
-    values, free = solved
-    if free:
-        raise MultipleSolutionsError(
-            "c_1 decomposition is not unique over this basis"
-        )
-    return tuple((name, values[name]) for name in names)
+    return tuple(zip(names, solved))
 
 
 def w2_vanishes(data: FixedPointData) -> bool:

@@ -46,6 +46,9 @@ def parse_rational(text: str | int | Fraction) -> Rational:
         digits = text[1:] if text[:1] == "-" else text
         if digits.isascii() and digits.isdigit():
             return int(text)
+        # Fraction takes "1_000" from Python 3.11 and "2 / 3" from 3.12; 3.10 takes neither.
+        if "_" in text or len(text.split()) > 1:
+            raise ValueError
         return canon(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc

@@ -47,7 +47,7 @@ from semifree._solve import (
     rref,
 )
 from semifree.algebra import CarrierMismatchError, EquivariantClass
-from semifree.classifier import _section_for
+from semifree.classifier import _bundle_forms, _section_for
 from semifree.fixed_points import FixedComponent, FixedPointData
 from semifree.localization import _euler_shape
 from semifree.rationals import Rational, canon, qdiv
@@ -410,7 +410,7 @@ def terminal_variants(data: FixedPointData, chart) -> list:
     if chart.fiber is not None:
         fibers = [chart.fiber]
     else:
-        fibers = [fib for _, fib, _section in chart.bundle_forms]
+        fibers = [fib for _, fib, _section in _bundle_forms(chart)]
     if not fibers:
         return []
     square = dot(chart.gram, e, e) + Poly.const(b_max)

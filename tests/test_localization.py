@@ -1,6 +1,7 @@
 """Localization sums, solved restriction tables, and the derived checks."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,13 @@ FAMILY_CASES = [
 ]
 
 
+def c1_row(data, positions):
+    """The c_1 restrictions in label order, as ``solve_restriction_table``
+    hands them to ``_integration_equations``."""
+    c1s = c1_restrictions(data)
+    return tuple(c1s[p] for p in positions)
+
+
 def verify_redundant_equations(table: RestrictionTable) -> list[str]:
     """Re-check a solved table against the product equation set.
 
@@ -98,7 +106,7 @@ def verify_redundant_equations(table: RestrictionTable) -> list[str]:
     ]
     return [
         repr(eq)
-        for eq in _integration_equations(table.data, table.positions, solved)
+        for eq in _integration_equations(table.data, table.positions, solved, table.c1_values)
     ]
 
 
@@ -511,7 +519,7 @@ def test_first_table_solve_leaves_no_variable_free():
         if not validate(data).ok or classify_type(data) not in ("6a", "6b"):
             continue
         positions, skeleton = _build_skeleton(data, classify_type(data))
-        solutions = solve_system(_integration_equations(data, positions, skeleton))
+        solutions = solve_system(_integration_equations(data, positions, skeleton, c1_row(data, positions)))
         assert not any(sol.free for sol in solutions), data
         tried += 1
     assert tried == 2625
@@ -520,7 +528,7 @@ def test_first_table_solve_leaves_no_variable_free():
 def test_selection_rule_chooses_between_two_integral_solutions():
     data = family_instance("6a", n=0, g=0, g1=0)
     positions, skeleton = _build_skeleton(data, "6a")
-    solutions = solve_system(_integration_equations(data, positions, skeleton))
+    solutions = solve_system(_integration_equations(data, positions, skeleton, c1_row(data, positions)))
     assert sum(all(v.denominator == 1 for _, v in s.assignment) for s in solutions) == 2
     assert solve_restriction_table(data).selection_rule_applied
 
@@ -823,7 +831,7 @@ def test_equations_match_the_full_product_enumeration(corpus):
     assert cases
     for data, tag in cases:
         positions, skeleton = _build_skeleton(data, tag)
-        got = _integration_equations(data, positions, skeleton)
+        got = _integration_equations(data, positions, skeleton, c1_row(data, positions))
         want = full_product_equations(data, positions, poly_skeleton(skeleton))
         assert got == [eq.terms for eq in want]
 
@@ -863,7 +871,7 @@ def test_equations_match_the_formed_products(corpus):
     assert cases
     for data, tag in cases:
         positions, skeleton = _build_skeleton(data, tag)
-        got = _integration_equations(data, positions, skeleton)
+        got = _integration_equations(data, positions, skeleton, c1_row(data, positions))
         want = formed_product_equations(data, positions, poly_skeleton(skeleton))
         assert got == [eq.terms for eq in want]
 
@@ -900,22 +908,30 @@ def reference_abbv_integrate(data, restrictions):
 def test_abbv_integrate_matches_the_formed_products(corpus):
     for _, shared in EVERY_DATUM[corpus]():
         data = FixedPointData(shared.components, twist=shared.twist)
-        # the first integral keeps the Euler shapes on ``data``; the others read them back
         for restrictions in _integrands(data):
             got = abbv_integrate(data, restrictions)
             want = reference_abbv_integrate(data, restrictions)
             assert list(got.items()) == list(want.items())
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
-            assert "_euler_shapes" in vars(data)
-        # the restriction table integrates against the same shapes, and
-        # no inverse Euler class is kept
-        shapes = vars(data)["_euler_shapes"]
-        try:
-            solve_restriction_table(data)
-        except (InvalidDataError, NoSolutionError, MultipleSolutionsError):
-            pass
-        assert vars(data)["_euler_shapes"] is shapes
-        assert "_euler_inverses" not in vars(data)
+
+
+# what a datum keeps (``fixed_points._memo``): its extremes, its
+# ``validate`` report, its type tag and its solved chain
+DATUM_MEMOS = {"_minimum", "_maximum", "_report", "_type", "_chain"}
+
+
+def test_localization_stores_nothing_on_a_datum():
+    stray = Counter()
+    for corpus in ("presets", "builtins", "fuzz1", "fuzz2"):
+        for _, shared in EVERY_DATUM[corpus]():
+            data = FixedPointData(shared.components, twist=shared.twist)
+            dict(_c1_power_integrals(data))
+            try:
+                solve_restriction_table(data)
+            except (InvalidDataError, NoSolutionError, MultipleSolutionsError):
+                pass
+            stray.update(k for k in vars(data) if k.startswith("_") and k not in DATUM_MEMOS)
+    assert not stray
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Soundness of the chain engine's two memos: skipped orderings and chart forms.
+"""Soundness of the chain engine's skipped orderings.
 
 ``_chain_solutions`` and ``_solve_prefix`` walk only the first of the
 orderings whose step keys repeat. The references below walk every
@@ -6,14 +6,11 @@ ordering with the recursive oracle of ``tests/test_walk.py``, which
 shares no walk code with the package, and solve each branch with the
 same first-wins rule; they must give the same solutions or the same
 error. They run on every datum with more than one ordering, so a skip
-that drops an ordering it should walk shows too. Every chart those
-walks reach must give the same bundle forms from its cache as a fresh
-computation on an equal, uncached chart.
+that drops an ordering it should walk shows too.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -145,29 +142,3 @@ def test_skipping_repeated_orderings_keeps_the_prefix_solutions():
     shapes += _surface_maximum_shapes_with_repeats()
     for shape in shapes:
         assert classifier._solve_prefix(shape) == _reference_solve_prefix(shape), shape
-
-
-def _reached_charts(data) -> list:
-    walks: dict = {}
-    _outcome(lambda: classifier._chain_solutions(data, walks))
-    charts = []
-    for states in walks.values():
-        # Skip the errors the walks keep.
-        if isinstance(states, Exception):
-            continue
-        for state in states:
-            charts.append(state.top)
-            charts += [log.chart for log in state.crossings]
-    return charts
-
-
-def test_cached_bundle_forms_match_a_fresh_computation():
-    checked = cached = 0
-    for data in _fuzz_data_reordered() + _shapes_reordered():
-        for chart in _reached_charts(data):
-            fresh = replace(chart)
-            assert fresh == chart and "bundle_forms" not in vars(fresh)
-            cached += "bundle_forms" in vars(chart)
-            assert chart.bundle_forms == tuple(classifier._bundle_forms(fresh))
-            checked += 1
-    assert cached and checked > cached

@@ -8,7 +8,9 @@ division in the package goes through ``rationals.qdiv``, so no
 
 import ast
 import dataclasses
+import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from semifree.delzant import (
     extract_fixed_data,
     slice_polygon,
 )
+from semifree.fixed_points import FixedPointData, SchemaError
 from semifree.localization import abbv_integrate, dh_path, solve_restriction_table
 from semifree.rationals import canon, format_rational, parse_rational, qdiv
 
@@ -332,6 +335,20 @@ def test_parse_rational_integer_fast_path_agrees_with_fraction(text):
     assert _parse_outcome(parse_rational, text) == _parse_outcome(
         _parse_rational_by_fraction, text
     )
+
+
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "2 / 3", "2/ 3", "2 /3"])
+def test_parse_rational_accepts_the_same_strings_on_every_python(text):
+    # ``Fraction`` takes underscores from Python 3.11 and spaces around
+    # the slash from 3.12; the schemas take neither, on any version.
+    with pytest.raises(ValueError, match=f"^malformed rational {re.escape(repr(text))}$"):
+        parse_rational(text)
+    level = json.dumps(text)
+    datum = f"""{{"schema": "fpdata.v1", "components": [
+        {{"kind": "point", "index": 0, "level": 0}},
+        {{"kind": "point", "index": 6, "level": {level}}}]}}"""
+    with pytest.raises(SchemaError, match=f"^malformed rational {re.escape(repr(text))}$"):
+        FixedPointData.loads(datum)
 
 
 def test_dh_path_times_and_omegas_are_canonical():

@@ -18,7 +18,6 @@ from semifree._solve import (
     feasible,
     integer_kernel_basis,
     rref,
-    solve_linear,
     solve_system,
     span_coordinates,
     sqrt_fraction,
@@ -34,28 +33,14 @@ F = Fraction
 
 
 def test_solve_linear_unique():
-    rows = [
-        ({"x": F(1), "y": F(1)}, F(3)),
-        ({"x": F(1), "y": F(-1)}, F(1)),
-    ]
-    values, free = solve_linear(rows, ["x", "y"])
-    assert values == {"x": F(2), "y": F(1)}
-    assert free == []
-
-
-def test_solve_linear_underdetermined_lists_free():
-    rows = [({"x": F(1), "y": F(2)}, F(4))]
-    values, free = solve_linear(rows, ["x", "y"])
-    assert free == ["y"]
-    assert values["x"] + 2 * values["y"] == 4
+    # x + y = 3 and x - y = 1: the columns of x and y span the target once
+    x, y = [F(1), F(1)], [F(1), F(-1)]
+    assert span_coordinates([x, y], [[F(3), F(1)]]) == [[2, 1]]
 
 
 def test_solve_linear_inconsistent():
-    rows = [
-        ({"x": F(1)}, F(1)),
-        ({"x": F(1)}, F(2)),
-    ]
-    assert solve_linear(rows, ["x"]) is None
+    # x = 1 and x = 2
+    assert span_coordinates([[F(1), F(1)]], [[F(1), F(2)]]) == [None]
 
 
 def _terms(equations):
@@ -256,28 +241,6 @@ def test_rref_matches_sympy():
         assert red == [
             [_from_sympy(expected[i, j]) for j in range(cols)] for i in range(rows)
         ]
-
-
-def test_solve_linear_verdict_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(20022)
-    names = ["a", "b", "c", "d"]
-    for _ in range(300):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
-        mat = _random_matrix(rng, rows, cols + 1)
-        system = [
-            ({names[j]: row[j] for j in range(cols) if row[j]}, row[cols])
-            for row in mat
-        ]
-        solved = solve_linear(system, names[:cols])
-        coeffs = _to_sympy(sympy, [row[:cols] for row in mat])
-        consistent = coeffs.rank() == _to_sympy(sympy, mat).rank()
-        assert (solved is not None) == consistent
-        if solved is not None:
-            values, free = solved
-            assert len(free) == cols - coeffs.rank()
-            for coeff_map, rhs in system:
-                assert sum(c * values[v] for v, c in coeff_map.items()) == rhs
 
 
 def test_span_coordinates_matches_sympy():

@@ -21,7 +21,6 @@ message the data whose chain fails report: the byte-identity
 constraints on reading the table off the chain (ROADMAP item L).
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -37,11 +36,11 @@ from oracles import (
     poly_terms,
 )
 from semifree import localization
-from semifree._solve import Solution, solve_linear, solve_system
+from semifree._solve import Solution, solve_system, span_coordinates
 from semifree.algebra import POINT, EquivariantClass
 from semifree.classifier import euler_transport, family_instance
 from semifree.cli import RunConfig, run
-from semifree.fixed_points import _memo, classify_type, validate
+from semifree.fixed_points import classify_type, validate
 from semifree.localization import (
     MultipleSolutionsError,
     NoSolutionError,
@@ -55,7 +54,7 @@ from semifree.localization import (
     solve_restriction_table,
 )
 from semifree.rationals import canon
-from test_localization import _three_surface_grid
+from test_localization import _three_surface_grid, c1_row
 
 
 def _old_integrate_product(carrier, a, b):
@@ -87,7 +86,7 @@ def _old_localized_sum(integrand):
 def _old_integration_equations(data, positions, factors):
     carriers = [data.components[p].kind for p in positions]
     euler_inverses = [invert_euler(equivariant_euler(c)) for c in data.components]
-    c1s = _memo(data, "_c1_restrictions", c1_restrictions)
+    c1s = c1_restrictions(data)
     inverses = [euler_inverses[p].terms for p in positions]
     c1_row = [c1s[p].terms for p in positions]
     integrands = []
@@ -137,13 +136,11 @@ def _old_c1_decomposition(classes, c1_values):
                 coeffs = {name: coefficient(col[ci], k)[part] for name, col in columns}
                 rows.append((coeffs, coefficient(target, k)[part]))
     names = [name for name, _ in columns]
-    solved = solve_linear(rows, names)
+    basis = [[coeffs[name] for coeffs, _ in rows] for name in names]
+    solved = span_coordinates(basis, [[rhs for _, rhs in rows]])[0]
     if solved is None:
         raise NoSolutionError("c_1 does not lie in the span of the basis")
-    values, free = solved
-    if free:
-        raise MultipleSolutionsError("c_1 decomposition is not unique over this basis")
-    return tuple((name, values[name]) for name in names)
+    return tuple(zip(names, solved))
 
 
 def _typed(value):
@@ -198,12 +195,11 @@ def test_the_solver_gets_the_old_equations_and_every_solution_reads_out_as_befor
         if tag == "unclassified":
             continue
         positions, skeleton = _build_skeleton(data, tag)
-        equations = _integration_equations(data, positions, skeleton)
+        c1_values = c1_row(data, positions)
+        equations = _integration_equations(data, positions, skeleton, c1_values)
         old = _old_integration_equations(data, positions, poly_skeleton(skeleton))
         assert _typed(equations) == _typed([p.terms for p in old]), name
         carriers = [data.components[p].kind for p in positions]
-        c1s = _memo(data, "_c1_restrictions", c1_restrictions)
-        c1_values = tuple(c1s[p] for p in positions)
         for solution in solve_system(equations):
             if solution.free:
                 continue
@@ -230,7 +226,7 @@ def test_the_solver_gets_the_old_equations_and_every_solution_reads_out_as_befor
 
 def _real_solution(data):
     positions, skeleton = _build_skeleton(data, classify_type(data))
-    solutions = solve_system(_integration_equations(data, positions, skeleton))
+    solutions = solve_system(_integration_equations(data, positions, skeleton, c1_row(data, positions)))
     solution = next(s for s in solutions if not s.free and all(v.denominator == 1 for _, v in s.assignment))
     return solution.as_dict(), positions, skeleton
 
@@ -283,7 +279,7 @@ def test_the_selection_rule_reads_only_between_integral_solutions(monkeypatch):
     data = family_instance("6a", n=0, g=0, g1=0)
     positions, skeleton = _build_skeleton(data, "6a")
     rule = _selection_rule_values(data, positions, skeleton)
-    solutions = solve_system(_integration_equations(data, positions, skeleton))
+    solutions = solve_system(_integration_equations(data, positions, skeleton, c1_row(data, positions)))
     (off_rule,) = [
         s.as_dict()
         for s in solutions
@@ -307,17 +303,6 @@ def test_c1_outside_the_span_of_the_basis(monkeypatch, tag, params):
     _patch_solver(monkeypatch, _solutions(dict.fromkeys(values, 0)))
     with pytest.raises(NoSolutionError, match="^c_1 does not lie in the span of the basis$"):
         solve_restriction_table(family_instance(tag, **params))
-
-
-def test_a_repeated_basis_class_makes_the_c1_decomposition_not_unique():
-    # Each basis class vanishes below its home and is its Thom class
-    # there, so the columns are triangular and no solver output makes
-    # them dependent; a repeated class does.
-    table = solve_restriction_table(family_instance("6a"))
-    degree_two = next(cls for cls in table.classes if cls.degree == 2)
-    classes = table.classes + (dataclasses.replace(degree_two, name="copy"),)
-    with pytest.raises(MultipleSolutionsError, match="^c_1 decomposition is not unique over this basis$"):
-        _c1_decomposition(classes, table.c1_values)
 
 
 def test_a_free_solution_is_reported_before_a_missing_integral_one(monkeypatch):
@@ -370,7 +355,7 @@ def test_every_fuzz_datum_whose_chain_fails_has_no_table_either(seed, failing):
         except NoSolutionError:
             count += 1
         positions, skeleton = _build_skeleton(data, tag)
-        solutions = solve_system(_integration_equations(data, positions, skeleton))
+        solutions = solve_system(_integration_equations(data, positions, skeleton, c1_row(data, positions)))
         integral = [s for s in solutions if all(v.denominator == 1 for _, v in s.assignment)]
         assert not any(s.free for s in solutions) and not integral, name
     assert count == failing
