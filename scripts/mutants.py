@@ -28,7 +28,8 @@ Each module's mutants run against its own subset of the tests
 run on 2 CPUs), which ``_solve`` and ``classifier`` keep, plus for
 ``localization`` and ``fixed_points`` the files that test them most, so
 that a mutant the engine files pass need not wait for the whole suite.
-``delzant`` runs against the files that test the polytopes instead.
+``delzant``, ``cli``, ``algebra`` and ``rationals`` run against the
+files that test them most instead of the engine's.
 ``--tests`` names one subset for every module instead. Stdlib only;
 pytest runs in a child process,
 with ``-x``, the copy's ``src`` first on ``PYTHONPATH`` and no
@@ -98,6 +99,24 @@ MODULE_TESTS = {
         "tests/test_rationals.py",
         "tests/test_cli.py",
         "tests/test_golden.py",
+    ),
+    "cli": (
+        "tests/test_cli.py",
+        "tests/test_json.py",
+        "tests/test_golden.py",
+        "tests/test_agreement.py",
+    ),
+    "algebra": (
+        "tests/test_algebra.py",
+        "tests/test_localization.py",
+        "tests/test_sweep.py",
+        "tests/test_pairings.py",
+    ),
+    "rationals": (
+        "tests/test_rationals.py",
+        "tests/test_front_end.py",
+        "tests/test_json.py",
+        "tests/test_cli.py",
     ),
 }
 # What a copy of the checkout leaves out: history, caches and outputs.

@@ -5,18 +5,18 @@ Everything here works over the rationals in the int-first form of
 with denominator above 1, and every division goes through ``qdiv``.
 The utilities are sparse multivariate polynomials, linear elimination,
 a complete solver for the tiny polynomial systems of the chain and the
-integration equations (linear closure alternating with case splits on
-univariate quadratics), strict and non-strict Fourier-Motzkin
+integration equations (a one-step linear closure alternating with case
+splits on univariate quadratics), strict and non-strict Fourier-Motzkin
 feasibility, and primitive integer kernel bases for lattice quotients.
 
 A polynomial is a monomial dict, ``{monomial: coefficient}``, while it
 is summed. Callers hand each equation over as its canonical term tuple
 (``equation``), so equal equations are equal and hash alike. The solver
 turns each one back into its dict once and works on dicts from there
-on: one substitution routine, ``_substitute``, puts in the fixed values,
-the values forced by the linear closure, the eliminated pivots'
-expressions and the back-substituted values, and returns its input
-untouched when no substituted variable occurs.
+on: one substitution routine, ``_substitute``, puts in the case-split
+values, the eliminated pivots' expressions (a forced value is one with
+only a constant term) and the back-substituted values, and returns its
+input untouched when no substituted variable occurs.
 """
 
 from __future__ import annotations
@@ -224,10 +224,14 @@ def _rational_roots(coeffs: list[Rational]) -> list[Rational]:
 def solve_system(equations: Iterable[Equation]) -> list[Solution]:
     """All rational solutions of a system of polynomials set to zero.
 
-    Strategy: exact linear elimination (expressing pivot variables as
-    affine combinations of the rest), then case splits on equations that
+    Strategy: one exact elimination of the linear equations, which
+    writes every pivot variable as an affine combination of the rest
+    (a forced value is one with no variable) and puts all of them into
+    the other equations at once, then case splits on equations that
     become univariate quadratics, recursing until every equation is
-    satisfied. Branches without rational roots are discarded, which is
+    satisfied, and back-substitution of the pivots into each solution.
+    The solutions are distinct: case-split branches differ in the split
+    variable. Branches without rational roots are discarded, which is
     sound because only rational solutions are admissible downstream.
     Every system solved here is at most quadratic: the chain's pairings
     and the integrals of products of two degree-2 classes.
@@ -238,10 +242,7 @@ def solve_system(equations: Iterable[Equation]) -> list[Solution]:
     eqs = [dict(e) for e in equations]
     out: list[Solution] = []
     _solve_rec(eqs, {}, {v for e in eqs for m in e for v, _ in m}, out)
-    unique: dict[tuple, Solution] = {}
-    for sol in out:
-        unique[(sol.assignment, sol.free)] = sol
-    return list(unique.values())
+    return out
 
 
 def _reduce(eqs: list[dict], values: Mapping) -> list[dict] | None:
@@ -269,50 +270,26 @@ def _solve_rec(
     if eqs is None:
         return
 
-    # Linear closure: pin down variables forced by the linear subset.
-    while True:
-        linear = [all(not m or (len(m) == 1 and m[0][1] == 1) for m in e) for e in eqs]
-        lin_rows = [
-            ({m[0][0]: c for m, c in e.items() if m}, -e.get((), 0))
-            for e, lin in zip(eqs, linear)
-            if lin
-        ]
-        if not lin_rows:
-            break
-        lin_vars = sorted(set().union(*(c.keys() for c, _ in lin_rows)))
+    linear = [all(not m or (len(m) == 1 and m[0][1] == 1) for m in e) for e in eqs]
+    if any(linear):
+        # Linear closure in one elimination step: each pivot becomes an
+        # affine expression in the other columns (a forced value has only
+        # a constant term), all go into the other equations at once, and
+        # each solution of those gets the pivots back. The linear
+        # equations are combinations of the pivot rows, so they vanish.
+        lin_eqs = [e for e, lin in zip(eqs, linear) if lin]
+        lin_vars = sorted({m[0][0] for e in lin_eqs for m in e if m})
         n = len(lin_vars)
-        mat = [
-            [coeffs.get(v, 0) for v in lin_vars] + [rhs]
-            for coeffs, rhs in lin_rows
-        ]
+        mat = [[e.get(((v, 1),), 0) for v in lin_vars] + [-e.get((), 0)] for e in lin_eqs]
         red, pivots = rref(mat, col_limit=n)
         if any(r[n] and not any(r[:n]) for r in red):
             return
-        forced: dict[str, Rational] = {}
         exprs: dict[str, dict[Monomial, Rational]] = {}
-        for ri, col in enumerate(pivots):
-            others = [j for j in range(n) if j != col and red[ri][j]]
-            if not others:
-                forced[lin_vars[col]] = red[ri][n]
-            else:
-                expr = {((lin_vars[j], 1),): -red[ri][j] for j in others}
-                if red[ri][n]:
-                    expr[()] = red[ri][n]
-                exprs[lin_vars[col]] = expr
-        if forced:
-            # ``_reduce`` removes each fixed variable; one forced again would loop forever.
-            if not forced.keys().isdisjoint(fixed):
-                again = sorted(forced.keys() & fixed.keys())
-                raise RuntimeError(f"invariant broken: the linear closure forced {again} twice")
-            fixed = {**fixed, **forced}
-            eqs = _reduce(eqs, forced)
-            if eqs is None:
-                return
-            continue
-        # Every linear row has a pivot, so with none forced some pivot
-        # has an expression: eliminate those pivot variables, solve the
-        # reduced system, then back-substitute each branch. The linear
-        # equations are combinations of the pivot rows, so they vanish.
+        for row, col in zip(red, pivots):
+            expr = {((lin_vars[j], 1),): -row[j] for j in range(n) if j != col and row[j]}
+            if row[n]:
+                expr[()] = row[n]
+            exprs[lin_vars[col]] = expr
         reduced = _reduce([e for e, lin in zip(eqs, linear) if not lin], exprs)
         if reduced is None:
             return

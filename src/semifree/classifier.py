@@ -58,6 +58,7 @@ from ._solve import (
     Monomial,
     Solution,
     SolverStallError,
+    _rational_roots,
     equation,
     integer_kernel_basis,
     solve_system,
@@ -89,7 +90,8 @@ from .fixed_points import (
 from .localization import (
     MultipleSolutionsError,
     NoSolutionError,
-    _relation_integrals,
+    _c1_power_integrals,
+    _relations_hold,
     dh_path,
 )
 from .rationals import Rational, qdiv
@@ -296,8 +298,7 @@ def _minus_one_classes(
         center = -row[n] - sum(row[j] * t[j] for j in range(i + 1, n))
         span = qdiv(rest, -a)  # the most (t_i - center)^2 may be
         if i == 0:
-            root = sqrt_fraction(span)
-            values = [] if root is None else sorted({center - root, center + root})
+            values = _rational_roots([center * center - span, -2 * center, 1])
         else:
             h = isqrt(span.numerator // span.denominator) + 1
             base = center.numerator // center.denominator
@@ -532,8 +533,8 @@ def _descend(
         raise states.with_traceback(None)
     if not rest:
         for state in states:
-            for extra, top in _terminal_variants(data, state.top):
-                yield _Branch(state.equations + tuple(extra), state.crossings, top)
+            for extra in _terminal_variants(data, state.top):
+                yield _Branch(state.equations + tuple(extra), state.crossings, state.top)
         return
     comps = data.components
     level, tried = comps[rest[0]].level, set()
@@ -556,9 +557,7 @@ def _descend(
         yield from _descend(data, child, rest[:i] + rest[i + 1 :], walks)
 
 
-def _terminal_variants(
-    data: FixedPointData, chart: _Chart
-) -> list[tuple[list[Equation], _Chart]]:
+def _terminal_variants(data: FixedPointData, chart: _Chart) -> list[list[Equation]]:
     """The terminal equations of ``chart`` for each presentation of the
     maximum; none when it cannot sit under the maximum."""
     maximum = data.maximum
@@ -567,7 +566,7 @@ def _terminal_variants(
             return []
         h = qdiv(chart.c1[0], 3)
         entry = {m: part[0] for m, part in chart.euler_parts()}
-        return [([equation({**entry, (): entry[()] - h})], chart)]
+        return [[equation({**entry, (): entry[()] - h})]]
     b_max = maximum.b
     if b_max is None or chart.rank != 2:
         return []
@@ -582,16 +581,13 @@ def _terminal_variants(
         if b_max == 0:
             section = _section_for(gram, chart.fiber)
             eqs.append(equation(_pair_parts(gram, [((), section)], e, {(): -1})))
-        return [(eqs, chart)]
+        return [eqs]
     if chart.fiber is not None:
         fibers: list[Sequence[Rational]] = [chart.fiber]
     else:
         fibers = [fib for _, fib, _section in _bundle_forms(chart)]
     square = equation(_pair_parts(gram, e, e, {(): b_max}))
-    return [
-        ([equation(_pair_parts(gram, [((), fib)], e, {(): -1})), square], chart)
-        for fib in fibers
-    ]
+    return [[equation(_pair_parts(gram, [((), fib)], e, {(): -1})), square] for fib in fibers]
 
 
 # -- solving -----------------------------------------------------------------
@@ -1118,7 +1114,7 @@ def b_plus_minus(
 
 
 def _localization_relations_hold(data: FixedPointData) -> bool:
-    return all(values == {} for _, values in _relation_integrals(data))
+    return _relations_hold(dict(_c1_power_integrals(data)))
 
 
 def _shapes(genera: range, b_values: range) -> Iterable[FixedPointData]:

@@ -35,6 +35,7 @@ from .localization import (
     MultipleSolutionsError,
     NoSolutionError,
     _c1_power_integrals,
+    _relations_hold,
     dh_path,
     solve_restriction_table,
     w2_vanishes,
@@ -120,7 +121,7 @@ def _cmd_localize(data: FixedPointData, config: RunConfig):
     if not validate(data).ok:
         return _cmd_validate(data, config)
     integrals = dict(_c1_power_integrals(data))
-    ok = all(integrals[name] == {} for name in ("1", "c_1", "c_1^2"))
+    ok = _relations_hold(integrals)
     code = 0 if ok else 1
     if config.output_format == "structured":
         payload = {

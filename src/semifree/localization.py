@@ -12,7 +12,8 @@ restriction against the component's Euler shape without forming an
 inverse Euler class. ``localize`` and the enumeration's relation check
 integrate 1 + c_1 + c_1^2 + c_1^3 in one sum, built from the c_1
 shapes, and read the integral of each power off its own power of
-lambda (``_c1_power_integrals``).
+lambda (``_c1_power_integrals``); the relations are that the first three
+vanish (``_relations_hold``).
 
 This module also solves for the canonical restriction tables of the
 small-Betti-number shapes: each fixed component contributes one Thom
@@ -39,7 +40,6 @@ values and decides by exact elimination whether any values meet them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -204,15 +204,12 @@ def _c1_power_sum(component: FixedComponent) -> EquivariantClass:
     return EquivariantClass(component.kind, terms)
 
 
-def _relation_integrals(
-    data: FixedPointData,
-) -> Iterator[tuple[str, dict[int, Rational]]]:
-    """The integrals of 1, c_1 and c_1^2, the first three of ``_c1_power_integrals``.
-
-    All three vanish on the data of an action: these are the
-    localization relations.
+def _relations_hold(integrals: Mapping[str, dict[int, Rational]]) -> bool:
+    """Whether the integrals of 1, c_1 and c_1^2, named as by
+    ``_c1_power_integrals``, vanish. They do on the data of an action:
+    these are the localization relations.
     """
-    return itertools.islice(_c1_power_integrals(data), 3)
+    return not (integrals["1"] or integrals["c_1"] or integrals["c_1^2"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ denominator above 1 otherwise. ``canon`` brings a value to that form and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction | int
@@ -33,8 +34,15 @@ def qdiv(a: Rational, b: Rational) -> Rational:
     return canon(Fraction(a, b))
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str | int | Fraction) -> Rational:
-    """Parse ``"p/q"`` (or a bare integer) into a canonical exact rational."""
+    """Parse ``"p/q"`` (or a bare integer) into a canonical exact rational.
+
+    Surrounding whitespace is allowed; a decimal point, an exponent, an
+    underscore or a non-ASCII digit is not.
+    """
     if type(text) is not str:
         if isinstance(text, bool):
             raise ValueError("expected a rational, got a boolean")
@@ -42,15 +50,14 @@ def parse_rational(text: str | int | Fraction) -> Rational:
             return canon(text)
         if not isinstance(text, str):
             raise ValueError(f"expected a rational string, got {text!r}")
+    match = _RATIONAL.fullmatch(text)
     try:
-        digits = text[1:] if text[:1] == "-" else text
-        if digits.isascii() and digits.isdigit():
-            return int(text)
-        # Fraction takes "1_000" from Python 3.11 and "2 / 3" from 3.12; 3.10 takes neither.
-        if "_" in text or len(text.split()) > 1:
+        if match is None:
             raise ValueError
-        return canon(Fraction(text.strip()))
+        p, q = match.groups()
+        return int(p) if q is None else qdiv(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
+        # int() refuses a string of more than 4,300 digits.
         raise ValueError(f"malformed rational {text!r}") from exc
 
 

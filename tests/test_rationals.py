@@ -305,42 +305,38 @@ def test_polytope_values_are_canonical():
         assert _assert_all_canonical([c.level for c in data.components])
 
 
-def _parse_rational_by_fraction(text):
-    """``parse_rational`` with every string through ``Fraction``."""
-    if isinstance(text, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(text, (int, Fraction)):
-        return canon(text)
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
-    try:
-        return canon(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+# Each input with the scalar it parses to, or the message that refuses it.
+_PARSE_OUTCOMES = {
+    "3": 3,
+    "-3": -3,
+    "+3": 3,
+    " 3 ": 3,
+    "6/4": F(3, 2),
+    "007": 7,
+    "3.0": "malformed rational '3.0'",
+    "²": "malformed rational '²'",
+    "": "malformed rational ''",
+    "x": "malformed rational 'x'",
+    "-": "malformed rational '-'",
+    True: "expected a rational, got a boolean",
+    1.5: "expected a rational string, got 1.5",
+}
 
 
-def _parse_outcome(parse, text):
-    try:
-        value = parse(text)
-    except ValueError as exc:
-        return ("error", str(exc))
-    return (value, type(value))
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["3", "-3", "+3", " 3 ", "6/4", "3.0", "²", "", "x", "-", "007", True, 1.5],
-)
+@pytest.mark.parametrize("text", list(_PARSE_OUTCOMES))
 def test_parse_rational_integer_fast_path_agrees_with_fraction(text):
-    assert _parse_outcome(parse_rational, text) == _parse_outcome(
-        _parse_rational_by_fraction, text
-    )
+    # The outcomes that ``Fraction`` gave, but for "3.0": the grammar has no decimal point.
+    expected = _PARSE_OUTCOMES[text]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            parse_rational(text)
+    else:
+        value = parse_rational(text)
+        assert value == expected and type(value) is type(expected)
 
 
-@pytest.mark.parametrize("text", ["1_000", "1/2_0", "2 / 3", "2/ 3", "2 /3"])
-def test_parse_rational_accepts_the_same_strings_on_every_python(text):
-    # ``Fraction`` takes underscores from Python 3.11 and spaces around
-    # the slash from 3.12; the schemas take neither, on any version.
+def _assert_malformed(text):
+    """``parse_rational`` and ``FixedPointData.loads`` both refuse ``text``."""
     with pytest.raises(ValueError, match=f"^malformed rational {re.escape(repr(text))}$"):
         parse_rational(text)
     level = json.dumps(text)
@@ -349,6 +345,20 @@ def test_parse_rational_accepts_the_same_strings_on_every_python(text):
         {{"kind": "point", "index": 6, "level": {level}}}]}}"""
     with pytest.raises(SchemaError, match=f"^malformed rational {re.escape(repr(text))}$"):
         FixedPointData.loads(datum)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "2 / 3", "2/ 3", "2 /3"])
+def test_parse_rational_accepts_the_same_strings_on_every_python(text):
+    # ``Fraction`` takes underscores from Python 3.11 and spaces around
+    # the slash from 3.12; the grammar takes neither, on any version.
+    _assert_malformed(text)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e2", ".5", "١/٢", "1e200000"])
+def test_parse_rational_refuses_decimals_exponents_and_non_ascii_digits(text):
+    # Only ASCII "p/q" or an integer: no decimal, no exponent (which could
+    # ask for an integer of any size), no digits of another script.
+    _assert_malformed(text)
 
 
 def test_dh_path_times_and_omegas_are_canonical():

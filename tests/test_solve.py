@@ -2,7 +2,6 @@
 
 import math
 import random
-import signal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semifree import _solve, classifier, cli, localization
+from semifree import classifier, cli, localization
 from semifree._solve import (
     AffineConstraint,
     SolverStallError,
@@ -151,25 +150,6 @@ def test_integer_kernel_basis_refuses_a_zero_functional_as_an_invariant():
 def test_rational_roots_refuses_a_non_quadratic_as_an_invariant(coeffs):
     with pytest.raises(RuntimeError, match="invariant broken: the case split"):
         _rational_roots(coeffs)
-
-
-def test_linear_closure_refuses_to_force_a_variable_twice(monkeypatch):
-    # A _substitute that substitutes nothing leaves x - 1 = 0 in place, so
-    # the closure would force x = 1 on every pass; it must raise instead.
-    # The alarm turns a hang into a failure.
-    monkeypatch.setattr(_solve, "_substitute", lambda terms, values: terms)
-
-    def hang(signum, frame):
-        raise TimeoutError("the linear closure loops")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
-        with pytest.raises(RuntimeError, match=r"invariant broken: the linear closure forced \['x'\]"):
-            solve_system(_terms([Poly.var("x") - Poly.const(1)]))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @given(
