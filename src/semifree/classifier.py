@@ -32,10 +32,11 @@ walks and solves each sequence of step keys once, and a repeated walk
 state once. Each chart's (-1)-classes are searched once per process
 (``_minus_one_classes``), a pure function of the chart's Gram matrix
 and c1. No other cache outlives its call or its datum: the ``walks``
-dict belongs to one chain solve, or in the enumeration to one minimum;
-and a datum keeps its extremes and its solved chain (``_memo``), so the
-chain check, the Euler transport and their readers (the w2 selection
-rule, ``b_plus_minus`` and the sweep) share one solve.
+dict holds walk states only (a step that raises stores nothing) and
+belongs to one chain solve, or in the enumeration to one minimum; and a
+datum keeps its extremes and its solved chain (``_memo``), so the chain
+check, the Euler transport and their readers (the w2 selection rule,
+``b_plus_minus`` and the sweep) share one solve.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
@@ -521,16 +522,13 @@ def _descend(
     so it is skipped: each crossing order is reached once, by its first
     arrangement, and n equal points at one level are one order, not n!.
     ``walks`` holds only prefixes: it maps each walked prefix to its
-    states, or to the error its last step raised, which is raised again
-    whenever the descent reaches it. The walk reads only the minimum and
-    the step keys, ``("P", index)`` of a point or ``("S", pos, genus,
-    b_plus, b_minus)`` of a surface, whose unknowns are named after
-    ``pos``, so data of one minimum can share ``walks``. A prefix keeps
-    each distinct state once.
+    states. A step that raises stores nothing, and its error propagates.
+    The walk reads only the minimum and the step keys, ``("P", index)``
+    of a point or ``("S", pos, genus, b_plus, b_minus)`` of a surface,
+    whose unknowns are named after ``pos``, so data of one minimum can
+    share ``walks``. A prefix keeps each distinct state once.
     """
     states = walks[key]
-    if isinstance(states, Exception):
-        raise states.with_traceback(None)
     if not rest:
         for state in states:
             for extra in _terminal_variants(data, state.top):
@@ -548,12 +546,9 @@ def _descend(
         tried.add(step)
         child = key + (step,)
         if child not in walks:
-            try:
-                crossed = [new for old in states for new in _cross(old, pos, comp)]
-                # Only a blow-down can take two states to one.
-                walks[child] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
-            except NotImplementedError as exc:
-                walks[child] = exc
+            crossed = [new for old in states for new in _cross(old, pos, comp)]
+            # Only a blow-down can take two states to one.
+            walks[child] = list(dict.fromkeys(crossed)) if comp.index == 4 else crossed
         yield from _descend(data, child, rest[:i] + rest[i + 1 :], walks)
 
 
@@ -633,8 +628,6 @@ class _ChainSolution:
 
 
 def _structural_check(data: FixedPointData) -> None:
-    if len(data.components) < 2:
-        raise InvalidDataError("need at least a minimum and a maximum")
     low, high = data.minimum.level, data.maximum.level
     if not all(low < comp.level < high for comp in data.middles()):
         raise InvalidDataError("middle components must sit strictly between the extremes")
@@ -685,14 +678,12 @@ def euler_chain_check(data: FixedPointData) -> bool:
     """Whether a consistent Euler-class chain exists for the data.
 
     The chain is solved once per datum and kept on it (``_memo``).
-    Malformed data and a refused (-1)-class search give False; an
-    underdetermined chain raises ``MultipleSolutionsError``.
+    Malformed data raise ``InvalidDataError``, a refused (-1)-class
+    search ``NotImplementedError`` and an underdetermined chain
+    ``MultipleSolutionsError``; "no" means only that no chain exists.
     """
-    try:
-        _structural_check(data)
-        return bool(_memo(data, "_chain", _chain_solutions))
-    except (InvalidDataError, NotImplementedError):
-        return False
+    _structural_check(data)
+    return bool(_memo(data, "_chain", _chain_solutions))
 
 
 def _unique_solution(solutions: list[_ChainSolution]) -> _ChainSolution:

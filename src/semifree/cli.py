@@ -331,6 +331,7 @@ def run(config: RunConfig, raw: bytes) -> tuple[int, bytes]:
         InvalidDataError,
         NoSolutionError,
         MultipleSolutionsError,
+        NotImplementedError,
         delzant.PolytopeError,
     ) as exc:
         return 1, _render_error(config, 1, str(exc), structured)

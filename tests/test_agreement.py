@@ -15,7 +15,9 @@ with what is known about the datum:
   pass every data command, except that ``restrict-table`` has no basis
   for the two ``remark0_*`` data (b_2 = 3) and says so;
 - every datum of the fuzz pools ends in exit 0, 1 or 2 with a report,
-  never in a traceback.
+  never in a traceback;
+- so does every datum of the hard pool under all five data commands,
+  and ``classify`` decides each one: none meets a refused search.
 """
 
 import json
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import builtin_data, enumerated_members, family_presets, fuzz_data
+from corpus import builtin_data, enumerated_members, family_presets, fuzz_data, hard_pool
 from semifree.classifier import b_plus_minus
 from semifree.cli import RunConfig, run
 from semifree.localization import _c1_power_integrals, _relations_hold
@@ -97,3 +99,15 @@ def test_fuzz_data_end_in_an_exit_code(seed):
     for name, data in fuzz_data(seed):
         for command in ("validate", "localize", "restrict-table"):
             assert _exit_code(command, data) in (0, 1, 2), (name, command)
+
+
+def test_hard_data_end_in_an_exit_code_and_classify_decides_each():
+    pool = hard_pool(0)
+    assert len(pool) == 1547
+    for name, data in pool:
+        raw = data.dumps().encode()
+        for command in (*DATA_COMMANDS, "dh-check"):
+            code, report = run(RunConfig(command=command), raw)
+            assert code in (0, 1, 2) and report, (name, command)
+            if command == "classify":
+                assert b"exceptional search" not in report, name

@@ -889,27 +889,42 @@ def test_chain_solve_is_fast_with_many_points_at_one_level():
 # the chain engine on data that validate would refuse
 
 
-@pytest.mark.parametrize(
-    "components, twist",
-    [
-        # One component: no minimum and maximum to walk between.
-        ((point(0, 0),), False),
-        # A middle above the maximum.
-        ((point(0, 0), point(2, 3), point(6, 2)), False),
-        # A surface minimum without b has no start chart.
-        ((surface(0, 0, genus=0), surface(4, 1, genus=0, b=0)), False),
-        # A point maximum over a rank-2 chart, where e = (-1, 1) + eta
-        # would otherwise solve e.H = 1 and adjunction.
-        ((point(0, 0), point(2, 1), surface(2, 2, genus=0), point(6, 3)), False),
-        # A surface maximum without b, and one over a rank-1 chart.
-        ((surface(0, 0, genus=0, b=0), surface(4, 1, genus=0)), False),
-        ((point(0, 0), surface(4, 1, genus=0, b=1)), False),
-        # A twisted surface maximum over a chart with no fiber.
-        ((point(0, 0), point(2, 1), surface(4, 2, genus=0, b=0)), True),
-    ],
-)
+# Malformed data raise before the walk takes a step, each with its reason.
+_UNWALKABLE = {
+    # One component: no minimum and maximum to walk between.
+    ((point(0, 0),), False): "expected one maximum, found 0",
+    # A middle above the maximum.
+    (
+        (point(0, 0), point(2, 3), point(6, 2)),
+        False,
+    ): "middle components must sit strictly between the extremes",
+    # A surface minimum without b has no start chart.
+    (
+        (surface(0, 0, genus=0), surface(4, 1, genus=0, b=0)),
+        False,
+    ): "surface minimum is missing b",
+}
+# Data whose every walk dies at the maximum have no chain.
+_UNCLOSED = [
+    # A point maximum over a rank-2 chart, where e = (-1, 1) + eta
+    # would otherwise solve e.H = 1 and adjunction.
+    ((point(0, 0), point(2, 1), surface(2, 2, genus=0), point(6, 3)), False),
+    # A surface maximum without b, and one over a rank-1 chart.
+    ((surface(0, 0, genus=0, b=0), surface(4, 1, genus=0)), False),
+    ((point(0, 0), surface(4, 1, genus=0, b=1)), False),
+    # A twisted surface maximum over a chart with no fiber.
+    ((point(0, 0), point(2, 1), surface(4, 2, genus=0, b=0)), True),
+]
+
+
+@pytest.mark.parametrize("components, twist", [*_UNWALKABLE, *_UNCLOSED])
 def test_the_chain_check_refuses_malformed_data(components, twist):
-    assert euler_chain_check(FixedPointData(components, twist=twist)) is False
+    data = FixedPointData(components, twist=twist)
+    if (components, twist) in _UNWALKABLE:
+        with pytest.raises(InvalidDataError, match=f"^{_UNWALKABLE[components, twist]}$"):
+            euler_chain_check(data)
+    else:
+        assert euler_chain_check(data) is False
 
 
 def test_a_non_integral_dual_class_is_no_chain():

@@ -21,7 +21,7 @@ from semifree.delzant import (
     loads as polytope_loads,
     polytope_to_json_dict,
 )
-from semifree.fixed_points import FixedPointData, point, surface
+from semifree.fixed_points import FixedPointData, point, surface, validate
 from semifree.localization import solve_restriction_table
 
 TYPE1 = family_instance("1").dumps().encode()
@@ -237,6 +237,53 @@ def test_classify_broken_chain_exits_one():
     assert code == 1
     assert b"wall-crossing chain consistent: no" in out
     assert b"unknown" in out
+
+
+def _past_nine_blow_ups() -> list[FixedPointData]:
+    """Validated data whose walk reaches a chart with c1.c1 = 0, where the
+    (-1)-class search refuses: nine blow-ups of the plane, then nine
+    blow-downs, on distinct levels or on two shared ones, and a sphere
+    minimum blown up eight times."""
+    return [
+        FixedPointData(
+            (
+                point(0, 0),
+                *(point(2, level) for level in range(1, 10)),
+                *(point(4, level) for level in range(10, 19)),
+                point(6, 19),
+            )
+        ),
+        FixedPointData(
+            (
+                surface(0, 0, genus=0, b=1),
+                *(point(2, level) for level in range(1, 9)),
+                *(point(4, level) for level in range(10, 19)),
+                point(6, 19),
+            )
+        ),
+        FixedPointData((point(0, 0), *[point(2, 1)] * 9, *[point(4, 2)] * 9, point(6, 3))),
+    ]
+
+
+@pytest.mark.parametrize("output_format", ["text", "structured"])
+@pytest.mark.parametrize("data", _past_nine_blow_ups())
+def test_classify_reports_a_refused_search_as_an_error_not_a_no(data, output_format):
+    # The engine cannot decide these data, so classify must not say "no".
+    assert validate(data).ok
+    config = RunConfig(command="classify", output_format=output_format)
+    code, out = run(config, data.dumps().encode())
+    assert code == 1
+    reason = "exceptional search needs c1.c1 > 0"
+    if output_format == "text":
+        assert out == f"error: {reason}\n".encode()
+    else:
+        assert json.loads(out) == {
+            "schema": "report.v1",
+            "command": "classify",
+            "error": reason,
+            "exit_code": 1,
+        }
+    assert b"chain consistent" not in out and b"chain_consistent" not in out
 
 
 def test_enumerate_text():

@@ -41,9 +41,6 @@ def _reached_grams() -> tuple[tuple[tuple[int, ...], ...], ...]:
         except (InvalidDataError, NotImplementedError, SolverStallError):
             pass
         for states in walks.values():
-            # Skip the errors the walks keep.
-            if isinstance(states, Exception):
-                continue
             for state in states:
                 charts = [state.top] + [log.chart for log in state.crossings]
                 grams.update(chart.gram for chart in charts)
