@@ -21,10 +21,9 @@ input untouched when no substituted variable occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rationals import Rational, canon, qdiv
 
@@ -186,8 +185,7 @@ class SolverStallError(RuntimeError):
     """The case-split strategy cannot make progress on this system."""
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One solution branch: fixed values plus still-free variables."""
 
     assignment: tuple[tuple[str, Rational], ...]
@@ -348,8 +346,7 @@ def _emit(
 # linear feasibility (Fourier-Motzkin with strict inequalities)
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
+class AffineConstraint(NamedTuple):
     """``sum coeffs*x + const  (> | >=)  0``."""
 
     coeffs: tuple[tuple[str, Rational], ...]

@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._solve import (
     Equation,
@@ -421,15 +421,13 @@ def _chart_reduced_class(
 # the chain engine
 
 
-@dataclass(frozen=True)
-class _CrossingLog:
+class _CrossingLog(NamedTuple):
     position: int
     chart: _Chart  # chart state just below the crossing
     eta_vars: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     equations: tuple[Equation, ...]
     crossings: tuple[_CrossingLog, ...]
     top: _Chart
@@ -588,8 +586,7 @@ def _terminal_variants(data: FixedPointData, chart: _Chart) -> list[list[Equatio
 # -- solving -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One index-2 surface crossing with its exact wall pairings."""
 
     position: int
@@ -611,8 +608,7 @@ class Crossing:
         return int(b_plus), int(b_minus)
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """Euler-class transport along the moment map."""
 
     data: FixedPointData
@@ -621,8 +617,7 @@ class ChainResult:
     crossings: tuple[Crossing, ...]
 
 
-@dataclass(frozen=True)
-class _ChainSolution:
+class _ChainSolution(NamedTuple):
     key: tuple
     crossings: tuple[Crossing, ...]
 
@@ -844,8 +839,7 @@ def _reject_params(params: Mapping) -> None:
 FAMILIES_SCHEMA = "families.v1"
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     max_genus: int
     b_range: tuple[int, int]
     families: Mapping[str, tuple[FixedPointData, ...]]

@@ -26,10 +26,9 @@ one slice's toric surface by one ``span_coordinates`` call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._solve import AffineConstraint, _scalar, feasible, span_coordinates
 from .fixed_points import (
@@ -62,16 +61,14 @@ class PolytopeSchemaError(PolytopeError, SchemaError):
 # polytope construction
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A corner with the indices of the three facets through it."""
 
     location: tuple[Fraction, Fraction, Fraction]
     facets: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A one-dimensional face with its primitive direction."""
 
     tail: int
@@ -84,8 +81,7 @@ class Edge:
         return self.direction[2] == 0
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(NamedTuple):
     """A bounded simple 3-polytope cut out by inward facet normals."""
 
     facets: tuple[tuple[tuple[int, int, int], Fraction], ...]
@@ -217,8 +213,7 @@ def build(
 # smoothness and semi-freeness
 
 
-@dataclass(frozen=True)
-class DelzantReport:
+class DelzantReport(NamedTuple):
     """Per-vertex determinants of the three facet normals."""
 
     ok: bool
@@ -228,8 +223,7 @@ class DelzantReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SemifreeReport:
+class SemifreeReport(NamedTuple):
     """Violations of the height-circle semi-freeness conditions."""
 
     ok: bool
@@ -406,8 +400,7 @@ def extract_fixed_data(polytope: LatticePolytope) -> FixedPointData:
 # horizontal slices
 
 
-@dataclass(frozen=True)
-class SliceEdge:
+class SliceEdge(NamedTuple):
     """An edge of a horizontal slice with its source facet."""
 
     normal: tuple[int, int]
@@ -415,8 +408,7 @@ class SliceEdge:
     source_facet: int
 
 
-@dataclass(frozen=True)
-class SlicePolygon:
+class SlicePolygon(NamedTuple):
     """A horizontal cross-section polygon strictly inside the height range."""
 
     level: Fraction

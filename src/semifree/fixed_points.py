@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .rationals import Rational, format_rational, parse_rational
 
@@ -306,8 +307,9 @@ def _dump_json(value, newline: str = "\n") -> str:
 
     Only what reports hold is written: str-keyed dicts, lists, tuples,
     str, int, bool and None, strings and keys by the standard library's
-    C quoting. Anything else (a float, a non-str key) raises
-    ``TypeError``. ``newline`` starts each inner line of the value.
+    C quoting. Anything else (a float, a non-str key, a record, which is
+    a tuple subclass) raises ``TypeError``. ``newline`` starts each
+    inner line of the value.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -326,7 +328,7 @@ def _dump_json(value, newline: str = "\n") -> str:
             f"{encode_basestring_ascii(key)}: {_dump_json(value[key], inner)}"
             for key in sorted(value)
         ]
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list or type(value) is tuple:
         brackets = "[]"
         items = [_dump_json(item, inner) for item in value]
     else:
@@ -361,10 +363,9 @@ def _extreme(data: FixedPointData, test: str) -> FixedComponent:
     return found[0]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...] = ()
 
 
 def validate(data: FixedPointData) -> ValidationReport:

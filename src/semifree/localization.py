@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from ._solve import (
     AffineConstraint,
@@ -216,8 +216,7 @@ def _relations_hold(integrals: Mapping[str, dict[int, Rational]]) -> bool:
 # restriction tables
 
 
-@dataclass(frozen=True)
-class TableClass:
+class TableClass(NamedTuple):
     """One basis class: its name, degree, and defining component label."""
 
     name: str
@@ -226,8 +225,7 @@ class TableClass:
     restrictions: tuple[EquivariantClass, ...]
 
 
-@dataclass(frozen=True)
-class RestrictionTable:
+class RestrictionTable(NamedTuple):
     data: FixedPointData
     type_tag: str
     labels: tuple[str, ...]
@@ -763,8 +761,7 @@ def w2_vanishes(data: FixedPointData) -> bool:
 # Duistermaat-Heckman paths
 
 
-@dataclass(frozen=True)
-class DHPath:
+class DHPath(NamedTuple):
     """A reduced symplectic class swept from the minimum upward."""
 
     verdict: str  # "positive" | "not_positive" | "inconsistent"

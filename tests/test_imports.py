@@ -3,17 +3,23 @@
 Modules import at the top, except across the one cycle, every
 function and class of the package, and every method of its classes, has
 a caller outside the tests, and every function that the benchmark's
-tracer wraps by name is where it looks.
+tracer wraps by name is where it looks. A record is a dataclass only
+when it needs to be, since a dataclass costs import time.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from corpus import perfbench_module
 
 import semifree
+from semifree.delzant import DelzantReport, SemifreeReport
+from semifree.fixed_points import ValidationReport
 
 # localization needs the chain engine of classifier, which imports
 # localization at module level; these two imports break that cycle.
@@ -223,3 +229,86 @@ def test_every_traced_function_resolves():
         for caller in callers:
             bound = vars(importlib.import_module(f"semifree.{caller}")).values()
             assert any(value is function for value in bound), (caller, attr)
+
+
+# ---------------------------------------------------------------------------
+# record kinds
+
+# ``@dataclass`` generates and compiles six methods per class when the
+# module is imported, and no bytecode cache keeps them: with 27
+# dataclasses, that was 25 of the 35 ms of the benchmark's
+# ``enumerate-default`` set-up with the package's bytecode cached
+# (CPython 3.11, ``BENCH_37.json``). A ``typing.NamedTuple`` compiles
+# one small ``__new__``. So a record is a NamedTuple unless it needs what only a
+# dataclass gives: a ``__post_init__`` check or normalisation (which may
+# also keep a memo in the instance ``__dict__``), or a rebuild with
+# ``dataclasses.replace`` by the tests' oracles.
+REPLACED_BY_THE_ORACLES = {"classifier._Chart", "localization._SkeletonClass"}
+
+
+def _package_classes() -> dict[str, type]:
+    """``module.name`` -> class, for each class a package module defines."""
+    found = {}
+    for path in sorted(Path(semifree.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"semifree.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                found[f"{path.stem}.{name}"] = value
+    return found
+
+
+def test_a_record_is_a_dataclass_only_when_it_needs_to_be():
+    needless, not_named_tuples = [], []
+    for name, cls in _package_classes().items():
+        if dataclasses.is_dataclass(cls):
+            if "__post_init__" not in vars(cls) and name not in REPLACED_BY_THE_ORACLES:
+                needless.append(name)
+        elif vars(cls).get("__annotations__"):
+            if not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+                not_named_tuples.append(name)
+    assert needless == []
+    assert not_named_tuples == []
+
+
+# Records that were frozen dataclasses and became NamedTuples; what their
+# callers rely on must hold of either kind.
+CONVERTED_RECORDS = [
+    "_solve.Solution",
+    "_solve.AffineConstraint",
+    "classifier._CrossingLog",
+    "classifier._Branch",
+    "classifier.Crossing",
+    "classifier.ChainResult",
+    "classifier._ChainSolution",
+    "classifier.EnumerationResult",
+    "delzant.Vertex",
+    "delzant.Edge",
+    "delzant.LatticePolytope",
+    "delzant.DelzantReport",
+    "delzant.SemifreeReport",
+    "delzant.SliceEdge",
+    "delzant.SlicePolygon",
+    "fixed_points.ValidationReport",
+    "localization.TableClass",
+    "localization.RestrictionTable",
+    "localization.DHPath",
+]
+
+
+@pytest.mark.parametrize("name", CONVERTED_RECORDS)
+def test_a_record_refuses_attribute_assignment(name):
+    cls = _package_classes()[name]
+    fields = list(inspect.signature(cls).parameters)
+    record = cls(*[None] * len(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 1)
+
+
+def test_a_report_is_true_exactly_when_it_is_ok():
+    for cls in (DelzantReport, SemifreeReport):
+        assert cls(True, ())
+        assert not cls(False, ())
+
+
+def test_a_validation_report_defaults_to_no_violation():
+    assert ValidationReport(True).violations == ()

@@ -27,7 +27,7 @@ from semifree.delzant import (
     loads as polytope_loads,
     polytope_to_json_dict,
 )
-from semifree.fixed_points import FixedPointData, SchemaError, _dump_json
+from semifree.fixed_points import FixedPointData, SchemaError, ValidationReport, _dump_json
 
 from corpus import builtin_data, enumerated_members, family_presets, fuzz_data
 
@@ -190,6 +190,14 @@ def test_writer_matches_json_dumps_on_edge_values(value):
 def test_writer_rejects_values_reports_never_hold(value):
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+def test_writer_rejects_a_record():
+    # A NamedTuple record is a tuple, but a report never holds one: the
+    # writer takes exact lists and tuples only.
+    for value in ({"a": ValidationReport(True)}, [ValidationReport(False, ("x",))]):
+        with pytest.raises(TypeError, match="cannot write ValidationReport as JSON"):
+            _dump_json(value)
 
 
 # ---------------------------------------------------------------------------
