@@ -33,8 +33,10 @@ state once. Each chart's (-1)-classes are searched once per process
 (``_minus_one_classes``), a pure function of the chart's Gram matrix
 and c1. No other cache outlives its call or its datum: the ``walks``
 dict holds walk states only (a step that raises stores nothing) and
-belongs to one chain solve, or in the enumeration to one minimum; and a
-datum keeps its extremes and its solved chain (``_memo``), so the chain
+belongs to one chain solve, or in the enumeration to one minimum; the
+enumeration's ``solved`` dict maps each equation tuple it solved to its
+solutions (``_solve_once``), for the minima of one genus; and a datum
+keeps its extremes and its solved chain (``_memo``), so the chain
 check, the Euler transport and their readers (the w2 selection rule,
 ``b_plus_minus`` and the sweep) share one solve.
 
@@ -49,7 +51,7 @@ builds each shape once, and of a surface maximum one genus per ``b``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -101,8 +103,7 @@ from .rationals import Rational, qdiv
 # lattice chart state
 
 
-@dataclass(frozen=True)
-class _Chart:
+class _Chart(NamedTuple):
     """A lattice chart of the reduced space, with its level Euler class.
 
     No chart operation multiplies the Euler class by an unknown, so it
@@ -628,22 +629,44 @@ def _structural_check(data: FixedPointData) -> None:
         raise InvalidDataError("middle components must sit strictly between the extremes")
 
 
-def _chain_solutions(data: FixedPointData, walks: dict | None = None) -> list[_ChainSolution]:
+def _chain_solutions(
+    data: FixedPointData, walks: dict | None = None, solved: dict | None = None
+) -> list[_ChainSolution]:
     """Solve the chain of well-formed data (``_structural_check``); an
     underdetermined one raises ``MultipleSolutionsError``. ``walks``
-    shares walked prefixes (see ``_descend``). Each branch is solved as
-    the descent yields it, so an order that fails to walk raises only
-    after the orders before it are solved."""
+    shares walked prefixes (see ``_descend``) and ``solved`` solved
+    systems (see ``_solve_once``). Each branch is solved as the descent
+    yields it, so an order that fails to walk raises only after the
+    orders before it are solved.
+
+    A branch solution with a free unknown is a line of chains, not one:
+    over a torus base, two middle tori with b+ = b- = 0 between a
+    minimum and a maximum of b = 0 can trade any multiple of the
+    section's class between their duals."""
     solutions: dict[tuple, _ChainSolution] = {}
     for branch in _branches(data, {} if walks is None else walks):
-        for sol in solve_system(list(branch.equations)):
+        for sol in _solve_once(branch.equations, solved):
             if sol.free:
-                # No datum tried, unvalidated ones included, leaves one free.
                 raise MultipleSolutionsError("the Euler chain is underdetermined for this data")
             resolved = _resolve_branch(branch, sol.as_dict())
             if resolved is not None:
                 solutions.setdefault(resolved.key, resolved)
     return list(solutions.values())
+
+
+def _solve_once(equations: tuple[Equation, ...], solved: dict | None) -> Sequence[Solution]:
+    """``solve_system(equations)``, kept in ``solved`` when it is a dict.
+
+    The solver is a function of its equation list alone, so a system met
+    again, on another branch or datum, reads its first solve. A solve
+    that raises keeps nothing and raises again. With ``solved`` None
+    every call solves.
+    """
+    if solved is None:
+        return solve_system(list(equations))
+    if equations not in solved:
+        solved[equations] = tuple(solve_system(list(equations)))
+    return solved[equations]
 
 
 def _resolve_branch(
@@ -910,7 +933,12 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage: the splittings are read off its
     crossings, and the sweep of an all-surface candidate runs on it.
-    Nothing solves the chain again.
+    Nothing solves the chain again. Nor does a system repeat: all
+    solves for the minima of one genus, reduced and concrete, share one
+    ``solved`` dict keyed by the exact equation tuple (``_solve_once``),
+    since shapes over minima of one genus and one parity of ``b`` often
+    pose the same systems. ``_shapes`` yields the minima genus by
+    genus, so the dict is dropped with its genus.
     """
     lo, hi = b_range
     if lo > hi:
@@ -933,7 +961,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         # rank <= 3, so c1.c1 >= 7 and the (-1)-class search never refuses.
         # ``others`` counts the unbuilt candidates of the other maximum genera.
         if solutions is None:
-            solutions = _chain_solutions(candidate, walks)
+            solutions = _chain_solutions(candidate, walks, solved)
         filled = _derive_splittings(candidate, solutions)
         if filled is None:
             reject("chain", 1 + others)
@@ -954,18 +982,20 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         family = "6" if tag in ("6a", "6b") else tag
         families.setdefault(family, []).append(filled)
 
-    minimum, walks = None, {}
+    minimum, walks, genus, solved = None, {}, None, {}
     for shape in _shapes(genera, b_values):
         if shape.minimum != minimum:
             minimum, walks = shape.minimum, {}
+            if minimum.genus != genus:
+                genus, solved = minimum.genus, {}
         if shape.maximum.is_point:
             decide(shape)
             continue
-        by_square = _solve_prefix(shape, walks)
-        solved = [b for b in b_values if by_square is None or -b in by_square]
+        by_square = _solve_prefix(shape, walks, solved)
+        solvable = [b for b in b_values if by_square is None or -b in by_square]
         # No e.e = -b solution: every genus of such a b is a chain reject.
-        reject("chain", (len(b_values) - len(solved)) * len(genera))
-        for b in solved:
+        reject("chain", (len(b_values) - len(solvable)) * len(genera))
+        for b in solvable:
             solutions = None if by_square is None else by_square[-b]
             decide(_with_maximum(shape, minimum.genus, b), solutions, len(genera) - 1)
         if minimum.genus == 0 and minimum.b % 2 == 0 and all(c.is_surface for c in shape.components):
@@ -998,15 +1028,16 @@ def _datum(components: tuple, minimum: FixedComponent, maximum: FixedComponent, 
 
 
 def _solve_prefix(
-    shape: FixedPointData, walks: dict | None = None
+    shape: FixedPointData, walks: dict | None = None, solved: dict | None = None
 ) -> dict[Rational, list[_ChainSolution]] | None:
     """Chain solutions of a shape with a surface maximum, grouped by ``e.e``.
 
     The shape's maximum has genus 0 and ``b = 0``, so the last equation
     of every branch is ``e.e`` itself. The branches come from the walks
-    in ``walks``, shared with the other shapes of the same minimum (a
-    fresh dict when None). All branches are walked first, then each is
-    solved without that equation. When all those
+    in ``walks``, shared with the other shapes of the same minimum, and
+    the reduced systems' solutions from ``solved`` (each a fresh dict
+    when None; see ``_solve_once``). All branches are walked first, then
+    each is solved without that equation. When all those
     solutions are bounded, the solutions of the branch for a maximum of
     degree ``b`` are exactly the ones with ``e.e = -b``. Returns None
     when some reduced system has a free variable or stalls the solver.
@@ -1014,13 +1045,16 @@ def _solve_prefix(
     ``e.e`` is a number, the top chart's Euler vector at it squared.
     """
     branches = list(_branches(shape, {} if walks is None else walks))
+    solved = {} if solved is None else solved
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}
     for branch in branches:
-        try:
-            solutions = _solve_rest(branch)
-        except SolverStallError:
-            return None
-        for sol in solutions:
+        rest = branch.equations[:-1]
+        if rest not in solved:
+            try:
+                solved[rest] = tuple(_solve_rest(branch))
+            except SolverStallError:
+                return None
+        for sol in solved[rest]:
             if sol.free:
                 return None
             values = sol.as_dict()

@@ -40,7 +40,6 @@ values and decides by exact elimination whether any values meet them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
@@ -373,8 +372,7 @@ def _format_monomial(coeff: Fraction, k: int, with_u: bool) -> str:
 _Terms = tuple[tuple[int, tuple], ...]
 
 
-@dataclass(frozen=True)
-class _SkeletonClass:
+class _SkeletonClass(NamedTuple):
     """A basis class with its restriction at each label, as term tuples.
 
     A known entry is a scalar; an unknown one is the name (a ``str``) of

@@ -32,7 +32,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -234,7 +234,7 @@ def poly_skeleton(skeleton: Sequence) -> list:
     """The skeleton (``localization._build_skeleton``) with its
     restrictions as ``poly_terms``."""
     return [
-        replace(f, restrictions=tuple(poly_terms(terms) for terms in f.restrictions))
+        f._replace(restrictions=tuple(poly_terms(terms) for terms in f.restrictions))
         for f in skeleton
     ]
 
@@ -442,7 +442,7 @@ def with_euler(chart, euler: Sequence[Poly]):
             assert exp == 1, entry
             columns.setdefault(name, [0] * len(euler))[j] = c
     unknowns = tuple((name, tuple(columns[name])) for name in sorted(columns))
-    return replace(chart, euler=tuple(const), unknowns=unknowns)
+    return chart._replace(euler=tuple(const), unknowns=unknowns)
 
 
 # ---------------------------------------------------------------------------

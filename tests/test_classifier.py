@@ -609,6 +609,50 @@ def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
     assert stalled
 
 
+def test_enumeration_solves_no_system_twice_for_one_minimum_genus(monkeypatch):
+    # Minima of one genus share their solved chain systems: a repeated
+    # equation list reads the first solve. The sharing ends with the
+    # genus, so a system posed under several genera is solved under each.
+    genus, solves = [None], []
+    shapes, solve = classifier._shapes, classifier.solve_system
+
+    def record_shapes(genera, b_values):
+        for shape in shapes(genera, b_values):
+            genus[0] = shape.minimum.genus
+            yield shape
+
+    def record_solve(equations):
+        solves.append((genus[0], tuple(equations)))
+        return solve(equations)
+
+    monkeypatch.setattr(classifier, "_shapes", record_shapes)
+    monkeypatch.setattr(classifier, "solve_system", record_solve)
+    enumerate_types(3, (-6, 6))
+    assert solves
+    assert len(set(solves)) == len(solves)
+    systems = [equations for _, equations in solves]
+    assert len(set(systems)) < len(systems)
+
+
+def test_equal_data_each_solve_their_chain(monkeypatch):
+    # No solved system outlives one chain check: equal data that are
+    # distinct objects solve the same systems again.
+    systems, solve = [], classifier.solve_system
+
+    def record_solve(equations):
+        systems.append(tuple(equations))
+        return solve(equations)
+
+    monkeypatch.setattr(classifier, "solve_system", record_solve)
+    first, second = family_instance("6a", n=1, g=0, g1=1), family_instance("6a", n=1, g=0, g1=1)
+    assert first == second and first is not second
+    assert euler_chain_check(first) is True
+    once = list(systems)
+    assert once
+    assert euler_chain_check(second) is True
+    assert systems == once + once
+
+
 def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
     """The data passing the localization stage, and the sweep calls, of one enumeration."""
     rechecked, swept = [], []
@@ -938,6 +982,31 @@ def test_a_non_integral_dual_class_is_no_chain():
     assert solution.as_dict() == {"eta2_0": Fraction(3, 2), "eta2_1": Fraction(-1, 2)}
     assert classifier._chain_solutions(data) == []
     assert euler_chain_check(data) is False
+
+
+def test_a_free_chain_solution_is_underdetermined():
+    # Over a torus minimum with b = 0 the chart is T^2 x S^2, with a
+    # section class S of S.S = 0 and c1 = 2S. Two middle tori with
+    # b+ = b- = 0 have the duals tS and (2 - t)S for every t: each meets
+    # adjunction and its splittings, and the maximum's equations see only
+    # their sum. So a branch solution leaves an unknown free. The data
+    # validate (validate does not bound b2), and the chain check raises
+    # rather than saying yes or no.
+    torus = dict(genus=1, b_plus=0, b_minus=0)
+    for level in (1, 2):
+        data = FixedPointData(
+            (
+                surface(0, 0, genus=1, b=0),
+                surface(2, 1, **torus),
+                surface(2, level, **torus),
+                surface(4, 3, genus=1, b=0),
+            )
+        )
+        assert validate(data).ok
+        branches = classifier._branches(data, {})
+        assert any(sol.free for branch in branches for sol in solve_system(list(branch.equations)))
+        with pytest.raises(MultipleSolutionsError, match="^the Euler chain is underdetermined for this data$"):
+            euler_chain_check(data)
 
 
 def test_two_chains_make_the_transport_ambiguous():

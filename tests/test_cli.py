@@ -286,6 +286,36 @@ def test_classify_reports_a_refused_search_as_an_error_not_a_no(data, output_for
     assert b"chain consistent" not in out and b"chain_consistent" not in out
 
 
+@pytest.mark.parametrize("output_format", ["text", "structured"])
+def test_classify_reports_an_underdetermined_chain_as_an_error(output_format):
+    # Two middle tori over a torus minimum whose duals can trade the
+    # section class (test_classifier's free chain solution): validated
+    # data the engine cannot decide.
+    torus = dict(genus=1, b_plus=0, b_minus=0)
+    data = FixedPointData(
+        (
+            surface(0, 0, genus=1, b=0),
+            surface(2, 1, **torus),
+            surface(2, 2, **torus),
+            surface(4, 3, genus=1, b=0),
+        )
+    )
+    assert validate(data).ok
+    config = RunConfig(command="classify", output_format=output_format)
+    code, out = run(config, data.dumps().encode())
+    assert code == 1
+    reason = "the Euler chain is underdetermined for this data"
+    if output_format == "text":
+        assert out == f"error: {reason}\n".encode()
+    else:
+        assert json.loads(out) == {
+            "schema": "report.v1",
+            "command": "classify",
+            "error": reason,
+            "exit_code": 1,
+        }
+
+
 def test_enumerate_text():
     code, out = run(
         RunConfig(command="enumerate", max_genus=0, b_range=(-1, 1)), b""

@@ -241,9 +241,7 @@ def test_every_traced_function_resolves():
 # (CPython 3.11, ``BENCH_37.json``). A ``typing.NamedTuple`` compiles
 # one small ``__new__``. So a record is a NamedTuple unless it needs what only a
 # dataclass gives: a ``__post_init__`` check or normalisation (which may
-# also keep a memo in the instance ``__dict__``), or a rebuild with
-# ``dataclasses.replace`` by the tests' oracles.
-REPLACED_BY_THE_ORACLES = {"classifier._Chart", "localization._SkeletonClass"}
+# also keep a memo in the instance ``__dict__``).
 
 
 def _package_classes() -> dict[str, type]:
@@ -261,7 +259,7 @@ def test_a_record_is_a_dataclass_only_when_it_needs_to_be():
     needless, not_named_tuples = [], []
     for name, cls in _package_classes().items():
         if dataclasses.is_dataclass(cls):
-            if "__post_init__" not in vars(cls) and name not in REPLACED_BY_THE_ORACLES:
+            if "__post_init__" not in vars(cls):
                 needless.append(name)
         elif vars(cls).get("__annotations__"):
             if not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
@@ -275,6 +273,7 @@ def test_a_record_is_a_dataclass_only_when_it_needs_to_be():
 CONVERTED_RECORDS = [
     "_solve.Solution",
     "_solve.AffineConstraint",
+    "classifier._Chart",
     "classifier._CrossingLog",
     "classifier._Branch",
     "classifier.Crossing",
@@ -289,6 +288,7 @@ CONVERTED_RECORDS = [
     "delzant.SliceEdge",
     "delzant.SlicePolygon",
     "fixed_points.ValidationReport",
+    "localization._SkeletonClass",
     "localization.TableClass",
     "localization.RestrictionTable",
     "localization.DHPath",
