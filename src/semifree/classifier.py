@@ -34,11 +34,15 @@ state once. Each chart's (-1)-classes are searched once per process
 and c1. No other cache outlives its call or its datum: the ``walks``
 dict holds walk states only (a step that raises stores nothing) and
 belongs to one chain solve, or in the enumeration to one minimum; the
-enumeration's ``solved`` dict maps each equation tuple it solved to its
-solutions (``_solve_once``), for the minima of one genus; and a datum
-keeps its extremes and its solved chain (``_memo``), so the chain
-check, the Euler transport and their readers (the w2 selection rule,
-``b_plus_minus`` and the sweep) share one solve.
+``solved`` dict maps each equation tuple solved to its solutions
+(``_solve_once``) and belongs to one chain solve, or in the enumeration
+to the minima of one genus; and a datum keeps its extremes and its
+solved chain (``_memo``). That memo is the one way a solved chain
+reaches its readers: the chain check, the Euler transport and theirs
+(the w2 selection rule, ``b_plus_minus`` and the sweep) share one
+solve, and the enumeration seeds it with the solutions it already
+has: a candidate's from a shape's prefix solve, a filled datum's from
+its candidate.
 
 On top of the engine sit the public operations: a yes/no
 chain-consistency check, transport of the Euler class for the wall
@@ -612,7 +616,6 @@ class Crossing(NamedTuple):
 class ChainResult(NamedTuple):
     """Euler-class transport along the moment map."""
 
-    data: FixedPointData
     chart: ReducedSpaceType | None
     start_euler: ReducedClass | None
     crossings: tuple[Crossing, ...]
@@ -635,15 +638,16 @@ def _chain_solutions(
     """Solve the chain of well-formed data (``_structural_check``); an
     underdetermined one raises ``MultipleSolutionsError``. ``walks``
     shares walked prefixes (see ``_descend``) and ``solved`` solved
-    systems (see ``_solve_once``). Each branch is solved as the descent
-    yields it, so an order that fails to walk raises only after the
-    orders before it are solved.
+    systems (see ``_solve_once``), each a fresh dict when None. Each
+    branch is solved as the descent yields it, so an order that fails
+    to walk raises only after the orders before it are solved.
 
     A branch solution with a free unknown is a line of chains, not one:
     over a torus base, two middle tori with b+ = b- = 0 between a
     minimum and a maximum of b = 0 can trade any multiple of the
     section's class between their duals."""
     solutions: dict[tuple, _ChainSolution] = {}
+    solved = {} if solved is None else solved
     for branch in _branches(data, {} if walks is None else walks):
         for sol in _solve_once(branch.equations, solved):
             if sol.free:
@@ -654,16 +658,13 @@ def _chain_solutions(
     return list(solutions.values())
 
 
-def _solve_once(equations: tuple[Equation, ...], solved: dict | None) -> Sequence[Solution]:
-    """``solve_system(equations)``, kept in ``solved`` when it is a dict.
+def _solve_once(equations: tuple[Equation, ...], solved: dict) -> Sequence[Solution]:
+    """``solve_system(equations)``, kept in ``solved``.
 
     The solver is a function of its equation list alone, so a system met
     again, on another branch or datum, reads its first solve. A solve
-    that raises keeps nothing and raises again. With ``solved`` None
-    every call solves.
+    that raises keeps nothing and raises again.
     """
-    if solved is None:
-        return solve_system(list(equations))
     if equations not in solved:
         solved[equations] = tuple(solve_system(list(equations)))
     return solved[equations]
@@ -704,17 +705,6 @@ def euler_chain_check(data: FixedPointData) -> bool:
     return bool(_memo(data, "_chain", _chain_solutions))
 
 
-def _unique_solution(solutions: list[_ChainSolution]) -> _ChainSolution:
-    if not solutions:
-        raise NoSolutionError("no consistent Euler chain exists for this data")
-    if len(solutions) > 1:
-        raise MultipleSolutionsError(
-            f"{len(solutions)} distinct Euler chains are admissible; "
-            "declare the normal splittings to disambiguate"
-        )
-    return solutions[0]
-
-
 def euler_transport(data: FixedPointData) -> ChainResult:
     """Transport the level Euler class from the minimum to the maximum.
 
@@ -723,11 +713,14 @@ def euler_transport(data: FixedPointData) -> ChainResult:
     ``MultipleSolutionsError``.
     """
     _structural_check(data)
-    return _chain_result(data, _unique_solution(_memo(data, "_chain", _chain_solutions)))
-
-
-def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult:
-    """The ``ChainResult`` of ``data`` at one of its chain solutions."""
+    solutions = _memo(data, "_chain", _chain_solutions)
+    if not solutions:
+        raise NoSolutionError("no consistent Euler chain exists for this data")
+    if len(solutions) > 1:
+        raise MultipleSolutionsError(
+            f"{len(solutions)} distinct Euler chains are admissible; "
+            "declare the normal splittings to disambiguate"
+        )
     chart = None
     start = None
     if all(c.is_surface for c in data.components):
@@ -735,15 +728,10 @@ def _chain_result(data: FixedPointData, solution: _ChainSolution) -> ChainResult
         chart = start_chart.pristine
         start = ReducedClass(chart, start_chart.euler)
     ordered = sorted(
-        solution.crossings,
+        solutions[0].crossings,
         key=lambda c: (data.components[c.position].level, c.position),
     )
-    return ChainResult(
-        data=data,
-        chart=chart,
-        start_euler=start,
-        crossings=tuple(ordered),
-    )
+    return ChainResult(chart=chart, start_euler=start, crossings=tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +919,11 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     like a twist, means the concrete chain solve.
 
     Either way a candidate's chain is solved once, and that one
-    solution feeds every later stage: the splittings are read off its
-    crossings, and the sweep of an all-surface candidate runs on it.
+    solution feeds every later stage through the datum's chain memo
+    (``_memo``): a candidate built from a shape's prefix solve carries
+    its solutions, the filled datum carries the candidate's, the
+    splittings are read off its crossings, and the sweep of an
+    all-surface datum reads it from the memo like any other reader.
     Nothing solves the chain again. Nor does a system repeat: all
     solves for the minima of one genus, reduced and concrete, share one
     ``solved`` dict keyed by the exact equation tuple (``_solve_once``),
@@ -954,14 +945,11 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if count:
             rejected[stage] = rejected.get(stage, 0) + count
 
-    def decide(
-        candidate: FixedPointData, solutions: list[_ChainSolution] | None = None, others: int = 0
-    ) -> None:
+    def decide(candidate: FixedPointData, others: int = 0) -> None:
         # Every shape is well formed, and every chart it reaches has
         # rank <= 3, so c1.c1 >= 7 and the (-1)-class search never refuses.
         # ``others`` counts the unbuilt candidates of the other maximum genera.
-        if solutions is None:
-            solutions = _chain_solutions(candidate, walks, solved)
+        solutions = _memo(candidate, "_chain", _chain_solutions, walks, solved)
         filled = _derive_splittings(candidate, solutions)
         if filled is None:
             reject("chain", 1 + others)
@@ -972,8 +960,7 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         if not _localization_relations_hold(filled):
             raise RuntimeError(f"invariant broken at the localization stage: {filled!r}")
         if all(c.is_surface for c in filled.components):
-            transport = _chain_result(filled, _unique_solution(solutions))
-            if dh_path(filled, 1, [], transport).verdict == "inconsistent":
+            if dh_path(filled, 1, []).verdict == "inconsistent":
                 reject("sweep")
                 return
         tag = classify_type(filled)
@@ -996,8 +983,8 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
         # No e.e = -b solution: every genus of such a b is a chain reject.
         reject("chain", (len(b_values) - len(solvable)) * len(genera))
         for b in solvable:
-            solutions = None if by_square is None else by_square[-b]
-            decide(_with_maximum(shape, minimum.genus, b), solutions, len(genera) - 1)
+            chain = None if by_square is None else by_square[-b]
+            decide(_with_maximum(shape, minimum.genus, b, chain=chain), len(genera) - 1)
         if minimum.genus == 0 and minimum.b % 2 == 0 and all(c.is_surface for c in shape.components):
             for b in b_values[lo % 2 :: 2]:  # every even b
                 decide(_with_maximum(shape, 0, b, twist=True))
@@ -1012,18 +999,32 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     )
 
 
-def _with_maximum(shape: FixedPointData, genus: int, b: int, twist: bool = False) -> FixedPointData:
-    """The candidate of ``shape`` whose surface maximum has this genus and ``b``."""
+def _with_maximum(
+    shape: FixedPointData,
+    genus: int,
+    b: int,
+    twist: bool = False,
+    chain: list[_ChainSolution] | None = None,
+) -> FixedPointData:
+    """The candidate of ``shape`` whose surface maximum has this genus and
+    ``b``, with its chain solutions ``chain`` when they are known."""
     *rest, maximum = shape.components
     top = surface(4, maximum.level, genus=genus, b=b)
-    return _datum((*rest, top), shape.minimum, top, twist)
+    return _datum((*rest, top), shape.minimum, top, twist, chain)
 
 
-def _datum(components: tuple, minimum: FixedComponent, maximum: FixedComponent, twist=False):
+def _datum(
+    components: tuple,
+    minimum: FixedComponent,
+    maximum: FixedComponent,
+    twist: bool = False,
+    chain: list[_ChainSolution] | None = None,
+) -> FixedPointData:
     """``FixedPointData(components, twist)`` built by a caller that knows
-    its extremes, so it seeds the extremes memo (``_memo``) with them."""
+    its extremes, and perhaps its chain solutions ``chain``, so it seeds
+    their memos (``_memo``) with them; a None ``chain`` reads as unset."""
     data = FixedPointData(components, twist=twist)
-    data.__dict__.update(_minimum=minimum, _maximum=maximum)
+    data.__dict__.update(_minimum=minimum, _maximum=maximum, _chain=chain)
     return data
 
 
@@ -1048,13 +1049,11 @@ def _solve_prefix(
     solved = {} if solved is None else solved
     by_square: dict[Rational, dict[tuple, _ChainSolution]] = {}
     for branch in branches:
-        rest = branch.equations[:-1]
-        if rest not in solved:
-            try:
-                solved[rest] = tuple(_solve_rest(branch))
-            except SolverStallError:
-                return None
-        for sol in solved[rest]:
+        try:
+            solutions = _solve_once(branch.equations[:-1], solved)
+        except SolverStallError:
+            return None
+        for sol in solutions:
             if sol.free:
                 return None
             values = sol.as_dict()
@@ -1065,11 +1064,6 @@ def _solve_prefix(
                 found = by_square.setdefault(square, {})
                 found.setdefault(resolved.key, resolved)
     return {square: list(found.values()) for square, found in by_square.items()}
-
-
-def _solve_rest(branch: _Branch) -> list[Solution]:
-    """Solve a branch without its last equation."""
-    return solve_system(list(branch.equations[:-1]))
 
 
 def _derive_splittings(
@@ -1095,7 +1089,7 @@ def _derive_splittings(
         components[crossing.position] = replace(
             components[crossing.position], b_plus=b_plus, b_minus=b_minus
         )
-    return _datum(tuple(components), data.minimum, data.maximum, data.twist)
+    return _datum(tuple(components), data.minimum, data.maximum, data.twist, solutions)
 
 
 def b_plus_minus(

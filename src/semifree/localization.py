@@ -41,7 +41,7 @@ values and decides by exact elimination whether any values meet them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ._solve import (
     AffineConstraint,
@@ -62,9 +62,6 @@ from .fixed_points import (
     classify_type,
 )
 from .rationals import Rational, canon, format_rational
-
-if TYPE_CHECKING:
-    from .classifier import ChainResult
 
 
 class NoSolutionError(ValueError):
@@ -774,7 +771,6 @@ def dh_path(
     data: FixedPointData,
     alpha0: Fraction | int,
     gaps: Sequence[Fraction | int],
-    transport: ChainResult | None = None,
 ) -> DHPath:
     """Sweep the reduced symplectic class and check positivity.
 
@@ -787,8 +783,8 @@ def dh_path(
     instance passes, "not_positive" when it fails but some choice of
     alpha0 and gaps would pass, and "inconsistent" when none would.
 
-    ``transport`` is the data's solved chain, ``euler_transport(data)``,
-    when the caller already has it; when None, the chain is solved here.
+    The sweep reads the data's solved chain, ``euler_transport(data)``,
+    which is solved once per datum and kept on it.
     """
     from .classifier import euler_transport
 
@@ -796,10 +792,7 @@ def dh_path(
         raise InvalidDataError("the sweep needs every fixed component a surface")
     alpha0 = _scalar(alpha0)
     gaps = [_scalar(g) for g in gaps]
-    if transport is None:
-        transport = euler_transport(data)
-    elif transport.data != data:
-        raise ValueError("the solved chain belongs to other data")
+    transport = euler_transport(data)
     crossings = transport.crossings
     segments = len(crossings) + 1
     if len(gaps) > segments:

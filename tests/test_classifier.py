@@ -47,7 +47,7 @@ from semifree.localization import (
     solve_restriction_table,
 )
 
-from corpus import filtered_orderings, fuzz_data, middle_orderings
+from corpus import filtered_orderings, fuzz_data, middle_orderings, unseeded
 
 FAMILY_CASES = [
     ("1", {}),
@@ -567,7 +567,7 @@ def test_enumeration_hands_every_datum_the_extremes_a_fresh_one_reads(monkeypatc
     assert len(built) > 500
     assert any(d.twist for d in built) and any(d.maximum.is_point for d in built)
     for data in built:
-        fresh = FixedPointData(data.components, twist=data.twist)
+        fresh = unseeded(data)
         assert (data.minimum, data.maximum) == (fresh.minimum, fresh.maximum), data
 
 
@@ -598,13 +598,26 @@ def test_enumeration_stages_that_never_reject_are_invariants(
 
 
 def test_enumeration_falls_back_when_the_prefix_solve_stalls(monkeypatch):
-    stalled = []
+    # Every reduced solve of ``_solve_prefix`` stalls; the concrete
+    # chain solves, made outside it, do not.
+    stalled, inside = [], []
+    solve, prefix = classifier.solve_system, classifier._solve_prefix
 
-    def stall(branch):
-        stalled.append(branch)
-        raise SolverStallError("forced")
+    def stall(equations):
+        if inside:
+            stalled.append(equations)
+            raise SolverStallError("forced")
+        return solve(equations)
 
-    monkeypatch.setattr(classifier, "_solve_rest", stall)
+    def solve_prefix(*args):
+        inside.append(True)
+        try:
+            return prefix(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(classifier, "solve_system", stall)
+    monkeypatch.setattr(classifier, "_solve_prefix", solve_prefix)
     assert _enumeration_digest(0, (-1, 1)) == ENUMERATION_DIGESTS[(0, (-1, 1))]
     assert stalled
 
@@ -664,9 +677,9 @@ def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
             rechecked.append(data)
         return verdict
 
-    def record_sweep(data, alpha0, gaps, transport=None):
-        path = sweep(data, alpha0, gaps, transport)
-        swept.append((data, transport, path))
+    def record_sweep(data, alpha0, gaps):
+        path = sweep(data, alpha0, gaps)
+        swept.append((data, path))
         return path
 
     monkeypatch.setattr(classifier, "_localization_relations_hold", record_hold)
@@ -678,29 +691,61 @@ def _recheck_and_sweep_calls(monkeypatch, max_genus, b_range):
 @pytest.mark.parametrize("bounds", [(1, (-2, 2)), (2, (-3, 3))])
 def test_recheck_and_sweep_reuse_the_chain_solution_soundly(monkeypatch, bounds):
     # Every candidate passing the localization stage is checked against
-    # a fresh chain solve, and every sweep on the reused solution
-    # against a sweep that solves the chain itself.
+    # a fresh chain solve, and every sweep on the seeded chain against a
+    # sweep that solves the chain itself.
     rechecked, swept = _recheck_and_sweep_calls(monkeypatch, *bounds)
     assert rechecked and swept
     for data in rechecked:
-        assert euler_chain_check(data) is True
+        fresh = unseeded(data)
+        assert euler_chain_check(fresh) is True
+        if all(c.is_surface for c in data.components):
+            assert euler_transport(data) == euler_transport(fresh)
     surfaces_only = [d for d in rechecked if all(c.is_surface for c in d.components)]
-    assert [data for data, _, _ in swept] == surfaces_only
-    for data, transport, path in swept:
-        assert transport == euler_transport(data)
-        assert path == dh_path(data, 1, [])
+    assert [data for data, _ in swept] == surfaces_only
+    for data, path in swept:
+        assert path == dh_path(unseeded(data), 1, [])
+
+
+@pytest.mark.parametrize(
+    "bounds", [(1, (-2, 2)), (cli.RunConfig.max_genus, cli.RunConfig.b_range)]
+)
+def test_enumerated_members_carry_their_solved_chain(bounds):
+    # Each member comes with its chain memo, seeded by the enumeration,
+    # and the transport read off it is the one a fresh solve gives.
+    result = enumerate_types(*bounds)
+    members = [data for group in result.families.values() for data in group]
+    assert members
+    for data in members:
+        assert data.__dict__.get("_chain") is not None, data
+        assert euler_transport(data) == euler_transport(unseeded(data)), data
 
 
 def _chain_solves(monkeypatch) -> list:
     """The data of each ``_chain_solutions`` call made from now on."""
     solved, solve = [], classifier._chain_solutions
 
-    def record(data, walks=None):
+    def record(data, *shared):
         solved.append(data)
-        return solve(data, walks)
+        return solve(data, *shared)
 
     monkeypatch.setattr(classifier, "_chain_solutions", record)
     return solved
+
+
+def test_the_enumeration_sweep_solves_no_chain(monkeypatch):
+    # The sweep reads the chain the enumeration seeded on the filled datum.
+    solved = _chain_solves(monkeypatch)
+    sweeping, sweep = [], classifier.dh_path
+
+    def record_sweep(data, alpha0, gaps):
+        sweeping.append(len(solved))
+        path = sweep(data, alpha0, gaps)
+        assert len(solved) == sweeping[-1], data
+        return path
+
+    monkeypatch.setattr(classifier, "dh_path", record_sweep)
+    enumerate_types(1, (-2, 2))
+    assert solved and sweeping
 
 
 def test_classify_solves_the_chain_once(monkeypatch):

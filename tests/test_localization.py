@@ -33,7 +33,6 @@ from semifree.classifier import (
     ChainResult,
     Crossing,
     b_plus_minus,
-    euler_transport,
     family_instance,
 )
 from semifree.fixed_points import (
@@ -595,7 +594,7 @@ def test_b_plus_minus_rejects_a_non_integral_splitting(monkeypatch):
     monkeypatch.setattr(
         classifier,
         "euler_transport",
-        lambda data: ChainResult(data, None, None, (half,)),
+        lambda data: ChainResult(None, None, (half,)),
     )
     with pytest.raises(NoSolutionError, match="normal splitting is not integral"):
         b_plus_minus(data, 1)
@@ -662,15 +661,6 @@ def test_dh_path_rejects_point_components():
 def test_dh_path_rejects_excess_gaps():
     with pytest.raises(ValueError, match="gaps"):
         dh_path(family_instance("4"), Fraction(1), (Fraction(1), Fraction(1)))
-
-
-def test_dh_path_takes_the_solved_chain_of_its_data_only():
-    data = family_instance("6b", k=1, k_prime=0)
-    path = dh_path(data, Fraction(3), (Fraction(1),))
-    assert dh_path(data, Fraction(3), (Fraction(1),), euler_transport(data)) == path
-    other = euler_transport(family_instance("6b", k=2, k_prime=0))
-    with pytest.raises(ValueError, match="other data"):
-        dh_path(data, Fraction(3), (Fraction(1),), other)
 
 
 def test_dh_path_twisted_square_is_inconsistent():

@@ -25,7 +25,7 @@ from semifree._solve import (
 from semifree.fixed_points import InvalidDataError
 
 import oracles
-from corpus import builtin_data, family_presets, perfbench_module
+from corpus import builtin_data, family_presets, perfbench_module, unseeded
 from oracles import Poly
 
 F = Fraction
@@ -369,7 +369,8 @@ def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
     """The distinct systems the chain solves of enumerate at (1, -2..2) pose.
 
     That is every system the enumeration solves, plus the fresh chain
-    solve of each candidate that passes its localization stage.
+    solve of each candidate that passes its localization stage, on an
+    equal datum without the chain the enumeration seeded.
     """
     systems: dict[tuple[Poly, ...], None] = {}
     rechecked = []
@@ -390,7 +391,7 @@ def _enumeration_chain_systems(monkeypatch) -> list[tuple[Poly, ...]]:
     monkeypatch.setattr(classifier, "_localization_relations_hold", record_hold)
     classifier.enumerate_types(1, (-2, 2))
     for data in rechecked:
-        classifier.euler_chain_check(data)
+        classifier.euler_chain_check(unseeded(data))
     return list(systems)
 
 

@@ -182,7 +182,7 @@ def test_sweep_matches_the_oracle_over_the_corpus():
         for alpha0 in STARTS:
             for count in range(min(2, segments) + 1):
                 for gaps in itertools.product(GAP_VALUES, repeat=count):
-                    path = dh_path(data, alpha0, list(gaps), transport)
+                    path = dh_path(data, alpha0, list(gaps))
                     expected = _oracle_dh_path(data, alpha0, gaps, transport)
                     assert repr(path) == repr(expected), (name, alpha0, gaps)
                     verdicts.add(path.verdict)
