@@ -360,9 +360,6 @@ class AffineConstraint(NamedTuple):
         cleaned = tuple(sorted((v, _scalar(c)) for v, c in coeffs.items() if c))
         return AffineConstraint(cleaned, _scalar(const), strict)
 
-    def coeff(self, var: str) -> Rational:
-        return dict(self.coeffs).get(var, 0)
-
 
 def feasible(constraints: Sequence[AffineConstraint]) -> bool:
     """Exact feasibility of a system of affine (in)equalities over Q."""
@@ -371,17 +368,16 @@ def feasible(constraints: Sequence[AffineConstraint]) -> bool:
     for var in variables:
         lower, upper, rest = [], [], []
         for c in pending:
-            a = c.coeff(var)
+            a = dict(c.coeffs).get(var, 0)
             if a > 0:
-                lower.append(c)
+                lower.append((a, c))
             elif a < 0:
-                upper.append(c)
+                upper.append((-a, c))
             else:
                 rest.append(c)
         new = rest
-        for lo in lower:
-            for hi in upper:
-                a_lo, a_hi = lo.coeff(var), -hi.coeff(var)
+        for a_lo, lo in lower:
+            for a_hi, hi in upper:
                 coeffs: dict[str, Rational] = {}
                 for v, c in lo.coeffs:
                     if v != var:

@@ -507,9 +507,10 @@ def _branches(data: FixedPointData, walks: dict) -> Iterable[_Branch]:
     The descent starts at the minimum with every middle still to cross;
     components sort by level, so the extremes are first and last.
     """
-    key: tuple = (data.minimum,)
+    minimum = data.minimum
+    key: tuple = ((minimum.kind, minimum.genus, minimum.b),)
     if key not in walks:
-        walks[key] = [_Branch((), (), _start_chart(data.minimum))]
+        walks[key] = [_Branch((), (), _start_chart(minimum))]
     yield from _descend(data, key, tuple(range(1, len(data.components) - 1)), walks)
 
 
@@ -526,10 +527,11 @@ def _descend(
     arrangement, and n equal points at one level are one order, not n!.
     ``walks`` holds only prefixes: it maps each walked prefix to its
     states. A step that raises stores nothing, and its error propagates.
-    The walk reads only the minimum and the step keys, ``("P", index)``
-    of a point or ``("S", pos, genus, b_plus, b_minus)`` of a surface,
-    whose unknowns are named after ``pos``, so data of one minimum can
-    share ``walks``. A prefix keeps each distinct state once.
+    The walk reads only the root key, the minimum's ``(kind, genus, b)``
+    that ``_start_chart`` reads, and the step keys, ``("P", index)`` of a
+    point or ``("S", pos, genus, b_plus, b_minus)`` of a surface, whose
+    unknowns are named after ``pos``, so data of one minimum can share
+    ``walks``. A prefix keeps each distinct state once.
     """
     states = walks[key]
     if not rest:
@@ -883,40 +885,45 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
     RuntimeError as a fault. ``_shapes`` and ``_with_maximum`` fix the
     extremes' levels, kinds and ``b``, the counts N2 and N4, the shared
     genus of surface extremes and the twist's prerequisites. The chain
-    gives the rest. A rank-1 chart (form (1)) has no (-1)-class, and a
-    base of positive genus blows down only an open exceptional class,
-    so the rank stays >= 1, and >= 2 over a positive-genus minimum,
-    which a point maximum (rank 1) therefore never tops; the terminal
-    variants fix the last rank. With no middle point the start chart
-    stays, where e.F = -1 and e.e = -b: a bare untwisted join fails
-    e.F = 1, a bare twisted one forces b = 2 at both ends, and an
-    integral e with e.F = 1 has e.e even exactly on the trivial
-    (even-b) bundle, so the extremes' b share a parity. Two middle
-    surfaces over point extremes at one level are lines of the plane
-    (degrees d1 + d2 = 2, each positive), and their two orders solve
-    with different splittings, so the chain has no unique solution.
-    Failing the localization relations or coming out unclassified
-    after validate has never happened, so either raises RuntimeError
-    as a fault too.
+    gives the rest. A rank-1 chart (form (1)) has no (-1)-class, so the
+    rank stays >= 1. Over a base of positive genus a blow-down contracts
+    only an open exceptional class (``_blow_down_candidates``) and
+    closes every other (``_blow_down``), so the rank, 2 at the start,
+    never falls below 2 there, and a point maximum, which needs rank 1,
+    never tops a positive-genus minimum (Li 2003: pi_1 of M is that of
+    either extreme). The terminal variants fix the last rank. With no
+    middle point the start chart stays, where e.F = -1 and e.e = -b: a
+    bare untwisted join fails e.F = 1, a bare twisted one forces b = 2
+    at both ends, and an integral e with e.F = 1 has e.e even exactly on
+    the trivial (even-b) bundle, so the extremes' b share a parity. Two
+    middle surfaces over point extremes at one level are lines of the
+    plane (degrees d1 + d2 = 2, each positive), and their two orders
+    solve with different splittings, so the chain has no unique
+    solution. Failing the localization relations or coming out
+    unclassified after validate has never happened, so either raises
+    RuntimeError as a fault too.
 
-    The walk is shape-first. A shape is the minimum, the middles with their
-    levels, and the maximum's kind and level; ``_shapes`` builds each one
-    once, grouped by minimum. All chain walks of one minimum share one
-    ``walks`` dict: a prefix key holds neither the levels nor the maximum,
-    so a chain prefix is crossed once for every crossing order, shape and
-    candidate of that minimum; the dict is dropped with the minimum. A
-    shape with a point maximum is one candidate and takes the concrete
-    chain solve. A shape with a surface maximum stands for every genus and
-    ``b`` of that maximum: the chain never reads the genus, and ``b``
-    enters only the last equation of each branch, ``e.e + b = 0``. Every
-    branch of the shape is solved once without that equation
-    (``_solve_prefix``), and an untwisted maximum of degree ``b`` keeps the
-    solutions whose ``e.e`` equals ``-b``. A ``b`` that keeps none adds all
-    its genera to the chain tally, and no candidate of it is built. Of
-    another ``b`` only the minimum's genus is built: the other genera share
-    its chain verdict and, with a chain, fail validate (surface extremes
-    share a genus). A free variable or a solver stall in a reduced system,
-    like a twist, means the concrete chain solve.
+    The walk is shape-first. A shape is the minimum, the middles with
+    their levels, and the maximum's kind and level; ``_shapes`` builds
+    each one once, grouped by minimum. All chain walks of one minimum
+    share one ``walks`` dict: a prefix key holds neither the levels nor
+    the maximum, so a chain prefix is crossed once for every crossing
+    order, shape and candidate of that minimum; the dict is dropped with
+    the minimum. A shape with a point maximum is one candidate. Over a
+    minimum of positive genus it has no chain, by the rank argument
+    above, so it is tallied as one chain reject with no walk and no
+    solve; otherwise it takes the concrete chain solve. A shape with a
+    surface maximum stands for every genus and ``b`` of that maximum:
+    the chain never reads the genus, and ``b`` enters only the last
+    equation of each branch, ``e.e + b = 0``. Every branch of the shape
+    is solved once without that equation (``_solve_prefix``), and an
+    untwisted maximum of degree ``b`` keeps the solutions whose ``e.e``
+    equals ``-b``. A ``b`` that keeps none adds all its genera to the
+    chain tally, and no candidate of it is built. Of another ``b`` only
+    the minimum's genus is built: the other genera share its chain
+    verdict and, with a chain, fail validate (surface extremes share a
+    genus). A free variable or a solver stall in a reduced system, like
+    a twist, means the concrete chain solve.
 
     Either way a candidate's chain is solved once, and that one
     solution feeds every later stage through the datum's chain memo
@@ -976,7 +983,10 @@ def enumerate_types(max_genus: int, b_range: tuple[int, int]) -> EnumerationResu
             if minimum.genus != genus:
                 genus, solved = minimum.genus, {}
         if shape.maximum.is_point:
-            decide(shape)
+            if minimum.is_surface and minimum.genus > 0:
+                reject("chain")  # the rank stays >= 2: no walk, no solve
+            else:
+                decide(shape)
             continue
         by_square = _solve_prefix(shape, walks, solved)
         solvable = [b for b in b_values if by_square is None or -b in by_square]

@@ -748,6 +748,42 @@ def test_the_enumeration_sweep_solves_no_chain(monkeypatch):
     assert solved and sweeping
 
 
+def _point_maxima_over_positive_genus(shapes):
+    return [
+        s for s in shapes if s.maximum.is_point and s.minimum.is_surface and s.minimum.genus > 0
+    ]
+
+
+def test_a_point_maximum_over_a_positive_genus_minimum_has_no_branch(monkeypatch):
+    # Over a base of positive genus a blow-down contracts only an open
+    # exceptional class and closes the others, so every walk state keeps
+    # rank >= 2, and a point maximum needs rank 1: no branch, no solve.
+    systems = []
+
+    def record_solve(equations):
+        systems.append(equations)
+        return []
+
+    monkeypatch.setattr(classifier, "solve_system", record_solve)
+    shapes = _point_maxima_over_positive_genus(classifier._shapes(range(3), range(-3, 4)))
+    assert len(shapes) > 100
+    assert any(comp.index == 4 for shape in shapes for comp in shape.middles())
+    for shape in shapes:
+        walks: dict = {}
+        assert list(classifier._branches(shape, walks)) == [], shape
+        assert walks and all(state.top.rank >= 2 for states in walks.values() for state in states)
+        assert classifier._chain_solutions(shape) == [], shape
+    assert systems == []
+
+
+def test_the_enumeration_walks_no_point_maximum_over_a_positive_genus_minimum(monkeypatch):
+    # Such a shape is tallied as one chain reject without a chain solve.
+    solved = _chain_solves(monkeypatch)
+    enumerate_types(1, (-2, 2))
+    assert any(data.maximum.is_point for data in solved)
+    assert _point_maxima_over_positive_genus(solved) == []
+
+
 def test_classify_solves_the_chain_once(monkeypatch):
     # The chain check and the w2 selection rule read one solve.
     solved = _chain_solves(monkeypatch)
